@@ -23,6 +23,37 @@ constexpr std::array<std::uint32_t, 256> make_crc_table() {
 
 constexpr auto kCrcTable = make_crc_table();
 
+thread_local std::uint64_t t_crc_bytes = 0;
+
+/// a * b modulo the CRC polynomial, both in reflected bit order (bit 31 is
+/// x^0) — zlib's multmodp.
+constexpr std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) noexcept {
+    std::uint32_t m = 1U << 31;
+    std::uint32_t p = 0;
+    for (;;) {
+        if ((a & m) != 0) {
+            p ^= b;
+            if ((a & (m - 1)) == 0) break;
+        }
+        m >>= 1;
+        b = (b & 1U) != 0 ? (b >> 1) ^ 0xEDB88320U : b >> 1;
+    }
+    return p;
+}
+
+/// kX2n[k] = x^(2^k) modulo the polynomial.
+constexpr std::array<std::uint32_t, 64> make_x2n_table() {
+    std::array<std::uint32_t, 64> table{};
+    std::uint32_t p = 1U << 30;  // x^1
+    for (auto& t : table) {
+        t = p;
+        p = multmodp(p, p);
+    }
+    return table;
+}
+
+constexpr auto kX2n = make_x2n_table();
+
 /// splitmix64: full-period mix with good avalanche; one draw per key.
 [[nodiscard]] std::uint64_t mix64(std::uint64_t x) {
     x += 0x9E3779B97F4A7C15ULL;
@@ -160,12 +191,25 @@ void for_each_piece(std::string_view body, std::size_t body_offset, char sep,
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::byte> data, std::uint32_t seed) {
+    t_crc_bytes += data.size();
     std::uint32_t c = seed ^ 0xFFFFFFFFU;
     for (std::byte b : data) {
         c = kCrcTable[(c ^ static_cast<std::uint32_t>(b)) & 0xFFU] ^ (c >> 8);
     }
     return c ^ 0xFFFFFFFFU;
 }
+
+std::uint32_t crc32_shift(std::uint32_t crc, std::uint64_t len) noexcept {
+    // Multiply by x^(8 * len): one table factor per set bit of len, with
+    // the table indexed from x^8 (k = 3) upward (len < 2^61 bytes).
+    std::uint32_t op = 1U << 31;  // x^0
+    for (std::size_t k = 3; len != 0 && k < kX2n.size(); len >>= 1, ++k) {
+        if ((len & 1U) != 0) op = multmodp(kX2n[k], op);
+    }
+    return multmodp(op, crc);
+}
+
+std::uint64_t crc32_bytes_hashed() noexcept { return t_crc_bytes; }
 
 bool FaultPlan::enabled() const noexcept {
     return drop_probability > 0.0 || corrupt_probability > 0.0 ||

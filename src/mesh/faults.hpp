@@ -27,6 +27,16 @@ namespace wavehpc::mesh {
 [[nodiscard]] std::uint32_t crc32(std::span<const std::byte> data,
                                   std::uint32_t seed = 0);
 
+/// zlib-style CRC combine in O(log len), without touching the bytes:
+///   crc32(a ++ b) == crc32_shift(crc32(a), b.size()) ^ crc32(b).
+/// A checksum taken once can then be extended, or split back apart, for
+/// free — the frame codecs use it to CRC each payload exactly once.
+[[nodiscard]] std::uint32_t crc32_shift(std::uint32_t crc, std::uint64_t len) noexcept;
+
+/// Bytes passed through crc32() on the calling thread so far — the test
+/// seam that proves how many CRC passes a code path makes.
+[[nodiscard]] std::uint64_t crc32_bytes_hashed() noexcept;
+
 /// One window of degraded wire performance: every transfer whose network
 /// entry time falls in [t_begin, t_end) takes `factor` times as long
 /// (factor > 1 models a link renegotiating down; the window applies

@@ -39,6 +39,13 @@ std::size_t backend_index(Backend b) noexcept {
     return static_cast<std::size_t>(b) < 2 ? static_cast<std::size_t>(b) : 0;
 }
 
+/// Take the submitter's hook (leaving it empty) bound to its future.
+std::function<void()> bind_completion(PyramidService::Completion& on_done,
+                                      const TransformFuture& future) {
+    if (!on_done) return {};
+    return [cb = std::exchange(on_done, {}), future] { cb(future); };
+}
+
 }  // namespace
 
 ServiceConfig ServiceConfig::from_env() {
@@ -84,7 +91,25 @@ void PyramidService::record_outcome_locked(Outcome o, double seconds) {
     outcome_hist_[static_cast<std::size_t>(o)].record(seconds);
 }
 
-SubmitResult PyramidService::submit(TransformRequest request) {
+void PyramidService::Waiter::set_value(TransformReply reply) {
+    promise.set_value(std::move(reply));
+    if (on_done) on_done();
+}
+
+void PyramidService::Waiter::set_exception(std::exception_ptr error) {
+    promise.set_exception(std::move(error));
+    if (on_done) on_done();
+}
+
+SubmitResult PyramidService::submit(TransformRequest request, Completion on_done) {
+    SubmitResult out = admit(std::move(request), on_done);
+    // Answered on the spot (cache hit or degraded variant): the future is
+    // already ready and the lock released, so the hook runs here.
+    if (out.accepted && on_done) on_done(out.future);
+    return out;
+}
+
+SubmitResult PyramidService::admit(TransformRequest request, Completion& on_done) {
     if (!request.image) {
         throw std::invalid_argument("PyramidService::submit: null image");
     }
@@ -160,6 +185,7 @@ SubmitResult PyramidService::submit(TransformRequest request) {
             waiter.submitted_at = submitted_at;
             waiter.joined = true;
             out.future = waiter.promise.get_future().share();
+            waiter.on_done = bind_completion(on_done, out.future);
             flight.waiters.push_back(std::move(waiter));
             const Priority prio = std::max(flight.priority, request.priority);
             const auto deadline = std::max(flight.deadline, request.deadline);
@@ -221,6 +247,7 @@ SubmitResult PyramidService::submit(TransformRequest request) {
         Waiter waiter;
         waiter.submitted_at = submitted_at;
         out.future = waiter.promise.get_future().share();
+        waiter.on_done = bind_completion(on_done, out.future);
         flight->waiters.push_back(std::move(waiter));
         pending_.insert(flight.get());
         flights_.emplace(key, std::move(flight));
@@ -675,7 +702,7 @@ void PyramidService::run_batch(const std::vector<std::shared_ptr<Flight>>& batch
             reply.queue_seconds = seconds_between(w.submitted_at, start);
             reply.compute_seconds = d.result->compute_seconds;
             reply.total_seconds = seconds_between(w.submitted_at, finish);
-            w.promise.set_value(std::move(reply));
+            w.set_value(std::move(reply));
         }
     }
     deliver_failures(failures);
@@ -744,7 +771,7 @@ void PyramidService::timer_loop() {
 
 void PyramidService::deliver_failures(std::vector<FailureBatch>& failures) {
     for (FailureBatch& batch : failures) {
-        for (Waiter& w : batch.waiters) w.promise.set_exception(batch.error);
+        for (Waiter& w : batch.waiters) w.set_exception(batch.error);
     }
     failures.clear();
 }

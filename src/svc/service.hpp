@@ -53,6 +53,7 @@
 #include <array>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -112,10 +113,19 @@ public:
     PyramidService(const PyramidService&) = delete;
     PyramidService& operator=(const PyramidService&) = delete;
 
+    /// Completion hook for an accepted request: runs exactly once, on the
+    /// thread that made the future ready (submit's caller for a cache hit,
+    /// a pool worker after a compute, the timer or a drain for failures),
+    /// after the promise is fulfilled and outside the service lock. It
+    /// must not throw.
+    using Completion = std::function<void(const TransformFuture&)>;
+
     /// Synchronous admission decision; never blocks on compute. Throws
     /// std::invalid_argument for malformed requests (null image, bad
     /// taps/levels for the image size) — that is a caller bug, not load.
-    [[nodiscard]] SubmitResult submit(TransformRequest request);
+    /// `on_done`, if set, is called once the accepted request resolves;
+    /// it is dropped unrun when the submit is rejected.
+    [[nodiscard]] SubmitResult submit(TransformRequest request, Completion on_done = {});
 
     /// Graceful drain: fail everything still queued *or in retry backoff*
     /// (ServiceShutdownError), wait for dispatched flights to complete and
@@ -153,6 +163,12 @@ private:
         std::promise<TransformReply> promise;
         Clock::time_point submitted_at;
         bool joined = false;  ///< true for every waiter after the first
+        /// The submitter's Completion bound to this waiter's future; run
+        /// right after the promise is fulfilled (empty = none).
+        std::function<void()> on_done;
+
+        void set_value(TransformReply reply);
+        void set_exception(std::exception_ptr error);
     };
 
     /// Where an undelivered flight currently lives. Running flights are in
@@ -205,6 +221,10 @@ private:
         bool record_outcome = false;
     };
 
+    /// submit() minus the completion call: moves `on_done` into the waiter
+    /// when the request queues or joins a flight, leaves it set when the
+    /// answer is immediate.
+    [[nodiscard]] SubmitResult admit(TransformRequest request, Completion& on_done);
     void dispatch_ready(std::unique_lock<std::mutex>& lk,
                         std::vector<FailureBatch>& failures);
     void run_batch(const std::vector<std::shared_ptr<Flight>>& batch);

@@ -45,6 +45,33 @@ void sleep_seconds(double seconds) {
     std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
+/// This thread's last pixel-carrying frame (a sealed request or reply),
+/// handed to its next seal: steady traffic allocates no frame memory.
+thread_local std::vector<std::byte> t_spare_frame;
+
+/// A finished request's outcome — value or typed error — sealed exactly
+/// as it crosses the wire.
+[[nodiscard]] std::vector<std::byte> seal_outcome(const wire::Header& h,
+                                                  const TransformFuture& outcome) {
+    using Kind = wire::ReplyErrorKind;
+    const auto error = [&h](Kind kind, const std::exception& e) {
+        return wire::seal(h, wire::encode_reply_error_payload(kind, e.what()));
+    };
+    try {
+        return wire::seal_reply(h, outcome.get(), std::exchange(t_spare_frame, {}));
+    } catch (const ServiceShutdownError& e) {
+        return error(Kind::Shutdown, e);
+    } catch (const DeadlineExpiredError& e) {
+        return error(Kind::Deadline, e);
+    } catch (const WatchdogTimeoutError& e) {
+        return error(Kind::Watchdog, e);
+    } catch (const CrcAuditError& e) {
+        return error(Kind::CrcAudit, e);
+    } catch (const std::exception& e) {
+        return error(Kind::Other, e);
+    }
+}
+
 [[nodiscard]] std::vector<std::byte> roster_payload(const FailureDetector& det) {
     std::vector<wire::RosterEntry> roster;
     roster.reserve(det.shard_count());
@@ -104,42 +131,26 @@ ShardCluster::ShardCluster(runtime::ThreadPool& pool, ShardClusterConfig cfg)
         Node& node = nodes_[s];
         node.service = std::make_shared<PyramidService>(pool_, cfg_.service);
         node.detector = FailureDetector(cfg_.shard_count, cfg_.membership);
-        transport_.set_handler(
-            static_cast<int>(s), wire::kRequestTag,
-            [this, s](int, std::span<const std::byte> frame) {
-                return handle_request(s, frame);
-            });
-        transport_.set_sink(
-            static_cast<int>(s), wire::kGossipTag,
-            [this, s](int src, std::span<const std::byte> frame) {
-                nodes_[s].inbox.push_back({src, {frame.begin(), frame.end()}});
-            });
+        transport_.set_handler(static_cast<int>(s), wire::kRequestTag,
+                               [this, s](int, mesh::CheckedBytes frame) {
+                                   return handle_request(s, frame);
+                               });
+        transport_.set_sink(static_cast<int>(s), wire::kGossipTag,
+                            [this, s](int src, mesh::CheckedBytes frame) {
+                                nodes_[s].inbox.push_back(GossipMsg::of(src, frame));
+                            });
     }
-    // The router decodes incoming replies into the reply box; the ack the
-    // rpc ships back is empty — the ARQ ack is the delivery receipt.
-    transport_.set_handler(
-        router_node(), wire::kReplyTag,
-        [this](int, std::span<const std::byte> frame) -> std::vector<std::byte> {
-            if (const auto un = wire::try_unseal(frame)) {
-                try {
-                    ReceivedReply rec;
-                    rec.incarnation = un->header.incarnation;
-                    rec.rw = wire::decode_reply_payload(un->payload);
-                    std::lock_guard nk(nodes_mu_);
-                    reply_box_[un->header.request_id] = std::move(rec);
-                } catch (const wire::WireError&) {
-                    // Malformed payload inside a CRC-valid frame: drop it;
-                    // the pump falls back to the local outcome.
-                }
-            }
-            return {};
-        });
-    transport_.set_sink(
-        router_node(), wire::kGossipTag,
-        [this](int src, std::span<const std::byte> frame) {
-            router_inbox_.push_back({src, {frame.begin(), frame.end()}});
-        });
-    pump_ = std::thread([this] { pump_loop(); });
+    // The ack the reply rpc ships back is empty: the ARQ ack is the
+    // delivery receipt.
+    transport_.set_handler(router_node(), wire::kReplyTag,
+                           [this](int, mesh::CheckedBytes frame) {
+                               handle_reply(frame);
+                               return std::vector<std::byte>{};
+                           });
+    transport_.set_sink(router_node(), wire::kGossipTag,
+                        [this](int src, mesh::CheckedBytes frame) {
+                            router_inbox_.push_back(GossipMsg::of(src, frame));
+                        });
     if (!cfg_.manual_clock) {
         monitor_ = std::thread([this] { monitor_loop(); });
     }
@@ -199,7 +210,7 @@ void ShardCluster::gossip_round_locked(double now) {
         h.incarnation = inc;
         h.epoch = epoch;
         const auto sealed = wire::seal(h, payload);
-        (void)transport_.send_datagram(src, dst, wire::kGossipTag, sealed);
+        (void)transport_.send_datagram(src, dst, wire::kGossipTag, wire::checked(sealed));
     };
     const std::size_t fanout = n <= 1 ? 0
                                : cfg_.gossip_fanout == 0
@@ -237,7 +248,7 @@ void ShardCluster::gossip_round_locked(double now) {
     // freshness fence admits exactly the self-beats — the router's
     // detector sees the same observe() stream the old probe loop fed it.
     for (const GossipMsg& m : router_inbox_) {
-        const auto un = wire::try_unseal(m.frame);
+        const auto un = wire::try_open({m.frame, m.crc});
         if (!un) continue;
         std::vector<wire::RosterEntry> entries;
         try {
@@ -258,7 +269,7 @@ void ShardCluster::gossip_round_locked(double now) {
             continue;
         }
         for (const GossipMsg& m : node.inbox) {
-            const auto un = wire::try_unseal(m.frame);
+            const auto un = wire::try_open({m.frame, m.crc});
             if (!un) continue;
             std::vector<wire::RosterEntry> entries;
             try {
@@ -428,7 +439,6 @@ void ShardCluster::kill_locked_phase1(
         Node& node = nodes_[shard];
         if (node.killed) return;
         node.killed = true;
-        node.pending.clear();
         ++counters_.kills;
         if (node.service) drains.push_back(std::move(node.service));
         node.service = nullptr;
@@ -463,7 +473,6 @@ void ShardCluster::revive_locked(ShardId shard) {
         node.service = std::make_shared<PyramidService>(pool_, cfg_.service);
         if (have_service_plan_) node.service->set_chaos_plan(service_plan_);
         node.killed = false;
-        node.pending.clear();
         ++node.incarnation;  // the new life; the epoch fence keys on this
         ++counters_.revivals;
     }
@@ -543,13 +552,13 @@ std::vector<ShardId> ShardCluster::placement(const TransformRequest& request) co
     return ring_.replicas(key, cfg_.replicas);
 }
 
-std::vector<std::byte> ShardCluster::handle_request(
-    ShardId shard, std::span<const std::byte> frame) {
-    // Runs under the transport mutex; takes only the leaf lock. The ARQ
-    // layer already CRC-verified the frame, so unseal cannot fail short of
-    // a router bug — the Down shape covers it defensively.
+std::vector<std::byte> ShardCluster::handle_request(ShardId shard,
+                                                    mesh::CheckedBytes frame) {
+    // The receiving NIC already CRC'd the frame whole; opening reuses
+    // that pass, so it cannot fail short of a router bug — the Down shape
+    // covers it defensively.
     wire::AdmitWire admit;  // defaults to Down
-    const auto un = wire::try_unseal(frame);
+    const auto un = wire::try_open(frame);
     if (!un) return wire::encode_admit_payload(admit);
     std::shared_ptr<PyramidService> svc;
     {
@@ -566,26 +575,47 @@ std::vector<std::byte> ShardCluster::handle_request(
             return wire::encode_admit_payload(admit);
         }
         svc = node.service;
+        // Counted with the service grabbed, so a concurrent shutdown()
+        // either refuses this request or waits for its reply.
+        ++replies_outstanding_;
     }
-    TransformRequest req;
+    const auto release = [this] {
+        std::lock_guard nk(nodes_mu_);
+        --replies_outstanding_;
+        cv_replies_.notify_all();
+    };
+    SubmitResult r;
     try {
-        req = wire::decode_request_payload(un->payload, Clock::now());
+        TransformRequest req = wire::decode_request_payload(un->payload, Clock::now());
+        r = svc->submit(std::move(req),
+                        [this, shard, h = un->header](const TransformFuture& outcome) {
+                            send_reply(shard, h, outcome);
+                        });
     } catch (const wire::WireError&) {
+        release();
         return wire::encode_admit_payload(admit);
+    } catch (...) {
+        release();
+        throw;
     }
-    SubmitResult r = svc->submit(std::move(req));
     if (!r.accepted) {
+        release();
         admit.status = wire::AdmitStatus::Rejected;
         admit.reject_reason = r.reject_reason;
         admit.retry_after = r.retry_after_seconds;
         return wire::encode_admit_payload(admit);
     }
-    {
-        std::lock_guard nk(nodes_mu_);
-        nodes_[shard].pending[un->header.request_id] = std::move(r.future);
-    }
     admit.status = wire::AdmitStatus::Accepted;
     return wire::encode_admit_payload(admit);
+}
+
+std::optional<ShardCluster::InFlight> ShardCluster::claim(std::uint64_t request_id) {
+    std::lock_guard nk(nodes_mu_);
+    const auto it = inflight_.find(request_id);
+    if (it == inflight_.end()) return std::nullopt;
+    InFlight entry = std::move(it->second);
+    inflight_.erase(it);
+    return entry;
 }
 
 ClusterSubmitResult ShardCluster::submit(TransformRequest request) {
@@ -612,9 +642,19 @@ ClusterSubmitResult ShardCluster::submit(TransformRequest request) {
         std::lock_guard nk(nodes_mu_);
         ++counters_.routed;
     }
-    // The pixels genuinely cross the wire: encode the request once, reseal
-    // per replica (the header names the destination and its epoch).
-    const auto req_payload = wire::encode_request_payload(request, Clock::now());
+    // One client promise for the whole chain, registered under each
+    // attempt's request_id in turn.
+    const auto promise = std::make_shared<std::promise<TransformReply>>();
+    const auto accept = [&](ShardId shard) {
+        out.shard = shard;
+        out.result = SubmitResult{};
+        out.result.accepted = true;
+        out.result.future = promise->get_future().share();
+        std::lock_guard nk(nodes_mu_);
+        ++counters_.accepted;
+        if (shard != chain.front()) ++counters_.failovers;
+        return out;
+    };
     for (const ShardId shard : chain) {
         // Roster check first: a Dead shard is skipped without touching its
         // transport (the whole point of the failure detector — no waiting
@@ -635,6 +675,7 @@ ClusterSubmitResult ShardCluster::submit(TransformRequest request) {
             std::lock_guard nk(nodes_mu_);
             stall = nodes_[shard].stall_seconds;
             request_id = next_request_id_++;
+            inflight_.emplace(request_id, InFlight{promise, expected});
         }
         sleep_seconds(stall);  // Slow shard: clients feel it before the wire
         wire::Header h;
@@ -643,61 +684,42 @@ ClusterSubmitResult ShardCluster::submit(TransformRequest request) {
         h.dst = static_cast<std::uint32_t>(shard);
         h.incarnation = expected;
         h.request_id = request_id;
-        const auto sealed = wire::seal(h, req_payload);
-        const auto resp =
-            transport_.rpc(router_node(), static_cast<int>(shard),
-                           wire::kRequestTag, sealed);
-        if (!resp) {
+        std::optional<wire::AdmitWire> admit;
+        try {
+            // The pixels genuinely cross the wire, sealed per replica (the
+            // header names the destination and its epoch).
+            auto sealed = wire::seal_request(h, request, Clock::now(),
+                                             std::exchange(t_spare_frame, {}));
+            const auto resp = transport_.rpc(router_node(), static_cast<int>(shard),
+                                             wire::kRequestTag, wire::checked(sealed));
+            t_spare_frame = std::move(sealed);
+            if (resp) admit = wire::decode_admit_payload(*resp);
+        } catch (const wire::WireError&) {
+            admit.reset();  // a malformed verdict reads as a lost one
+        } catch (...) {
+            (void)claim(request_id);
+            throw;
+        }
+        if (admit && admit->status == wire::AdmitStatus::Accepted) {
+            ++out.hops;
+            return accept(shard);
+        }
+        if (!claim(request_id)) {
+            // The shard's reply already resolved the promise (a cache hit
+            // answered inside the request leg, whose verdict was then
+            // lost): the request was served.
+            ++out.hops;
+            return accept(shard);
+        }
+        if (!admit) {
             // The request wire gave up: killed or partitioned. Fail over.
             std::lock_guard nk(nodes_mu_);
             ++counters_.transport_refusals;
             continue;
         }
-        wire::AdmitWire admit;
-        try {
-            admit = wire::decode_admit_payload(*resp);
-        } catch (const wire::WireError&) {
-            std::lock_guard nk(nodes_mu_);
-            ++counters_.transport_refusals;
-            continue;
-        }
-        switch (admit.status) {
-        case wire::AdmitStatus::Accepted: {
-            ++out.hops;
-            TransformFuture inner;
-            {
-                std::lock_guard nk(nodes_mu_);
-                auto& pending = nodes_[shard].pending;
-                if (const auto it = pending.find(request_id); it != pending.end()) {
-                    inner = std::move(it->second);
-                    pending.erase(it);
-                }
-            }
-            if (!inner.valid()) {
-                // A racing kill swept the pending future between the admit
-                // and the claim: treat as a transport loss and fail over.
-                std::lock_guard nk(nodes_mu_);
-                ++counters_.transport_refusals;
-                continue;
-            }
-            ReplyTask task;
-            task.shard = shard;
-            task.request_id = request_id;
-            task.incarnation = expected;
-            task.inner = std::move(inner);
-            task.promise = std::make_shared<std::promise<TransformReply>>();
-            out.shard = shard;
-            out.result.accepted = true;
-            out.result.reject_reason = RejectReason::None;
-            out.result.future = task.promise->get_future().share();
-            enqueue_reply(std::move(task));
-            {
-                std::lock_guard nk(nodes_mu_);
-                ++counters_.accepted;
-                if (shard != chain.front()) ++counters_.failovers;
-            }
-            return out;
-        }
+        switch (admit->status) {
+        case wire::AdmitStatus::Accepted:
+            break;  // handled above
         case wire::AdmitStatus::Rejected:
             // Breaker-open / saturated / quarantined on this replica: the
             // next replica may be healthy. Keep the answer's shape for the
@@ -705,8 +727,8 @@ ClusterSubmitResult ShardCluster::submit(TransformRequest request) {
             ++out.hops;
             out.shard = shard;
             out.result.accepted = false;
-            out.result.reject_reason = admit.reject_reason;
-            out.result.retry_after_seconds = admit.retry_after;
+            out.result.reject_reason = admit->reject_reason;
+            out.result.retry_after_seconds = admit->retry_after;
             continue;
         case wire::AdmitStatus::StaleEpoch:
             // Counted by the receiver-side fence in handle_request.
@@ -760,124 +782,81 @@ ClusterSubmitResult ShardCluster::submit(TransformRequest request) {
     return out;
 }
 
-void ShardCluster::enqueue_reply(ReplyTask task) {
-    bool inline_delivery = false;
-    {
-        std::lock_guard pk(pump_mu_);
-        if (pump_stop_) {
-            inline_delivery = true;
-        } else {
-            pump_queue_.push_back(std::move(task));
-        }
-    }
-    if (inline_delivery) {
-        // The pump is gone (post-shutdown race): deliver on this thread.
-        deliver_reply(std::move(task));
-        return;
-    }
-    cv_pump_.notify_one();
-}
-
-void ShardCluster::pump_loop() {
-    for (;;) {
-        ReplyTask task;
-        {
-            std::unique_lock pk(pump_mu_);
-            cv_pump_.wait(pk, [this] { return pump_stop_ || !pump_queue_.empty(); });
-            if (pump_queue_.empty()) return;  // pump_stop_ and drained
-            task = std::move(pump_queue_.front());
-            pump_queue_.pop_front();
-        }
-        deliver_reply(std::move(task));
-    }
-}
-
-void ShardCluster::deliver_reply(ReplyTask task) {
-    // Wait for the shard's outcome with no lock held, then encode it —
-    // value or typed error — exactly as it crosses the wire.
-    TransformReply local;
-    std::exception_ptr error;
-    std::vector<std::byte> payload;
+void ShardCluster::handle_reply(mesh::CheckedBytes frame) {
+    const auto un = wire::try_open(frame);
+    if (!un) return;
+    wire::ReplyWire rw;
     try {
-        local = task.inner.get();
-        payload = wire::encode_reply_payload(local);
-    } catch (const ServiceShutdownError& e) {
-        error = std::current_exception();
-        payload = wire::encode_reply_error_payload(wire::ReplyErrorKind::Shutdown,
-                                                   e.what());
-    } catch (const DeadlineExpiredError& e) {
-        error = std::current_exception();
-        payload = wire::encode_reply_error_payload(wire::ReplyErrorKind::Deadline,
-                                                   e.what());
-    } catch (const WatchdogTimeoutError& e) {
-        error = std::current_exception();
-        payload = wire::encode_reply_error_payload(wire::ReplyErrorKind::Watchdog,
-                                                   e.what());
-    } catch (const CrcAuditError& e) {
-        error = std::current_exception();
-        payload = wire::encode_reply_error_payload(wire::ReplyErrorKind::CrcAudit,
-                                                   e.what());
-    } catch (const std::exception& e) {
-        error = std::current_exception();
-        payload = wire::encode_reply_error_payload(wire::ReplyErrorKind::Other,
-                                                   e.what());
-    }
-    wire::Header h;
-    h.kind = wire::MsgKind::Reply;
-    h.src = static_cast<std::uint32_t>(task.shard);
-    h.dst = static_cast<std::uint32_t>(router_node());
-    h.incarnation = task.incarnation;
-    h.request_id = task.request_id;
-    const auto sealed = wire::seal(h, payload);
-    const auto ack = transport_.rpc(static_cast<int>(task.shard), router_node(),
-                                    wire::kReplyTag, sealed);
-    bool have_rec = false;
-    ReceivedReply rec;
-    {
-        std::lock_guard nk(nodes_mu_);
-        if (const auto it = reply_box_.find(task.request_id);
-            it != reply_box_.end()) {
-            if (ack) {
-                rec = std::move(it->second);
-                have_rec = true;
-            }
-            reply_box_.erase(it);
-        }
-        if (!have_rec) ++counters_.reply_wire_fallbacks;
-    }
-    if (!have_rec) {
-        // The reply wire gave up (shard killed or partitioned at
-        // completion time): deliver the locally held outcome honestly.
-        if (error) {
-            task.promise->set_exception(error);
-        } else {
-            task.promise->set_value(std::move(local));
-        }
+        rw = wire::decode_reply_payload(un->payload);
+    } catch (const wire::WireError&) {
+        // Malformed payload inside a CRC-valid frame: leave the entry to
+        // the shard, which delivers its local outcome instead.
         return;
     }
-    // Deliver what the router received. A *value* reply arriving under a
-    // different incarnation than the dispatch belief would be a
-    // stale-epoch reply; the frame carries the dispatch incarnation, so
-    // this is structurally impossible — the counter is the audited
-    // invariant the partition drills assert stays zero.
-    if (!rec.rw.is_error && rec.incarnation != task.incarnation) {
+    auto entry = claim(un->header.request_id);
+    if (!entry) {
+        std::lock_guard nk(nodes_mu_);
+        ++counters_.orphan_replies;
+        return;
+    }
+    // A *value* reply arriving under a different incarnation than the
+    // dispatch belief would be a stale-epoch reply; the frame carries the
+    // dispatch incarnation, so this is structurally impossible — the
+    // counter is the audited invariant the partition drills assert stays 0.
+    if (!rw.is_error && un->header.incarnation != entry->incarnation) {
         {
             std::lock_guard nk(nodes_mu_);
             ++counters_.stale_replies_delivered;
         }
-        task.promise->set_exception(std::make_exception_ptr(std::runtime_error(
-            "shard wire: stale-epoch reply suppressed")));
+        entry->promise->set_exception(std::make_exception_ptr(
+            std::runtime_error("shard wire: stale-epoch reply suppressed")));
         return;
     }
-    if (rec.rw.is_error) {
-        try {
-            wire::rethrow_reply_error(rec.rw);
-        } catch (...) {
-            task.promise->set_exception(std::current_exception());
+    if (!rw.is_error) {
+        entry->promise->set_value(std::move(rw.reply));
+        return;
+    }
+    try {
+        wire::rethrow_reply_error(rw);
+    } catch (...) {
+        entry->promise->set_exception(std::current_exception());
+    }
+}
+
+void ShardCluster::send_reply(ShardId shard, const wire::Header& req,
+                              const TransformFuture& outcome) {
+    try {
+        wire::Header h;
+        h.kind = wire::MsgKind::Reply;
+        h.src = static_cast<std::uint32_t>(shard);
+        h.dst = static_cast<std::uint32_t>(router_node());
+        h.incarnation = req.incarnation;
+        h.request_id = req.request_id;
+        auto sealed = seal_outcome(h, outcome);
+        (void)transport_.rpc(static_cast<int>(shard), router_node(), wire::kReplyTag,
+                             wire::checked(sealed));
+        t_spare_frame = std::move(sealed);
+    } catch (...) {
+        // Could not even put the reply on the wire: the fallback below
+        // delivers the outcome.
+    }
+    // An entry still registered means the router never took this reply
+    // (the wire gave up: shard killed or partitioned at completion time).
+    // Deliver the locally held outcome honestly.
+    if (auto entry = claim(req.request_id)) {
+        {
+            std::lock_guard nk(nodes_mu_);
+            ++counters_.reply_wire_fallbacks;
         }
-        return;
+        try {
+            entry->promise->set_value(outcome.get());
+        } catch (...) {
+            entry->promise->set_exception(std::current_exception());
+        }
     }
-    task.promise->set_value(std::move(rec.rw.reply));
+    std::lock_guard nk(nodes_mu_);
+    --replies_outstanding_;
+    cv_replies_.notify_all();  // under the lock: shutdown() may then return
 }
 
 SubmitResult ShardCluster::submit_to_shard(ShardId shard, TransformRequest request) {
@@ -1001,7 +980,6 @@ void ShardCluster::shutdown() {
             if (node.service) drains.push_back(std::move(node.service));
             node.service = nullptr;
             node.killed = true;
-            node.pending.clear();
         }
     }
     for (std::size_t s = 0; s < nodes_.size(); ++s) {
@@ -1009,17 +987,13 @@ void ShardCluster::shutdown() {
     }
     cv_monitor_.notify_all();
     if (first && monitor_.joinable()) monitor_.join();
-    // Drain the services first (every inner future resolves), then let the
-    // pump flush its queue: each remaining reply's wire attempt fails fast
-    // (all NICs are off) and falls back to the local outcome, so every
-    // client future is ready before shutdown returns.
+    // Drain the services (every waiter resolves and runs its reply hook;
+    // each hook's wire attempt fails fast — all NICs are off — and falls
+    // back to the local outcome), then wait for the last hook to finish,
+    // so every client future is ready before shutdown returns.
     drain_and_retire(drains);
-    {
-        std::lock_guard pk(pump_mu_);
-        pump_stop_ = true;
-    }
-    cv_pump_.notify_all();
-    if (first && pump_.joinable()) pump_.join();
+    std::unique_lock nk(nodes_mu_);
+    cv_replies_.wait(nk, [this] { return replies_outstanding_ == 0; });
 }
 
 }  // namespace wavehpc::svc::shard

@@ -10,12 +10,17 @@
 //     shard answers with an AdmitWire verdict on the same channel. The
 //     admission fence runs on the *receiver*: a frame whose incarnation
 //     is not the shard's current life is refused as StaleEpoch.
-//   * Replies: when the compute finishes, the reply pump ships the full
-//     TransformReply (or its typed error) back as a sealed wire::Reply
-//     frame under ARQ; the client future resolves with what the router
-//     received. If the reply wire gives up (shard killed or partitioned
-//     at completion time), the locally held outcome is delivered honestly
-//     and `reply_wire_fallbacks` counts it.
+//   * Replies: the router registers the client promise under the
+//     attempt's request_id *before* the request leg (a cache-hit reply
+//     can beat the admit verdict home). The shard admits with a service
+//     completion hook, so whichever thread completes the request seals
+//     the TransformReply (or its typed error) and ships it under ARQ.
+//     Whoever removes the in-flight entry resolves the promise, exactly
+//     once: the router's reply handler; the router withdrawing a refused
+//     attempt; or the hook, when the reply wire gave up (shard killed or
+//     partitioned), delivering the local outcome (`reply_wire_fallbacks`).
+//     A reply whose entry is already gone — the request leg gave up after
+//     the shard admitted — is dropped (`orphan_replies`).
 //   * Membership: no direct observe() probes. Each tick every live shard
 //     gossips its full (incarnation, last_ok, health) roster vector to
 //     the router and its peers as wire::Gossip datagrams; every receiver
@@ -45,24 +50,25 @@
 //   * Slow — every request to the shard stalls first (noisy neighbour).
 //
 // Clocking: with `manual_clock` the owner drives tick(now) explicitly and
-// the cluster starts no monitor thread — the deterministic mode every
-// tier-1 test uses (the reply pump thread always runs; it performs no
-// time-based work). Otherwise a monitor thread beats every
+// the cluster starts no thread of its own — the deterministic mode every
+// tier-1 test uses. Otherwise a monitor thread beats every
 // heartbeat_interval: gossip rounds, roster sweeps, due chaos events.
 //
 // Lock order: mu_ (orchestration: detectors, chaos actions, clock,
-// gossip inboxes) -> transport's internal mutex -> nodes_mu_ (leaf: node
-// liveness flags, pending futures, counters). Transport handlers run
-// under the transport mutex and may take only nodes_mu_.
+// gossip inboxes) -> nodes_mu_ (leaf: node liveness flags, in-flight
+// replies, counters). The transport's locks are internal leaves it never
+// holds while calling out, so its handlers and sinks run with no
+// transport lock: they take nodes_mu_ (never while calling the transport
+// or a service) and may send replies of their own. Only gossip sinks run
+// under mu_, held by the tick that sent the beats.
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -157,6 +163,10 @@ struct ClusterCounters {
     /// Replies delivered from the locally held outcome because the reply
     /// wire gave up (shard killed/partitioned at completion time).
     std::uint64_t reply_wire_fallbacks = 0;
+    /// Replies that reached the router after their attempt was withdrawn
+    /// (the request leg gave up although the shard had admitted it):
+    /// dropped — the client was already failed over.
+    std::uint64_t orphan_replies = 0;
 };
 
 class ShardCluster {
@@ -177,8 +187,8 @@ public:
     /// design, that is what a slow shard does to its clients).
     [[nodiscard]] ClusterSubmitResult submit(TransformRequest request);
 
-    /// Drain every live shard and stop the monitor + reply-pump threads.
-    /// Idempotent.
+    /// Drain every live shard, stop the monitor thread, and wait until
+    /// every shard's reply has been shipped or fallen back. Idempotent.
     void shutdown();
 
     // --- fault seams (the chaos replay uses exactly these) ---
@@ -256,6 +266,11 @@ private:
     struct GossipMsg {
         int src = 0;
         std::vector<std::byte> frame;
+        std::uint32_t crc = 0;  ///< the receiving NIC's pass over `frame`
+
+        static GossipMsg of(int src, mesh::CheckedBytes f) {
+            return {src, {f.bytes.begin(), f.bytes.end()}, f.crc};
+        }
     };
 
     struct Node {
@@ -264,9 +279,6 @@ private:
         bool killed = false;
         bool partitioned = false;
         double stall_seconds = 0.0;  ///< injected per-delivery stall (Slow)
-        /// Futures the shard accepted over the wire, keyed by request id,
-        /// until the router claims them (nodes_mu_).
-        std::map<std::uint64_t, TransformFuture> pending;
         /// The shard's own membership view, fed purely by gossip (mu_).
         FailureDetector detector;
         std::vector<GossipMsg> inbox;  ///< sealed roster frames (mu_)
@@ -290,39 +302,34 @@ private:
     };
     [[nodiscard]] Ticket grab_ticket(ShardId shard);
 
-    /// An accepted request waiting for its compute to finish so the reply
-    /// can cross the wire; the pump resolves `promise` with what the
-    /// router received (or the local outcome on wire give-up).
-    struct ReplyTask {
-        ShardId shard = 0;
-        std::uint64_t request_id = 0;
-        std::uint64_t incarnation = 0;  ///< the router's belief at dispatch
-        TransformFuture inner;
+    /// A routed attempt awaiting its reply, keyed by request_id (nodes_mu_).
+    struct InFlight {
         std::shared_ptr<std::promise<TransformReply>> promise;
-    };
-
-    /// A reply the router-side wire handler received and decoded, waiting
-    /// for the pump to claim it (nodes_mu_).
-    struct ReceivedReply {
-        std::uint64_t incarnation = 0;
-        wire::ReplyWire rw;
+        std::uint64_t incarnation = 0;  ///< the router's belief at dispatch
     };
 
     [[nodiscard]] int router_node() const noexcept {
         return static_cast<int>(cfg_.shard_count);
     }
 
-    /// Shard-side request handler (transport mutex held; takes nodes_mu_
-    /// only): fence, decode, admit into the shard's service.
-    [[nodiscard]] std::vector<std::byte> handle_request(
-        ShardId shard, std::span<const std::byte> frame);
+    /// Shard-side request handler: fence, decode, admit into the shard's
+    /// service with send_reply as the completion hook.
+    [[nodiscard]] std::vector<std::byte> handle_request(ShardId shard,
+                                                        mesh::CheckedBytes frame);
 
-    /// Wait for the task's compute, ship the reply over the wire, resolve
-    /// the client promise. Runs on the pump thread (or inline after the
-    /// pump stopped). Takes no lock while waiting.
-    void deliver_reply(ReplyTask task);
-    void pump_loop();
-    void enqueue_reply(ReplyTask task);
+    /// Router-side reply handler: claim the in-flight entry and resolve
+    /// the client promise with what crossed the wire.
+    void handle_reply(mesh::CheckedBytes frame);
+
+    /// The shard's completion hook for the request `req` names: seal the
+    /// outcome, ship it to the router, and deliver it locally if the
+    /// router never took it.
+    void send_reply(ShardId shard, const wire::Header& req,
+                    const TransformFuture& outcome);
+
+    /// Remove `request_id`'s in-flight entry; the caller then owns (and
+    /// must resolve or drop) its promise. nullopt if already removed.
+    [[nodiscard]] std::optional<InFlight> claim(std::uint64_t request_id);
 
     /// One gossip round at `now` (mu_ held): every live shard seals its
     /// roster and beats the router + fanout peers, the router broadcasts
@@ -364,16 +371,14 @@ private:
     mutable std::mutex nodes_mu_;  ///< leaf lock (see lock order above)
     std::vector<Node> nodes_;
     ClusterCounters counters_;
-    std::map<std::uint64_t, ReceivedReply> reply_box_;
+    std::map<std::uint64_t, InFlight> inflight_;
     std::uint64_t next_request_id_ = 1;
-
-    std::mutex pump_mu_;
-    std::condition_variable cv_pump_;
-    std::deque<ReplyTask> pump_queue_;
-    bool pump_stop_ = false;
+    /// Completion hooks registered with a shard service and not yet
+    /// finished; shutdown() waits for zero (they use the transport).
+    std::size_t replies_outstanding_ = 0;
+    std::condition_variable cv_replies_;
 
     std::condition_variable cv_monitor_;
-    std::thread pump_;
     std::thread monitor_;  // last member: joins before the rest tears down
 };
 

@@ -7,47 +7,7 @@ namespace wavehpc::svc::shard {
 
 namespace {
 
-// The machine's NIC frame, byte for byte (mesh/machine.cpp): magic, seq,
-// CRC over seq bytes chained with the payload.
-constexpr std::uint32_t kFrameMagic = 0x57485243U;  // "WHRC"
-constexpr std::size_t kFrameHeaderBytes = 12;
-
-void put_u32(std::byte* dst, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-        dst[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFFU);
-    }
-}
-
-std::uint32_t get_u32(const std::byte* src) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-        v |= static_cast<std::uint32_t>(src[i]) << (8 * i);
-    }
-    return v;
-}
-
-std::uint32_t frame_crc(const std::vector<std::byte>& frame) {
-    const std::uint32_t seq_crc = mesh::crc32({frame.data() + 4, 4});
-    return mesh::crc32(
-        {frame.data() + kFrameHeaderBytes, frame.size() - kFrameHeaderBytes},
-        seq_crc);
-}
-
-std::vector<std::byte> build_frame(std::uint32_t seq,
-                                   std::span<const std::byte> data) {
-    std::vector<std::byte> frame(kFrameHeaderBytes + data.size());
-    put_u32(frame.data(), kFrameMagic);
-    put_u32(frame.data() + 4, seq);
-    std::copy(data.begin(), data.end(), frame.begin() + kFrameHeaderBytes);
-    put_u32(frame.data() + 8, frame_crc(frame));
-    return frame;
-}
-
-bool frame_valid(const std::vector<std::byte>& frame) {
-    if (frame.size() < kFrameHeaderBytes) return false;
-    if (get_u32(frame.data()) != kFrameMagic) return false;
-    return get_u32(frame.data() + 8) == frame_crc(frame);
-}
+namespace frame = mesh::frame;
 
 [[nodiscard]] std::uint64_t mix64(std::uint64_t x) noexcept {
     x += 0x9E3779B97F4A7C15ULL;
@@ -69,16 +29,38 @@ bool frame_valid(const std::vector<std::byte>& frame) {
     return mix64(key) + n;
 }
 
+/// Does the receiving NIC accept this attempt of `header` ++ `payload`?
+/// `rx_crc` is its pass over the clean payload. A drawn corruption flips
+/// one bit in a private copy of the part it lands in (header or payload),
+/// and a flipped payload is re-checked with a pass of its own.
+[[nodiscard]] bool nic_accepts(const frame::Header& header,
+                               std::span<const std::byte> payload,
+                               std::uint32_t rx_crc, const mesh::FaultDecision& fd) {
+    if (!fd.corrupt) return frame::header_valid(header, payload.size(), rx_crc);
+    const std::size_t at = fd.flip_byte % (frame::kHeaderBytes + payload.size());
+    const auto bit = static_cast<std::byte>(1U << fd.flip_bit);
+    if (at < frame::kHeaderBytes) {
+        frame::Header flipped = header;
+        flipped[at] ^= bit;
+        return frame::header_valid(flipped, payload.size(), rx_crc);
+    }
+    std::vector<std::byte> flipped(payload.begin(), payload.end());
+    flipped[at - frame::kHeaderBytes] ^= bit;
+    return frame::validate(header, flipped).has_value();
+}
+
 }  // namespace
 
 ShardTransport::ShardTransport(int nodes, std::uint64_t seed, int max_retries)
     : nodes_(nodes), max_retries_(max_retries),
-      reachable_(static_cast<std::size_t>(nodes), true) {
+      reachable_(static_cast<std::size_t>(std::max(nodes, 0)), true) {
     if (nodes <= 0) throw std::invalid_argument("ShardTransport: nodes must be > 0");
     if (max_retries < 0) {
         throw std::invalid_argument("ShardTransport: negative max_retries");
     }
-    plan_.seed = seed;
+    mesh::FaultPlan plan;
+    plan.seed = seed;
+    plan_ = std::make_shared<const mesh::FaultPlan>(std::move(plan));
 }
 
 void ShardTransport::set_time(double now) {
@@ -93,142 +75,167 @@ void ShardTransport::set_reachable(int node, bool on) {
 
 void ShardTransport::set_faults(mesh::FaultPlan plan) {
     std::lock_guard lk(mu_);
-    const std::uint64_t seed = plan_.seed;
-    plan_ = std::move(plan);
-    if (plan_.seed == 0) plan_.seed = seed;
+    if (plan.seed == 0) plan.seed = plan_->seed;
+    plan_ = std::make_shared<const mesh::FaultPlan>(std::move(plan));
 }
 
 void ShardTransport::set_handler(int node, int tag, Handler h) {
     std::lock_guard lk(mu_);
-    handlers_[{node, tag}] = std::move(h);
+    handlers_[{node, tag}] = std::make_shared<const Handler>(std::move(h));
 }
 
 void ShardTransport::set_sink(int node, int tag, Sink s) {
     std::lock_guard lk(mu_);
-    sinks_[{node, tag}] = std::move(s);
+    sinks_[{node, tag}] = std::make_shared<const Sink>(std::move(s));
 }
 
-bool ShardTransport::reachable_locked(int node) const {
-    return node >= 0 && node < nodes_ &&
-           reachable_[static_cast<std::size_t>(node)];
+ShardTransport::Channel& ShardTransport::channel(int src, int dst, int tag) {
+    std::lock_guard lk(mu_);
+    return channels_[{src, dst, tag}];
+}
+
+ShardTransport::Link ShardTransport::link(int src, int dst) const {
+    const auto up = [this](int node) {
+        return node >= 0 && node < nodes_ && reachable_[static_cast<std::size_t>(node)];
+    };
+    std::lock_guard lk(mu_);
+    return {up(src) && up(dst), now_, plan_};
+}
+
+void ShardTransport::record(const WireStats& d) {
+    std::lock_guard lk(stats_mu_);
+    stats_.frames_sent += d.frames_sent;
+    stats_.frames_delivered += d.frames_delivered;
+    stats_.drops += d.drops;
+    stats_.corrupt_rejections += d.corrupt_rejections;
+    stats_.retransmits += d.retransmits;
+    stats_.duplicates_suppressed += d.duplicates_suppressed;
+    stats_.gave_up += d.gave_up;
 }
 
 bool ShardTransport::send_datagram(int src, int dst, int tag,
                                    std::span<const std::byte> data) {
-    std::lock_guard lk(mu_);
-    if (!reachable_locked(src) || !reachable_locked(dst)) return false;
-    ++stats_.frames_sent;
-    Channel& ch = channels_[{src, dst, tag}];
-    const mesh::FaultDecision fd = plan_.decide_frame(
-        draw_index(src, dst, tag, ch.draws++), src, dst, tag, now_);
+    return send_datagram(src, dst, tag, mesh::CheckedBytes::of(data));
+}
+
+bool ShardTransport::send_datagram(int src, int dst, int tag,
+                                   mesh::CheckedBytes data) {
+    Channel& ch = channel(src, dst, tag);
+    mesh::FaultDecision fd;
+    {
+        std::lock_guard lk(ch.mu);
+        const Link l = link(src, dst);
+        if (!l.up) return false;
+        fd = l.plan->decide_frame(draw_index(src, dst, tag, ch.draws++), src, dst,
+                                  tag, l.now);
+    }
+    WireStats d;
+    ++d.frames_sent;
+    const std::uint32_t rx_crc = fd.drop ? 0 : mesh::crc32(data.bytes);
+    std::shared_ptr<const Sink> sink;
     if (fd.drop) {
-        ++stats_.drops;
-        return false;
+        ++d.drops;
+    } else if (!nic_accepts(frame::make_header(0, data), data.bytes, rx_crc, fd)) {
+        ++d.corrupt_rejections;
+    } else if ((sink = endpoint(sinks_, dst, tag))) {
+        ++d.frames_delivered;
     }
-    std::vector<std::byte> frame = build_frame(0, data);
-    if (fd.corrupt) {
-        frame[fd.flip_byte % frame.size()] ^=
-            static_cast<std::byte>(1U << fd.flip_bit);
-    }
-    if (!frame_valid(frame)) {
-        ++stats_.corrupt_rejections;
-        return false;
-    }
-    const auto it = sinks_.find({dst, tag});
-    if (it == sinks_.end()) return false;
-    ++stats_.frames_delivered;
-    it->second(src, {frame.data() + kFrameHeaderBytes,
-                     frame.size() - kFrameHeaderBytes});
+    record(d);
+    if (!sink) return false;
+    (*sink)(src, {data.bytes, rx_crc});
     return true;
 }
 
-bool ShardTransport::arq_locked(
-    int src, int dst, int tag, std::span<const std::byte> data,
-    const std::function<void(std::span<const std::byte>)>& on_fresh) {
-    Channel& ch = channels_[{src, dst, tag}];
-    const std::uint32_t seq = ch.next_seq;
-    const std::vector<std::byte> frame = build_frame(seq, data);
+ShardTransport::Transfer ShardTransport::arq(int src, int dst, int tag,
+                                             mesh::CheckedBytes data,
+                                             std::uint32_t rx_crc) {
+    Channel& ch = channel(src, dst, tag);
+    WireStats d;
+    Transfer t;
+    {
+        std::lock_guard lk(ch.mu);
+        const std::uint32_t seq = ch.next_seq;
+        const frame::Header header = frame::make_header(seq, data);
+        for (int attempt = 0; attempt <= max_retries_ && !t.acked; ++attempt) {
+            if (attempt > 0) ++d.retransmits;
+            ++d.frames_sent;
+            const Link l = link(src, dst);
+            if (!l.up) continue;
 
-    for (int attempt = 0; attempt <= max_retries_; ++attempt) {
-        if (attempt > 0) ++stats_.retransmits;
-        ++stats_.frames_sent;
-        if (!reachable_locked(src) || !reachable_locked(dst)) continue;
-
-        const mesh::FaultDecision fd = plan_.decide_frame(
-            draw_index(src, dst, tag, ch.draws++), src, dst, tag, now_);
-        if (fd.drop) {
-            ++stats_.drops;
-            continue;
+            const mesh::FaultDecision fd = l.plan->decide_frame(
+                draw_index(src, dst, tag, ch.draws++), src, dst, tag, l.now);
+            if (fd.drop) {
+                ++d.drops;
+                continue;
+            }
+            if (!nic_accepts(header, data.bytes, rx_crc, fd)) {
+                // Receiver NIC rejects the frame (CRC/magic); no ack.
+                ++d.corrupt_rejections;
+                continue;
+            }
+            if (seq == ch.expected_seq) {
+                ++ch.expected_seq;
+                ++d.frames_delivered;
+                t.fresh = true;
+            } else {
+                ++d.duplicates_suppressed;
+            }
+            // Valid frames — fresh or duplicate — are acknowledged; the ack
+            // travels the reverse direction and draws its own fault.
+            ++d.frames_sent;
+            // The ack draws from the data channel's sequence (not the reverse
+            // channel's), keeping one transfer's fate a function of one stream.
+            const mesh::FaultDecision fa = l.plan->decide_frame(
+                draw_index(src, dst, tag, ch.draws++), dst, src, tag, l.now);
+            if (fa.drop) {
+                ++d.drops;
+            } else if (fa.corrupt) {
+                // A corrupted ack is rejected by the sender's NIC.
+                ++d.corrupt_rejections;
+            } else {
+                ch.next_seq = seq + 1;
+                t.acked = true;
+            }
         }
-        std::vector<std::byte> wire_frame = frame;
-        if (fd.corrupt) {
-            wire_frame[fd.flip_byte % wire_frame.size()] ^=
-                static_cast<std::byte>(1U << fd.flip_bit);
+        if (!t.acked) {
+            // Give up. The data frame may have been consumed even though every
+            // ack was lost; mirror the receiver's expected seq (the model-level
+            // stand-in for acks carrying it) so the channel stays in step.
+            ++d.gave_up;
+            ch.next_seq = ch.expected_seq;
         }
-        if (!frame_valid(wire_frame)) {
-            // Receiver NIC rejects the frame (CRC/magic); no ack.
-            ++stats_.corrupt_rejections;
-            continue;
-        }
-        if (seq == ch.expected_seq) {
-            ++ch.expected_seq;
-            ++stats_.frames_delivered;
-            on_fresh({wire_frame.data() + kFrameHeaderBytes,
-                      wire_frame.size() - kFrameHeaderBytes});
-        } else {
-            ++stats_.duplicates_suppressed;
-        }
-        // Valid frames — fresh or duplicate — are acknowledged; the ack
-        // travels the reverse direction and draws its own fault.
-        ++stats_.frames_sent;
-        // The ack draws from the data channel's sequence (not the reverse
-        // channel's), keeping one transfer's fate a function of one stream.
-        const mesh::FaultDecision fa = plan_.decide_frame(
-            draw_index(src, dst, tag, ch.draws++), dst, src, tag, now_);
-        if (fa.drop) {
-            ++stats_.drops;
-            continue;
-        }
-        if (fa.corrupt) {
-            // A corrupted ack is rejected by the sender's NIC.
-            ++stats_.corrupt_rejections;
-            continue;
-        }
-        ch.next_seq = seq + 1;
-        return true;
     }
-    // Give up. The data frame may have been consumed even though every ack
-    // was lost; mirror the receiver's expected seq (the model-level
-    // stand-in for acks carrying it) so the channel stays in step.
-    ++stats_.gave_up;
-    ch.next_seq = ch.expected_seq;
-    return false;
+    record(d);
+    return t;
 }
 
 std::optional<std::vector<std::byte>> ShardTransport::rpc(
     int src, int dst, int tag, std::span<const std::byte> data) {
-    std::lock_guard lk(mu_);
-    Channel& fwd = channels_[{src, dst, tag}];
-    const bool request_ok =
-        arq_locked(src, dst, tag, data, [&](std::span<const std::byte> payload) {
-            const auto it = handlers_.find({dst, tag});
-            fwd.last_response =
-                it != handlers_.end() ? it->second(src, payload)
-                                      : std::vector<std::byte>{};
-        });
-    if (!request_ok) return std::nullopt;
-    // Response leg: the cached response (ours — the channel is
-    // stop-and-wait, so the last accepted request on it was this one)
-    // travels back under its own ARQ channel.
-    std::vector<std::byte> response = fwd.last_response;
-    const bool response_ok = arq_locked(dst, src, tag, response,
-                                        [](std::span<const std::byte>) {});
-    if (!response_ok) return std::nullopt;
+    return rpc(src, dst, tag, mesh::CheckedBytes::of(data));
+}
+
+std::optional<std::vector<std::byte>> ShardTransport::rpc(int src, int dst, int tag,
+                                                          mesh::CheckedBytes data) {
+    const std::uint32_t rx_crc = mesh::crc32(data.bytes);
+    const Transfer request = arq(src, dst, tag, data, rx_crc);
+    // The channel is stop-and-wait and starts every transfer in step with
+    // its receiver, so an acked transfer was accepted fresh exactly once.
+    // A fresh payload reaches the handler even when every ack was lost.
+    std::vector<std::byte> response;
+    if (request.fresh) {
+        if (const auto handler = endpoint(handlers_, dst, tag)) {
+            response = (*handler)(src, {data.bytes, rx_crc});
+        }
+    }
+    if (!request.acked) return std::nullopt;
+    // Response leg: back under the reverse channel's own ARQ.
+    const auto resp = mesh::CheckedBytes::of(response);
+    if (!arq(dst, src, tag, resp, mesh::crc32(response)).acked) return std::nullopt;
     return response;
 }
 
 WireStats ShardTransport::stats() const {
-    std::lock_guard lk(mu_);
+    std::lock_guard lk(stats_mu_);
     return stats_;
 }
 

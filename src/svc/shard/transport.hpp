@@ -5,8 +5,8 @@
 // The live sharded cluster cannot run inside mesh::Machine — the machine
 // is a run-to-completion virtual-time simulator, while the cluster serves
 // real threads. ShardTransport closes that gap: it speaks the machine's
-// exact NIC protocol (WHRC frame = magic + seq + CRC over seq‖payload,
-// stop-and-wait ARQ with per-(src,dst,tag) sequence channels, duplicate
+// exact NIC protocol (the shared WHRC codec in mesh/frame.hpp, stop-and-
+// wait ARQ with per-(src,dst,tag) sequence channels, duplicate
 // suppression, give-up resync) against the same link-aware FaultPlan, so
 // every byte the router exchanges with a shard takes the same losses,
 // corruptions, and asymmetric partitions a mesh program would — just on
@@ -19,19 +19,33 @@
 //   - rpc: request bytes travel under ARQ to the destination's Handler;
 //     the handler's response travels back under ARQ on the reverse
 //     channel. Either leg exhausting its retries yields nullopt (the
-//     at-most-once ambiguity a real RPC client faces).
+//     at-most-once ambiguity a real RPC client faces: a request whose
+//     every ack was lost still reached its handler).
 //
 // Every fault decision is a pure function of (plan seed, src, dst, tag,
 // the channel's own frame ordinal, transport time) — draws are counted
 // per channel, not globally, so concurrent request traffic can never
-// shift the gossip channels' deterministic draw stream. Concurrent
-// callers are serialized by one mutex (handlers run under it — keep them
-// admission-fast).
+// shift the gossip channels' deterministic draw stream.
+//
+// Locking: each channel's seq, draw counter and ARQ state sit under that
+// channel's mutex for one transfer's attempts (a channel is stop-and-wait,
+// so its transfers serialize; different channels run in parallel). A
+// registry mutex guards reachability, clock, plan and endpoints; a stats
+// mutex guards WireStats. Handlers and sinks run with no transport lock
+// held: they may block or make nested rpc calls on other channels.
+//
+// One CRC pass per frame per side (mesh/frame.hpp): a CheckedBytes
+// payload — e.g. wire::checked(sealed) — costs the sender no pass; the
+// receiving NIC's one pass over the clean payload (taken once per
+// transfer, outside the channel lock) is what handlers are called with.
+// A frame is copied, and re-checked in full, only when the plan draws a
+// corruption for it.
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -39,6 +53,7 @@
 #include <vector>
 
 #include "mesh/faults.hpp"
+#include "mesh/frame.hpp"
 
 namespace wavehpc::svc::shard {
 
@@ -55,10 +70,11 @@ struct WireStats {
 class ShardTransport {
 public:
     /// RPC endpoint: (source node, request payload) -> response payload.
-    using Handler =
-        std::function<std::vector<std::byte>(int, std::span<const std::byte>)>;
+    /// The payload arrives with the CRC the receiving NIC computed over it
+    /// (a span-taking callable works too).
+    using Handler = std::function<std::vector<std::byte>(int, mesh::CheckedBytes)>;
     /// Datagram endpoint: (source node, payload).
-    using Sink = std::function<void(int, std::span<const std::byte>)>;
+    using Sink = std::function<void(int, mesh::CheckedBytes)>;
 
     ShardTransport(int nodes, std::uint64_t seed, int max_retries = 4);
 
@@ -73,10 +89,12 @@ public:
     void set_sink(int node, int tag, Sink s);
 
     /// One best-effort frame. Returns true if it was delivered.
-    bool send_datagram(int src, int dst, int tag,
-                       std::span<const std::byte> data);
+    bool send_datagram(int src, int dst, int tag, mesh::CheckedBytes data);
+    bool send_datagram(int src, int dst, int tag, std::span<const std::byte> data);
 
     /// Reliable request/response. nullopt when either leg gives up.
+    std::optional<std::vector<std::byte>> rpc(int src, int dst, int tag,
+                                              mesh::CheckedBytes data);
     std::optional<std::vector<std::byte>> rpc(int src, int dst, int tag,
                                               std::span<const std::byte> data);
 
@@ -84,31 +102,56 @@ public:
 
 private:
     struct Channel {
+        std::mutex mu;
         std::uint32_t next_seq = 0;
         std::uint32_t expected_seq = 0;
         std::uint64_t draws = 0;  ///< fault draws consumed on this channel
-        std::vector<std::byte> last_response;  ///< rpc response cache
+    };
+
+    /// Outcome of one ARQ transfer.
+    struct Transfer {
+        bool fresh = false;  ///< the receiver accepted the payload (once)
+        bool acked = false;  ///< an ack survived the reverse path
+    };
+
+    /// One attempt's view of the shared state, read under mu_.
+    struct Link {
+        bool up = false;
+        double now = 0.0;
+        std::shared_ptr<const mesh::FaultPlan> plan;
     };
 
     using ChannelKey = std::tuple<int, int, int>;  // (src, dst, tag)
+    template <typename T>
+    using Endpoints = std::map<std::pair<int, int>, std::shared_ptr<const T>>;
 
-    /// One ARQ transfer src->dst. `on_fresh` runs when the payload is
-    /// accepted for the first time (duplicates only re-ack). Returns true
-    /// once an ack survives the reverse path.
-    bool arq_locked(int src, int dst, int tag, std::span<const std::byte> data,
-                    const std::function<void(std::span<const std::byte>)>& on_fresh);
+    template <typename T>
+    [[nodiscard]] std::shared_ptr<const T> endpoint(const Endpoints<T>& table, int node,
+                                                    int tag) const {
+        std::lock_guard lk(mu_);
+        const auto it = table.find({node, tag});
+        return it == table.end() ? nullptr : it->second;
+    }
+    [[nodiscard]] Channel& channel(int src, int dst, int tag);
+    [[nodiscard]] Link link(int src, int dst) const;
+    void record(const WireStats& delta);
 
-    [[nodiscard]] bool reachable_locked(int node) const;
+    /// One ARQ transfer src->dst on its channel; `rx_crc` is the receiving
+    /// NIC's pass over the clean payload bytes.
+    Transfer arq(int src, int dst, int tag, mesh::CheckedBytes data,
+                 std::uint32_t rx_crc);
 
-    mutable std::mutex mu_;
+    mutable std::mutex mu_;  ///< registry: everything below but stats
     int nodes_;
     int max_retries_;
     double now_ = 0.0;
-    mesh::FaultPlan plan_;
+    std::shared_ptr<const mesh::FaultPlan> plan_;
     std::vector<bool> reachable_;
-    std::map<ChannelKey, Channel> channels_;
-    std::map<std::pair<int, int>, Handler> handlers_;  // (node, tag)
-    std::map<std::pair<int, int>, Sink> sinks_;
+    std::map<ChannelKey, Channel> channels_;  ///< nodes never move
+    Endpoints<Handler> handlers_;  // (node, tag)
+    Endpoints<Sink> sinks_;
+
+    mutable std::mutex stats_mu_;
     WireStats stats_;
 };
 

@@ -1,10 +1,10 @@
 #include "svc/shard/wire.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
-
-#include "mesh/faults.hpp"
 
 namespace wavehpc::svc::shard::wire {
 
@@ -83,10 +83,19 @@ struct ByteReader {
     }
 };
 
+// Pixel planes travel as little-endian IEEE-754 binary32 bit patterns. On
+// a little-endian host that is the in-memory layout, so a whole plane is
+// one memcpy; NaN payloads, -0.0 and denormals cross bit-exact either way.
+constexpr bool kNativeLittle = std::endian::native == std::endian::little;
+
 void write_image(ByteWriter& w, const core::ImageF& img) {
     w.u32(static_cast<std::uint32_t>(img.rows()));
     w.u32(static_cast<std::uint32_t>(img.cols()));
-    for (float v : img.flat()) w.f32(v);
+    if constexpr (kNativeLittle) {
+        w.bytes(std::as_bytes(img.flat()));
+    } else {
+        for (float v : img.flat()) w.f32(v);
+    }
 }
 
 [[nodiscard]] core::ImageF read_image(ByteReader& r) {
@@ -95,7 +104,12 @@ void write_image(ByteWriter& w, const core::ImageF& img) {
     const std::uint64_t n = std::uint64_t{rows} * cols;
     r.need(n * 4, "image pixels");
     std::vector<float> data(n);
-    for (std::uint64_t i = 0; i < n; ++i) data[i] = r.f32();
+    if constexpr (kNativeLittle) {
+        std::memcpy(data.data(), r.buf.data() + r.pos, n * 4);
+        r.pos += n * 4;
+    } else {
+        for (std::uint64_t i = 0; i < n; ++i) data[i] = r.f32();
+    }
     return core::ImageF(rows, cols, std::move(data));
 }
 
@@ -125,75 +139,42 @@ void write_cache_key(ByteWriter& w, const CacheKey& k) {
     return k;
 }
 
-}  // namespace
+// A sealed frame is built in one buffer: a header-sized placeholder, the
+// payload written in place after it, then the header over the placeholder
+// once the payload's size and CRC are known.
+[[nodiscard]] ByteWriter start_frame(std::size_t payload_hint,
+                                     std::vector<std::byte> storage = {}) {
+    ByteWriter w{std::move(storage)};
+    w.buf.clear();
+    w.buf.reserve(kHeaderBytes + payload_hint);
+    w.buf.resize(kHeaderBytes);
+    return w;
+}
 
-std::vector<std::byte> seal(const Header& h, std::span<const std::byte> payload) {
-    ByteWriter w;
-    w.buf.reserve(kHeaderBytes + payload.size());
-    w.u32(kMagic);
-    w.u16(kVersion);
-    w.u8(static_cast<std::uint8_t>(h.kind));
-    w.u8(0);  // flags
-    w.u32(h.src);
-    w.u32(h.dst);
-    w.u64(h.incarnation);
-    w.u64(h.epoch);
-    w.u64(h.request_id);
-    w.u32(static_cast<std::uint32_t>(payload.size()));
-    w.u32(mesh::crc32(payload));
-    w.bytes(payload);
+[[nodiscard]] std::vector<std::byte> finish_frame(ByteWriter& w, const Header& h) {
+    const auto payload = std::span<const std::byte>(w.buf).subspan(kHeaderBytes);
+    ByteWriter hw;
+    hw.buf.reserve(kHeaderBytes);
+    hw.u32(kMagic);
+    hw.u16(kVersion);
+    hw.u8(static_cast<std::uint8_t>(h.kind));
+    hw.u8(0);  // flags
+    hw.u32(h.src);
+    hw.u32(h.dst);
+    hw.u64(h.incarnation);
+    hw.u64(h.epoch);
+    hw.u64(h.request_id);
+    hw.u32(static_cast<std::uint32_t>(payload.size()));
+    hw.u32(mesh::crc32(payload));
+    std::copy(hw.buf.begin(), hw.buf.end(), w.buf.begin());
     return std::move(w.buf);
 }
 
-Unsealed unseal(std::span<const std::byte> frame) {
-    ByteReader r{frame};
-    if (frame.size() < kHeaderBytes) throw WireError("wire: frame too short");
-    if (r.u32() != kMagic) throw WireError("wire: bad magic");
-    const std::uint16_t ver = r.u16();
-    if (ver != kVersion) {
-        throw WireError("wire: unsupported version " + std::to_string(ver));
-    }
-    Unsealed u;
-    const std::uint8_t kind = r.u8();
-    if (kind < static_cast<std::uint8_t>(MsgKind::Request) ||
-        kind > static_cast<std::uint8_t>(MsgKind::Gossip)) {
-        throw WireError("wire: unknown message kind " + std::to_string(kind));
-    }
-    u.header.kind = static_cast<MsgKind>(kind);
-    (void)r.u8();  // flags
-    u.header.src = r.u32();
-    u.header.dst = r.u32();
-    u.header.incarnation = r.u64();
-    u.header.epoch = r.u64();
-    u.header.request_id = r.u64();
-    const std::uint32_t payload_size = r.u32();
-    const std::uint32_t payload_crc = r.u32();
-    if (r.remaining() != payload_size) {
-        throw WireError("wire: payload size mismatch");
-    }
-    const auto payload = frame.subspan(kHeaderBytes);
-    if (mesh::crc32(payload) != payload_crc) {
-        throw WireError("wire: payload CRC mismatch");
-    }
-    u.payload.assign(payload.begin(), payload.end());
-    return u;
+[[nodiscard]] std::size_t request_bytes(const TransformRequest& req) {
+    return 32 + req.image->size() * sizeof(float);
 }
 
-std::optional<Unsealed> try_unseal(std::span<const std::byte> frame) {
-    try {
-        return unseal(frame);
-    } catch (const WireError&) {
-        return std::nullopt;
-    }
-}
-
-// ------------------------------------------------------------ request
-
-std::vector<std::byte> encode_request_payload(const TransformRequest& req,
-                                              Clock::time_point now) {
-    if (!req.image) throw WireError("wire: request has no image");
-    ByteWriter w;
-    w.buf.reserve(32 + req.image->size() * 4);
+void write_request(ByteWriter& w, const TransformRequest& req, Clock::time_point now) {
     w.u8(static_cast<std::uint8_t>(req.taps));
     w.u8(static_cast<std::uint8_t>(req.levels));
     w.u8(static_cast<std::uint8_t>(req.boundary));
@@ -208,6 +189,147 @@ std::vector<std::byte> encode_request_payload(const TransformRequest& req,
     }
     w.f64(deadline_rel);
     write_image(w, *req.image);
+}
+
+[[nodiscard]] std::size_t reply_bytes(const TransformReply& reply) {
+    // Fixed fields + 8 dimension bytes per band, then the coefficients.
+    const core::Pyramid& pyr = reply.result->pyramid;
+    return 128 + 32 * pyr.levels.size() + pyramid_bytes(pyr);
+}
+
+void write_reply(ByteWriter& w, const TransformReply& reply) {
+    const TransformResult& res = *reply.result;
+    w.u8(0);  // status: value
+    std::uint8_t flags = 0;
+    if (reply.cache_hit) flags |= 1U;
+    if (reply.shared_flight) flags |= 2U;
+    if (reply.degraded) flags |= 4U;
+    if (reply.preview) flags |= 8U;
+    w.u8(flags);
+    w.u32(reply.attempts);
+    w.u32(reply.batch_size);
+    w.f64(reply.queue_seconds);
+    w.f64(reply.compute_seconds);
+    w.f64(reply.total_seconds);
+    write_cache_key(w, res.key);
+    w.u64(res.result_bytes);
+    w.f64(res.compute_seconds);
+    w.u32(res.crc32);
+    w.f64(res.first_band_seconds);
+    w.u32(static_cast<std::uint32_t>(res.pyramid.levels.size()));
+    for (const core::DetailBands& lv : res.pyramid.levels) {
+        write_image(w, lv.lh);
+        write_image(w, lv.hl);
+        write_image(w, lv.hh);
+    }
+    write_image(w, res.pyramid.approx);
+}
+
+// Byte offset of payload_crc within the header.
+constexpr std::size_t kPayloadCrcOffset = 44;
+
+/// Parse + verify. The payload check compares the header's payload_crc
+/// against a pass of its own — or, given the CRC a receiving NIC already
+/// took over the whole frame, against that CRC with the header's part
+/// split off (crc32_shift), which reads only the 48 header bytes.
+Opened parse_sealed(std::span<const std::byte> frame,
+                    std::optional<std::uint32_t> frame_crc) {
+    ByteReader r{frame};
+    if (frame.size() < kHeaderBytes) throw WireError("wire: frame too short");
+    if (r.u32() != kMagic) throw WireError("wire: bad magic");
+    const std::uint16_t ver = r.u16();
+    if (ver != kVersion) {
+        throw WireError("wire: unsupported version " + std::to_string(ver));
+    }
+    Opened o;
+    const std::uint8_t kind = r.u8();
+    if (kind < static_cast<std::uint8_t>(MsgKind::Request) ||
+        kind > static_cast<std::uint8_t>(MsgKind::Gossip)) {
+        throw WireError("wire: unknown message kind " + std::to_string(kind));
+    }
+    o.header.kind = static_cast<MsgKind>(kind);
+    (void)r.u8();  // flags
+    o.header.src = r.u32();
+    o.header.dst = r.u32();
+    o.header.incarnation = r.u64();
+    o.header.epoch = r.u64();
+    o.header.request_id = r.u64();
+    const std::uint32_t payload_size = r.u32();
+    const std::uint32_t payload_crc = r.u32();
+    if (r.remaining() != payload_size) {
+        throw WireError("wire: payload size mismatch");
+    }
+    o.payload = frame.subspan(kHeaderBytes);
+    const std::uint32_t crc =
+        frame_crc ? *frame_crc ^ mesh::crc32_shift(mesh::crc32(frame.first(kHeaderBytes)),
+                                                   o.payload.size())
+                  : mesh::crc32(o.payload);
+    if (crc != payload_crc) throw WireError("wire: payload CRC mismatch");
+    return o;
+}
+
+}  // namespace
+
+std::vector<std::byte> seal(const Header& h, std::span<const std::byte> payload) {
+    ByteWriter w = start_frame(payload.size());
+    w.bytes(payload);
+    return finish_frame(w, h);
+}
+
+std::vector<std::byte> seal_request(const Header& h, const TransformRequest& req,
+                                    Clock::time_point now, std::vector<std::byte> storage) {
+    if (!req.image) throw WireError("wire: request has no image");
+    ByteWriter w = start_frame(request_bytes(req), std::move(storage));
+    write_request(w, req, now);
+    return finish_frame(w, h);
+}
+
+std::vector<std::byte> seal_reply(const Header& h, const TransformReply& reply,
+                                  std::vector<std::byte> storage) {
+    if (!reply.result) throw WireError("wire: reply has no result");
+    ByteWriter w = start_frame(reply_bytes(reply), std::move(storage));
+    write_reply(w, reply);
+    return finish_frame(w, h);
+}
+
+mesh::CheckedBytes checked(std::span<const std::byte> sealed) {
+    if (sealed.size() < kHeaderBytes) throw WireError("wire: frame too short");
+    ByteReader r{sealed.subspan(kPayloadCrcOffset, 4)};
+    const std::uint32_t payload_crc = r.u32();
+    return {sealed, mesh::crc32_shift(mesh::crc32(sealed.first(kHeaderBytes)),
+                                      sealed.size() - kHeaderBytes) ^
+                        payload_crc};
+}
+
+Unsealed unseal(std::span<const std::byte> frame) {
+    const Opened o = parse_sealed(frame, std::nullopt);
+    return {o.header, {o.payload.begin(), o.payload.end()}};
+}
+
+std::optional<Unsealed> try_unseal(std::span<const std::byte> frame) {
+    try {
+        return unseal(frame);
+    } catch (const WireError&) {
+        return std::nullopt;
+    }
+}
+
+std::optional<Opened> try_open(mesh::CheckedBytes frame) {
+    try {
+        return parse_sealed(frame.bytes, frame.crc);
+    } catch (const WireError&) {
+        return std::nullopt;
+    }
+}
+
+// ------------------------------------------------------------ request
+
+std::vector<std::byte> encode_request_payload(const TransformRequest& req,
+                                              Clock::time_point now) {
+    if (!req.image) throw WireError("wire: request has no image");
+    ByteWriter w;
+    w.buf.reserve(request_bytes(req));
+    write_request(w, req, now);
     return std::move(w.buf);
 }
 
@@ -237,32 +359,9 @@ TransformRequest decode_request_payload(std::span<const std::byte> payload,
 
 std::vector<std::byte> encode_reply_payload(const TransformReply& reply) {
     if (!reply.result) throw WireError("wire: reply has no result");
-    const TransformResult& res = *reply.result;
     ByteWriter w;
-    w.u8(0);  // status: value
-    std::uint8_t flags = 0;
-    if (reply.cache_hit) flags |= 1U;
-    if (reply.shared_flight) flags |= 2U;
-    if (reply.degraded) flags |= 4U;
-    if (reply.preview) flags |= 8U;
-    w.u8(flags);
-    w.u32(reply.attempts);
-    w.u32(reply.batch_size);
-    w.f64(reply.queue_seconds);
-    w.f64(reply.compute_seconds);
-    w.f64(reply.total_seconds);
-    write_cache_key(w, res.key);
-    w.u64(res.result_bytes);
-    w.f64(res.compute_seconds);
-    w.u32(res.crc32);
-    w.f64(res.first_band_seconds);
-    w.u32(static_cast<std::uint32_t>(res.pyramid.levels.size()));
-    for (const core::DetailBands& lv : res.pyramid.levels) {
-        write_image(w, lv.lh);
-        write_image(w, lv.hl);
-        write_image(w, lv.hh);
-    }
-    write_image(w, res.pyramid.approx);
+    w.buf.reserve(reply_bytes(reply));
+    write_reply(w, reply);
     return std::move(w.buf);
 }
 
@@ -318,7 +417,11 @@ ReplyWire decode_reply_payload(std::span<const std::byte> payload) {
     }
     res.pyramid.approx = read_image(r);
     if (r.remaining() != 0) throw WireError("wire: trailing reply bytes");
-    rw.reply.result = std::make_shared<const TransformResult>(std::move(res));
+    // Not make_shared: clients watch results through weak_ptrs (audit and
+    // digest memos), and a fused control block would pin the whole object
+    // for as long as any of those outlive it.
+    rw.reply.result = std::shared_ptr<const TransformResult>(
+        new TransformResult(std::move(res)));
     return rw;
 }
 

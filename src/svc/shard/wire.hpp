@@ -35,6 +35,7 @@
 #include <string_view>
 #include <vector>
 
+#include "mesh/frame.hpp"
 #include "svc/request.hpp"
 
 namespace wavehpc::svc::shard::wire {
@@ -75,6 +76,11 @@ struct Unsealed {
     std::vector<std::byte> payload;
 };
 
+/// A sealed frame with the CRC of all its bytes, derived from the
+/// header's payload_crc in O(log n) — what a transport needs to frame it
+/// without another pass. Only for frames seal() produced.
+[[nodiscard]] mesh::CheckedBytes checked(std::span<const std::byte> sealed);
+
 /// Parse + verify a sealed frame; nullopt on any defect (bad magic,
 /// version, truncation, CRC mismatch) — the lossy-path form used where a
 /// corrupted frame should count as a lost message, not an error.
@@ -83,6 +89,18 @@ struct Unsealed {
 
 /// Parse + verify, throwing WireError with the defect named.
 [[nodiscard]] Unsealed unseal(std::span<const std::byte> frame);
+
+/// A verified frame's header and a view of its payload (no copy; valid
+/// while the frame's bytes are).
+struct Opened {
+    Header header;
+    std::span<const std::byte> payload;
+};
+
+/// try_unseal for a frame a receiving NIC has already CRC'd whole
+/// (ShardTransport hands its handlers exactly this): the payload check
+/// reuses that CRC instead of a second pass, and the payload is not copied.
+[[nodiscard]] std::optional<Opened> try_open(mesh::CheckedBytes frame);
 
 // ------------------------------------------------------------ payloads
 
@@ -94,6 +112,15 @@ struct Unsealed {
     const TransformRequest& req, Clock::time_point now);
 [[nodiscard]] TransformRequest decode_request_payload(
     std::span<const std::byte> payload, Clock::time_point now);
+
+/// The same request sealed in one step: the payload is encoded straight
+/// into the frame, so the pixel plane is copied once, not twice. The frame
+/// is built in `storage` (contents replaced, capacity kept), so a sender
+/// that hands back its previous frame allocates nothing in steady state.
+[[nodiscard]] std::vector<std::byte> seal_request(const Header& h,
+                                                  const TransformRequest& req,
+                                                  Clock::time_point now,
+                                                  std::vector<std::byte> storage = {});
 
 /// Reply payloads carry either a full TransformReply (pyramid included)
 /// or a typed error that the router re-throws to the client.
@@ -117,6 +144,12 @@ struct ReplyWire {
 [[nodiscard]] std::vector<std::byte> encode_reply_error_payload(
     ReplyErrorKind kind, std::string_view message);
 [[nodiscard]] ReplyWire decode_reply_payload(std::span<const std::byte> payload);
+
+/// seal(h, encode_reply_payload(reply)) in one buffer (`storage` as for
+/// seal_request).
+[[nodiscard]] std::vector<std::byte> seal_reply(const Header& h,
+                                                const TransformReply& reply,
+                                                std::vector<std::byte> storage = {});
 
 /// Rethrow the typed error a ReplyWire carries (is_error must be true).
 [[noreturn]] void rethrow_reply_error(const ReplyWire& rw);

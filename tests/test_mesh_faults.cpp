@@ -1,15 +1,19 @@
-// Fault-injection layer: CRC32, FaultPlan determinism, reliable transport
-// under drops/corruption, crecv_timeout, fail-stop, link degradation, and
+// Fault-injection layer: CRC32 (and its O(log n) combine), the shared WHRC
+// frame codec, FaultPlan determinism, reliable transport under
+// drops/corruption, crecv_timeout, fail-stop, link degradation, and
 // collectives surviving faults (with a raw-transport deadlock as contrast).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <random>
 #include <string>
 
 #include "mesh/collectives.hpp"
 #include "mesh/faults.hpp"
+#include "mesh/frame.hpp"
 #include "mesh/machine.hpp"
 
 namespace wavehpc::mesh {
@@ -42,6 +46,80 @@ TEST(Crc32, DetectsEverySingleBitFlip) {
             buf[i] ^= static_cast<std::byte>(1U << b);
         }
     }
+}
+
+std::vector<std::byte> seeded_bytes(std::size_t n, std::uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    std::vector<std::byte> v(n);
+    for (auto& b : v) b = static_cast<std::byte>(rng() & 0xFFU);
+    return v;
+}
+
+// crc32(a ++ b) == crc32_shift(crc32(a), |b|) ^ crc32(b), at the lengths
+// the frame codecs meet: empty, sub-word, word, a sealed shard header, and
+// a 192x192 float plane plus its request header.
+TEST(Crc32, ShiftCombinesSpansAtEveryLength) {
+    const auto a = seeded_bytes(29, 1);
+    for (const std::size_t n : {0UL, 1UL, 7UL, 8UL, 48UL, 147512UL}) {
+        const auto b = seeded_bytes(n, n + 2);
+        std::vector<std::byte> ab(a);
+        ab.insert(ab.end(), b.begin(), b.end());
+        EXPECT_EQ(crc32(ab), crc32_shift(crc32(a), n) ^ crc32(b)) << "len " << n;
+        // ...and the split runs backwards: the tail's CRC from the whole.
+        EXPECT_EQ(crc32(b), crc32(ab) ^ crc32_shift(crc32(a), n)) << "len " << n;
+    }
+    EXPECT_EQ(crc32_shift(0xCBF43926U, 0), 0xCBF43926U);
+}
+
+TEST(Crc32, ShiftChainsAnySeededSplit) {
+    std::mt19937_64 rng(1996);
+    for (int trial = 0; trial < 20; ++trial) {
+        const auto buf = seeded_bytes(1 + rng() % 4096, rng());
+        std::uint32_t chained = 0;
+        std::size_t at = 0;
+        while (at < buf.size()) {
+            const std::size_t n = std::min<std::size_t>(buf.size() - at, rng() % 700);
+            const std::span<const std::byte> piece(buf.data() + at, n);
+            chained = crc32_shift(chained, n) ^ crc32(piece);
+            at += n;
+        }
+        EXPECT_EQ(chained, crc32(buf)) << "trial " << trial;
+    }
+}
+
+// One WHRC codec for both transports: build() stays byte-identical to the
+// original chained-CRC construction, validate() hands back the payload CRC
+// from its one pass, and any single-bit flip is rejected.
+TEST(Frame, BuildMatchesChainedCrcAndValidateRejectsFlips) {
+    const auto payload = seeded_bytes(300, 5);
+    const auto f = frame::build(0x01020304U, payload);
+    ASSERT_EQ(f.size(), frame::kHeaderBytes + payload.size());
+    const auto u32_at = [&f](std::size_t at) {
+        std::uint32_t v = 0;
+        for (int i = 0; i < 4; ++i) {
+            v |= std::to_integer<std::uint32_t>(f[at + i]) << (8 * i);
+        }
+        return v;
+    };
+    EXPECT_EQ(u32_at(0), frame::kMagic);
+    EXPECT_EQ(u32_at(4), 0x01020304U);
+    EXPECT_EQ(u32_at(8), crc32(payload, crc32({f.data() + 4, 4})));
+    EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
+                           f.begin() + frame::kHeaderBytes));
+
+    const auto crc = frame::validate(f);
+    ASSERT_TRUE(crc.has_value());
+    EXPECT_EQ(*crc, crc32(payload));
+    EXPECT_FALSE(frame::validate({f.data(), frame::kHeaderBytes - 1}));
+    for (const std::size_t at : {0UL, 5UL, 9UL, 12UL, 200UL, f.size() - 1}) {
+        auto bad = f;
+        bad[at] ^= std::byte{0x08};
+        EXPECT_FALSE(frame::validate(bad)) << "flip at byte " << at;
+    }
+
+    // The known-CRC header equals the one build() computed by its pass.
+    const auto h = frame::make_header(0x01020304U, CheckedBytes::of(payload));
+    EXPECT_TRUE(std::equal(h.begin(), h.end(), f.begin()));
 }
 
 TEST(FaultPlan, DisabledByDefault) {

@@ -1,6 +1,7 @@
 // ShardCluster (shard tier) under the deterministic manual clock: routing
 // determinism, transport failover on kill, roster death and epoch-fenced
 // re-admission, stale-epoch refusal after an un-noticed kill+revive,
+// replies racing a lost admit verdict (orphaned or beating it home),
 // cross-shard degraded cache fallback, chaos-plan replay (shard events AND
 // forwarded in-service faults), no-stranding on shutdown, and fleet
 // metrics that never go backwards across a kill.
@@ -13,6 +14,7 @@
 #include <future>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/synthetic.hpp"
@@ -201,6 +203,76 @@ TEST(ShardCluster, StaleEpochRefusalAfterUnnoticedKillRevive) {
     ASSERT_TRUE(r2.result.accepted);
     EXPECT_EQ(r2.shard, 2U);
     (void)r2.result.future.get();
+}
+
+// Every ack of the victim's request leg is lost (shard -> router on the
+// request tag), so the router gives up and fails over although the victim
+// admitted the request. The victim's late reply has no in-flight entry:
+// it is dropped and counted, never delivered twice or held forever.
+TEST(ShardCluster, ReplyToAWithdrawnAttemptIsDroppedAndCounted) {
+    ThreadPool pool(2);
+    ShardCluster cluster(pool, manual_cfg(3));
+    const ShardId victim = 1;
+    const auto img = scene_with_primary(cluster, victim);
+    const auto chain = cluster.placement(request_for(img));
+
+    wavehpc::mesh::FaultPlan plan;
+    wavehpc::mesh::LinkFault lost_acks;
+    lost_acks.src = static_cast<int>(victim);
+    lost_acks.dst = static_cast<int>(cluster.shard_count());  // the router
+    lost_acks.tag = wavehpc::svc::shard::wire::kRequestTag;
+    plan.links = {lost_acks};
+    cluster.set_transport_faults(plan);
+
+    ClusterSubmitResult r = cluster.submit(request_for(img));
+    ASSERT_TRUE(r.result.accepted);
+    EXPECT_EQ(r.shard, chain[1]);
+    EXPECT_TRUE(wavehpc::svc::audit_result(*r.result.future.get().result));
+
+    // The victim computed anyway; its reply arrives after the withdrawal.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (cluster.counters().orphan_replies == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const auto c = cluster.counters();
+    EXPECT_EQ(c.orphan_replies, 1U);
+    EXPECT_EQ(c.failovers, 1U);
+    EXPECT_EQ(c.transport_refusals, 1U);
+    EXPECT_EQ(c.reply_wire_fallbacks, 0U);
+    ASSERT_NE(cluster.service(victim), nullptr);
+    EXPECT_EQ(cluster.service(victim)->metrics().counters.completed, 1U);
+}
+
+// A cache hit answers inside the request leg, before the admit verdict
+// travels back. With that verdict lost, the promise the router registered
+// before the request leg has already been resolved by the reply: the
+// router reports the request served by the victim instead of failing over.
+TEST(ShardCluster, CacheHitReplyBeatsALostAdmitVerdict) {
+    ThreadPool pool(2);
+    ShardCluster cluster(pool, manual_cfg(3));
+    const ShardId victim = 2;
+    const auto img = scene_with_primary(cluster, victim);
+    (void)cluster.submit_to_shard(victim, request_for(img)).future.get();  // warm
+
+    wavehpc::mesh::FaultPlan plan;
+    wavehpc::mesh::LinkFault lost_acks;
+    lost_acks.src = static_cast<int>(victim);
+    lost_acks.dst = static_cast<int>(cluster.shard_count());
+    lost_acks.tag = wavehpc::svc::shard::wire::kRequestTag;
+    plan.links = {lost_acks};
+    cluster.set_transport_faults(plan);
+
+    ClusterSubmitResult r = cluster.submit(request_for(img));
+    ASSERT_TRUE(r.result.accepted);
+    EXPECT_EQ(r.shard, victim);
+    ASSERT_EQ(r.result.future.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_TRUE(r.result.future.get().cache_hit);
+    const auto c = cluster.counters();
+    EXPECT_EQ(c.failovers, 0U);
+    EXPECT_EQ(c.orphan_replies, 0U);
+    EXPECT_EQ(c.reply_wire_fallbacks, 0U);
 }
 
 TEST(ShardCluster, CrossShardDegradedServesAnotherShardsExactCacheEntry) {

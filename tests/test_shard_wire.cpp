@@ -1,16 +1,25 @@
-// Shard wire format + in-process reliable transport (ISSUE 10): sealed
-// frame round-trips and rejection of every defect class (truncation, bad
+// Shard wire format + in-process reliable transport: sealed frame
+// round-trips and rejection of every defect class (truncation, bad
 // magic/version, payload CRC), the request/reply/roster/admit payload
-// codecs, ARQ behavior under seeded fault plans (retransmits, duplicate
-// suppression, give-up, per-channel draw independence), and the
-// token+byte-offset contract of both fault-spec parsers.
+// codecs (bit-exact pixel planes), ARQ behavior under seeded fault plans
+// (retransmits, duplicate suppression, give-up, per-channel draw
+// independence, NIC rejection of every drawn corruption), one CRC pass
+// per frame per side, handlers running concurrently across and within
+// channels, and the token+byte-offset contract of both fault-spec parsers.
 
 #include "svc/shard/wire.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
+#include <future>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/image.hpp"
@@ -166,6 +175,86 @@ TEST(WireCodec, ReplyPayloadRoundTripsTheFullPyramidAndFlags) {
     EXPECT_EQ(rw.reply.result->pyramid.approx.flat()[0], 13.f);
 }
 
+// Pixel planes move as whole-plane copies; every float bit pattern must
+// survive: quiet and signalling NaNs with payloads, both zeros, the
+// denormal range, infinities.
+TEST(WireCodec, PixelPlanesRoundTripEveryBitPatternExactly) {
+    const std::vector<std::uint32_t> patterns{
+        0x7FC00000U, 0x7FC12345U, 0xFFC00001U, 0x7F800001U,  // NaNs
+        0x80000000U, 0x00000000U,                             // -0.0, +0.0
+        0x00000001U, 0x007FFFFFU, 0x80000001U, 0x807FFFFFU,  // denormals
+        0x7F800000U, 0xFF800000U, 0x3F800000U, 0xC0490FDBU};  // inf, 1, -pi
+    std::vector<float> px(16);
+    for (std::size_t i = 0; i < px.size(); ++i) {
+        px[i] = std::bit_cast<float>(patterns[i % patterns.size()]);
+    }
+    const auto bits_equal = [](const ImageF& a, const ImageF& b) {
+        if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            if (std::bit_cast<std::uint32_t>(a.flat()[i]) !=
+                std::bit_cast<std::uint32_t>(b.flat()[i])) {
+                return false;
+            }
+        }
+        return true;
+    };
+
+    TransformRequest req;
+    req.image = std::make_shared<const ImageF>(4, 4, px);
+    const auto now = wavehpc::svc::Clock::now();
+    const auto back = wire::decode_request_payload(wire::encode_request_payload(req, now), now);
+    EXPECT_TRUE(bits_equal(*back.image, *req.image));
+
+    TransformResult res;
+    wavehpc::core::DetailBands lv;
+    lv.lh = ImageF(2, 2, {px[0], px[1], px[2], px[3]});
+    lv.hl = ImageF(2, 2, {px[4], px[5], px[6], px[7]});
+    lv.hh = ImageF(2, 2, {px[8], px[9], px[10], px[11]});
+    res.pyramid.levels.push_back(lv);
+    res.pyramid.approx = ImageF(2, 2, {px[12], px[13], px[14], px[15]});
+    TransformReply reply;
+    reply.result = std::make_shared<const TransformResult>(res);
+    // The one-buffer sealed form and the payload codec agree byte for byte.
+    wire::Header h;
+    h.kind = wire::MsgKind::Reply;
+    const auto sealed = wire::seal_reply(h, reply);
+    EXPECT_EQ(sealed, wire::seal(h, wire::encode_reply_payload(reply)));
+    const auto opened = wire::try_open(wire::checked(sealed));
+    ASSERT_TRUE(opened);
+    const wire::ReplyWire rw = wire::decode_reply_payload(opened->payload);
+    ASSERT_TRUE(rw.reply.result);
+    const auto& got = rw.reply.result->pyramid;
+    EXPECT_TRUE(bits_equal(got.levels[0].lh, lv.lh));
+    EXPECT_TRUE(bits_equal(got.levels[0].hl, lv.hl));
+    EXPECT_TRUE(bits_equal(got.levels[0].hh, lv.hh));
+    EXPECT_TRUE(bits_equal(got.approx, res.pyramid.approx));
+}
+
+// checked() derives a sealed frame's whole CRC from its header, and
+// try_open() verifies the payload against a receiver's whole-frame CRC —
+// so a frame whose bytes disagree with its payload_crc is still refused.
+TEST(WireFrame, KnownCrcOpenMatchesUnsealAndRejectsFlippedPayloads) {
+    wire::Header h;
+    h.request_id = 77;
+    TransformRequest req;
+    req.image = tiny_image(8);
+    const auto now = wavehpc::svc::Clock::now();
+    auto frame = wire::seal_request(h, req, now);
+    EXPECT_EQ(frame, wire::seal(h, wire::encode_request_payload(req, now)));
+    EXPECT_EQ(wire::checked(frame).crc, wavehpc::mesh::crc32(frame));
+
+    const auto opened = wire::try_open(wavehpc::mesh::CheckedBytes::of(frame));
+    ASSERT_TRUE(opened);
+    EXPECT_EQ(opened->header.request_id, 77U);
+    const auto u = wire::unseal(frame);
+    EXPECT_TRUE(std::equal(u.payload.begin(), u.payload.end(), opened->payload.begin(),
+                           opened->payload.end()));
+
+    frame[wire::kHeaderBytes + 9] ^= std::byte{0x04};
+    EXPECT_FALSE(wire::try_open(wavehpc::mesh::CheckedBytes::of(frame)));
+    EXPECT_THROW((void)wire::unseal(frame), wire::WireError);
+}
+
 TEST(WireCodec, ReplyErrorsCarryTheirTypeAcrossTheWire) {
     const auto payload = wire::encode_reply_error_payload(
         wire::ReplyErrorKind::Deadline, "too late");
@@ -314,8 +403,151 @@ TEST(ShardTransportTest, SameSeedReplaysIdenticalWireStats) {
     EXPECT_NE(a.fates, c.fates);  // the seed genuinely steers the draws
 }
 
+// Every corruption the plan draws is caught by the receiving NIC — in
+// the header or anywhere in the payload — and never reaches the handler;
+// ARQ retransmits until a clean copy gets through.
+TEST(ShardTransportTest, ReceiverNicRejectsEveryDrawnCorruption) {
+    ShardTransport always(3, 5, 6);
+    FaultPlan bad;
+    bad.corrupt_probability = 1.0;
+    always.set_faults(bad);
+    int handled = 0;
+    always.set_handler(1, 9, [&](int, std::span<const std::byte> req) {
+        ++handled;
+        return std::vector<std::byte>(req.begin(), req.end());
+    });
+    always.set_sink(1, 10, [&](int, std::span<const std::byte>) { ++handled; });
+    const std::vector<std::byte> big(4096, std::byte{0x3C});
+    EXPECT_FALSE(always.rpc(0, 1, 9, big));
+    EXPECT_FALSE(always.send_datagram(0, 1, 10, big));
+    EXPECT_EQ(handled, 0);
+    EXPECT_EQ(always.stats().corrupt_rejections, 7U + 1U);  // 1 + 6 retries, 1 beat
+
+    ShardTransport noisy(3, 5, 16);
+    FaultPlan plan;
+    plan.corrupt_probability = 0.2;
+    noisy.set_faults(plan);
+    std::vector<std::vector<std::byte>> seen;
+    noisy.set_handler(1, 9, [&](int, std::span<const std::byte> req) {
+        seen.emplace_back(req.begin(), req.end());
+        return std::vector<std::byte>{};
+    });
+    for (int i = 0; i < 20; ++i) {
+        std::vector<std::byte> msg(2000, static_cast<std::byte>(i));
+        ASSERT_TRUE(noisy.rpc(0, 1, 9, msg)) << "transfer " << i;
+        ASSERT_EQ(seen.back(), msg) << "transfer " << i;
+    }
+    EXPECT_EQ(seen.size(), 20U);
+    EXPECT_GT(noisy.stats().corrupt_rejections, 0U);
+    EXPECT_GT(noisy.stats().retransmits, 0U);
+}
+
+// One CRC pass per frame per side: a sealed request crosses the wire with
+// the sender deriving the frame CRC from the seal's (no pass), the
+// receiving NIC making one pass, and the handler's open reusing it.
+TEST(ShardTransportTest, EachFrameIsCrcdOnceAtTheSenderAndOnceAtTheReceiver) {
+    ShardTransport t(2, 1);
+    const auto payload_crc_passes = [] { return wavehpc::mesh::crc32_bytes_hashed(); };
+    std::uint64_t in_handler = 0;
+    t.set_handler(1, wire::kRequestTag, [&](int, wavehpc::mesh::CheckedBytes frame) {
+        const auto before = payload_crc_passes();
+        const auto opened = wire::try_open(frame);
+        in_handler = payload_crc_passes() - before;
+        EXPECT_TRUE(opened);
+        return std::vector<std::byte>{};
+    });
+    TransformRequest req;
+    req.image = tiny_image(192);  // a 147 456-byte pixel plane
+    wire::Header h;
+    const auto n0 = payload_crc_passes();
+    const auto sealed = wire::seal_request(h, req, wavehpc::svc::Clock::now());
+    const auto n1 = payload_crc_passes();
+    ASSERT_TRUE(t.rpc(0, 1, wire::kRequestTag, wire::checked(sealed)));
+    const auto n2 = payload_crc_passes();
+
+    const std::uint64_t n = sealed.size();
+    EXPECT_EQ(n1 - n0, n - wire::kHeaderBytes);  // sender: the seal's one pass
+    // Receiver: one pass over the frame; opening it reads only the header;
+    // the rest is fixed-size (seq words, the empty response leg).
+    EXPECT_EQ(in_handler, wire::kHeaderBytes);
+    EXPECT_GE(n2 - n1, n);
+    EXPECT_LT(n2 - n1, n + 256);
+}
+
+// Handlers run with no transport lock held: two RPCs on different
+// channels whose handlers each wait for the other must both complete.
+// (A transport that serialized handlers would deadlock; the bounded waits
+// turn that into a test failure instead of a hang.)
+TEST(ShardTransportTest, HandlersOnDifferentChannelsRunConcurrently) {
+    ShardTransport t(3, 1);
+    std::promise<void> a_in;
+    std::promise<void> b_in;
+    const auto a_ready = a_in.get_future().share();
+    const auto b_ready = b_in.get_future().share();
+    std::atomic<int> timed_out{0};
+    const auto meet = [&](std::promise<void>& mine, const std::shared_future<void>& theirs) {
+        mine.set_value();
+        if (theirs.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
+            ++timed_out;
+        }
+        return std::vector<std::byte>{std::byte{1}};
+    };
+    t.set_handler(1, 9, [&](int, std::span<const std::byte>) { return meet(a_in, b_ready); });
+    t.set_handler(2, 9, [&](int, std::span<const std::byte>) { return meet(b_in, a_ready); });
+    std::optional<std::vector<std::byte>> ra;
+    std::optional<std::vector<std::byte>> rb;
+    std::thread ta([&] { ra = t.rpc(0, 1, 9, bytes_of("a")); });
+    std::thread tb([&] { rb = t.rpc(0, 2, 9, bytes_of("b")); });
+    ta.join();
+    tb.join();
+    EXPECT_EQ(timed_out.load(), 0);
+    EXPECT_TRUE(ra);
+    EXPECT_TRUE(rb);
+}
+
+// The 40%-loss exactly-once property with four threads sharing one
+// channel: transfers serialize on the channel, every payload reaches the
+// handler exactly once, and every caller gets its own echo back.
+TEST(ShardTransportTest, ArqExactlyOnceUnderLossFromFourThreadsOnOneChannel) {
+    ShardTransport lossy(3, 7, 16);
+    FaultPlan plan;
+    plan.drop_probability = 0.4;
+    lossy.set_faults(plan);
+    std::mutex mu;
+    std::multiset<std::string> handled;
+    lossy.set_handler(1, 9, [&](int, std::span<const std::byte> req) {
+        std::lock_guard lk(mu);
+        handled.emplace(reinterpret_cast<const char*>(req.data()), req.size());
+        return std::vector<std::byte>(req.begin(), req.end());
+    });
+    constexpr int kThreads = 4;
+    constexpr int kPerThread = 20;
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (int c = 0; c < kThreads; ++c) {
+        threads.emplace_back([&, c] {
+            for (int i = 0; i < kPerThread; ++i) {
+                const auto msg = bytes_of("t" + std::to_string(c) + "m" + std::to_string(i));
+                const auto resp = lossy.rpc(0, 1, 9, msg);
+                if (!resp || *resp != msg) ++failures;
+            }
+        });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(failures.load(), 0);
+    ASSERT_EQ(handled.size(), static_cast<std::size_t>(kThreads * kPerThread));
+    for (int c = 0; c < kThreads; ++c) {
+        for (int i = 0; i < kPerThread; ++i) {
+            EXPECT_EQ(handled.count("t" + std::to_string(c) + "m" + std::to_string(i)), 1U);
+        }
+    }
+    const auto st = lossy.stats();
+    EXPECT_GT(st.retransmits, 0U);
+    EXPECT_EQ(st.gave_up, 0U);
+}
+
 // The determinism the gossip rounds rely on: fault draws are counted per
-// channel, so unrelated concurrent traffic (the reply pump's RPCs, say)
+// channel, so unrelated concurrent traffic (shards' reply RPCs, say)
 // can never shift a gossip channel's drop pattern.
 TEST(ShardTransportTest, PerChannelDrawsIsolateChannelsFromEachOther) {
     const auto gossip_fates = [](bool with_noise) {

@@ -1,17 +1,21 @@
 // Admission control, scheduling, and shutdown semantics of the pyramid
 // service (ISSUE 4): saturation rejects instead of blocking or growing the
 // queue, drain-on-shutdown completes accepted in-flight work and fails
-// queued work with a distinct error, and deadline-expired requests are
-// failed, never computed.
+// queued work with a distinct error, deadline-expired requests are
+// failed, never computed, and the completion hook fires once per accepted
+// request, after its future is ready.
 
 #include "svc/service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <future>
 #include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -130,6 +134,67 @@ TEST(ServiceShutdown, DrainsInFlightAndFailsQueuedDistinctly) {
     EXPECT_EQ(m.queue_depth, 0U);
     EXPECT_EQ(m.running, 0U);
     EXPECT_EQ(m.queued_bytes, 0U);
+}
+
+// The completion hook runs exactly once per accepted submit, only after
+// its future is ready: inline for a cache hit, after the compute for a
+// flight and each of its joiners, on the draining thread for queued work
+// failed by shutdown — and never for a reject.
+TEST(ServiceCompletion, HookRunsOnceAfterTheFutureIsReadyOnEveryPath) {
+    struct Calls {
+        std::mutex mu;
+        std::vector<std::string> tags;
+        int not_ready = 0;
+    } calls;
+    const auto hook = [&calls](std::string tag) {
+        return [&calls, tag](const wavehpc::svc::TransformFuture& f) {
+            std::lock_guard lk(calls.mu);
+            if (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+                ++calls.not_ready;
+            }
+            calls.tags.push_back(tag);
+        };
+    };
+    const auto count = [&calls](const std::string& tag) {
+        std::lock_guard lk(calls.mu);
+        return std::count(calls.tags.begin(), calls.tags.end(), tag);
+    };
+
+    GatedPool gated;
+    PyramidService service(gated.pool, ServiceConfig{.max_concurrency = 1});
+    auto lead = service.submit(request_for(scene(32, 1)), hook("lead"));
+    auto joiner = service.submit(request_for(scene(32, 1)), hook("joiner"));
+    auto queued = service.submit(request_for(scene(32, 2)), hook("queued"));
+    ASSERT_TRUE(lead.accepted && joiner.accepted && queued.accepted);
+    EXPECT_EQ(count("lead") + count("joiner") + count("queued"), 0);
+
+    std::thread drainer([&] { service.shutdown(); });
+    EXPECT_THROW((void)queued.future.get(), ServiceShutdownError);
+    gated.release();
+    drainer.join();  // shutdown waits for the flight, not for its hooks
+    (void)lead.future.get();
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while ((count("lead") == 0 || count("joiner") == 0) &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(count("lead"), 1);
+    EXPECT_EQ(count("joiner"), 1);
+    EXPECT_EQ(count("queued"), 1);
+
+    const auto rejected = service.submit(request_for(scene(32, 3)), hook("rejected"));
+    EXPECT_FALSE(rejected.accepted);
+
+    ThreadPool pool(1);
+    PyramidService warm(pool);
+    (void)warm.submit(request_for(scene(32, 4))).future.get();
+    const auto hit = warm.submit(request_for(scene(32, 4)), hook("hit"));
+    ASSERT_TRUE(hit.accepted);
+    EXPECT_EQ(count("hit"), 1);  // ran before submit returned
+    EXPECT_TRUE(hit.future.get().cache_hit);
+
+    EXPECT_EQ(count("rejected"), 0);
+    EXPECT_EQ(calls.not_ready, 0);
 }
 
 TEST(ServiceShutdown, SubmitAfterShutdownIsRejected) {
