@@ -2,8 +2,9 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
+
+#include "core/knobs.hpp"
 
 namespace wavehpc::core {
 
@@ -16,17 +17,6 @@ constexpr std::size_t kColTile = 512;
 
 // Process-wide programmatic override; Auto = defer to the environment.
 std::atomic<DwtKernel> g_default_kernel{DwtKernel::Auto};
-
-[[nodiscard]] DwtKernel env_kernel() noexcept {
-    const char* text = std::getenv("WAVEHPC_DWT_KERNEL");
-    DwtKernel k = DwtKernel::Convolve;
-    if (text != nullptr) {
-        // Unrecognized values keep the safe default (documented in README).
-        (void)parse_dwt_kernel(text, k);
-        if (k == DwtKernel::Auto) k = DwtKernel::Convolve;
-    }
-    return k;
-}
 
 void require_even(std::size_t n, const char* what) {
     if (n == 0 || n % 2 != 0) {
@@ -168,9 +158,11 @@ bool parse_dwt_kernel(std::string_view text, DwtKernel& out) noexcept {
     return true;
 }
 
-DwtKernel default_dwt_kernel() noexcept {
+DwtKernel default_dwt_kernel() {
     const DwtKernel k = g_default_kernel.load(std::memory_order_relaxed);
-    return k == DwtKernel::Auto ? env_kernel() : k;
+    if (k != DwtKernel::Auto) return k;
+    return env_choice("WAVEHPC_DWT_KERNEL") == "lifting" ? DwtKernel::Lifting
+                                                         : DwtKernel::Convolve;
 }
 
 void set_default_dwt_kernel(DwtKernel k) noexcept {

@@ -27,8 +27,8 @@
 //
 // Selection: callers pass DwtKernel::Auto to defer to the process-wide
 // selector — set_default_dwt_kernel() if called, else the
-// WAVEHPC_DWT_KERNEL environment variable ("convolve" | "lifting"), else
-// Convolve. A Lifting request silently falls back to Convolve when no
+// WAVEHPC_DWT_KERNEL environment variable ("convolve" | "lifting"; "auto"
+// means convolve, anything else throws), else Convolve. A Lifting request silently falls back to Convolve when no
 // verified plan exists for the filter (never happens for the registered
 // Daubechies banks; pinned by test_kernels).
 
@@ -59,7 +59,8 @@ enum class DwtKernel : std::uint8_t {
 
 /// Process-wide kernel default used to resolve DwtKernel::Auto: the last
 /// set_default_dwt_kernel() value, else WAVEHPC_DWT_KERNEL, else Convolve.
-[[nodiscard]] DwtKernel default_dwt_kernel() noexcept;
+/// Throws std::invalid_argument when the variable holds another word.
+[[nodiscard]] DwtKernel default_dwt_kernel();
 
 /// Programmatic selector (overrides the environment until reset). Passing
 /// DwtKernel::Auto clears the override and re-reads the environment.

@@ -5,9 +5,13 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "core/splitmix.hpp"
+
 namespace wavehpc::mesh {
 
 namespace {
+
+using core::mix64;
 
 constexpr std::array<std::uint32_t, 256> make_crc_table() {
     std::array<std::uint32_t, 256> table{};
@@ -53,14 +57,6 @@ constexpr std::array<std::uint32_t, 64> make_x2n_table() {
 }
 
 constexpr auto kX2n = make_x2n_table();
-
-/// splitmix64: full-period mix with good avalanche; one draw per key.
-[[nodiscard]] std::uint64_t mix64(std::uint64_t x) {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
 
 /// Uniform double in [0, 1) from the top 53 bits.
 [[nodiscard]] double u01(std::uint64_t x) {

@@ -4,20 +4,14 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "core/splitmix.hpp"
+
 namespace wavehpc::nbody {
 
 namespace {
 
-// Stateless splitmix64 keeps the initial condition deterministic.
-std::uint64_t splitmix64(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
 double uniform01(std::uint64_t seed, std::uint64_t i) {
-    return static_cast<double>(splitmix64(seed ^ (i * 0x2545f4914f6cdd1dULL)) >> 11) *
+    return static_cast<double>(core::mix64(seed ^ (i * 0x2545f4914f6cdd1dULL)) >> 11) *
            (1.0 / 9007199254740992.0);
 }
 

@@ -3,26 +3,20 @@
 #include <algorithm>
 #include <sstream>
 
+#include "core/splitmix.hpp"
+
 namespace wavehpc::sim {
 
 namespace {
 // Internal unwind signal used to tear down process threads on abort. Not
 // derived from std::exception so well-behaved user code won't swallow it.
 struct AbortSignal {};
-
-std::uint64_t splitmix64_next(std::uint64_t& s) {
-    s += 0x9E3779B97F4A7C15ULL;
-    std::uint64_t z = s;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-}
 }  // namespace
 
 std::size_t SeededTieBreak::choose(std::span<const std::size_t> tied) {
     // tied.size() is tiny (bounded by the process count), so the modulo
     // bias is irrelevant next to keeping the draw cheap under the lock.
-    return static_cast<std::size_t>(splitmix64_next(state_) % tied.size());
+    return static_cast<std::size_t>(core::splitmix64_next(state_) % tied.size());
 }
 
 std::string SeededTieBreak::describe() const {

@@ -52,11 +52,6 @@ struct ArenaConfig {
     /// Smallest class, in floats (16 KiB). Requests above the largest
     /// class (min_slab_floats << (slab_classes-1)) fall back to the heap.
     std::size_t min_slab_floats = 4096;
-
-    /// Defaults overridden by WAVEHPC_SVC_ARENA_BYTES /
-    /// WAVEHPC_SVC_ARENA_SLAB_CLASSES (unset or unparsable keep the
-    /// default; zeroes clamp to 1).
-    [[nodiscard]] static ArenaConfig from_env();
 };
 
 /// Monotonic counters + resident gauges. bytes_outstanding counts slabs

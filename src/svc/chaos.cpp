@@ -7,17 +7,14 @@
 #include <new>
 #include <thread>
 
+#include "core/knobs.hpp"
+#include "core/splitmix.hpp"
+
 namespace wavehpc::svc {
 
 namespace {
 
-/// splitmix64 finalizer — the same mix mesh::FaultPlan draws with.
-[[nodiscard]] std::uint64_t mix64(std::uint64_t x) {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
+using core::mix64;
 
 [[nodiscard]] double u01(std::uint64_t x) {
     return static_cast<double>(x >> 11) * 0x1.0p-53;
@@ -268,16 +265,9 @@ ChaosPlan ChaosPlan::parse(std::string_view spec, std::uint64_t seed) {
 }
 
 ChaosPlan ChaosPlan::from_env() {
-    const char* spec = std::getenv("WAVEHPC_CHAOS_PLAN");
-    if (spec == nullptr || *spec == '\0') return {};
-    std::uint64_t seed = 1;
-    if (const char* raw = std::getenv("WAVEHPC_CHAOS_SEED");
-        raw != nullptr && *raw != '\0') {
-        char* end = nullptr;
-        const unsigned long long v = std::strtoull(raw, &end, 10);
-        if (end != raw && *end == '\0') seed = v;
-    }
-    return parse(spec, seed);
+    const auto spec = core::env_text("WAVEHPC_CHAOS_PLAN");
+    if (!spec) return {};
+    return parse(*spec, core::env_unsigned("WAVEHPC_CHAOS_SEED").value_or(1));
 }
 
 void ChaosEngine::set_plan(ChaosPlan plan) {

@@ -103,9 +103,10 @@ struct ChaosPlan {
     /// shard_slow-only). Throws std::invalid_argument on malformed input.
     [[nodiscard]] static ChaosPlan parse(std::string_view spec, std::uint64_t seed);
 
-    /// WAVEHPC_CHAOS_PLAN under WAVEHPC_CHAOS_SEED; a disabled (empty) plan
-    /// when the plan variable is unset. A malformed plan throws — a chaos
-    /// run that silently tested nothing would be worse than a crash.
+    /// WAVEHPC_CHAOS_PLAN under WAVEHPC_CHAOS_SEED (default 1); a disabled
+    /// (empty) plan when the plan variable is unset or empty. A malformed
+    /// plan or seed throws — a chaos run that silently tested nothing
+    /// would be worse than a crash.
     [[nodiscard]] static ChaosPlan from_env();
 };
 

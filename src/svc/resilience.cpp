@@ -2,39 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+
+#include "core/splitmix.hpp"
 
 namespace wavehpc::svc {
-
-namespace {
-
-double env_double(const char* name, double fallback) {
-    const char* raw = std::getenv(name);
-    if (raw == nullptr || *raw == '\0') return fallback;
-    char* end = nullptr;
-    const double v = std::strtod(raw, &end);
-    if (end == raw || *end != '\0' || !(v >= 0.0)) return fallback;
-    return v;
-}
-
-std::uint32_t env_u32(const char* name, std::uint32_t fallback) {
-    const char* raw = std::getenv(name);
-    if (raw == nullptr || *raw == '\0') return fallback;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(raw, &end, 10);
-    if (end == raw || *end != '\0' || v == 0) return fallback;
-    return static_cast<std::uint32_t>(std::min<unsigned long long>(v, UINT32_MAX));
-}
-
-/// splitmix64 finalizer (same mix the chaos plan and mesh faults use).
-std::uint64_t mix64(std::uint64_t x) {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
-
-}  // namespace
 
 double RetryPolicy::backoff_seconds(std::uint32_t attempt, std::uint64_t draw) const {
     if (attempt == 0) return 0.0;
@@ -44,7 +15,7 @@ double RetryPolicy::backoff_seconds(std::uint32_t attempt, std::uint64_t draw) c
                    std::pow(multiplier, static_cast<double>(attempt - 1));
     delay = std::min(delay, cap_seconds);
     const double j = std::clamp(jitter, 0.0, 1.0);
-    const double u = static_cast<double>(mix64(draw) >> 11) * 0x1.0p-53;
+    const double u = static_cast<double>(core::mix64(draw) >> 11) * 0x1.0p-53;
     return delay * (1.0 - j * u);
 }
 
@@ -113,32 +84,6 @@ void CircuitBreaker::record_failure(Clock::time_point now) {
         ewma_ > cfg_.failure_threshold) {
         trip(now);
     }
-}
-
-ResilienceConfig ResilienceConfig::from_env() {
-    ResilienceConfig cfg;
-    cfg.retry.max_attempts =
-        env_u32("WAVEHPC_SVC_RETRY_MAX", cfg.retry.max_attempts);
-    cfg.retry.base_seconds =
-        env_double("WAVEHPC_SVC_RETRY_BASE_MS", cfg.retry.base_seconds * 1e3) * 1e-3;
-    cfg.retry.cap_seconds =
-        env_double("WAVEHPC_SVC_RETRY_CAP_MS", cfg.retry.cap_seconds * 1e3) * 1e-3;
-    cfg.retry.jitter = std::clamp(
-        env_double("WAVEHPC_SVC_RETRY_JITTER", cfg.retry.jitter), 0.0, 1.0);
-    cfg.breaker.failure_threshold =
-        env_double("WAVEHPC_SVC_BREAKER_THRESHOLD", cfg.breaker.failure_threshold);
-    cfg.breaker.ewma_alpha = std::clamp(
-        env_double("WAVEHPC_SVC_BREAKER_ALPHA", cfg.breaker.ewma_alpha), 1e-3, 1.0);
-    cfg.breaker.min_samples =
-        env_u32("WAVEHPC_SVC_BREAKER_MIN_SAMPLES", cfg.breaker.min_samples);
-    cfg.breaker.open_seconds =
-        env_double("WAVEHPC_SVC_BREAKER_OPEN_MS", cfg.breaker.open_seconds * 1e3) *
-        1e-3;
-    cfg.breaker.half_open_probes =
-        env_u32("WAVEHPC_SVC_BREAKER_PROBES", cfg.breaker.half_open_probes);
-    cfg.watchdog_seconds =
-        env_double("WAVEHPC_SVC_WATCHDOG_MS", cfg.watchdog_seconds * 1e3) * 1e-3;
-    return cfg;
 }
 
 }  // namespace wavehpc::svc

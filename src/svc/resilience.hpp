@@ -6,9 +6,8 @@
 // data + pure decision logic; the service owns the state machine wiring
 // (service.cpp) so everything here unit-tests without threads.
 //
-// All knobs come from WAVEHPC_SVC_RETRY_* / WAVEHPC_SVC_BREAKER_* /
-// WAVEHPC_SVC_WATCHDOG_MS (see from_env docs below); unset or unparsable
-// variables keep the defaults, mirroring ServiceConfig::from_env.
+// ServiceConfig::from_env reads the WAVEHPC_SVC_RETRY_* /
+// WAVEHPC_SVC_BREAKER_* / WAVEHPC_SVC_WATCHDOG_MS knobs into these structs.
 
 #include <chrono>
 #include <cstdint>
@@ -104,12 +103,6 @@ struct ResilienceConfig {
     /// failed (WatchdogTimeoutError) and its concurrency slot released,
     /// so a stalled kernel never wedges the whole service. 0 disables.
     double watchdog_seconds = 30.0;
-
-    /// WAVEHPC_SVC_RETRY_MAX / _RETRY_BASE_MS / _RETRY_CAP_MS /
-    /// _RETRY_JITTER, WAVEHPC_SVC_BREAKER_THRESHOLD / _BREAKER_ALPHA /
-    /// _BREAKER_MIN_SAMPLES / _BREAKER_OPEN_MS / _BREAKER_PROBES, and
-    /// WAVEHPC_SVC_WATCHDOG_MS. Unset/unparsable keeps the default.
-    [[nodiscard]] static ResilienceConfig from_env();
 };
 
 }  // namespace wavehpc::svc

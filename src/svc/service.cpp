@@ -1,35 +1,16 @@
 #include "svc/service.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <utility>
 
+#include "core/knobs.hpp"
 #include "tile/progressive.hpp"
 #include "wavelet/threads_dwt.hpp"
 
 namespace wavehpc::svc {
 
 namespace {
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-    const char* raw = std::getenv(name);
-    if (raw == nullptr || *raw == '\0') return fallback;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(raw, &end, 10);
-    if (end == raw || *end != '\0') return fallback;
-    return std::max<std::uint64_t>(1, v);
-}
-
-/// Like env_u64 but zero is a meaningful value (batch window off).
-std::uint64_t env_u64_allow_zero(const char* name, std::uint64_t fallback) {
-    const char* raw = std::getenv(name);
-    if (raw == nullptr || *raw == '\0') return fallback;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(raw, &end, 10);
-    if (end == raw || *end != '\0') return fallback;
-    return v;
-}
 
 double seconds_between(Clock::time_point a, Clock::time_point b) {
     return std::chrono::duration<double>(b - a).count();
@@ -49,19 +30,47 @@ std::function<void()> bind_completion(PyramidService::Completion& on_done,
 }  // namespace
 
 ServiceConfig ServiceConfig::from_env() {
+    using core::env_real;
+    using core::env_unsigned;
+    // Millisecond knobs over fields kept in seconds.
+    const auto ms = [](core::KnobRef<core::KnobKind::Real> knob, double seconds) {
+        return env_real(knob).value_or(seconds * 1e3) * 1e-3;
+    };
     ServiceConfig cfg;
-    cfg.max_queue_depth =
-        static_cast<std::size_t>(env_u64("WAVEHPC_SVC_QUEUE_DEPTH", cfg.max_queue_depth));
-    cfg.max_queued_bytes = env_u64("WAVEHPC_SVC_QUEUE_BYTES", cfg.max_queued_bytes);
-    cfg.max_concurrency =
-        static_cast<std::size_t>(env_u64("WAVEHPC_SVC_CONCURRENCY", cfg.max_concurrency));
-    cfg.cache_bytes = env_u64("WAVEHPC_SVC_CACHE_BYTES", cfg.cache_bytes);
-    cfg.resilience = ResilienceConfig::from_env();
-    cfg.batch_max =
-        static_cast<std::size_t>(env_u64("WAVEHPC_SVC_BATCH_MAX", cfg.batch_max));
+    cfg.max_queue_depth = env_unsigned("WAVEHPC_SVC_QUEUE_DEPTH").value_or(cfg.max_queue_depth);
+    cfg.max_queued_bytes =
+        env_unsigned("WAVEHPC_SVC_QUEUE_BYTES").value_or(cfg.max_queued_bytes);
+    cfg.max_concurrency = env_unsigned("WAVEHPC_SVC_CONCURRENCY").value_or(cfg.max_concurrency);
+    cfg.cache_bytes = env_unsigned("WAVEHPC_SVC_CACHE_BYTES").value_or(cfg.cache_bytes);
+    cfg.batch_max = env_unsigned("WAVEHPC_SVC_BATCH_MAX").value_or(cfg.batch_max);
     cfg.batch_window_us =
-        env_u64_allow_zero("WAVEHPC_SVC_BATCH_WINDOW_US", cfg.batch_window_us);
-    cfg.arena = ArenaConfig::from_env();
+        env_unsigned("WAVEHPC_SVC_BATCH_WINDOW_US").value_or(cfg.batch_window_us);
+
+    ArenaConfig& arena = cfg.arena;
+    arena.arena_bytes = env_unsigned("WAVEHPC_SVC_ARENA_BYTES").value_or(arena.arena_bytes);
+    arena.slab_classes =
+        env_unsigned("WAVEHPC_SVC_ARENA_SLAB_CLASSES").value_or(arena.slab_classes);
+
+    // The u32 fields' domains end at UINT32_MAX, so the casts are exact.
+    RetryPolicy& retry = cfg.resilience.retry;
+    retry.max_attempts = static_cast<std::uint32_t>(
+        env_unsigned("WAVEHPC_SVC_RETRY_MAX").value_or(retry.max_attempts));
+    retry.base_seconds = ms("WAVEHPC_SVC_RETRY_BASE_MS", retry.base_seconds);
+    retry.cap_seconds = ms("WAVEHPC_SVC_RETRY_CAP_MS", retry.cap_seconds);
+    retry.jitter = env_real("WAVEHPC_SVC_RETRY_JITTER").value_or(retry.jitter);
+
+    BreakerConfig& breaker = cfg.resilience.breaker;
+    breaker.failure_threshold =
+        env_real("WAVEHPC_SVC_BREAKER_THRESHOLD").value_or(breaker.failure_threshold);
+    breaker.ewma_alpha = env_real("WAVEHPC_SVC_BREAKER_ALPHA").value_or(breaker.ewma_alpha);
+    breaker.min_samples = static_cast<std::uint32_t>(
+        env_unsigned("WAVEHPC_SVC_BREAKER_MIN_SAMPLES").value_or(breaker.min_samples));
+    breaker.open_seconds = ms("WAVEHPC_SVC_BREAKER_OPEN_MS", breaker.open_seconds);
+    breaker.half_open_probes = static_cast<std::uint32_t>(
+        env_unsigned("WAVEHPC_SVC_BREAKER_PROBES").value_or(breaker.half_open_probes));
+
+    cfg.resilience.watchdog_seconds =
+        ms("WAVEHPC_SVC_WATCHDOG_MS", cfg.resilience.watchdog_seconds);
     return cfg;
 }
 
@@ -71,6 +80,7 @@ PyramidService::PyramidService(runtime::ThreadPool& pool, ServiceConfig cfg)
       arena_(cfg.arena),
       cache_(cfg.cache_bytes),
       chaos_(ChaosPlan::from_env()),
+      tile_cfg_(tile::TileConfig::from_env()),
       breakers_{CircuitBreaker(cfg.resilience.breaker),
                 CircuitBreaker(cfg.resilience.breaker)} {
     cache_.set_audit_lookups(chaos_.enabled());
@@ -520,7 +530,7 @@ void PyramidService::run_batch(const std::vector<std::shared_ptr<Flight>>& batch
                 tile::TileStreamStats tstats;
                 pyrs.push_back(tile::tiled_decompose(
                     *images.front(), fp, req0.levels, req0.boundary, req0.kernel,
-                    tile::TileConfig::from_env(), &arena_, &tstats));
+                    tile_cfg_, &arena_, &tstats));
                 first_band_seconds = tstats.approx_seal_seconds;
             } else {
                 pyrs = wavelet::decompose_batch(

@@ -70,6 +70,7 @@
 #include "svc/metrics.hpp"
 #include "svc/request.hpp"
 #include "svc/resilience.hpp"
+#include "tile/plan.hpp"
 
 namespace wavehpc::svc {
 
@@ -91,12 +92,9 @@ struct ServiceConfig {
     std::uint64_t batch_window_us = 0;
     ArenaConfig arena;                          ///< slab pool posture
 
-    /// Defaults overridden by WAVEHPC_SVC_QUEUE_DEPTH / WAVEHPC_SVC_QUEUE_BYTES /
-    /// WAVEHPC_SVC_CONCURRENCY / WAVEHPC_SVC_CACHE_BYTES (unset or
-    /// unparsable variables keep the default; zeroes are clamped to 1)
-    /// plus WAVEHPC_SVC_BATCH_MAX / WAVEHPC_SVC_BATCH_WINDOW_US (zero
-    /// meaningful for the window), the WAVEHPC_SVC_ARENA_* knobs
-    /// (ArenaConfig::from_env), and the ResilienceConfig::from_env knobs.
+    /// Defaults overridden by the WAVEHPC_SVC_* knobs, arena, retry,
+    /// breaker and watchdog included (core/knobs.hpp: unset or empty keeps
+    /// the default, any value outside the knob's domain throws).
     [[nodiscard]] static ServiceConfig from_env();
 };
 
@@ -104,7 +102,8 @@ class PyramidService {
 public:
     /// The chaos plan defaults to ChaosPlan::from_env() (WAVEHPC_CHAOS_*);
     /// tests and the chaos bench swap it via set_chaos_plan() before
-    /// offering traffic.
+    /// offering traffic. Progressive computes tile with
+    /// tile::TileConfig::from_env(), read here once.
     explicit PyramidService(runtime::ThreadPool& pool, ServiceConfig cfg = {});
 
     /// Drains via shutdown() if the caller has not already.
@@ -255,6 +254,7 @@ private:
     BufferArena arena_;  ///< before cache_: evicted leases recycle into it
     ResultCache cache_;
     ChaosEngine chaos_;
+    const tile::TileConfig tile_cfg_;  ///< progressive computes' tile grid
     DigestMemo digest_memo_;  ///< resubmitted scenes skip the pixel hash
 
     mutable std::mutex mu_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
@@ -11,34 +10,6 @@
 namespace wavehpc::svc::shard {
 
 namespace {
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-    const char* raw = std::getenv(name);
-    if (raw == nullptr || *raw == '\0') return fallback;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(raw, &end, 10);
-    if (end == raw || *end != '\0') return fallback;
-    return std::max<std::uint64_t>(1, v);
-}
-
-/// Like env_u64 but 0 is a meaningful value (fanout "all", seed "inherit").
-std::uint64_t env_u64_raw(const char* name, std::uint64_t fallback) {
-    const char* raw = std::getenv(name);
-    if (raw == nullptr || *raw == '\0') return fallback;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(raw, &end, 10);
-    if (end == raw || *end != '\0') return fallback;
-    return v;
-}
-
-double env_millis(const char* name, double fallback_seconds) {
-    const char* raw = std::getenv(name);
-    if (raw == nullptr || *raw == '\0') return fallback_seconds;
-    char* end = nullptr;
-    const double v = std::strtod(raw, &end);
-    if (end == raw || *end != '\0' || !(v > 0.0)) return fallback_seconds;
-    return v * 1e-3;
-}
 
 void sleep_seconds(double seconds) {
     if (seconds <= 0.0) return;
@@ -83,37 +54,6 @@ thread_local std::vector<std::byte> t_spare_frame;
 }
 
 }  // namespace
-
-ShardClusterConfig ShardClusterConfig::from_env() {
-    ShardClusterConfig cfg;
-    cfg.shard_count =
-        static_cast<std::size_t>(env_u64("WAVEHPC_SHARD_COUNT", cfg.shard_count));
-    cfg.vnodes = static_cast<std::size_t>(env_u64("WAVEHPC_SHARD_VNODES", cfg.vnodes));
-    cfg.replicas =
-        static_cast<std::size_t>(env_u64("WAVEHPC_SHARD_REPLICAS", cfg.replicas));
-    cfg.seed = env_u64("WAVEHPC_SHARD_SEED",
-                       env_u64("WAVEHPC_SCHED_SEED", cfg.seed));
-    cfg.membership.heartbeat_interval =
-        env_millis("WAVEHPC_SHARD_HB_MS", cfg.membership.heartbeat_interval);
-    cfg.membership.suspect_after =
-        env_millis("WAVEHPC_SHARD_SUSPECT_MS", cfg.membership.suspect_after);
-    cfg.membership.dead_after =
-        env_millis("WAVEHPC_SHARD_DEAD_MS", cfg.membership.dead_after);
-    cfg.membership.readmit_oks = static_cast<std::uint32_t>(
-        env_u64("WAVEHPC_SHARD_READMIT_OKS", cfg.membership.readmit_oks));
-    cfg.gossip_seed = env_u64_raw("WAVEHPC_SHARD_GOSSIP_SEED", cfg.gossip_seed);
-    cfg.gossip_fanout = static_cast<std::size_t>(
-        env_u64_raw("WAVEHPC_SHARD_GOSSIP_FANOUT", cfg.gossip_fanout));
-    cfg.wire_retries = static_cast<int>(env_u64_raw(
-        "WAVEHPC_SHARD_WIRE_RETRIES", static_cast<std::uint64_t>(cfg.wire_retries)));
-    if (const char* spec = std::getenv("WAVEHPC_SHARD_FAULTS");
-        spec != nullptr && *spec != '\0') {
-        cfg.transport_faults = mesh::FaultPlan::parse(
-            spec, cfg.gossip_seed != 0 ? cfg.gossip_seed : cfg.seed);
-    }
-    cfg.service = ServiceConfig::from_env();
-    return cfg;
-}
 
 ShardCluster::ShardCluster(runtime::ThreadPool& pool, ShardClusterConfig cfg)
     : pool_(pool),

@@ -104,16 +104,6 @@ struct ShardClusterConfig {
     /// Peers each shard gossips its roster to per tick, in ring order
     /// after the router (which always hears every beat). 0 = all peers.
     std::size_t gossip_fanout = 0;
-
-    /// Defaults overridden by WAVEHPC_SHARD_COUNT / WAVEHPC_SHARD_VNODES /
-    /// WAVEHPC_SHARD_REPLICAS / WAVEHPC_SHARD_SEED (falling back to
-    /// WAVEHPC_SCHED_SEED) / WAVEHPC_SHARD_HB_MS / WAVEHPC_SHARD_SUSPECT_MS
-    /// / WAVEHPC_SHARD_DEAD_MS / WAVEHPC_SHARD_READMIT_OKS /
-    /// WAVEHPC_SHARD_GOSSIP_SEED / WAVEHPC_SHARD_GOSSIP_FANOUT /
-    /// WAVEHPC_SHARD_WIRE_RETRIES / WAVEHPC_SHARD_FAULTS (a
-    /// mesh::FaultPlan spec string), plus ServiceConfig::from_env() for
-    /// the per-shard service.
-    [[nodiscard]] static ShardClusterConfig from_env();
 };
 
 /// Why the cluster (not a shard's admission) refused a delivery attempt.

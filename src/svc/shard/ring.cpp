@@ -3,19 +3,11 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/splitmix.hpp"
+
 namespace wavehpc::svc::shard {
 
-namespace {
-
-/// splitmix64 finalizer — the same mix the chaos and fault plans draw with.
-[[nodiscard]] std::uint64_t mix64(std::uint64_t x) noexcept {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
-
-}  // namespace
+using core::mix64;
 
 HashRing::HashRing(std::size_t n_shards, std::size_t vnodes, std::uint64_t seed)
     : n_shards_(n_shards), vnodes_(vnodes), seed_(seed) {

@@ -3,18 +3,14 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/splitmix.hpp"
+
 namespace wavehpc::svc::shard {
 
 namespace {
 
 namespace frame = mesh::frame;
-
-[[nodiscard]] std::uint64_t mix64(std::uint64_t x) noexcept {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
+using core::mix64;
 
 // Fault-draw index for the channel's n-th frame. Per-channel (not global)
 // so concurrent traffic on other channels can never shift this channel's

@@ -2,11 +2,13 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
+
+#include "core/knobs.hpp"
 
 namespace wavehpc::testing {
 
@@ -95,9 +97,7 @@ std::string GoldenArtifact::check(const std::string& name, double rel_tol,
 }
 
 std::string golden_dir() {
-    if (const char* env = std::getenv("WAVEHPC_GOLDEN_DIR"); env != nullptr && *env) {
-        return env;
-    }
+    if (auto dir = core::env_text("WAVEHPC_GOLDEN_DIR")) return *std::move(dir);
     const std::string dir = WAVEHPC_GOLDEN_DEFAULT_DIR;
     if (dir.empty()) {
         throw std::runtime_error(
@@ -107,9 +107,7 @@ std::string golden_dir() {
 }
 
 bool regen_mode() {
-    if (g_regen) return true;
-    const char* env = std::getenv("WAVEHPC_REGEN_GOLDEN");
-    return env != nullptr && *env != '\0' && std::string(env) != "0";
+    return g_regen || core::env_text("WAVEHPC_REGEN_GOLDEN").value_or("0") != "0";
 }
 
 void set_regen_mode(bool on) { g_regen = on; }

@@ -41,7 +41,7 @@ private:
 [[nodiscard]] std::string golden_dir();
 
 /// Regen mode: set by set_regen_mode (the suite's --regen flag) or the
-/// WAVEHPC_REGEN_GOLDEN environment variable.
+/// WAVEHPC_REGEN_GOLDEN environment variable (any value but "0").
 [[nodiscard]] bool regen_mode();
 void set_regen_mode(bool on);
 

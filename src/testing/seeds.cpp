@@ -1,17 +1,12 @@
 #include "testing/seeds.hpp"
 
-#include <algorithm>
-#include <cstdlib>
 #include <sstream>
+
+#include "core/splitmix.hpp"
 
 namespace wavehpc::testing {
 
-std::uint64_t SplitMix64::next() noexcept {
-    std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ULL);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-}
+std::uint64_t SplitMix64::next() noexcept { return core::splitmix64_next(state_); }
 
 double SplitMix64::uniform() noexcept {
     // 53 random mantissa bits -> [0, 1).
@@ -27,18 +22,13 @@ double SplitMix64::range(double lo, double hi) noexcept {
     return lo + (hi - lo) * uniform();
 }
 
-std::uint64_t env_seed(const char* name, std::uint64_t fallback) {
-    const char* env = std::getenv(name);
-    if (env == nullptr || *env == '\0') return fallback;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end == env) return fallback;
-    return static_cast<std::uint64_t>(v);
+std::uint64_t env_seed(core::KnobRef<core::KnobKind::Unsigned> name,
+                       std::uint64_t fallback) {
+    return core::env_unsigned(name).value_or(fallback);
 }
 
-std::size_t env_cases(const char* name, std::size_t fallback) {
-    const auto v = static_cast<std::size_t>(env_seed(name, fallback));
-    return std::clamp<std::size_t>(v, 1, 100000);
+std::size_t env_cases(core::KnobRef<core::KnobKind::Unsigned> name, std::size_t fallback) {
+    return core::env_unsigned(name).value_or(fallback);
 }
 
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index) {

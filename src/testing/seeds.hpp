@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <string>
 
+#include "core/knobs.hpp"
+
 namespace wavehpc::testing {
 
 /// SplitMix64 — the same generator family FaultPlan uses for per-message
@@ -35,13 +37,15 @@ private:
     std::uint64_t state_;
 };
 
-/// `name` parsed as an unsigned 64-bit value, or `fallback` when the
-/// variable is unset or unparsable.
-[[nodiscard]] std::uint64_t env_seed(const char* name, std::uint64_t fallback);
+/// Seed knob `name` (e.g. WAVEHPC_FUZZ_SEED), or `fallback` when it is unset
+/// or empty; a value outside the knob's domain throws.
+[[nodiscard]] std::uint64_t env_seed(core::KnobRef<core::KnobKind::Unsigned> name,
+                                     std::uint64_t fallback);
 
-/// Case-count override for fuzz loops (e.g. WAVEHPC_FUZZ_CASES), clamped
-/// to [1, 100000].
-[[nodiscard]] std::size_t env_cases(const char* name, std::size_t fallback);
+/// Case-count override for fuzz loops (e.g. WAVEHPC_FUZZ_CASES, whose
+/// domain is [1, 100000]), or `fallback`.
+[[nodiscard]] std::size_t env_cases(core::KnobRef<core::KnobKind::Unsigned> name,
+                                    std::size_t fallback);
 
 /// The seed of the `index`-th case derived from a base seed: distinct,
 /// stable, and printable as a standalone repro seed.

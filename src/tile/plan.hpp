@@ -31,8 +31,8 @@ struct TileConfig {
     std::size_t tile_rows = 128;  ///< output rows per tile band
     std::size_t tile_cols = 256;  ///< output cols per tile
 
-    /// Defaults overridden by WAVEHPC_TILE_ROWS / WAVEHPC_TILE_COLS
-    /// (unset or unparsable keep the default; values clamp to [1, 65536]).
+    /// Defaults overridden by WAVEHPC_TILE_ROWS / WAVEHPC_TILE_COLS, each
+    /// in [1, 65536] (core/knobs.hpp: unset or empty keeps the default).
     [[nodiscard]] static TileConfig from_env();
 };
 

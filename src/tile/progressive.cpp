@@ -1,10 +1,9 @@
 #include "tile/progressive.hpp"
 
-#include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "core/compress.hpp"
+#include "core/knobs.hpp"
 
 namespace wavehpc::tile {
 
@@ -133,13 +132,7 @@ double ProgressiveDelivery::time_to_full() const {
 }
 
 double preview_bytes_per_second() {
-    constexpr double kDefault = 8.0 * (1 << 20);  // 8 MiB/s
-    const char* raw = std::getenv("WAVEHPC_TILE_PREVIEW_BPS");
-    if (raw == nullptr || *raw == '\0') return kDefault;
-    char* end = nullptr;
-    const double v = std::strtod(raw, &end);
-    if (end == raw || *end != '\0' || !(v > 0.0)) return kDefault;
-    return std::max(1.0, v);
+    return core::env_real("WAVEHPC_TILE_PREVIEW_BPS").value_or(8.0 * (1 << 20));
 }
 
 core::Pyramid tiled_decompose(const core::ImageF& img, const core::FilterPair& fp,

@@ -104,9 +104,8 @@ private:
     std::vector<DeliveryItem> items_;
 };
 
-/// WAVEHPC_TILE_PREVIEW_BPS: bytes/second of the simulated preview link
-/// (default 8 MiB/s; unset/unparsable keep the default, values clamp
-/// to >= 1).
+/// WAVEHPC_TILE_PREVIEW_BPS: bytes/second of the simulated preview link,
+/// >= 1 (default 8 MiB/s when unset or empty).
 [[nodiscard]] double preview_bytes_per_second();
 
 /// One-call tiled decomposition of an in-memory image — the service's

@@ -3,16 +3,11 @@
 #include <span>
 #include <stdexcept>
 
+#include "core/splitmix.hpp"
+
 namespace wavehpc::workload {
 
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
 
 // Small helper to append an op depending on up to two predecessors.
 std::uint32_t emit(Trace& t, OpType type, std::uint32_t d0 = UINT32_MAX,
@@ -56,7 +51,7 @@ Trace gen_mgrid(std::size_t scale, std::uint64_t seed) {
             std::uint32_t d0 = UINT32_MAX;
             std::uint32_t d1 = UINT32_MAX;
             if (!prev_layer.empty()) {
-                d0 = prev_layer[splitmix64(seed ^ i) % prev_layer.size()];
+                d0 = prev_layer[core::mix64(seed ^ i) % prev_layer.size()];
                 d1 = prev_layer[(2 * i + 1) % prev_layer.size()];
             }
             const auto ld = emit(t, OpType::Mem, d0, d1);   // load neighbours
@@ -79,7 +74,7 @@ Trace gen_cgm(std::size_t scale, std::uint64_t seed) {
     std::vector<std::uint32_t> partials;
     for (std::size_t r = 0; r < rows; ++r) {
         std::uint32_t acc = UINT32_MAX;
-        const std::size_t nnz = 3 + splitmix64(seed ^ r) % 5;
+        const std::size_t nnz = 3 + core::mix64(seed ^ r) % 5;
         for (std::size_t k = 0; k < nnz; ++k) {
             const auto idx = emit(t, OpType::Int);        // column index
             const auto ld = emit(t, OpType::Mem, idx);    // gather x[col]
@@ -135,7 +130,7 @@ Trace gen_buk(std::size_t scale, std::uint64_t seed) {
     for (std::size_t i = 0; i < keys; ++i) {
         scan = emit(t, OpType::Mem, scan);            // load key (scan chain)
         const auto bk = emit(t, OpType::Int, scan);   // bucket index
-        const std::size_t b = splitmix64(seed ^ i) % kBuckets;
+        const std::size_t b = core::mix64(seed ^ i) % kBuckets;
         counter[b] = emit(t, OpType::Int, bk, counter[b]);  // serialized count
         (void)emit(t, OpType::Mem, counter[b]);             // store count
         (void)emit(t, OpType::Branch, bk);                  // loop test

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 #include <vector>
 
 #include "core/convolve.hpp"
@@ -88,7 +89,7 @@ TEST(KernelSelect, EnvironmentVariableDrivesAutoResolution) {
               DwtKernel::Lifting);
 
     ASSERT_EQ(::setenv("WAVEHPC_DWT_KERNEL", "bogus", 1), 0);
-    EXPECT_EQ(wavehpc::core::default_dwt_kernel(), DwtKernel::Convolve);
+    EXPECT_THROW((void)wavehpc::core::default_dwt_kernel(), std::invalid_argument);
 
     ASSERT_EQ(::unsetenv("WAVEHPC_DWT_KERNEL"), 0);
     EXPECT_EQ(wavehpc::core::default_dwt_kernel(), DwtKernel::Convolve);

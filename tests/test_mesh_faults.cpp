@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <random>
 #include <string>
@@ -15,6 +14,7 @@
 #include "mesh/faults.hpp"
 #include "mesh/frame.hpp"
 #include "mesh/machine.hpp"
+#include "testing/seeds.hpp"
 
 namespace wavehpc::mesh {
 namespace {
@@ -597,10 +597,7 @@ TEST(FaultCollectives, GssumSurvivesRandomDropsOnTorus) {
 // The CI fault-stress job sweeps WAVEHPC_FAULT_SEED over several fixed
 // seeds; locally this runs once with the default.
 TEST(FaultStress, SeededRandomTrafficConvergesReliably) {
-    std::uint64_t seed = 1;
-    if (const char* env = std::getenv("WAVEHPC_FAULT_SEED")) {
-        seed = static_cast<std::uint64_t>(std::strtoull(env, nullptr, 10));
-    }
+    const std::uint64_t seed = wavehpc::testing::env_seed("WAVEHPC_FAULT_SEED", 1);
     Machine machine(MachineProfile::test_profile(4, 2));
     FaultPlan plan;
     plan.seed = seed;

@@ -9,10 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <string>
 #include <vector>
 
+#include "core/knobs.hpp"
 #include "svc/shard/mesh_gossip.hpp"
 #include "svc/shard/wire.hpp"
+#include "testing/seeds.hpp"
 
 namespace {
 
@@ -23,6 +27,33 @@ using wavehpc::svc::shard::MeshGossipResult;
 using wavehpc::svc::shard::RosterTransition;
 using wavehpc::svc::shard::run_mesh_gossip;
 using wavehpc::svc::shard::ShardHealth;
+
+constexpr const char* kSeedEnv = "WAVEHPC_SCHED_SEED";
+constexpr const char* kBinary = "./build/tests/test_shard_membership";
+
+/// One engine schedule for a mesh gossip drill, with the text a failure
+/// prints to replay it.
+struct Schedule {
+    std::uint64_t seed;
+    std::string repro;
+};
+
+/// The drill's fixed schedule seeds, plus three derived from
+/// WAVEHPC_SCHED_SEED when it is set (CI's partition drill sweeps it).
+std::vector<Schedule> schedules(std::initializer_list<std::uint64_t> fixed) {
+    std::vector<Schedule> out;
+    for (const std::uint64_t seed : fixed) {
+        out.push_back({seed, "schedule seed " + std::to_string(seed)});
+    }
+    if (const auto base = wavehpc::core::env_unsigned(kSeedEnv)) {
+        for (std::uint64_t i = 0; i < 3; ++i) {
+            const std::uint64_t seed = wavehpc::testing::derive_seed(*base, i);
+            out.push_back({seed, "schedule seed " + std::to_string(seed) + "; " +
+                                     wavehpc::testing::repro_line(kSeedEnv, *base, kBinary)});
+        }
+    }
+    return out;
+}
 
 MembershipConfig fast_cfg() {
     MembershipConfig cfg;
@@ -259,26 +290,26 @@ TEST(FailureDetectorTest, IndependentObserversOfOneStreamAgreeOnRosterHash) {
 // one roster hash with exactly the dead ranks marked Dead — under several
 // engine schedule seeds, since agreement may not depend on message order.
 TEST(MeshGossipTest, SurvivorsConvergeOnOneRosterUnderAnySchedule) {
-    for (const std::uint64_t schedule_seed : {0ULL, 1ULL, 1996ULL}) {
+    for (const Schedule& sched : schedules({0, 1, 1996})) {
         MeshGossipParams p;
         p.ranks = 6;
         p.run_seconds = 1.0;
         p.membership = fast_cfg();
         p.fail_at = {{1, 0.25}, {4, 0.40}};
-        p.schedule_seed = schedule_seed;
+        p.schedule_seed = sched.seed;
 
         const MeshGossipResult r = run_mesh_gossip(p);
         ASSERT_EQ(r.views.size(), 6U);
-        EXPECT_TRUE(r.converged) << "schedule seed " << schedule_seed;
+        EXPECT_TRUE(r.converged) << sched.repro;
         EXPECT_TRUE(r.views[1].fail_stopped);
         EXPECT_TRUE(r.views[4].fail_stopped);
         for (std::size_t rank = 0; rank < r.views.size(); ++rank) {
             if (r.views[rank].fail_stopped) continue;
-            EXPECT_EQ(r.views[rank].roster_hash, r.survivor_roster_hash);
+            EXPECT_EQ(r.views[rank].roster_hash, r.survivor_roster_hash) << sched.repro;
             ASSERT_EQ(r.views[rank].health.size(), 6U);
-            EXPECT_EQ(r.views[rank].health[1], ShardHealth::Dead);
-            EXPECT_EQ(r.views[rank].health[4], ShardHealth::Dead);
-            EXPECT_EQ(r.views[rank].health[rank], ShardHealth::Alive);
+            EXPECT_EQ(r.views[rank].health[1], ShardHealth::Dead) << sched.repro;
+            EXPECT_EQ(r.views[rank].health[4], ShardHealth::Dead) << sched.repro;
+            EXPECT_EQ(r.views[rank].health[rank], ShardHealth::Alive) << sched.repro;
         }
     }
 }
@@ -291,7 +322,7 @@ TEST(MeshGossipTest, SurvivorsConvergeOnOneRosterUnderAnySchedule) {
 // — must converge back to one roster with everyone Alive, under several
 // engine schedules.
 TEST(MeshGossipTest, AsymmetricPartitionHealsThroughRefutation) {
-    for (const std::uint64_t schedule_seed : {1ULL, 7ULL, 1996ULL}) {
+    for (const Schedule& sched : schedules({1, 7, 1996})) {
         MeshGossipParams p;
         p.ranks = 5;
         p.run_seconds = 1.2;
@@ -304,19 +335,19 @@ TEST(MeshGossipTest, AsymmetricPartitionHealsThroughRefutation) {
         mute.t_end = 0.50;
         mute.drop_probability = 1.0;
         p.link_faults = {mute};
-        p.schedule_seed = schedule_seed;
+        p.schedule_seed = sched.seed;
 
         const MeshGossipResult r = run_mesh_gossip(p);
         ASSERT_EQ(r.views.size(), 5U);
-        EXPECT_TRUE(r.converged) << "schedule seed " << schedule_seed;
-        EXPECT_GE(r.views[2].refutations, 1U) << "schedule seed " << schedule_seed;
-        EXPECT_GE(r.views[2].incarnation, 2U);
+        EXPECT_TRUE(r.converged) << sched.repro;
+        EXPECT_GE(r.views[2].refutations, 1U) << sched.repro;
+        EXPECT_GE(r.views[2].incarnation, 2U) << sched.repro;
         for (std::size_t rank = 0; rank < r.views.size(); ++rank) {
             EXPECT_FALSE(r.views[rank].fail_stopped);
             EXPECT_EQ(r.views[rank].roster_hash, r.survivor_roster_hash)
-                << "rank " << rank << " seed " << schedule_seed;
+                << "rank " << rank << "; " << sched.repro;
             for (const ShardHealth h : r.views[rank].health) {
-                EXPECT_EQ(h, ShardHealth::Alive);
+                EXPECT_EQ(h, ShardHealth::Alive) << sched.repro;
             }
         }
     }
