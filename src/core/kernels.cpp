@@ -226,9 +226,21 @@ LiftingPlan build_lifting_plan(const FilterPair& fp) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused convolve kernels (the golden path). These are the loop bodies the
-// threads backend proved bit-identical to the unfused convolve_decimate_*
-// reference; every backend now shares them.
+// Analysis bodies: one loop body per kernel and per pass, run by every
+// caller — the whole-plane sweeps (serial, threads, batched), the tile
+// stream, and the mesh backends over their pre-extended stripes — so a fix
+// or a vectorization of a pass lands once.
+//
+//   * Row pass: output range [k0, k1) of the FULL signal x, output k at
+//     lo[k-k0]. Boundary extension applies at the true signal edges only.
+//   * Column pass: output rows [k0, k1) of a plane of `plane_rows` row-band
+//     rows and `width` columns. Rows come from a row source (PlaneRows for a
+//     whole ImageF, a RowAccessor for a tile or a mesh stripe); output row
+//     k lands at row k-out0.
+//
+// Every output element is a fixed function of its own input window, so any
+// range, segment or tile split evaluates the whole-plane expression tree,
+// and therefore the same bits.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -249,14 +261,19 @@ void accumulate_tap(float* __restrict dll, float* __restrict dlh, float* __restr
     }
 }
 
-void convolve_row(std::span<const float> src, const FilterPair& fp, std::span<float> dlo,
-                  std::span<float> dhi, BoundaryMode mode) {
+// ---------------------------------------------------------------------------
+// Convolve: the golden kernel, bit-identical to the unfused
+// convolve_decimate_* reference (same per-coefficient accumulation order).
+// ---------------------------------------------------------------------------
+
+void convolve_row_range(std::span<const float> src, const FilterPair& fp,
+                        std::span<float> dlo, std::span<float> dhi, BoundaryMode mode,
+                        std::size_t k0, std::size_t k1) {
     const std::size_t cols = src.size();
-    const std::size_t half = cols / 2;
     const auto fl = fp.low();
     const auto fh = fp.high();
     const std::size_t taps = fl.size();
-    for (std::size_t k = 0; k < half; ++k) {
+    for (std::size_t k = k0; k < k1; ++k) {
         float acc_lo = 0.0F;
         float acc_hi = 0.0F;
         if (2 * k + taps <= cols) {
@@ -274,33 +291,33 @@ void convolve_row(std::span<const float> src, const FilterPair& fp, std::span<fl
                 acc_hi += fh[n] * src[idx];
             }
         }
-        dlo[k] = acc_lo;
-        dhi[k] = acc_hi;
+        dlo[k - k0] = acc_lo;
+        dhi[k - k0] = acc_hi;
     }
 }
 
-void convolve_cols_range(const ImageF& low_rows, const ImageF& high_rows,
-                         const FilterPair& fp, ImageF& ll, ImageF& lh, ImageF& hl,
-                         ImageF& hh, BoundaryMode mode, std::size_t k0,
-                         std::size_t k1) {
-    const std::size_t rows = low_rows.rows();
-    const std::size_t cols = low_rows.cols();
+template <typename RowSource>
+void convolve_cols_range(const RowSource& low_row, const RowSource& high_row,
+                         std::size_t plane_rows, std::size_t width, const FilterPair& fp,
+                         ImageF& ll, ImageF& lh, ImageF& hl, ImageF& hh,
+                         BoundaryMode mode, std::size_t k0, std::size_t k1,
+                         std::size_t out0) {
     const auto fl = fp.low();
     const auto fh = fp.high();
     const std::size_t taps = fl.size();
     for (std::size_t k = k0; k < k1; ++k) {
-        float* dll = ll.row(k).data();
-        float* dlh = lh.row(k).data();
-        float* dhl = hl.row(k).data();
-        float* dhh = hh.row(k).data();
-        for (std::size_t c0 = 0; c0 < cols; c0 += kColTile) {
-            const std::size_t c1 = std::min(cols, c0 + kColTile);
+        float* dll = ll.row(k - out0).data();
+        float* dlh = lh.row(k - out0).data();
+        float* dhl = hl.row(k - out0).data();
+        float* dhh = hh.row(k - out0).data();
+        for (std::size_t c0 = 0; c0 < width; c0 += kColTile) {
+            const std::size_t c1 = std::min(width, c0 + kColTile);
             for (std::size_t n = 0; n < taps; ++n) {
                 const std::size_t idx = extend_index(
-                    static_cast<std::ptrdiff_t>(2 * k + n), rows, mode);
-                if (idx >= rows) continue;  // ZeroPad sentinel
-                accumulate_tap(dll, dlh, dhl, dhh, low_rows.row(idx).data(),
-                               high_rows.row(idx).data(), fl[n], fh[n], c0, c1);
+                    static_cast<std::ptrdiff_t>(2 * k + n), plane_rows, mode);
+                if (idx >= plane_rows) continue;  // ZeroPad sentinel
+                accumulate_tap(dll, dlh, dhl, dhh, low_row(idx), high_row(idx), fl[n],
+                               fh[n], c0, c1);
             }
         }
     }
@@ -370,51 +387,68 @@ void lift_final(const float* __restrict u, const float* __restrict v, std::size_
     return idx < x.size() ? x[idx] : 0.0F;
 }
 
-// One row (or one column signal) through the full lifting ladder, m >= 2.
-// u/v are caller scratch of at least half + m - 1 floats each.
-void lifting_row(std::span<const float> x, const LiftingPlan& plan,
-                 std::span<float> lo, std::span<float> hi, BoundaryMode mode,
-                 float* __restrict u, float* __restrict v) {
-    const std::size_t n = x.size();
-    const std::size_t half = n / 2;
+// Stage 0 of the row ladder, fused with the polyphase split. Standalone for
+// the same reason as accumulate_tap: GCC drops the alias checks only for
+// __restrict parameters.
+void lift_row_stage0(const float* __restrict x, std::size_t len, float t0,
+                     float* __restrict u, float* __restrict v) {
+    for (std::size_t j = 0; j < len; ++j) {
+        const float a = x[2 * j];
+        const float b = x[2 * j + 1];
+        u[j] = a + t0 * b;
+        v[j] = b - t0 * a;
+    }
+}
+
+// Lifting ladder over the pair window [k0, k1+ext), m >= 2: stage-0 values
+// are seeded from the global signal (direct loads while the pair is in
+// range, ext_sample past the edge), then the shrinking middle stages and
+// the fused final stage run on the segment. Output k reads only pairs
+// k..k+ext, all inside the window, so every intermediate equals its
+// whole-signal counterpart bit for bit. u and v are separate allocations:
+// carving both from one buffer misaligns v, which measured ~7 % slower at
+// 8 taps on a 512-wide plane (x86-64, SSE2).
+void lifting_row_range(std::span<const float> x, const LiftingPlan& plan,
+                       std::span<float> lo, std::span<float> hi, BoundaryMode mode,
+                       std::size_t k0, std::size_t k1) {
+    const std::size_t half = x.size() / 2;
     const std::size_t m = plan.stages();
     const std::size_t ext = m - 1;
+    const std::size_t seg = k1 - k0;
     const float t0 = plan.shear[0];
-    // Stage 0, fused with the polyphase split (and the boundary extension
-    // for the trailing `ext` pairs).
-    {
-        const float* __restrict xs = x.data();
-        for (std::size_t i = 0; i < half; ++i) {
-            const float a = xs[2 * i];
-            const float b = xs[2 * i + 1];
-            u[i] = a + t0 * b;
-            v[i] = b - t0 * a;
-        }
+    thread_local std::vector<float> u_buf;
+    thread_local std::vector<float> v_buf;
+    if (u_buf.size() < seg + ext) {
+        u_buf.resize(seg + ext);
+        v_buf.resize(seg + ext);
     }
-    for (std::size_t j = 0; j < ext; ++j) {
-        const std::size_t i = half + j;
+    float* const u = u_buf.data();
+    float* const v = v_buf.data();
+    const std::size_t direct = std::min(seg + ext, half - std::min(half, k0));
+    lift_row_stage0(x.data() + 2 * k0, direct, t0, u, v);
+    for (std::size_t j = direct; j < seg + ext; ++j) {
+        const std::size_t i = k0 + j;
         const float a = ext_sample(x, static_cast<std::ptrdiff_t>(2 * i), mode);
         const float b = ext_sample(x, static_cast<std::ptrdiff_t>(2 * i + 1), mode);
-        u[i] = a + t0 * b;
-        v[i] = b - t0 * a;
+        u[j] = a + t0 * b;
+        v[j] = b - t0 * a;
     }
-    // Middle stages, in place over the strip.
     for (std::size_t t = 1; t + 1 < m; ++t) {
-        lift_stage(u, v, half + ext - t, plan.shear[t]);
+        lift_stage(u, v, seg + ext - t, plan.shear[t]);
     }
-    // Last stage fused with the output scaling.
-    lift_final(u, v, half, plan.shear[m - 1], plan.scale_lo, plan.scale_hi, lo.data(),
+    lift_final(u, v, seg, plan.shear[m - 1], plan.scale_lo, plan.scale_hi, lo.data(),
                hi.data());
 }
 
 /// Source row of the even (parity == 0) or odd (parity == 1) polyphase
 /// plane at plane index `i`, mapped through the boundary when 2i+parity
 /// falls outside; returns nullptr for a ZeroPad row of zeros.
-[[nodiscard]] const float* polyphase_row(const ImageF& src, std::size_t i, int parity,
-                                         BoundaryMode mode) noexcept {
-    const std::size_t idx = extend_index(
-        static_cast<std::ptrdiff_t>(2 * i) + parity, src.rows(), mode);
-    return idx < src.rows() ? src.row(idx).data() : nullptr;
+template <typename RowSource>
+[[nodiscard]] const float* polyphase_row(const RowSource& row, std::size_t plane_rows,
+                                         std::size_t i, int parity, BoundaryMode mode) {
+    const std::size_t idx =
+        extend_index(static_cast<std::ptrdiff_t>(2 * i) + parity, plane_rows, mode);
+    return idx < plane_rows ? row(idx) : nullptr;
 }
 
 void lift_col_stage0(const float* __restrict e, const float* __restrict o,
@@ -456,178 +490,23 @@ void lift_col_final_roll(const float* __restrict u, const float* __restrict v,
 }
 
 // Column lifting for one source plane over output rows [k0, k1): writes
-// out_lo (low-pass columns) and out_hi (high-pass columns). Outputs are
-// written, not accumulated, and every output row k depends only on source
-// rows 2k .. 2k+taps-1, so any range split reproduces the serial result
-// bit for bit.
-void lifting_cols_plane(const ImageF& src, const LiftingPlan& plan, ImageF& out_lo,
+// out_lo (low-pass columns) and out_hi (high-pass columns) at row k-out0.
+// Outputs are written, not accumulated.
+//
+// Single descending sweep with rolling per-stage state. Iteration li
+// computes stage 0 of polyphase strip li, then advances each middle stage t
+// using v_{t-1}[li+1] stashed in vprev[t-1] by iteration li+1, and emits
+// output row li once every stage is available. All state between the
+// source read and the output write is m+1 rows (~L1), so the pass streams
+// the source once instead of once per stage. Each output element evaluates
+// exactly the expression tree of the naive stage-by-stage ladder, and every
+// column is independent, so any [k0, k1) split or column segment is
+// bit-identical.
+template <typename RowSource>
+void lifting_cols_range(const RowSource& src_row, std::size_t plane_rows,
+                        std::size_t width, const LiftingPlan& plan, ImageF& out_lo,
                         ImageF& out_hi, BoundaryMode mode, std::size_t k0,
-                        std::size_t k1) {
-    // Single descending sweep with rolling per-stage state. Iteration li
-    // computes stage 0 of polyphase strip li, then advances each middle
-    // stage t using v_{t-1}[li+1] stashed in vprev[t-1] by iteration li+1,
-    // and emits output row li once every stage is available. All state
-    // between the source read and the output write is m+1 rows (~L1), so
-    // the pass streams the source once instead of once per stage. Each
-    // output element evaluates exactly the expression tree of the naive
-    // stage-by-stage ladder, so any [k0, k1) split is bit-identical.
-    const std::size_t cols = src.cols();
-    const std::size_t m = plan.stages();
-    const std::size_t ext = m - 1;
-    const std::size_t strips_end = k1 + ext;  // strip rows k0 .. strips_end-1
-    thread_local std::vector<float> scratch;
-    if (scratch.size() < (m + 1) * cols) scratch.resize((m + 1) * cols);
-    float* const uwork = scratch.data() + ext * cols;
-    float* const vwork = uwork + cols;
-    const auto vprev = [&](std::size_t t) { return scratch.data() + t * cols; };
-    std::vector<float> zeros;  // lazily sized; ZeroPad rows only
-    for (std::size_t li = strips_end; li-- > k0;) {
-        const float* e = polyphase_row(src, li, 0, mode);
-        const float* o = polyphase_row(src, li, 1, mode);
-        if (e == nullptr || o == nullptr) {
-            if (zeros.size() != cols) zeros.assign(cols, 0.0F);
-            if (e == nullptr) e = zeros.data();
-            if (o == nullptr) o = zeros.data();
-        }
-        lift_col_stage0(e, o, cols, plan.shear[0], uwork, vwork);
-        std::size_t t = 1;
-        for (; t + 1 < m && li + t < strips_end; ++t) {
-            lift_col_roll(uwork, vwork, vprev(t - 1), cols, plan.shear[t]);
-        }
-        if (li < k1) {
-            lift_col_final_roll(uwork, vwork, vprev(m - 2), cols, plan.shear[m - 1],
-                                plan.scale_lo, plan.scale_hi, out_lo.row(li).data(),
-                                out_hi.row(li).data());
-        } else {
-            // Priming strip (li >= k1): no output yet; seed the deepest
-            // completed stage's v for the next iteration.
-            float* const dst = vprev(t - 1);
-            for (std::size_t c = 0; c < cols; ++c) dst[c] = vwork[c];
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Range/tile variants (ISSUE 9). Each reuses the exact loop bodies above
-// (accumulate_tap, haar_row/haar_col, lift_stage, lift_final, the rolling
-// column kernels), so the per-coefficient float expression trees — and
-// therefore the bits — match the full-plane sweeps.
-// ---------------------------------------------------------------------------
-
-void convolve_row_range(std::span<const float> src, const FilterPair& fp,
-                        std::span<float> dlo, std::span<float> dhi, BoundaryMode mode,
-                        std::size_t k0, std::size_t k1) {
-    const std::size_t cols = src.size();
-    const auto fl = fp.low();
-    const auto fh = fp.high();
-    const std::size_t taps = fl.size();
-    for (std::size_t k = k0; k < k1; ++k) {
-        float acc_lo = 0.0F;
-        float acc_hi = 0.0F;
-        if (2 * k + taps <= cols) {
-            const float* base = src.data() + 2 * k;
-            for (std::size_t n = 0; n < taps; ++n) {
-                acc_lo += fl[n] * base[n];
-                acc_hi += fh[n] * base[n];
-            }
-        } else {
-            for (std::size_t n = 0; n < taps; ++n) {
-                const std::size_t idx =
-                    extend_index(static_cast<std::ptrdiff_t>(2 * k + n), cols, mode);
-                if (idx >= cols) continue;  // ZeroPad outside
-                acc_lo += fl[n] * src[idx];
-                acc_hi += fh[n] * src[idx];
-            }
-        }
-        dlo[k - k0] = acc_lo;
-        dhi[k - k0] = acc_hi;
-    }
-}
-
-// Lifting ladder over the pair window [k0, k1+ext): stage-0 values are
-// seeded from the global signal (direct loads while the pair is in range,
-// ext_sample past the edge — exactly lifting_row's split at i == half),
-// then the shrinking middle stages and the fused final stage run on the
-// segment. Output k reads only pairs k..k+ext, all inside the window, so
-// every intermediate equals its monolithic counterpart bit for bit.
-void lifting_row_range(std::span<const float> x, const LiftingPlan& plan,
-                       std::span<float> lo, std::span<float> hi, BoundaryMode mode,
-                       std::size_t k0, std::size_t k1) {
-    const std::size_t half = x.size() / 2;
-    const std::size_t m = plan.stages();
-    const std::size_t ext = m - 1;
-    const std::size_t seg = k1 - k0;
-    const float t0 = plan.shear[0];
-    thread_local std::vector<float> scratch;
-    if (scratch.size() < 2 * (seg + ext)) scratch.resize(2 * (seg + ext));
-    float* const u = scratch.data();
-    float* const v = u + (seg + ext);
-    const float* __restrict xs = x.data();
-    const std::size_t direct = std::min(seg + ext, half - std::min(half, k0));
-    for (std::size_t j = 0; j < direct; ++j) {
-        const std::size_t i = k0 + j;
-        const float a = xs[2 * i];
-        const float b = xs[2 * i + 1];
-        u[j] = a + t0 * b;
-        v[j] = b - t0 * a;
-    }
-    for (std::size_t j = direct; j < seg + ext; ++j) {
-        const std::size_t i = k0 + j;
-        const float a = ext_sample(x, static_cast<std::ptrdiff_t>(2 * i), mode);
-        const float b = ext_sample(x, static_cast<std::ptrdiff_t>(2 * i + 1), mode);
-        u[j] = a + t0 * b;
-        v[j] = b - t0 * a;
-    }
-    for (std::size_t t = 1; t + 1 < m; ++t) {
-        lift_stage(u, v, seg + ext - t, plan.shear[t]);
-    }
-    lift_final(u, v, seg, plan.shear[m - 1], plan.scale_lo, plan.scale_hi, lo.data(),
-               hi.data());
-}
-
-void convolve_cols_tile(const RowAccessor& low_row, const RowAccessor& high_row,
-                        std::size_t plane_rows, std::size_t width,
-                        const FilterPair& fp, ImageF& ll, ImageF& lh, ImageF& hl,
-                        ImageF& hh, BoundaryMode mode, std::size_t k0,
-                        std::size_t k1) {
-    const auto fl = fp.low();
-    const auto fh = fp.high();
-    const std::size_t taps = fl.size();
-    for (std::size_t k = k0; k < k1; ++k) {
-        float* dll = ll.row(k - k0).data();
-        float* dlh = lh.row(k - k0).data();
-        float* dhl = hl.row(k - k0).data();
-        float* dhh = hh.row(k - k0).data();
-        for (std::size_t c0 = 0; c0 < width; c0 += kColTile) {
-            const std::size_t c1 = std::min(width, c0 + kColTile);
-            for (std::size_t n = 0; n < taps; ++n) {
-                const std::size_t idx = extend_index(
-                    static_cast<std::ptrdiff_t>(2 * k + n), plane_rows, mode);
-                if (idx >= plane_rows) continue;  // ZeroPad sentinel
-                accumulate_tap(dll, dlh, dhl, dhh, low_row(idx), high_row(idx), fl[n],
-                               fh[n], c0, c1);
-            }
-        }
-    }
-}
-
-/// Accessor-backed polyphase row (the tile twin of polyphase_row).
-[[nodiscard]] const float* tile_polyphase_row(const RowAccessor& row,
-                                              std::size_t plane_rows, std::size_t i,
-                                              int parity, BoundaryMode mode) {
-    const std::size_t idx =
-        extend_index(static_cast<std::ptrdiff_t>(2 * i) + parity, plane_rows, mode);
-    return idx < plane_rows ? row(idx) : nullptr;
-}
-
-// Accessor-backed twin of lifting_cols_plane: the same descending rolling
-// sweep over polyphase strips, restricted to a `width`-column segment and
-// writing outputs at local row li - k0. Every column is independent, so
-// restricting the width changes nothing per element.
-void lifting_cols_tile(const RowAccessor& src_row, std::size_t plane_rows,
-                       std::size_t width, const LiftingPlan& plan, ImageF& out_lo,
-                       ImageF& out_hi, BoundaryMode mode, std::size_t k0,
-                       std::size_t k1) {
+                        std::size_t k1, std::size_t out0) {
     const std::size_t m = plan.stages();
     const std::size_t ext = m - 1;
     const std::size_t strips_end = k1 + ext;  // strip rows k0 .. strips_end-1
@@ -638,8 +517,8 @@ void lifting_cols_tile(const RowAccessor& src_row, std::size_t plane_rows,
     const auto vprev = [&](std::size_t t) { return scratch.data() + t * width; };
     std::vector<float> zeros;  // lazily sized; ZeroPad rows only
     for (std::size_t li = strips_end; li-- > k0;) {
-        const float* e = tile_polyphase_row(src_row, plane_rows, li, 0, mode);
-        const float* o = tile_polyphase_row(src_row, plane_rows, li, 1, mode);
+        const float* e = polyphase_row(src_row, plane_rows, li, 0, mode);
+        const float* o = polyphase_row(src_row, plane_rows, li, 1, mode);
         if (e == nullptr || o == nullptr) {
             if (zeros.size() != width) zeros.assign(width, 0.0F);
             if (e == nullptr) e = zeros.data();
@@ -653,41 +532,105 @@ void lifting_cols_tile(const RowAccessor& src_row, std::size_t plane_rows,
         if (li < k1) {
             lift_col_final_roll(uwork, vwork, vprev(m - 2), width, plan.shear[m - 1],
                                 plan.scale_lo, plan.scale_hi,
-                                out_lo.row(li - k0).data(), out_hi.row(li - k0).data());
+                                out_lo.row(li - out0).data(),
+                                out_hi.row(li - out0).data());
         } else {
+            // Priming strip (li >= k1): no output yet; seed the deepest
+            // completed stage's v for the next iteration.
             float* const dst = vprev(t - 1);
             for (std::size_t c = 0; c < width; ++c) dst[c] = vwork[c];
         }
     }
 }
 
-}  // namespace
+// ---------------------------------------------------------------------------
+// The one kernel dispatch, and the two passes every entry point runs.
+// ---------------------------------------------------------------------------
 
-void analyze_1d(std::span<const float> x, const FilterPair& fp, std::span<float> lo,
-                std::span<float> hi, BoundaryMode mode, DwtKernel kernel) {
-    require_even(x.size(), "signal length");
-    const std::size_t half = x.size() / 2;
-    if (lo.size() != half || hi.size() != half) {
-        throw std::invalid_argument("analyze_1d: band size must be n/2");
-    }
+// The loop body a call runs, picked once per call: Auto resolves through
+// the process default, Lifting on a two-tap bank runs the exact Haar
+// butterfly, and Lifting without a verified plan falls back to Convolve.
+struct Body {
+    enum class Kind : std::uint8_t { Convolve, Haar, Lifting };
+    Kind kind = Kind::Convolve;
+    LiftingPlan plan;  ///< valid when kind == Lifting
+};
+
+[[nodiscard]] Body pick_body(const FilterPair& fp, DwtKernel kernel) {
+    Body body;
     if (kernel == DwtKernel::Auto) kernel = default_dwt_kernel();
-    if (kernel == DwtKernel::Lifting) {
-        const auto fl = fp.low();
-        const auto fh = fp.high();
-        if (fl.size() == 2) {
-            haar_row(x.data(), half, fl[0], fl[1], fh[0], fh[1], lo.data(), hi.data());
-            return;
-        }
-        const LiftingPlan plan = build_lifting_plan(fp);
-        if (plan.valid) {
-            std::vector<float> u(half + plan.stages() - 1);
-            std::vector<float> v(half + plan.stages() - 1);
-            lifting_row(x, plan, lo, hi, mode, u.data(), v.data());
-            return;
-        }
+    if (kernel != DwtKernel::Lifting) return body;
+    if (fp.low().size() == 2) {
+        body.kind = Body::Kind::Haar;
+        return body;
     }
-    convolve_row(x, fp, lo, hi, mode);
+    body.plan = build_lifting_plan(fp);
+    if (body.plan.valid) body.kind = Body::Kind::Lifting;
+    return body;
 }
+
+void row_pass(const Body& body, std::span<const float> x, const FilterPair& fp,
+              std::span<float> lo, std::span<float> hi, BoundaryMode mode, std::size_t k0,
+              std::size_t k1) {
+    switch (body.kind) {
+        case Body::Kind::Haar: {
+            // Haar windows never reach the boundary: x + 2*k0 re-bases the
+            // same in-range loads.
+            const auto fl = fp.low();
+            const auto fh = fp.high();
+            haar_row(x.data() + 2 * k0, k1 - k0, fl[0], fl[1], fh[0], fh[1], lo.data(),
+                     hi.data());
+            return;
+        }
+        case Body::Kind::Lifting:
+            lifting_row_range(x, body.plan, lo, hi, mode, k0, k1);
+            return;
+        case Body::Kind::Convolve:
+            convolve_row_range(x, fp, lo, hi, mode, k0, k1);
+            return;
+    }
+}
+
+template <typename RowSource>
+void col_pass(const Body& body, const RowSource& low_row, const RowSource& high_row,
+              std::size_t plane_rows, std::size_t width, const FilterPair& fp, ImageF& ll,
+              ImageF& lh, ImageF& hl, ImageF& hh, BoundaryMode mode, std::size_t k0,
+              std::size_t k1, std::size_t out0) {
+    switch (body.kind) {
+        case Body::Kind::Haar: {
+            const auto fl = fp.low();
+            const auto fh = fp.high();
+            for (std::size_t k = k0; k < k1; ++k) {
+                haar_col(low_row(2 * k), low_row(2 * k + 1), width, fl[0], fl[1], fh[0],
+                         fh[1], ll.row(k - out0).data(), lh.row(k - out0).data());
+                haar_col(high_row(2 * k), high_row(2 * k + 1), width, fl[0], fl[1],
+                         fh[0], fh[1], hl.row(k - out0).data(), hh.row(k - out0).data());
+            }
+            return;
+        }
+        case Body::Kind::Lifting:
+            lifting_cols_range(low_row, plane_rows, width, body.plan, ll, lh, mode, k0,
+                               k1, out0);
+            lifting_cols_range(high_row, plane_rows, width, body.plan, hl, hh, mode, k0,
+                               k1, out0);
+            return;
+        case Body::Kind::Convolve:
+            convolve_cols_range(low_row, high_row, plane_rows, width, fp, ll, lh, hl, hh,
+                                mode, k0, k1, out0);
+            return;
+    }
+}
+
+/// Row source over a whole plane: a direct row lookup the compiler inlines
+/// (the tile API's RowAccessor costs a std::function call per row).
+struct PlaneRows {
+    const ImageF& img;
+    [[nodiscard]] const float* operator()(std::size_t r) const noexcept {
+        return img.row(r).data();
+    }
+};
+
+}  // namespace
 
 void analyze_rows_range(const ImageF& in, const FilterPair& fp, ImageF& lo, ImageF& hi,
                         BoundaryMode mode, DwtKernel kernel, std::size_t r0,
@@ -698,30 +641,12 @@ void analyze_rows_range(const ImageF& in, const FilterPair& fp, ImageF& lo, Imag
         hi.cols() != half) {
         throw std::invalid_argument("analyze_rows_range: bad band shape");
     }
-    if (kernel == DwtKernel::Auto) kernel = default_dwt_kernel();
-    if (kernel == DwtKernel::Lifting) {
-        const auto fl = fp.low();
-        const auto fh = fp.high();
-        if (fl.size() == 2) {
-            for (std::size_t r = r0; r < r1; ++r) {
-                haar_row(in.row(r).data(), half, fl[0], fl[1], fh[0], fh[1],
-                         lo.row(r).data(), hi.row(r).data());
-            }
-            return;
-        }
-        const LiftingPlan plan = build_lifting_plan(fp);
-        if (plan.valid) {
-            std::vector<float> u(half + plan.stages() - 1);
-            std::vector<float> v(half + plan.stages() - 1);
-            for (std::size_t r = r0; r < r1; ++r) {
-                lifting_row(in.row(r), plan, lo.row(r), hi.row(r), mode, u.data(),
-                            v.data());
-            }
-            return;
-        }
+    if (r0 > r1 || r1 > in.rows()) {
+        throw std::invalid_argument("analyze_rows_range: bad row range");
     }
+    const Body body = pick_body(fp, kernel);
     for (std::size_t r = r0; r < r1; ++r) {
-        convolve_row(in.row(r), fp, lo.row(r), hi.row(r), mode);
+        row_pass(body, in.row(r), fp, lo.row(r), hi.row(r), mode, 0, half);
     }
 }
 
@@ -740,54 +665,11 @@ void analyze_cols_range(const ImageF& low_rows, const ImageF& high_rows,
             throw std::invalid_argument("analyze_cols_range: bad output shape");
         }
     }
-    if (kernel == DwtKernel::Auto) kernel = default_dwt_kernel();
-    if (kernel == DwtKernel::Lifting) {
-        const auto fl = fp.low();
-        const auto fh = fp.high();
-        if (fl.size() == 2) {
-            for (std::size_t k = k0; k < k1; ++k) {
-                const float* le = low_rows.row(2 * k).data();
-                const float* lodd = low_rows.row(2 * k + 1).data();
-                const float* he = high_rows.row(2 * k).data();
-                const float* hodd = high_rows.row(2 * k + 1).data();
-                haar_col(le, lodd, cols, fl[0], fl[1], fh[0], fh[1], ll.row(k).data(),
-                         lh.row(k).data());
-                haar_col(he, hodd, cols, fl[0], fl[1], fh[0], fh[1], hl.row(k).data(),
-                         hh.row(k).data());
-            }
-            return;
-        }
-        const LiftingPlan plan = build_lifting_plan(fp);
-        if (plan.valid) {
-            lifting_cols_plane(low_rows, plan, ll, lh, mode, k0, k1);
-            lifting_cols_plane(high_rows, plan, hl, hh, mode, k0, k1);
-            return;
-        }
+    if (k0 > k1 || k1 > half) {
+        throw std::invalid_argument("analyze_cols_range: bad output range");
     }
-    convolve_cols_range(low_rows, high_rows, fp, ll, lh, hl, hh, mode, k0, k1);
-}
-
-void analyze_cols_ext_range(const ImageF& low_ext, const ImageF& high_ext,
-                            const FilterPair& fp, ImageF& ll, ImageF& lh, ImageF& hl,
-                            ImageF& hh, std::size_t k0, std::size_t k1) {
-    const std::size_t cols = low_ext.cols();
-    const auto fl = fp.low();
-    const auto fh = fp.high();
-    const std::size_t taps = fl.size();
-    for (std::size_t k = k0; k < k1; ++k) {
-        float* dll = ll.row(k).data();
-        float* dlh = lh.row(k).data();
-        float* dhl = hl.row(k).data();
-        float* dhh = hh.row(k).data();
-        for (std::size_t c0 = 0; c0 < cols; c0 += kColTile) {
-            const std::size_t c1 = std::min(cols, c0 + kColTile);
-            for (std::size_t n = 0; n < taps; ++n) {
-                const std::size_t src_row = 2 * k + n;  // pre-extended: no mapping
-                accumulate_tap(dll, dlh, dhl, dhh, low_ext.row(src_row).data(),
-                               high_ext.row(src_row).data(), fl[n], fh[n], c0, c1);
-            }
-        }
-    }
+    col_pass(pick_body(fp, kernel), PlaneRows{low_rows}, PlaneRows{high_rows},
+             low_rows.rows(), cols, fp, ll, lh, hl, hh, mode, k0, k1, 0);
 }
 
 void analyze_1d_range(std::span<const float> x, const FilterPair& fp,
@@ -802,24 +684,7 @@ void analyze_1d_range(std::span<const float> x, const FilterPair& fp,
         throw std::invalid_argument("analyze_1d_range: band size must be k1-k0");
     }
     if (k0 == k1) return;
-    if (kernel == DwtKernel::Auto) kernel = default_dwt_kernel();
-    if (kernel == DwtKernel::Lifting) {
-        const auto fl = fp.low();
-        const auto fh = fp.high();
-        if (fl.size() == 2) {
-            // Haar windows never reach the boundary: x + 2*k0 re-bases the
-            // same in-range loads.
-            haar_row(x.data() + 2 * k0, k1 - k0, fl[0], fl[1], fh[0], fh[1], lo.data(),
-                     hi.data());
-            return;
-        }
-        const LiftingPlan plan = build_lifting_plan(fp);
-        if (plan.valid) {
-            lifting_row_range(x, plan, lo, hi, mode, k0, k1);
-            return;
-        }
-    }
-    convolve_row_range(x, fp, lo, hi, mode, k0, k1);
+    row_pass(pick_body(fp, kernel), x, fp, lo, hi, mode, k0, k1);
 }
 
 void analyze_cols_tile(const RowAccessor& low_row, const RowAccessor& high_row,
@@ -838,28 +703,8 @@ void analyze_cols_tile(const RowAccessor& low_row, const RowAccessor& high_row,
         }
     }
     if (k0 == k1) return;
-    if (kernel == DwtKernel::Auto) kernel = default_dwt_kernel();
-    if (kernel == DwtKernel::Lifting) {
-        const auto fl = fp.low();
-        const auto fh = fp.high();
-        if (fl.size() == 2) {
-            for (std::size_t k = k0; k < k1; ++k) {
-                haar_col(low_row(2 * k), low_row(2 * k + 1), width, fl[0], fl[1],
-                         fh[0], fh[1], ll.row(k - k0).data(), lh.row(k - k0).data());
-                haar_col(high_row(2 * k), high_row(2 * k + 1), width, fl[0], fl[1],
-                         fh[0], fh[1], hl.row(k - k0).data(), hh.row(k - k0).data());
-            }
-            return;
-        }
-        const LiftingPlan plan = build_lifting_plan(fp);
-        if (plan.valid) {
-            lifting_cols_tile(low_row, plane_rows, width, plan, ll, lh, mode, k0, k1);
-            lifting_cols_tile(high_row, plane_rows, width, plan, hl, hh, mode, k0, k1);
-            return;
-        }
-    }
-    convolve_cols_tile(low_row, high_row, plane_rows, width, fp, ll, lh, hl, hh, mode,
-                       k0, k1);
+    col_pass(pick_body(fp, kernel), low_row, high_row, plane_rows, width, fp, ll, lh,
+             hl, hh, mode, k0, k1, k0);
 }
 
 void analyze_level(const ImageF& in, const FilterPair& fp, ImageF& ll, ImageF& lh,

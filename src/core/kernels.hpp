@@ -106,55 +106,46 @@ struct LiftingPlan {
 
 // ---------------------------------------------------------------------------
 // Analysis entry points. `kernel` must be a *resolved* kernel
-// (resolve_dwt_kernel); passing Auto resolves internally.
+// (resolve_dwt_kernel); passing Auto resolves internally. Each entry point
+// checks its shapes and range (std::invalid_argument), picks the kernel once
+// and runs the layer's single loop body for that kernel and pass, so the
+// whole-plane sweeps and the tile-local calls below execute the same code.
 // ---------------------------------------------------------------------------
 
-/// Fused 1-D analysis of one signal: both decimated bands in one pass.
-/// lo/hi must have size x.size()/2. Bit-identical to two
-/// convolve_decimate_1d calls for the Convolve kernel.
-void analyze_1d(std::span<const float> x, const FilterPair& fp, std::span<float> lo,
-                std::span<float> hi, BoundaryMode mode,
-                DwtKernel kernel = DwtKernel::Auto);
-
-/// Fused row analysis over rows [r0, r1): each input row is read once and
-/// produces its low- and high-pass decimated rows together. lo/hi must be
-/// (in.rows(), in.cols()/2). Threads backend parallelizes by row range;
-/// serial passes [0, rows).
+/// Fused row analysis over rows [r0, r1), r0 <= r1 <= in.rows(): each input
+/// row is read once and produces its low- and high-pass decimated rows
+/// together. lo/hi must be (in.rows(), in.cols()/2). Threads backend
+/// parallelizes by row range; serial passes [0, rows).
 void analyze_rows_range(const ImageF& in, const FilterPair& fp, ImageF& lo, ImageF& hi,
                         BoundaryMode mode, DwtKernel kernel, std::size_t r0,
                         std::size_t r1);
 
-/// Fused column analysis over output rows [k0, k1): one sweep over the two
-/// row-band intermediates produces all four subbands. Outputs must be
-/// (rows/2, cols); freshly constructed (zero) rows are assumed for the
-/// Convolve accumulation path.
+/// Fused column analysis over output rows [k0, k1), k0 <= k1 <= rows/2: one
+/// sweep over the two row-band intermediates produces all four subbands.
+/// Outputs must be (rows/2, cols); freshly constructed (zero) rows are
+/// assumed for the Convolve accumulation path.
 void analyze_cols_range(const ImageF& low_rows, const ImageF& high_rows,
                         const FilterPair& fp, ImageF& ll, ImageF& lh, ImageF& hl,
                         ImageF& hh, BoundaryMode mode, DwtKernel kernel,
                         std::size_t k0, std::size_t k1);
 
-/// Column analysis over *pre-extended* stripes (the mesh backend gathers
-/// its guard rows explicitly, so row indices 2k+n are used verbatim with
-/// no boundary mapping). Output row k reads extended rows 2k..2k+taps-1.
-void analyze_cols_ext_range(const ImageF& low_ext, const ImageF& high_ext,
-                            const FilterPair& fp, ImageF& ll, ImageF& lh, ImageF& hl,
-                            ImageF& hh, std::size_t k0, std::size_t k1);
-
 // ---------------------------------------------------------------------------
-// Tile-local analysis (the streaming tile driver, src/tile). The driver
-// keeps only a sliding window of each level resident, so these entry
-// points address the *global* signal/plane geometry while reading and
-// writing tile-local storage. Both are bit-identical per coefficient to
-// the full-plane sweeps above for every kernel: convolve computes each
-// output independently, and the lifting ladder only ever reads pair
-// indices to the RIGHT of an output (output k depends on polyphase pairs
-// k .. k+stages-1), so a segment primed with stage-0 values for that
-// window reproduces the monolithic expression tree exactly.
+// Tile-local analysis (the streaming tile driver, src/tile, and the mesh
+// backends' pre-extended stripes). These entry points address the *global*
+// signal/plane geometry while reading and writing local storage. They are
+// not twins of the whole-plane sweeps: they run the same bodies, a whole
+// plane being the range [0, rows/2). Convolve computes each output
+// independently, and the lifting ladder only ever reads pair indices to the
+// RIGHT of an output (output k depends on polyphase pairs k .. k+stages-1),
+// so a segment primed with stage-0 values for that window reproduces the
+// whole-plane expression tree exactly.
 // ---------------------------------------------------------------------------
 
 /// Fused 1-D analysis restricted to output range [k0, k1) of the FULL
 /// signal `x`. lo/hi receive k1-k0 values (output k lands at lo[k-k0]);
 /// boundary extension is applied at the true signal edges, never at k0/k1.
+/// The whole signal is [0, x.size()/2), bit-identical to two
+/// convolve_decimate_1d calls for the Convolve kernel.
 void analyze_1d_range(std::span<const float> x, const FilterPair& fp,
                       std::span<float> lo, std::span<float> hi, BoundaryMode mode,
                       DwtKernel kernel, std::size_t k0, std::size_t k1);
@@ -162,7 +153,7 @@ void analyze_1d_range(std::span<const float> x, const FilterPair& fp,
 /// Maps an in-range global row-band row index (boundary mapping has
 /// already been applied, so the argument is always < plane_rows) to the
 /// storage of that row's column segment. The tile driver backs this with
-/// its ring buffer; tests back it with a plain ImageF.
+/// its ring buffer; the mesh backends and tests back it with a plain ImageF.
 using RowAccessor = std::function<const float*(std::size_t)>;
 
 /// Fused column analysis of one tile: output rows [k0, k1) of a plane

@@ -857,12 +857,13 @@ ClusterCounters ShardCluster::counters() const {
 
 WireStats ShardCluster::wire_stats() const { return transport_.stats(); }
 
-MetricsSnapshot ShardCluster::fleet_metrics() const {
+template <typename Stats, typename Read>
+Stats ShardCluster::merge_fleet(const Stats& retired, Read read) const {
     std::vector<std::shared_ptr<PyramidService>> live;
-    MetricsSnapshot fleet;
+    Stats fleet;
     {
         std::lock_guard lk(mu_);
-        fleet = retired_;
+        fleet = retired;
     }
     {
         std::lock_guard nk(nodes_mu_);
@@ -870,42 +871,22 @@ MetricsSnapshot ShardCluster::fleet_metrics() const {
             if (node.service) live.push_back(node.service);
         }
     }
-    for (const auto& svc : live) fleet.merge(svc->metrics());
+    for (const auto& svc : live) fleet.merge(read(*svc));
     return fleet;
+}
+
+MetricsSnapshot ShardCluster::fleet_metrics() const {
+    return merge_fleet(retired_, [](const PyramidService& s) { return s.metrics(); });
 }
 
 CacheStats ShardCluster::fleet_cache_stats() const {
-    std::vector<std::shared_ptr<PyramidService>> live;
-    CacheStats fleet;
-    {
-        std::lock_guard lk(mu_);
-        fleet = retired_cache_;
-    }
-    {
-        std::lock_guard nk(nodes_mu_);
-        for (const Node& node : nodes_) {
-            if (node.service) live.push_back(node.service);
-        }
-    }
-    for (const auto& svc : live) fleet.merge(svc->cache_stats());
-    return fleet;
+    return merge_fleet(retired_cache_,
+                       [](const PyramidService& s) { return s.cache_stats(); });
 }
 
 ArenaStats ShardCluster::fleet_arena_stats() const {
-    std::vector<std::shared_ptr<PyramidService>> live;
-    ArenaStats fleet;
-    {
-        std::lock_guard lk(mu_);
-        fleet = retired_arena_;
-    }
-    {
-        std::lock_guard nk(nodes_mu_);
-        for (const Node& node : nodes_) {
-            if (node.service) live.push_back(node.service);
-        }
-    }
-    for (const auto& svc : live) fleet.merge(svc->arena_stats());
-    return fleet;
+    return merge_fleet(retired_arena_,
+                       [](const PyramidService& s) { return s.arena_stats(); });
 }
 
 void ShardCluster::shutdown() {

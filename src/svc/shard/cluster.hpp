@@ -333,6 +333,11 @@ private:
     void revive_locked(ShardId shard);
     void apply_due_actions(std::unique_lock<std::mutex>& lk, double now);
     void drain_and_retire(std::vector<std::shared_ptr<PyramidService>>& drains);
+    /// The fleet view behind fleet_metrics/fleet_cache_stats/
+    /// fleet_arena_stats: `retired` (read under mu_) merged with
+    /// `read(service)` of every live shard.
+    template <typename Stats, typename Read>
+    [[nodiscard]] Stats merge_fleet(const Stats& retired, Read read) const;
     void absorb_transitions_locked();
     void sync_reachability(ShardId shard);
     void monitor_loop();

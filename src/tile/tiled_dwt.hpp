@@ -19,9 +19,10 @@
 // horizontal halo is the neighbouring pixels of the shared scanline);
 // column transforms run per tile through core::analyze_cols_tile with a
 // RowAccessor that resolves global row indices against ring/head storage
-// (the vertical halo). Both entry points reproduce the monolithic kernels'
-// expression trees exactly, so the whole pyramid — interior AND edges —
-// is bit-identical to core::decompose for every kernel and boundary mode.
+// (the vertical halo). Both entry points run the kernel layer's one row and
+// one column body — the code core::decompose runs over whole planes — so
+// the whole pyramid, interior AND edges, is bit-identical to
+// core::decompose for every kernel and boundary mode.
 //
 // Resident memory is the TilePlan reservation set: independent of the
 // image height, which is what makes images >> RAM streamable.

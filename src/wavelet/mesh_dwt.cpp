@@ -42,11 +42,20 @@ void row_pass(const core::ImageF& in, const core::FilterPair& fp,
 
 void col_pass(const core::ImageF& low_ext, const core::ImageF& high_ext,
               const core::FilterPair& fp, core::ImageF& ll, core::DetailBands& bands) {
-    // Output row k (stripe-local) reads extended rows 2k .. 2k+taps-1; the
-    // outputs are freshly constructed (zero) stripes, as the fused convolve
-    // accumulation requires.
-    core::analyze_cols_ext_range(low_ext, high_ext, fp, ll, bands.lh, bands.hl,
-                                 bands.hh, 0, ll.rows());
+    // Output row k (stripe-local) reads extended rows 2k .. 2k+taps-1, all
+    // inside the stripe, so the boundary mapping is the identity and the mode
+    // passed is immaterial. The outputs are freshly constructed (zero)
+    // stripes, as the convolve accumulation requires; like row_pass, the
+    // kernel is pinned to convolve.
+    const core::RowAccessor low = [&low_ext](std::size_t r) {
+        return low_ext.row(r).data();
+    };
+    const core::RowAccessor high = [&high_ext](std::size_t r) {
+        return high_ext.row(r).data();
+    };
+    core::analyze_cols_tile(low, high, low_ext.rows(), low_ext.cols(), fp, ll, bands.lh,
+                            bands.hl, bands.hh, core::BoundaryMode::ZeroPad,
+                            core::DwtKernel::Convolve, 0, ll.rows());
 }
 
 std::vector<float> pack_guard(const core::ImageF& low_rows, const core::ImageF& high_rows,

@@ -73,8 +73,8 @@ void row_pass(const core::ImageF& in, const core::FilterPair& fp,
 
 /// Column-pass the extended (stripe + guard rows) band images into the four
 /// pre-sized subband stripes; output extents are taken from `ll`. Shared by
-/// the plain and resilient decompositions so their arithmetic — and thus
-/// their coefficients — are identical bit for bit.
+/// the plain, resilient and block decompositions so their arithmetic — and
+/// thus their coefficients — are identical bit for bit.
 void col_pass(const core::ImageF& low_ext, const core::ImageF& high_ext,
               const core::FilterPair& fp, core::ImageF& ll,
               core::DetailBands& bands);

@@ -3,7 +3,7 @@
 #include <functional>
 #include <map>
 
-#include "core/convolve.hpp"
+#include "core/kernels.hpp"
 
 namespace wavehpc::wavelet {
 
@@ -180,19 +180,12 @@ MeshDwtResult block_decompose(mesh::Machine& machine, const core::ImageF& img,
             const std::size_t half_w = w / 2;
             core::ImageF low_rows(h, half_w);
             core::ImageF high_rows(h, half_w);
+            // Output column j reads extended columns 2j .. 2j+taps-1, all
+            // inside the tile, so the boundary mapping is the identity.
             for (std::size_t r = 0; r < h; ++r) {
-                auto in = ext_in.row(r);
-                for (std::size_t j = 0; j < half_w; ++j) {
-                    float lo = 0.0F;
-                    float hi = 0.0F;
-                    for (int n = 0; n < taps; ++n) {
-                        const float v = in[2 * j + static_cast<std::size_t>(n)];
-                        lo += fp.low()[static_cast<std::size_t>(n)] * v;
-                        hi += fp.high()[static_cast<std::size_t>(n)] * v;
-                    }
-                    low_rows(r, j) = lo;
-                    high_rows(r, j) = hi;
-                }
+                core::analyze_1d_range(ext_in.row(r), fp, low_rows.row(r),
+                                       high_rows.row(r), cfg.mode,
+                                       core::DwtKernel::Convolve, 0, half_w);
             }
             const std::size_t row_outputs = 2 * h * half_w;
             ctx.compute(compute_model.seconds(row_outputs,
@@ -227,22 +220,7 @@ MeshDwtResult block_decompose(mesh::Machine& machine, const core::ImageF& img,
             bands.lh = core::ImageF(out_h, half_w);
             bands.hl = core::ImageF(out_h, half_w);
             bands.hh = core::ImageF(out_h, half_w);
-            const auto col_filter = [&](const core::ImageF& ext,
-                                        std::span<const float> f, core::ImageF& out) {
-                for (std::size_t k = 0; k < out_h; ++k) {
-                    auto dst = out.row(k);
-                    for (auto& v : dst) v = 0.0F;
-                    for (int n = 0; n < taps; ++n) {
-                        const float wgt = f[static_cast<std::size_t>(n)];
-                        const auto src = ext.row(2 * k + static_cast<std::size_t>(n));
-                        for (std::size_t c = 0; c < half_w; ++c) dst[c] += wgt * src[c];
-                    }
-                }
-            };
-            col_filter(low_ext, fp.low(), ll);
-            col_filter(low_ext, fp.high(), bands.lh);
-            col_filter(high_ext, fp.low(), bands.hl);
-            col_filter(high_ext, fp.high(), bands.hh);
+            detail::col_pass(low_ext, high_ext, fp, ll, bands);
             const std::size_t col_outputs = 4 * out_h * half_w;
             ctx.compute(compute_model.seconds(
                 col_outputs, col_outputs * static_cast<std::size_t>(taps)));

@@ -4,8 +4,11 @@
 
 #include <cmath>
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include "core/filters.hpp"
+#include "core/kernels.hpp"
 
 namespace {
 
@@ -156,9 +159,45 @@ TEST_P(RowsColsAgainst1d, ColumnFilteringMatches1dPerColumn) {
     }
 }
 
+TEST_P(RowsColsAgainst1d, FusedConvolvePassesMatchTheOracleBitForBit) {
+    // The kernel layer's fused Convolve passes (both row bands per sweep,
+    // all four subbands per column sweep) against the unfused reference,
+    // including planes with fewer rows or columns than taps.
+    const auto [taps, mode] = GetParam();
+    const FilterPair fp = FilterPair::daubechies(taps);
+    const std::pair<std::size_t, std::size_t> shapes[] = {
+        {2, 2}, {2, 6}, {6, 2}, {4, 6}, {6, 4}, {8, 16}, {16, 8}, {30, 2}, {64, 96}};
+    for (const auto& [rows, cols] : shapes) {
+        const std::string shape = std::to_string(rows) + "x" + std::to_string(cols);
+        const ImageF img = random_image(rows, cols, rows * 131 + cols);
+        ImageF lo(rows, cols / 2), hi(rows, cols / 2);
+        wavehpc::core::analyze_rows_range(img, fp, lo, hi, mode,
+                                          wavehpc::core::DwtKernel::Convolve, 0, rows);
+        ImageF want;
+        wavehpc::core::convolve_decimate_rows(img, fp.low(), want, mode);
+        EXPECT_EQ(lo, want) << shape;
+        wavehpc::core::convolve_decimate_rows(img, fp.high(), want, mode);
+        EXPECT_EQ(hi, want) << shape;
+
+        ImageF ll(rows / 2, cols / 2), lh(rows / 2, cols / 2), hl(rows / 2, cols / 2),
+            hh(rows / 2, cols / 2);
+        wavehpc::core::analyze_cols_range(lo, hi, fp, ll, lh, hl, hh, mode,
+                                          wavehpc::core::DwtKernel::Convolve, 0,
+                                          rows / 2);
+        wavehpc::core::convolve_decimate_cols(lo, fp.low(), want, mode);
+        EXPECT_EQ(ll, want) << shape;
+        wavehpc::core::convolve_decimate_cols(lo, fp.high(), want, mode);
+        EXPECT_EQ(lh, want) << shape;
+        wavehpc::core::convolve_decimate_cols(hi, fp.low(), want, mode);
+        EXPECT_EQ(hl, want) << shape;
+        wavehpc::core::convolve_decimate_cols(hi, fp.high(), want, mode);
+        EXPECT_EQ(hh, want) << shape;
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     TapsAndModes, RowsColsAgainst1d,
-    ::testing::Combine(::testing::Values(2, 4, 8),
+    ::testing::Combine(::testing::Values(2, 4, 6, 8),
                        ::testing::Values(BoundaryMode::Periodic,
                                          BoundaryMode::Symmetric,
                                          BoundaryMode::ZeroPad)));

@@ -220,7 +220,7 @@ TEST(LiftingKernel, OneDimensionalAgreesWithDecimate1d) {
     for (const auto mode : kModes) {
         wavehpc::core::convolve_decimate_1d(x, fp.low(), rlo, mode);
         wavehpc::core::convolve_decimate_1d(x, fp.high(), rhi, mode);
-        wavehpc::core::analyze_1d(x, fp, lo, hi, mode, DwtKernel::Lifting);
+        wavehpc::core::analyze_1d_range(x, fp, lo, hi, mode, DwtKernel::Lifting, 0, 64);
         for (std::size_t k = 0; k < 64; ++k) {
             EXPECT_NEAR(lo[k], rlo[k], 1e-3F) << "mode " << int(mode);
             EXPECT_NEAR(hi[k], rhi[k], 1e-3F) << "mode " << int(mode);
@@ -260,6 +260,35 @@ TEST(LiftingKernel, EnvKnobReachesDecompose) {
     const double dev = max_abs_diff(convolve.approx, lifting.approx);
     EXPECT_GT(dev, 0.0);    // a different kernel ran...
     EXPECT_LT(dev, 1e-3);   // ...computing the same transform
+}
+
+// ------------------------------------------------------ entry-point ranges
+
+TEST(AnalysisRange, PlaneSweepsRejectRangesOutsideThePlane) {
+    // ImageF::row() is unchecked, so a bad range would read and write out of
+    // bounds; the whole-plane sweeps reject it as the tile entry points do.
+    const FilterPair fp = FilterPair::daubechies(4);
+    const ImageF img = scene(8, 8, 1);
+    const auto mode = BoundaryMode::Periodic;
+    ImageF lo(8, 4), hi(8, 4);
+    EXPECT_THROW(wavehpc::core::analyze_rows_range(img, fp, lo, hi, mode,
+                                                   DwtKernel::Convolve, 5, 4),
+                 std::invalid_argument);
+    EXPECT_THROW(wavehpc::core::analyze_rows_range(img, fp, lo, hi, mode,
+                                                   DwtKernel::Convolve, 0, 9),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(wavehpc::core::analyze_rows_range(img, fp, lo, hi, mode,
+                                                      DwtKernel::Convolve, 8, 8));
+
+    ImageF ll(4, 4), lh(4, 4), hl(4, 4), hh(4, 4);
+    EXPECT_THROW(wavehpc::core::analyze_cols_range(lo, hi, fp, ll, lh, hl, hh, mode,
+                                                   DwtKernel::Convolve, 3, 2),
+                 std::invalid_argument);
+    EXPECT_THROW(wavehpc::core::analyze_cols_range(lo, hi, fp, ll, lh, hl, hh, mode,
+                                                   DwtKernel::Lifting, 0, 5),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(wavehpc::core::analyze_cols_range(lo, hi, fp, ll, lh, hl, hh, mode,
+                                                      DwtKernel::Convolve, 0, 4));
 }
 
 // ------------------------------------------------- synthesis boundary contract

@@ -109,7 +109,7 @@ TEST(AnalyzeRange, SegmentsMatchFullSignalBitExact) {
         for (const BoundaryMode mode : kModes) {
             for (const DwtKernel kernel : kKernels) {
                 std::vector<float> lo(48), hi(48), slo(48), shi(48);
-                wavehpc::core::analyze_1d(x, fp, lo, hi, mode, kernel);
+                wavehpc::core::analyze_1d_range(x, fp, lo, hi, mode, kernel, 0, 48);
                 // Uneven segmentation incl. a 1-wide and a trailing short one.
                 const std::size_t cuts[] = {0, 1, 17, 40, 48};
                 for (std::size_t s = 0; s + 1 < std::size(cuts); ++s) {
