@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/kernels.hpp"
-
 namespace wavehpc::core {
 
 namespace {
@@ -77,110 +75,6 @@ void convolve_decimate_cols(const ImageF& in, std::span<const float> f, ImageF& 
             if (idx >= in.rows()) continue;  // ZeroPad outside
             const float w = f[n];
             auto src = in.row(idx);
-            for (std::size_t c = 0; c < in.cols(); ++c) dst[c] += w * src[c];
-        }
-    }
-}
-
-void synthesize_rows(const ImageF& low, const ImageF& high, std::span<const float> lowf,
-                     std::span<const float> highf, ImageF& out, BoundaryMode mode) {
-    if (low.rows() != high.rows() || low.cols() != high.cols()) {
-        throw std::invalid_argument("synthesize_rows: band shapes differ");
-    }
-    const std::size_t half = low.cols();
-    const std::size_t n = 2 * half;
-    const std::size_t taps = lowf.size();
-    if (out.rows() != low.rows() || out.cols() != n) {
-        out = ImageF(low.rows(), n);
-    }
-    for (std::size_t r = 0; r < low.rows(); ++r) {
-        const auto lo = low.row(r);
-        const auto hi = high.row(r);
-        auto dst = out.row(r);
-        for (std::size_t m = 0; m < n; ++m) {
-            float acc = 0.0F;
-            for_each_synthesis_tap(m, half, taps, mode, [&](std::size_t k, std::size_t j) {
-                acc += lowf[j] * lo[k];
-                acc += highf[j] * hi[k];
-            });
-            dst[m] = acc;
-        }
-    }
-}
-
-void synthesize_col_row(std::size_t m, std::size_t half_rows,
-                        std::span<const float> lowf, std::span<const float> highf,
-                        const std::function<std::span<const float>(std::size_t)>& low_row,
-                        const std::function<std::span<const float>(std::size_t)>& high_row,
-                        std::span<float> out, BoundaryMode mode) {
-    const std::size_t taps = lowf.size();
-    for (auto& v : out) v = 0.0F;
-    for_each_synthesis_tap(m, half_rows, taps, mode, [&](std::size_t k, std::size_t j) {
-        const float wl = lowf[j];
-        const float wh = highf[j];
-        const auto lo = low_row(k);
-        const auto hi = high_row(k);
-        for (std::size_t c = 0; c < out.size(); ++c) {
-            out[c] += wl * lo[c];
-            out[c] += wh * hi[c];
-        }
-    });
-}
-
-void synthesize_cols(const ImageF& low, const ImageF& high, std::span<const float> lowf,
-                     std::span<const float> highf, ImageF& out, BoundaryMode mode) {
-    if (low.rows() != high.rows() || low.cols() != high.cols()) {
-        throw std::invalid_argument("synthesize_cols: band shapes differ");
-    }
-    const std::size_t half = low.rows();
-    const std::size_t n = 2 * half;
-    if (out.rows() != n || out.cols() != low.cols()) {
-        out = ImageF(n, low.cols());
-    }
-    for (std::size_t m = 0; m < n; ++m) {
-        synthesize_col_row(
-            m, half, lowf, highf, [&](std::size_t k) { return low.row(k); },
-            [&](std::size_t k) { return high.row(k); }, out.row(m), mode);
-    }
-}
-
-void upsample_accumulate_rows(const ImageF& in, std::span<const float> f, ImageF& out,
-                              BoundaryMode mode) {
-    const std::size_t n = 2 * in.cols();
-    if (out.rows() != in.rows() || out.cols() != n) {
-        throw std::invalid_argument("upsample_accumulate_rows: bad output shape");
-    }
-    const std::size_t taps = f.size();
-    for (std::size_t r = 0; r < in.rows(); ++r) {
-        auto src = in.row(r);
-        auto dst = out.row(r);
-        for (std::size_t k = 0; k < in.cols(); ++k) {
-            const float v = src[k];
-            for (std::size_t j = 0; j < taps; ++j) {
-                const std::size_t idx =
-                    extend_index(static_cast<std::ptrdiff_t>(2 * k + j), n, mode);
-                if (idx >= n) continue;  // ZeroPad: analysis read a zero here
-                dst[idx] += f[j] * v;
-            }
-        }
-    }
-}
-
-void upsample_accumulate_cols(const ImageF& in, std::span<const float> f, ImageF& out,
-                              BoundaryMode mode) {
-    const std::size_t n = 2 * in.rows();
-    if (out.rows() != n || out.cols() != in.cols()) {
-        throw std::invalid_argument("upsample_accumulate_cols: bad output shape");
-    }
-    const std::size_t taps = f.size();
-    for (std::size_t k = 0; k < in.rows(); ++k) {
-        auto src = in.row(k);
-        for (std::size_t j = 0; j < taps; ++j) {
-            const std::size_t idx =
-                extend_index(static_cast<std::ptrdiff_t>(2 * k + j), n, mode);
-            if (idx >= n) continue;  // ZeroPad: analysis read a zero here
-            const float w = f[j];
-            auto dst = out.row(idx);
             for (std::size_t c = 0; c < in.cols(); ++c) dst[c] += w * src[c];
         }
     }

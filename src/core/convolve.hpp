@@ -1,20 +1,13 @@
 #pragma once
 // Filtering + dyadic decimation primitives of the Mallat algorithm
-// (steps 1-4 of the paper's section 2), plus the adjoint upsample+filter
-// primitives used by reconstruction (figure 2).
+// (steps 1-4 of the paper's section 2): the unfused analysis reference
+// that the kernel layer's Convolve bodies are pinned to bit for bit.
+// Synthesis lives in the kernel layer (core/kernels.hpp).
 //
 // Analysis convention, along a length-N signal x with filter f of length F:
 //     y[k] = sum_{n=0}^{F-1} f[n] * x~[2k + n],  k in [0, N/2)
-// where x~ is x extended per BoundaryMode. Synthesis is the exact adjoint
-//     x~[2k + j] += f[j] * y[k]
-// folded back through the same BoundaryMode (wrapped for Periodic,
-// reflected for Symmetric, dropped for ZeroPad), so an orthonormal QMF
-// pair inverts the interior exactly and treats the edges consistently
-// with how analysis extended them. All synthesis entry points take the
-// mode used for analysis; it defaults to Periodic, the historical
-// behavior, for which outputs are bit-identical to the pre-mode code.
+// where x~ is x extended per BoundaryMode.
 
-#include <functional>
 #include <span>
 
 #include "core/boundary.hpp"
@@ -32,46 +25,9 @@ void convolve_decimate_rows(const ImageF& in, std::span<const float> f, ImageF& 
 void convolve_decimate_cols(const ImageF& in, std::span<const float> f, ImageF& out,
                             BoundaryMode mode);
 
-/// Adjoint of convolve_decimate_rows under `mode` extension: upsample the
-/// columns of `in` by 2 and filter; result is accumulated into `out`
-/// (callers zero `out` first). Output shape: (in.rows(), 2*in.cols()).
-void upsample_accumulate_rows(const ImageF& in, std::span<const float> f, ImageF& out,
-                              BoundaryMode mode = BoundaryMode::Periodic);
-
-/// Adjoint of convolve_decimate_cols under `mode` extension.
-/// Output shape: (2*in.rows(), in.cols()).
-void upsample_accumulate_cols(const ImageF& in, std::span<const float> f, ImageF& out,
-                              BoundaryMode mode = BoundaryMode::Periodic);
-
-/// 1-D analysis step used by unit tests and by the stripe kernels:
+/// 1-D analysis step, the per-signal form of the two above:
 /// y[k] = sum f[n] x~[2k+n] for k in [0, x.size()/2).
 void convolve_decimate_1d(std::span<const float> x, std::span<const float> f,
                           std::span<float> y, BoundaryMode mode);
-
-/// Gather-form synthesis along rows: each output sample is evaluated
-/// independently by enumerating the (k, j) pairs whose analysis window
-/// covered it under `mode` (core/kernels.hpp, for_each_synthesis_tap) —
-///   out(r, m) = sum_{(k,j)} lowf[j]*low(r, k) + highf[j]*high(r, k).
-/// Mathematically equal to the two upsample_accumulate_* calls but with a
-/// per-output accumulation order, which is what the parallel reconstruction
-/// backends need (each rank owns whole outputs). Output: (rows, 2*cols).
-void synthesize_rows(const ImageF& low, const ImageF& high,
-                     std::span<const float> lowf, std::span<const float> highf,
-                     ImageF& out, BoundaryMode mode = BoundaryMode::Periodic);
-
-/// Gather-form synthesis along columns; output: (2*rows, cols).
-void synthesize_cols(const ImageF& low, const ImageF& high,
-                     std::span<const float> lowf, std::span<const float> highf,
-                     ImageF& out, BoundaryMode mode = BoundaryMode::Periodic);
-
-/// One output row of synthesize_cols, exposed for the distributed backend:
-/// computes global output row m from coefficient rows of the half-size
-/// bands accessed through `coeff_row(k)` (k already mapped to [0, half)).
-void synthesize_col_row(std::size_t m, std::size_t half_rows,
-                        std::span<const float> lowf, std::span<const float> highf,
-                        const std::function<std::span<const float>(std::size_t)>& low_row,
-                        const std::function<std::span<const float>(std::size_t)>& high_row,
-                        std::span<float> out,
-                        BoundaryMode mode = BoundaryMode::Periodic);
 
 }  // namespace wavehpc::core

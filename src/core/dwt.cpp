@@ -1,6 +1,7 @@
 #include "core/dwt.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace wavehpc::core {
 
@@ -18,6 +19,28 @@ void validate_decomposition_request(std::size_t rows, std::size_t cols, int leve
     }
 }
 
+void validate_pyramid(const Pyramid& pyr) {
+    if (pyr.depth() == 0) {
+        throw std::invalid_argument("validate_pyramid: empty pyramid");
+    }
+    // Walk coarse to fine: each level pairs with an approximation of the
+    // shape its bands must have, twice the shape of the level below it.
+    std::size_t rows = pyr.approx.rows();
+    std::size_t cols = pyr.approx.cols();
+    for (std::size_t k = pyr.depth(); k-- > 0;) {
+        const DetailBands& d = pyr.levels[k];
+        for (const ImageF* band : {&d.lh, &d.hl, &d.hh}) {
+            if (band->rows() != rows || band->cols() != cols) {
+                throw std::invalid_argument(
+                    "validate_pyramid: level " + std::to_string(k) +
+                    " detail band does not match its approximation");
+            }
+        }
+        rows *= 2;
+        cols *= 2;
+    }
+}
+
 Subbands decompose_level(const ImageF& in, const FilterPair& fp, BoundaryMode mode,
                          DwtKernel kernel) {
     validate_decomposition_request(in.rows(), in.cols(), 1);
@@ -29,114 +52,36 @@ Subbands decompose_level(const ImageF& in, const FilterPair& fp, BoundaryMode mo
     return sb;
 }
 
-ImageF reconstruct_level(const Subbands& sb, const FilterPair& fp, BoundaryMode mode) {
-    const std::size_t half_r = sb.ll.rows();
-    const std::size_t half_c = sb.ll.cols();
-
-    // Column synthesis: (LL, LH) -> L and (HL, HH) -> H.
-    ImageF low_rows(2 * half_r, half_c, 0.0F);
-    upsample_accumulate_cols(sb.ll, fp.low(), low_rows, mode);
-    upsample_accumulate_cols(sb.detail.lh, fp.high(), low_rows, mode);
-
-    ImageF high_rows(2 * half_r, half_c, 0.0F);
-    upsample_accumulate_cols(sb.detail.hl, fp.low(), high_rows, mode);
-    upsample_accumulate_cols(sb.detail.hh, fp.high(), high_rows, mode);
-
-    // Row synthesis: (L, H) -> I.
-    ImageF out(2 * half_r, 2 * half_c, 0.0F);
-    upsample_accumulate_rows(low_rows, fp.low(), out, mode);
-    upsample_accumulate_rows(high_rows, fp.high(), out, mode);
-    return out;
-}
-
-ImageF reconstruct_level_gather(const Subbands& sb, const FilterPair& fp,
-                                BoundaryMode mode) {
-    ImageF low_rows;
-    ImageF high_rows;
-    synthesize_cols(sb.ll, sb.detail.lh, fp.low(), fp.high(), low_rows, mode);
-    synthesize_cols(sb.detail.hl, sb.detail.hh, fp.low(), fp.high(), high_rows, mode);
-    ImageF out;
-    synthesize_rows(low_rows, high_rows, fp.low(), fp.high(), out, mode);
-    return out;
-}
-
-ImageF reconstruct_gather(const Pyramid& pyr, const FilterPair& fp, BoundaryMode mode) {
-    if (pyr.depth() == 0) {
-        throw std::invalid_argument("reconstruct_gather: empty pyramid");
-    }
-    ImageF current = pyr.approx;
-    for (std::size_t k = pyr.depth(); k-- > 0;) {
-        Subbands sb;
-        sb.ll = std::move(current);
-        sb.detail = pyr.levels[k];
-        current = reconstruct_level_gather(sb, fp, mode);
-    }
-    return current;
-}
-
 Pyramid decompose(const ImageF& img, const FilterPair& fp, int levels, BoundaryMode mode,
                   DwtKernel kernel) {
     validate_decomposition_request(img.rows(), img.cols(), levels);
     kernel = resolve_dwt_kernel(kernel, fp);  // resolve once for all levels
     Pyramid pyr;
     pyr.levels.reserve(static_cast<std::size_t>(levels));
-    ImageF current = img;
     for (int k = 0; k < levels; ++k) {
-        Subbands sb = decompose_level(current, fp, mode, kernel);
+        Subbands sb = decompose_level(k == 0 ? img : pyr.approx, fp, mode, kernel);
         pyr.levels.push_back(std::move(sb.detail));
-        current = std::move(sb.ll);
+        pyr.approx = std::move(sb.ll);
     }
-    pyr.approx = std::move(current);
-    return pyr;
-}
-
-Pyramid decompose(const ImageF& img, const FilterPair& fp, int levels,
-                  BoundaryMode mode, DwtKernel kernel, FloatBufferSource& buffers) {
-    validate_decomposition_request(img.rows(), img.cols(), levels);
-    kernel = resolve_dwt_kernel(kernel, fp);  // resolve once for all levels
-    // Only the convolve column pass accumulates into its outputs; the
-    // lifting/haar column planes and every row pass write each element, so
-    // their buffers can be handed out dirty.
-    const bool zero_cols = kernel == DwtKernel::Convolve;
-    Pyramid pyr;
-    pyr.levels.reserve(static_cast<std::size_t>(levels));
-    ImageF current;  // empty at level 0: the input is read in place
-    for (int k = 0; k < levels; ++k) {
-        const ImageF& in = k == 0 ? img : current;
-        const std::size_t rows = in.rows();
-        const std::size_t half_r = rows / 2;
-        const std::size_t half_c = in.cols() / 2;
-        ImageF low_rows = obtain_image(buffers, rows, half_c, false);
-        ImageF high_rows = obtain_image(buffers, rows, half_c, false);
-        analyze_rows_range(in, fp, low_rows, high_rows, mode, kernel, 0, rows);
-        if (k > 0) buffers.recycle(current.release_data());
-
-        ImageF ll = obtain_image(buffers, half_r, half_c, zero_cols);
-        DetailBands d;
-        d.lh = obtain_image(buffers, half_r, half_c, zero_cols);
-        d.hl = obtain_image(buffers, half_r, half_c, zero_cols);
-        d.hh = obtain_image(buffers, half_r, half_c, zero_cols);
-        analyze_cols_range(low_rows, high_rows, fp, ll, d.lh, d.hl, d.hh, mode,
-                           kernel, 0, half_r);
-        buffers.recycle(low_rows.release_data());
-        buffers.recycle(high_rows.release_data());
-        pyr.levels.push_back(std::move(d));
-        current = std::move(ll);
-    }
-    pyr.approx = std::move(current);
     return pyr;
 }
 
 ImageF reconstruct(const Pyramid& pyr, const FilterPair& fp, BoundaryMode mode) {
-    if (pyr.depth() == 0) {
-        throw std::invalid_argument("reconstruct: empty pyramid");
-    }
-    ImageF current = pyr.approx;
+    validate_pyramid(pyr);
+    ImageF current;
     for (std::size_t k = pyr.depth(); k-- > 0;) {
-        Subbands sb;
-        sb.ll = std::move(current);
-        sb.detail = pyr.levels[k];  // copy: the pyramid stays usable
-        current = reconstruct_level(sb, fp, mode);
+        // Column synthesis (LL, LH) -> L and (HL, HH) -> H, then row
+        // synthesis (L, H) -> I; the coarsest LL is read in place.
+        const ImageF& ll = k + 1 == pyr.depth() ? pyr.approx : current;
+        const DetailBands& d = pyr.levels[k];
+        const std::size_t rows = 2 * ll.rows();
+        ImageF low_rows(rows, ll.cols());
+        ImageF high_rows(rows, ll.cols());
+        synthesize_cols_range(ll, d.lh, fp, low_rows, mode, 0, rows);
+        synthesize_cols_range(d.hl, d.hh, fp, high_rows, mode, 0, rows);
+        ImageF out(rows, 2 * ll.cols());
+        synthesize_rows_range(low_rows, high_rows, fp, out, mode, 0, rows);
+        current = std::move(out);
     }
     return current;
 }

@@ -7,8 +7,6 @@
 #include <vector>
 
 #include "core/boundary.hpp"
-#include "core/buffers.hpp"
-#include "core/convolve.hpp"
 #include "core/filters.hpp"
 #include "core/image.hpp"
 #include "core/kernels.hpp"
@@ -45,42 +43,27 @@ struct Pyramid {
                                        BoundaryMode mode = BoundaryMode::Periodic,
                                        DwtKernel kernel = DwtKernel::Auto);
 
-/// Inverse of decompose_level under the same boundary mode.
-[[nodiscard]] ImageF reconstruct_level(const Subbands& sb, const FilterPair& fp,
-                                       BoundaryMode mode = BoundaryMode::Periodic);
-
 /// Full multi-resolution decomposition to `levels` levels. The image
-/// dimensions must be divisible by 2^levels.
+/// dimensions must be divisible by 2^levels. Reads `img` in place at
+/// level 0 (no working copy).
 [[nodiscard]] Pyramid decompose(const ImageF& img, const FilterPair& fp, int levels,
                                 BoundaryMode mode = BoundaryMode::Periodic,
                                 DwtKernel kernel = DwtKernel::Auto);
 
-/// Buffer-source variant: every scratch and subband buffer comes from
-/// `buffers` (core/buffers.hpp) and transient intermediates are recycled
-/// back into it, so a pooling source (svc::BufferArena) makes the warm
-/// path allocation-free. Reads `img` in place at level 0 (no working
-/// copy). Bit-identical to decompose(): same kernel-layer calls over the
-/// same full ranges.
-[[nodiscard]] Pyramid decompose(const ImageF& img, const FilterPair& fp, int levels,
-                                BoundaryMode mode, DwtKernel kernel,
-                                FloatBufferSource& buffers);
-
-/// Full reconstruction (figure 2). Pass the mode used for analysis; the
-/// inverse is exact (up to float rounding) for Periodic, and edge-consistent
-/// for Symmetric/ZeroPad.
+/// Full reconstruction (figure 2) through the kernel layer's synthesis
+/// bodies (core/kernels.hpp). Pass the mode used for analysis; the inverse
+/// is exact (up to float rounding) for Periodic, and edge-consistent for
+/// Symmetric/ZeroPad. wavelet::reconstruct_parallel and
+/// wavelet::mesh_reconstruct run the same bodies and match it bit for bit.
+/// Throws std::invalid_argument unless validate_pyramid accepts `pyr`.
 [[nodiscard]] ImageF reconstruct(const Pyramid& pyr, const FilterPair& fp,
                                  BoundaryMode mode = BoundaryMode::Periodic);
 
-/// Gather-form reconstruction: identical mathematics with a per-output
-/// accumulation order; the bit-exact reference for the parallel backends
-/// (each parallel rank computes whole outputs). Differences from
-/// reconstruct() stay at float rounding level.
-[[nodiscard]] ImageF reconstruct_gather(const Pyramid& pyr, const FilterPair& fp,
-                                        BoundaryMode mode = BoundaryMode::Periodic);
-
-/// One gather-form synthesis level.
-[[nodiscard]] ImageF reconstruct_level_gather(const Subbands& sb, const FilterPair& fp,
-                                              BoundaryMode mode = BoundaryMode::Periodic);
+/// Throws std::invalid_argument unless `pyr` has at least one level and
+/// every level's lh, hl and hh bands have the shape of the approximation
+/// they pair with: pyr.approx for the coarsest level, twice the next
+/// coarser level's shape for the others.
+void validate_pyramid(const Pyramid& pyr);
 
 /// Throws std::invalid_argument unless rows and cols are divisible by
 /// 2^levels and levels >= 1.

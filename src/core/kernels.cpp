@@ -1,5 +1,6 @@
 #include "core/kernels.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
@@ -630,6 +631,97 @@ struct PlaneRows {
     }
 };
 
+// ---------------------------------------------------------------------------
+// Synthesis bodies, one per pass, under the contract of kernels.hpp
+// ("Synthesis entry points"):
+//   * Row pass: one row of 2*half outputs from two half-length band rows.
+//   * Column pass: output rows [m0, m1) of a plane whose bands have
+//     `half_rows` rows, read from a row source (PlaneRows or a
+//     RowAccessor); output row m lands at row m-out0.
+// ---------------------------------------------------------------------------
+
+// One tap step of the interior row synthesis: even output i takes the
+// even tap pair (le, he) and odd output i the odd pair (lo_w, ho_w), both
+// from band samples lo[i], hi[i]. Standalone for the __restrict
+// parameters, as accumulate_tap.
+void synthesis_row_tap(float* __restrict even, float* __restrict odd,
+                       const float* __restrict lo, const float* __restrict hi, float le,
+                       float he, float lo_w, float ho_w, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+        even[i] += le * lo[i];
+        even[i] += he * hi[i];
+        odd[i] += lo_w * lo[i];
+        odd[i] += ho_w * hi[i];
+    }
+}
+
+void synthesis_row(const float* lo, const float* hi, std::size_t half,
+                   std::span<const float> fl, std::span<const float> fh,
+                   BoundaryMode mode, float* out) {
+    const std::size_t n = 2 * half;
+    const std::size_t taps = fl.size();
+    const auto edge = [&](std::size_t m) {
+        float acc = 0.0F;
+        for_each_synthesis_tap(m, half, taps, mode, [&](std::size_t k, std::size_t j) {
+            acc += fl[j] * lo[k];
+            acc += fh[j] * hi[k];
+        });
+        out[m] = acc;
+    };
+    // Outputs [first, last) take only direct taps in every mode: even
+    // output m = 2p takes taps j = 2t and m+1 taps j = 2t+1, both from band
+    // index p-t, and no Symmetric reflection lands below n+2-taps. Taps run
+    // in the outer loop over the whole interior, so every output keeps its
+    // own tap order while neighbouring outputs vectorize.
+    const std::size_t first = std::min(taps - 2, n);
+    const std::size_t last = n + 2 > taps ? std::max(first, n + 2 - taps) : first;
+    const std::size_t count = (last - first) / 2;
+    thread_local std::vector<float> even;
+    thread_local std::vector<float> odd;
+    even.assign(count, 0.0F);
+    odd.assign(count, 0.0F);
+    for (std::size_t t = 0; count > 0 && 2 * t < taps; ++t) {
+        const std::size_t p = first / 2 - t;  // >= 0: first = taps-2 here
+        synthesis_row_tap(even.data(), odd.data(), lo + p, hi + p, fl[2 * t], fh[2 * t],
+                          fl[2 * t + 1], fh[2 * t + 1], count);
+    }
+    for (std::size_t m = 0; m < first; ++m) edge(m);
+    for (std::size_t i = 0; i < count; ++i) {
+        out[first + 2 * i] = even[i];
+        out[first + 2 * i + 1] = odd[i];
+    }
+    for (std::size_t m = last; m < n; ++m) edge(m);
+}
+
+// One tap of the column pass; standalone so the __restrict parameters let
+// the loop vectorize, as in accumulate_tap.
+void accumulate_synthesis_tap(float* __restrict dst, const float* __restrict lo,
+                              const float* __restrict hi, float wl, float wh,
+                              std::size_t width) {
+    for (std::size_t c = 0; c < width; ++c) {
+        dst[c] += wl * lo[c];
+        dst[c] += wh * hi[c];
+    }
+}
+
+template <typename RowSource>
+void synthesis_col_pass(const RowSource& low_row, const RowSource& high_row,
+                        std::size_t half_rows, std::size_t width, const FilterPair& fp,
+                        ImageF& out, BoundaryMode mode, std::size_t m0, std::size_t m1,
+                        std::size_t out0) {
+    const auto fl = fp.low();
+    const auto fh = fp.high();
+    for (std::size_t m = m0; m < m1; ++m) {
+        float* dst = out.row(m - out0).data();
+        std::fill_n(dst, width, 0.0F);
+        for_each_synthesis_tap(m, half_rows, fl.size(), mode,
+                               [&](std::size_t k, std::size_t j) {
+                                   accumulate_synthesis_tap(dst, low_row(k), high_row(k),
+                                                            fl[j], fh[j], width);
+                               });
+    }
+}
+
 }  // namespace
 
 void analyze_rows_range(const ImageF& in, const FilterPair& fp, ImageF& lo, ImageF& hi,
@@ -725,6 +817,56 @@ void analyze_level(const ImageF& in, const FilterPair& fp, ImageF& ll, ImageF& l
     hh = ImageF(half_r, half_c);
     analyze_cols_range(low_rows, high_rows, fp, ll, lh, hl, hh, mode, kernel, 0,
                        half_r);
+}
+
+void synthesize_rows_range(const ImageF& low, const ImageF& high, const FilterPair& fp,
+                           ImageF& out, BoundaryMode mode, std::size_t r0,
+                           std::size_t r1) {
+    const std::size_t half = low.cols();
+    if (high.rows() != low.rows() || high.cols() != half) {
+        throw std::invalid_argument("synthesize_rows_range: band shapes differ");
+    }
+    if (out.rows() != low.rows() || out.cols() != 2 * half) {
+        throw std::invalid_argument("synthesize_rows_range: bad output shape");
+    }
+    if (r0 > r1 || r1 > low.rows()) {
+        throw std::invalid_argument("synthesize_rows_range: bad row range");
+    }
+    for (std::size_t r = r0; r < r1; ++r) {
+        synthesis_row(low.row(r).data(), high.row(r).data(), half, fp.low(), fp.high(),
+                      mode, out.row(r).data());
+    }
+}
+
+void synthesize_cols_range(const ImageF& low, const ImageF& high, const FilterPair& fp,
+                           ImageF& out, BoundaryMode mode, std::size_t m0,
+                           std::size_t m1) {
+    const std::size_t half = low.rows();
+    const std::size_t cols = low.cols();
+    if (high.rows() != half || high.cols() != cols) {
+        throw std::invalid_argument("synthesize_cols_range: band shapes differ");
+    }
+    if (out.rows() != 2 * half || out.cols() != cols) {
+        throw std::invalid_argument("synthesize_cols_range: bad output shape");
+    }
+    if (m0 > m1 || m1 > 2 * half) {
+        throw std::invalid_argument("synthesize_cols_range: bad output range");
+    }
+    synthesis_col_pass(PlaneRows{low}, PlaneRows{high}, half, cols, fp, out, mode, m0, m1,
+                       0);
+}
+
+void synthesize_cols_tile(const RowAccessor& low_row, const RowAccessor& high_row,
+                          std::size_t half_rows, std::size_t width, const FilterPair& fp,
+                          ImageF& out, BoundaryMode mode, std::size_t m0,
+                          std::size_t m1) {
+    if (m0 > m1 || m1 > 2 * half_rows) {
+        throw std::invalid_argument("synthesize_cols_tile: bad output range");
+    }
+    if (out.rows() != m1 - m0 || out.cols() != width) {
+        throw std::invalid_argument("synthesize_cols_tile: bad output shape");
+    }
+    synthesis_col_pass(low_row, high_row, half_rows, width, fp, out, mode, m0, m1, m0);
 }
 
 }  // namespace wavehpc::core

@@ -175,11 +175,45 @@ void analyze_level(const ImageF& in, const FilterPair& fp, ImageF& ll, ImageF& l
                    DwtKernel kernel = DwtKernel::Auto);
 
 // ---------------------------------------------------------------------------
+// Synthesis entry points (the paper's figure 2), the mirror of the analysis
+// passes: one gather-form body per pass, run by core::reconstruct,
+// wavelet::reconstruct_parallel and wavelet::mesh_reconstruct. A pass
+// combines a low band and a high band of the same shape:
+//   out[m] = sum over (k, j) of lowf[j] * low[k] + highf[j] * high[k],
+// with the (k, j) pairs of output m listed by for_each_synthesis_tap under
+// the analysis BoundaryMode and summed in that order from zero. Every
+// output is written (no accumulation into the destination), and any range
+// or stripe split yields the whole-plane bits. Shapes and ranges are
+// checked (std::invalid_argument).
+// ---------------------------------------------------------------------------
+
+/// Row synthesis over rows [r0, r1), r0 <= r1 <= low.rows(): low/high are
+/// (rows, half) and out must be (rows, 2*half).
+void synthesize_rows_range(const ImageF& low, const ImageF& high, const FilterPair& fp,
+                           ImageF& out, BoundaryMode mode, std::size_t r0,
+                           std::size_t r1);
+
+/// Column synthesis over output rows [m0, m1), m0 <= m1 <= 2*low.rows():
+/// low/high are (half, cols) and out must be (2*half, cols).
+void synthesize_cols_range(const ImageF& low, const ImageF& high, const FilterPair& fp,
+                           ImageF& out, BoundaryMode mode, std::size_t m0,
+                           std::size_t m1);
+
+/// Column synthesis of one stripe: output rows [m0, m1) of a plane whose
+/// bands have `half_rows` global rows of `width` columns. Band rows are
+/// read through the accessors, which are asked only for the rows
+/// for_each_synthesis_tap lists (all < half_rows). out must be
+/// (m1-m0, width); output row m lands at LOCAL row m-m0.
+void synthesize_cols_tile(const RowAccessor& low_row, const RowAccessor& high_row,
+                          std::size_t half_rows, std::size_t width, const FilterPair& fp,
+                          ImageF& out, BoundaryMode mode, std::size_t m0,
+                          std::size_t m1);
+
+// ---------------------------------------------------------------------------
 // Synthesis boundary mapping: the one enumeration of (coefficient k, tap j)
-// pairs contributing to synthesis output m, shared by the gather-form
-// synthesis kernels (convolve.cpp) and the mesh backend's guard-row
-// planner (mesh_idwt.cpp). Synthesis is the adjoint of analysis under the
-// same BoundaryMode:
+// pairs contributing to synthesis output m, shared by the synthesis bodies
+// above and the mesh backend's guard-row planner (mesh_idwt.cpp).
+// Synthesis is the adjoint of analysis under the same BoundaryMode:
 //   * Periodic — taps wrap modulo the signal (the historical behavior,
 //     enumerated in the identical order: j ascending from m%2 by 2).
 //   * ZeroPad — analysis windows that spilled past the end read zeros, so
@@ -194,16 +228,18 @@ void analyze_level(const ImageF& in, const FilterPair& fp, ImageF& ll, ImageF& l
 // back to a full window scan so multiple wraps/reflections stay correct.
 // ---------------------------------------------------------------------------
 
+/// Calls fn(k, j) for every pair contributing to output m < 2*half.
 template <typename Fn>
 inline void for_each_synthesis_tap(std::size_t m, std::size_t half, std::size_t taps,
                                    BoundaryMode mode, Fn&& fn) {
     const std::size_t n = 2 * half;
     if (mode == BoundaryMode::Periodic) {
         for (std::size_t j = m % 2; j < taps; j += 2) {
+            // m < n and j < taps, so adding n until d >= 0 is d mod n
+            // without a division per tap.
             std::ptrdiff_t d =
                 static_cast<std::ptrdiff_t>(m) - static_cast<std::ptrdiff_t>(j);
-            d %= static_cast<std::ptrdiff_t>(n);
-            if (d < 0) d += static_cast<std::ptrdiff_t>(n);
+            while (d < 0) d += static_cast<std::ptrdiff_t>(n);
             fn(static_cast<std::size_t>(d) / 2, j);
         }
         return;

@@ -2,7 +2,6 @@
 
 #include <map>
 
-#include "core/convolve.hpp"
 #include "core/kernels.hpp"
 
 namespace wavehpc::wavelet {

@@ -3,7 +3,6 @@
 #include <map>
 #include <set>
 
-#include "core/convolve.hpp"
 #include "core/kernels.hpp"
 #include "wavelet/mesh_dwt.hpp"  // detail::level_range
 
@@ -39,8 +38,8 @@ MeshIdwtResult mesh_reconstruct(mesh::Machine& machine, const core::Pyramid& pyr
                                 const core::FilterPair& fp, const MeshIdwtConfig& cfg,
                                 std::size_t nprocs,
                                 const core::SequentialCostModel& compute_model) {
+    core::validate_pyramid(pyramid);
     const auto levels = static_cast<int>(pyramid.depth());
-    if (levels == 0) throw std::invalid_argument("mesh_reconstruct: empty pyramid");
     const std::size_t rows = pyramid.approx.rows() << levels;
     const std::size_t cols = pyramid.approx.cols() << levels;
     const core::StripePartition part0(rows, nprocs, std::size_t{1} << levels);
@@ -188,32 +187,28 @@ MeshIdwtResult mesh_reconstruct(mesh::Machine& machine, const core::Pyramid& pyr
                                       static_cast<double>(4 * half_c));
             }
 
-            const auto band_row = [&](const core::ImageF& own, std::size_t band_slot) {
-                return [&, band_slot](std::size_t k) -> std::span<const float> {
+            const auto band_row = [&](const core::ImageF& own,
+                                      std::size_t band_slot) -> core::RowAccessor {
+                return [&, band_slot](std::size_t k) -> const float* {
                     if (k >= in_lr.first && k < in_lr.first + in_lr.count) {
-                        return own.row(k - in_lr.first);
+                        return own.row(k - in_lr.first).data();
                     }
-                    return halo.row(4 * halo_index.at(k) + band_slot);
+                    return halo.row(4 * halo_index.at(k) + band_slot).data();
                 };
             };
 
-            // ---- column synthesis for my output rows --------------------
+            // ---- column synthesis for my output rows, then local rows ----
+            const std::size_t m0 = out_lr.first;
+            const std::size_t m1 = out_lr.first + out_lr.count;
             core::ImageF low_rows(out_lr.count, half_c);
             core::ImageF high_rows(out_lr.count, half_c);
-            for (std::size_t i = 0; i < out_lr.count; ++i) {
-                const std::size_t m = out_lr.first + i;
-                core::synthesize_col_row(m, half_rows, fp.low(), fp.high(),
-                                         band_row(current, 0), band_row(d.lh, 1),
-                                         low_rows.row(i), cfg.mode);
-                core::synthesize_col_row(m, half_rows, fp.low(), fp.high(),
-                                         band_row(d.hl, 2), band_row(d.hh, 3),
-                                         high_rows.row(i), cfg.mode);
-            }
-
-            // ---- local row synthesis -------------------------------------
-            core::ImageF out;
-            core::synthesize_rows(low_rows, high_rows, fp.low(), fp.high(), out,
-                                  cfg.mode);
+            core::synthesize_cols_tile(band_row(current, 0), band_row(d.lh, 1), half_rows,
+                                       half_c, fp, low_rows, cfg.mode, m0, m1);
+            core::synthesize_cols_tile(band_row(d.hl, 2), band_row(d.hh, 3), half_rows,
+                                       half_c, fp, high_rows, cfg.mode, m0, m1);
+            core::ImageF out(out_lr.count, 2 * half_c);
+            core::synthesize_rows_range(low_rows, high_rows, fp, out, cfg.mode, 0,
+                                        out_lr.count);
             const std::size_t outputs = 2 * out_lr.count * (cols >> stage);
             ctx.compute(compute_model.seconds(outputs,
                                               outputs * static_cast<std::size_t>(taps)));

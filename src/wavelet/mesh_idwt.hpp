@@ -5,7 +5,9 @@
 // rows, the row synthesis is local, and the image is gathered at rank 0.
 // Synthesis honors the boundary mode the pyramid was analyzed with
 // (cfg.mode, default Periodic — the exact-reconstruction convention);
-// results are bit-identical to core::reconstruct_gather under the same mode.
+// results are bit-identical to core::reconstruct under the same mode: the
+// stripes run the same kernel-layer synthesis bodies. Malformed pyramids
+// are rejected by core::validate_pyramid before any rank starts.
 
 #include "core/cost_model.hpp"
 #include "core/dwt.hpp"

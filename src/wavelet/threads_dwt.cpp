@@ -2,55 +2,28 @@
 
 #include <algorithm>
 
-#include "core/convolve.hpp"
 #include "core/kernels.hpp"
 
 namespace wavehpc::wavelet {
 
 core::ImageF reconstruct_parallel(const core::Pyramid& pyr, const core::FilterPair& fp,
                                   runtime::ThreadPool& pool, core::BoundaryMode mode) {
-    if (pyr.depth() == 0) {
-        throw std::invalid_argument("reconstruct_parallel: empty pyramid");
-    }
-    core::ImageF current = pyr.approx;
+    core::validate_pyramid(pyr);
+    core::ImageF current;
     for (std::size_t lvl = pyr.depth(); lvl-- > 0;) {
-        const auto& d = pyr.levels[lvl];
-        const std::size_t half_r = current.rows();
-        const std::size_t half_c = current.cols();
-
-        // Column synthesis, split over output rows.
-        core::ImageF low_rows(2 * half_r, half_c);
-        core::ImageF high_rows(2 * half_r, half_c);
-        pool.parallel_for(0, 2 * half_r, [&](std::size_t mb, std::size_t me) {
-            for (std::size_t m = mb; m < me; ++m) {
-                core::synthesize_col_row(
-                    m, half_r, fp.low(), fp.high(),
-                    [&](std::size_t k) { return current.row(k); },
-                    [&](std::size_t k) { return d.lh.row(k); }, low_rows.row(m), mode);
-                core::synthesize_col_row(
-                    m, half_r, fp.low(), fp.high(),
-                    [&](std::size_t k) { return d.hl.row(k); },
-                    [&](std::size_t k) { return d.hh.row(k); }, high_rows.row(m), mode);
-            }
+        // core::reconstruct's ranges, split over output rows.
+        const core::ImageF& ll = lvl + 1 == pyr.depth() ? pyr.approx : current;
+        const core::DetailBands& d = pyr.levels[lvl];
+        const std::size_t rows = 2 * ll.rows();
+        core::ImageF low_rows(rows, ll.cols());
+        core::ImageF high_rows(rows, ll.cols());
+        pool.parallel_for(0, rows, [&](std::size_t mb, std::size_t me) {
+            core::synthesize_cols_range(ll, d.lh, fp, low_rows, mode, mb, me);
+            core::synthesize_cols_range(d.hl, d.hh, fp, high_rows, mode, mb, me);
         });
-
-        // Row synthesis, split over rows (each row independent). The
-        // single-row scratch images live once per chunk, not per row — the
-        // seed allocated three ImageFs for every output row.
-        core::ImageF out(2 * half_r, 2 * half_c);
-        pool.parallel_for(0, 2 * half_r, [&](std::size_t rb, std::size_t re) {
-            core::ImageF lo(1, half_c);
-            core::ImageF hi(1, half_c);
-            core::ImageF line(1, 2 * half_c);
-            for (std::size_t r = rb; r < re; ++r) {
-                std::copy(low_rows.row(r).begin(), low_rows.row(r).end(),
-                          lo.row(0).begin());
-                std::copy(high_rows.row(r).begin(), high_rows.row(r).end(),
-                          hi.row(0).begin());
-                // synthesize_rows reuses `line` (shape already matches).
-                core::synthesize_rows(lo, hi, fp.low(), fp.high(), line, mode);
-                std::copy(line.row(0).begin(), line.row(0).end(), out.row(r).begin());
-            }
+        core::ImageF out(rows, 2 * ll.cols());
+        pool.parallel_for(0, rows, [&](std::size_t rb, std::size_t re) {
+            core::synthesize_rows_range(low_rows, high_rows, fp, out, mode, rb, re);
         });
         current = std::move(out);
     }

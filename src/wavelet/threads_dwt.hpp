@@ -5,6 +5,7 @@
 // this one actually runs in parallel. All arithmetic lives in the shared
 // kernel layer (core/kernels.hpp); this backend only owns the range splits.
 
+#include "core/buffers.hpp"
 #include "core/dwt.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -40,11 +41,12 @@ namespace wavehpc::wavelet {
     core::DwtKernel kernel = core::DwtKernel::Auto,
     core::FloatBufferSource* buffers = nullptr);
 
-/// Bit-identical to core::reconstruct_gather(pyr, fp, mode): the gather-form
-/// synthesis computes each output independently, so the row loops
-/// parallelize without changing any accumulation order. Pass the boundary
-/// mode the pyramid was analyzed with (default Periodic, the
-/// exact-reconstruction convention).
+/// Bit-identical to core::reconstruct(pyr, fp, mode): both run the kernel
+/// layer's gather-form synthesis bodies, which compute each output
+/// independently, so splitting their row ranges across workers changes no
+/// accumulation order. Pass the boundary mode the pyramid was analyzed with
+/// (default Periodic, the exact-reconstruction convention). Throws
+/// std::invalid_argument unless core::validate_pyramid accepts `pyr`.
 [[nodiscard]] core::ImageF reconstruct_parallel(
     const core::Pyramid& pyr, const core::FilterPair& fp, runtime::ThreadPool& pool,
     core::BoundaryMode mode = core::BoundaryMode::Periodic);

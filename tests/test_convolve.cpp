@@ -202,9 +202,12 @@ INSTANTIATE_TEST_SUITE_P(
                                          BoundaryMode::Symmetric,
                                          BoundaryMode::ZeroPad)));
 
+// The gather-form synthesis passes (core/kernels.hpp) with a zero
+// companion band are the upsample-and-filter operators U: they must be the
+// transposes of the decimating filters, <D x, y> == <x, U y>, which is the
+// identity perfect reconstruction relies on.
+
 TEST(UpsampleAccumulate, IsAdjointOfDecimationUnderPeriodic) {
-    // <D x, y> == <x, U y> characterizes the transpose pair that perfect
-    // reconstruction relies on.
     const FilterPair fp = FilterPair::daubechies(8);
     const ImageF x = random_image(4, 16, 1);
     const ImageF y = random_image(4, 8, 2);
@@ -216,8 +219,9 @@ TEST(UpsampleAccumulate, IsAdjointOfDecimationUnderPeriodic) {
         lhs += static_cast<double>(dx.flat()[i]) * y.flat()[i];
     }
 
-    ImageF uy(4, 16, 0.0F);
-    wavehpc::core::upsample_accumulate_rows(y, fp.low(), uy);
+    ImageF uy(4, 16);
+    wavehpc::core::synthesize_rows_range(y, ImageF(4, 8), fp, uy, BoundaryMode::Periodic,
+                                         0, 4);
     double rhs = 0.0;
     for (std::size_t i = 0; i < uy.size(); ++i) {
         rhs += static_cast<double>(x.flat()[i]) * uy.flat()[i];
@@ -237,8 +241,9 @@ TEST(UpsampleAccumulate, ColumnVariantIsAdjointToo) {
         lhs += static_cast<double>(dx.flat()[i]) * y.flat()[i];
     }
 
-    ImageF uy(16, 4, 0.0F);
-    wavehpc::core::upsample_accumulate_cols(y, fp.high(), uy);
+    ImageF uy(16, 4);
+    wavehpc::core::synthesize_cols_range(ImageF(8, 4), y, fp, uy, BoundaryMode::Periodic,
+                                         0, 16);
     double rhs = 0.0;
     for (std::size_t i = 0; i < uy.size(); ++i) {
         rhs += static_cast<double>(x.flat()[i]) * uy.flat()[i];
@@ -250,10 +255,12 @@ TEST(UpsampleAccumulate, RejectsWrongOutputShape) {
     const FilterPair fp = FilterPair::daubechies(2);
     const ImageF y = random_image(4, 8);
     ImageF bad(4, 15, 0.0F);
-    EXPECT_THROW(wavehpc::core::upsample_accumulate_rows(y, fp.low(), bad),
+    EXPECT_THROW(wavehpc::core::synthesize_rows_range(y, y, fp, bad,
+                                                      BoundaryMode::Periodic, 0, 4),
                  std::invalid_argument);
     ImageF bad2(7, 8, 0.0F);
-    EXPECT_THROW(wavehpc::core::upsample_accumulate_cols(y, fp.low(), bad2),
+    EXPECT_THROW(wavehpc::core::synthesize_cols_range(y, y, fp, bad2,
+                                                      BoundaryMode::Periodic, 0, 7),
                  std::invalid_argument);
 }
 

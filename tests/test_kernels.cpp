@@ -291,12 +291,45 @@ TEST(AnalysisRange, PlaneSweepsRejectRangesOutsideThePlane) {
                                                       DwtKernel::Convolve, 0, 4));
 }
 
+TEST(SynthesisRange, PassesRejectRangesAndShapesOutsideThePlane) {
+    const FilterPair fp = FilterPair::daubechies(4);
+    const ImageF lo = scene(4, 4, 2);
+    const ImageF hi = scene(4, 4, 3);
+    const auto mode = BoundaryMode::Periodic;
+    ImageF rows(4, 8);
+    EXPECT_THROW(wavehpc::core::synthesize_rows_range(lo, hi, fp, rows, mode, 3, 2),
+                 std::invalid_argument);
+    EXPECT_THROW(wavehpc::core::synthesize_rows_range(lo, hi, fp, rows, mode, 0, 5),
+                 std::invalid_argument);
+    EXPECT_THROW(wavehpc::core::synthesize_rows_range(lo, scene(4, 3, 4), fp, rows, mode,
+                                                      0, 4),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(wavehpc::core::synthesize_rows_range(lo, hi, fp, rows, mode, 4, 4));
+
+    ImageF cols(8, 4);
+    EXPECT_THROW(wavehpc::core::synthesize_cols_range(lo, hi, fp, cols, mode, 0, 9),
+                 std::invalid_argument);
+    EXPECT_THROW(wavehpc::core::synthesize_cols_range(scene(3, 4, 5), hi, fp, cols, mode,
+                                                      0, 8),
+                 std::invalid_argument);
+    const wavehpc::core::RowAccessor row = [&](std::size_t k) { return lo.row(k).data(); };
+    ImageF stripe(2, 4);
+    EXPECT_THROW(wavehpc::core::synthesize_cols_tile(row, row, 4, 4, fp, stripe, mode, 7,
+                                                     9),
+                 std::invalid_argument);
+    EXPECT_THROW(wavehpc::core::synthesize_cols_tile(row, row, 4, 4, fp, stripe, mode, 0,
+                                                     3),
+                 std::invalid_argument);
+}
+
 // ------------------------------------------------- synthesis boundary contract
 //
 // Synthesis must be the exact adjoint of analysis *under the same
 // BoundaryMode*. The brute-force adjoint below scatters every analysis tap
-// through extend_index; before the fix, synthesize_rows wrapped
-// periodically for every mode and the Symmetric/ZeroPad cases failed.
+// through extend_index; it is the one adjoint oracle for both synthesis
+// passes (columns through a transpose). Before the boundary fix, row
+// synthesis wrapped periodically for every mode and the Symmetric/ZeroPad
+// cases failed.
 
 ImageF adjoint_rows_reference(const ImageF& lo, const ImageF& hi,
                               const FilterPair& fp, BoundaryMode mode) {
@@ -325,10 +358,39 @@ TEST(SynthesisBoundary, GatherRowsMatchesBruteForceAdjointEveryMode) {
         const ImageF hi = scene(4, 16, 22);
         for (const auto mode : kModes) {
             const ImageF want = adjoint_rows_reference(lo, hi, fp, mode);
-            ImageF got;
-            wavehpc::core::synthesize_rows(lo, hi, fp.low(), fp.high(), got, mode);
+            ImageF got(lo.rows(), 2 * lo.cols());
+            wavehpc::core::synthesize_rows_range(lo, hi, fp, got, mode, 0, lo.rows());
             EXPECT_LT(max_abs_diff(want, got), 1e-4)
                 << "taps=" << taps << " mode=" << int(mode);
+        }
+    }
+}
+
+ImageF transpose(const ImageF& in) {
+    ImageF out(in.cols(), in.rows());
+    for (std::size_t r = 0; r < in.rows(); ++r) {
+        for (std::size_t c = 0; c < in.cols(); ++c) out(c, r) = in(r, c);
+    }
+    return out;
+}
+
+TEST(SynthesisBoundary, GatherColsMatchBruteForceAdjointEveryMode) {
+    // Column synthesis is row synthesis of the transposed plane. The 2-row
+    // bands give a 4-row plane, shorter than the 6- and 8-tap filters
+    // (full-window fallback).
+    for (const int taps : kTaps) {
+        const FilterPair fp = FilterPair::daubechies(taps);
+        for (const std::size_t half : {8U, 2U}) {
+            const ImageF lo = scene(half, 6, 23);
+            const ImageF hi = scene(half, 6, 24);
+            for (const auto mode : kModes) {
+                const ImageF want =
+                    transpose(adjoint_rows_reference(transpose(lo), transpose(hi), fp, mode));
+                ImageF got(2 * half, 6);
+                wavehpc::core::synthesize_cols_range(lo, hi, fp, got, mode, 0, 2 * half);
+                EXPECT_LT(max_abs_diff(want, got), 1e-4)
+                    << "taps=" << taps << " half=" << half << " mode=" << int(mode);
+            }
         }
     }
 }
@@ -341,8 +403,8 @@ TEST(SynthesisBoundary, TinyBandsStillMatchBruteForce) {
     const ImageF hi = scene(2, 2, 32);
     for (const auto mode : kModes) {
         const ImageF want = adjoint_rows_reference(lo, hi, fp, mode);
-        ImageF got;
-        wavehpc::core::synthesize_rows(lo, hi, fp.low(), fp.high(), got, mode);
+        ImageF got(lo.rows(), 2 * lo.cols());
+        wavehpc::core::synthesize_rows_range(lo, hi, fp, got, mode, 0, lo.rows());
         EXPECT_LT(max_abs_diff(want, got), 1e-4) << "mode " << int(mode);
     }
 }
@@ -355,18 +417,17 @@ TEST(SynthesisBoundary, ZeroPadDropsWrappedTaps) {
     const FilterPair fp = FilterPair::daubechies(4);
     ImageF lo(1, 8), hi(1, 8);
     lo(0, 7) = 1.0F;  // window 2k+j = 14..17 spills two taps past n = 16
-    ImageF out;
-    wavehpc::core::synthesize_rows(lo, hi, fp.low(), fp.high(), out,
-                                   BoundaryMode::ZeroPad);
+    ImageF out(1, 16);
+    wavehpc::core::synthesize_rows_range(lo, hi, fp, out, BoundaryMode::ZeroPad, 0, 1);
     EXPECT_EQ(out(0, 0), 0.0F);
     EXPECT_EQ(out(0, 1), 0.0F);
     EXPECT_EQ(out(0, 14), fp.low()[0]);
     EXPECT_EQ(out(0, 15), fp.low()[1]);
 
     // Same coefficient under Periodic *does* wrap — the historical path.
-    ImageF wrapped;
-    wavehpc::core::synthesize_rows(lo, hi, fp.low(), fp.high(), wrapped,
-                                   BoundaryMode::Periodic);
+    ImageF wrapped(1, 16);
+    wavehpc::core::synthesize_rows_range(lo, hi, fp, wrapped, BoundaryMode::Periodic, 0,
+                                         1);
     EXPECT_EQ(wrapped(0, 0), fp.low()[2]);
     EXPECT_EQ(wrapped(0, 1), fp.low()[3]);
 }
@@ -378,30 +439,14 @@ TEST(SynthesisBoundary, SymmetricFoldsOntoTheReflection) {
     const FilterPair fp = FilterPair::daubechies(4);
     ImageF lo(1, 8), hi(1, 8);
     lo(0, 7) = 1.0F;
-    ImageF out;
-    wavehpc::core::synthesize_rows(lo, hi, fp.low(), fp.high(), out,
-                                   BoundaryMode::Symmetric);
+    ImageF out(1, 16);
+    wavehpc::core::synthesize_rows_range(lo, hi, fp, out, BoundaryMode::Symmetric, 0,
+                                         1);
     EXPECT_EQ(out(0, 0), 0.0F);  // nothing wraps to the far edge
     EXPECT_EQ(out(0, 1), 0.0F);
     // Window samples 16, 17 reflect to 15, 14: tap 2 lands on 15, tap 3 on 14.
     EXPECT_EQ(out(0, 15), fp.low()[1] + fp.low()[2]);
     EXPECT_EQ(out(0, 14), fp.low()[0] + fp.low()[3]);
-}
-
-TEST(SynthesisBoundary, ScatterFormAgreesWithGatherFormEveryMode) {
-    // upsample_accumulate_* (scatter, serial reconstruct) and
-    // synthesize_* (gather, parallel reconstruct) must stay one operator.
-    const FilterPair fp = FilterPair::daubechies(8);
-    const ImageF lo = scene(6, 12, 51);
-    const ImageF hi = scene(6, 12, 52);
-    for (const auto mode : kModes) {
-        ImageF gather;
-        wavehpc::core::synthesize_rows(lo, hi, fp.low(), fp.high(), gather, mode);
-        ImageF scatter(lo.rows(), 2 * lo.cols());
-        wavehpc::core::upsample_accumulate_rows(lo, fp.low(), scatter, mode);
-        wavehpc::core::upsample_accumulate_rows(hi, fp.high(), scatter, mode);
-        EXPECT_LT(max_abs_diff(gather, scatter), 1e-4) << "mode " << int(mode);
-    }
 }
 
 TEST(SynthesisBoundary, RoundTripMatrixInteriorExactEdgesBounded) {
@@ -450,24 +495,13 @@ TEST(SynthesisBoundary, RoundTripMatrixInteriorExactEdgesBounded) {
     }
 }
 
-TEST(SynthesisBoundary, GatherReconstructMatchesScatterEveryMode) {
-    const ImageF img = scene(32, 32, 99);
-    const FilterPair fp = FilterPair::daubechies(4);
-    for (const auto mode : kModes) {
-        const auto pyr = wavehpc::core::decompose(img, fp, 2, mode);
-        const auto scatter = wavehpc::core::reconstruct(pyr, fp, mode);
-        const auto gather = wavehpc::core::reconstruct_gather(pyr, fp, mode);
-        EXPECT_LT(max_abs_diff(scatter, gather), 1e-3) << "mode " << int(mode);
-    }
-}
-
 TEST(SynthesisBoundary, ThreadedReconstructHonorsMode) {
     const ImageF img = scene(64, 64, 13);
     const FilterPair fp = FilterPair::daubechies(8);
     wavehpc::runtime::ThreadPool pool(3);
     for (const auto mode : kModes) {
         const auto pyr = wavehpc::core::decompose(img, fp, 2, mode);
-        const auto serial = wavehpc::core::reconstruct_gather(pyr, fp, mode);
+        const auto serial = wavehpc::core::reconstruct(pyr, fp, mode);
         const auto threaded = wavehpc::wavelet::reconstruct_parallel(pyr, fp, pool, mode);
         EXPECT_EQ(max_abs_diff(serial, threaded), 0.0) << "mode " << int(mode);
     }

@@ -219,7 +219,7 @@ TEST(ThreadsDwt, ReconstructionRoundTripsThroughParallelAnalysis) {
 }
 
 // Pool-size sweep: the fused threaded kernels must stay bit-identical to
-// the serial decompose_level/reconstruct_level references for every
+// the serial decompose_level/reconstruct references for every
 // boundary mode at pool sizes 1, 2 and hardware_concurrency. The 8-tap
 // filter on a 64-row image drives extend_index past the edge at every
 // level, so ZeroPad exercises the "missing row" sentinel in the fused
@@ -258,16 +258,30 @@ TEST_P(ThreadsDwtPoolSweep, SingleLevelMatchesDecomposeLevel) {
     }
 }
 
+// Every boundary mode, on a square plane, a non-square one, and an 8x8
+// plane at 3 levels whose 1x1 coarsest band is far smaller than the 8-tap
+// filter.
 TEST_P(ThreadsDwtPoolSweep, ReconstructMatchesSerialGatherReference) {
     wavehpc::runtime::ThreadPool pool(GetParam());
-    const ImageF img = wavehpc::core::landsat_tm_like(64, 64, 53);
-    for (int taps : {2, 4, 8}) {
-        const FilterPair fp = FilterPair::daubechies(taps);
-        const Pyramid pyr =
-            wavehpc::core::decompose(img, fp, 2, BoundaryMode::Periodic);
-        const ImageF serial = wavehpc::core::reconstruct_gather(pyr, fp);
-        const ImageF par = wavehpc::wavelet::reconstruct_parallel(pyr, fp, pool);
-        EXPECT_EQ(par, serial) << "taps " << taps;
+    struct Shape {
+        std::size_t rows;
+        std::size_t cols;
+        int levels;
+    };
+    for (const Shape s : {Shape{64, 64, 2}, Shape{32, 96, 2}, Shape{8, 8, 3}}) {
+        const ImageF img = wavehpc::core::landsat_tm_like(s.rows, s.cols, 53);
+        for (int taps : {2, 4, 8}) {
+            const FilterPair fp = FilterPair::daubechies(taps);
+            for (auto mode : {BoundaryMode::Periodic, BoundaryMode::Symmetric,
+                              BoundaryMode::ZeroPad}) {
+                const Pyramid pyr = wavehpc::core::decompose(img, fp, s.levels, mode);
+                const ImageF serial = wavehpc::core::reconstruct(pyr, fp, mode);
+                const ImageF par =
+                    wavehpc::wavelet::reconstruct_parallel(pyr, fp, pool, mode);
+                EXPECT_EQ(par, serial) << s.rows << "x" << s.cols << " taps " << taps
+                                       << " mode " << int(mode);
+            }
+        }
     }
 }
 

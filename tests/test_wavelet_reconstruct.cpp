@@ -1,8 +1,14 @@
-// Reconstruction backends (the paper's figure 2): the gather-form
-// sequential reference, the thread-pool backend, and the distributed mesh
-// backend must agree bit-for-bit, and all must invert the decomposition.
+// Reconstruction backends (the paper's figure 2): the serial reference
+// core::reconstruct, the thread-pool backend, and the distributed mesh
+// backend run the same gather-form synthesis bodies, so they must agree
+// bit-for-bit in every boundary mode, invert the decomposition, and reject
+// the same malformed pyramids.
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <tuple>
+#include <vector>
 
 #include "core/metrics.hpp"
 #include "core/synthetic.hpp"
@@ -20,19 +26,11 @@ using wavehpc::core::SequentialCostModel;
 using wavehpc::mesh::Machine;
 using wavehpc::mesh::MachineProfile;
 
-Pyramid sample_pyramid(int taps, int levels, std::size_t size = 64) {
-    const ImageF img = wavehpc::core::landsat_tm_like(size, size, 71);
-    return wavehpc::core::decompose(img, FilterPair::daubechies(taps), levels);
-}
-
-TEST(GatherReconstruct, MatchesScatterReconstructWithinRounding) {
-    for (int taps : {2, 4, 8}) {
-        const Pyramid pyr = sample_pyramid(taps, 3);
-        const FilterPair fp = FilterPair::daubechies(taps);
-        const ImageF a = wavehpc::core::reconstruct(pyr, fp);
-        const ImageF b = wavehpc::core::reconstruct_gather(pyr, fp);
-        EXPECT_LT(wavehpc::core::max_abs_diff(a, b), 1e-3) << taps;
-    }
+Pyramid sample_pyramid(int taps, int levels, std::size_t rows = 64,
+                       std::size_t cols = 64,
+                       BoundaryMode mode = BoundaryMode::Periodic) {
+    const ImageF img = wavehpc::core::landsat_tm_like(rows, cols, 71);
+    return wavehpc::core::decompose(img, FilterPair::daubechies(taps), levels, mode);
 }
 
 TEST(GatherReconstruct, IsPerfectReconstruction) {
@@ -40,7 +38,7 @@ TEST(GatherReconstruct, IsPerfectReconstruction) {
     for (int taps : {2, 4, 8}) {
         const FilterPair fp = FilterPair::daubechies(taps);
         const Pyramid pyr = wavehpc::core::decompose(img, fp, 2);
-        const ImageF back = wavehpc::core::reconstruct_gather(pyr, fp);
+        const ImageF back = wavehpc::core::reconstruct(pyr, fp);
         EXPECT_LT(wavehpc::core::max_abs_diff(img, back), 2e-3) << taps;
     }
 }
@@ -51,7 +49,7 @@ TEST(GatherReconstruct, DeepLevelsWhereBandIsSmallerThanFilter) {
     const ImageF img = wavehpc::core::landsat_tm_like(64, 64, 75);
     const FilterPair fp = FilterPair::daubechies(8);
     const Pyramid pyr = wavehpc::core::decompose(img, fp, 4);
-    const ImageF back = wavehpc::core::reconstruct_gather(pyr, fp);
+    const ImageF back = wavehpc::core::reconstruct(pyr, fp);
     EXPECT_LT(wavehpc::core::max_abs_diff(img, back), 3e-3);
 }
 
@@ -60,7 +58,7 @@ TEST(ThreadsReconstruct, BitIdenticalToGatherReference) {
     for (int taps : {2, 8}) {
         const Pyramid pyr = sample_pyramid(taps, 3);
         const FilterPair fp = FilterPair::daubechies(taps);
-        const ImageF ref = wavehpc::core::reconstruct_gather(pyr, fp);
+        const ImageF ref = wavehpc::core::reconstruct(pyr, fp);
         const ImageF par = wavehpc::wavelet::reconstruct_parallel(pyr, fp, pool);
         EXPECT_EQ(ref, par) << taps;
     }
@@ -70,29 +68,39 @@ struct IdwtCase {
     int taps;
     int levels;
     std::size_t nprocs;
+    std::size_t rows = 64;
+    std::size_t cols = 64;
 };
 
-class MeshReconstruct : public ::testing::TestWithParam<IdwtCase> {};
+class MeshReconstruct
+    : public ::testing::TestWithParam<std::tuple<IdwtCase, BoundaryMode>> {};
 
 TEST_P(MeshReconstruct, BitIdenticalToGatherReference) {
-    const auto [taps, levels, nprocs] = GetParam();
-    const Pyramid pyr = sample_pyramid(taps, levels);
-    const FilterPair fp = FilterPair::daubechies(taps);
-    const ImageF ref = wavehpc::core::reconstruct_gather(pyr, fp);
+    const auto [c, mode] = GetParam();
+    const Pyramid pyr = sample_pyramid(c.taps, c.levels, c.rows, c.cols, mode);
+    const FilterPair fp = FilterPair::daubechies(c.taps);
+    const ImageF ref = wavehpc::core::reconstruct(pyr, fp, mode);
 
     Machine machine(MachineProfile::paragon_pvm());
     wavehpc::wavelet::MeshIdwtConfig cfg;
+    cfg.mode = mode;
     const auto res = wavehpc::wavelet::mesh_reconstruct(
-        machine, pyr, fp, cfg, nprocs, SequentialCostModel::paragon_node());
+        machine, pyr, fp, cfg, c.nprocs, SequentialCostModel::paragon_node());
     EXPECT_EQ(res.image, ref);
     EXPECT_GT(res.seconds, 0.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, MeshReconstruct,
-                         ::testing::Values(IdwtCase{8, 1, 1}, IdwtCase{8, 1, 4},
-                                           IdwtCase{8, 2, 8}, IdwtCase{4, 2, 5},
-                                           IdwtCase{2, 4, 4}, IdwtCase{8, 3, 8},
-                                           IdwtCase{4, 1, 7}));
+// The last two cases are a non-square plane split into uneven stripes, and
+// an 8x8 plane whose 1x1 coarsest band is far smaller than the filter.
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, MeshReconstruct,
+    ::testing::Combine(
+        ::testing::Values(IdwtCase{8, 1, 1}, IdwtCase{8, 1, 4}, IdwtCase{8, 2, 8},
+                          IdwtCase{4, 2, 5}, IdwtCase{2, 4, 4}, IdwtCase{8, 3, 8},
+                          IdwtCase{4, 1, 7}, IdwtCase{8, 2, 3, 32, 96},
+                          IdwtCase{8, 3, 1, 8, 8}),
+        ::testing::Values(BoundaryMode::Periodic, BoundaryMode::Symmetric,
+                          BoundaryMode::ZeroPad)));
 
 TEST(MeshReconstructRoundTrip, DistributedAnalysisThenDistributedSynthesis) {
     const ImageF img = wavehpc::core::landsat_tm_like(128, 128, 77);
@@ -112,7 +120,7 @@ TEST(MeshReconstructRoundTrip, DistributedAnalysisThenDistributedSynthesis) {
 }
 
 TEST(MeshReconstructTiming, ScalesWithProcessors) {
-    const Pyramid pyr = sample_pyramid(8, 1, 256);
+    const Pyramid pyr = sample_pyramid(8, 1, 256, 256);
     const FilterPair fp = FilterPair::daubechies(8);
     const auto time_with = [&](std::size_t p) {
         Machine machine(MachineProfile::paragon_pvm());
@@ -129,6 +137,47 @@ TEST(MeshReconstruct, EmptyPyramidRejected) {
                      machine, Pyramid{}, FilterPair::daubechies(2), {}, 2,
                      SequentialCostModel::paragon_node()),
                  std::invalid_argument);
+}
+
+// Pyramids whose level-1 detail bands do not match the 8x8 approximation
+// they pair with: a short lh and a narrow hh. Every backend must reject
+// them before it reads a band row past the end of the malformed band.
+std::vector<Pyramid> malformed_pyramids() {
+    const Pyramid good = sample_pyramid(4, 2, 32, 32);
+    Pyramid short_lh = good;
+    short_lh.levels[1].lh = ImageF(4, 8);
+    Pyramid narrow_hh = good;
+    narrow_hh.levels[1].hh = ImageF(8, 4);
+    return {short_lh, narrow_hh};
+}
+
+TEST(MalformedPyramid, SerialReconstructRejects) {
+    for (const Pyramid& bad : malformed_pyramids()) {
+        EXPECT_THROW((void)wavehpc::core::reconstruct(bad, FilterPair::daubechies(4)),
+                     std::invalid_argument);
+    }
+}
+
+TEST(MalformedPyramid, ThreadedReconstructRejects) {
+    wavehpc::runtime::ThreadPool pool(2);
+    for (const Pyramid& bad : malformed_pyramids()) {
+        EXPECT_THROW((void)wavehpc::wavelet::reconstruct_parallel(
+                         bad, FilterPair::daubechies(4), pool),
+                     std::invalid_argument);
+    }
+}
+
+TEST(MalformedPyramid, MeshReconstructRejects) {
+    for (const Pyramid& bad : malformed_pyramids()) {
+        for (const std::size_t nprocs : {1U, 2U}) {
+            Machine machine(MachineProfile::paragon_pvm());
+            EXPECT_THROW((void)wavehpc::wavelet::mesh_reconstruct(
+                             machine, bad, FilterPair::daubechies(4), {}, nprocs,
+                             SequentialCostModel::paragon_node()),
+                         std::invalid_argument)
+                << nprocs << " ranks";
+        }
+    }
 }
 
 TEST(SynthesisGuardRows, CoversTheSupportAndWraps) {
