@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks of the host wavelet kernels: sequential
-// vs thread-pool decomposition, per filter size, plus the primitive passes
-// and the convolve-vs-lifting kernel comparison.
+// vs thread-pool decomposition, per filter size, plus the Convolve row and
+// column passes and the convolve-vs-lifting kernel comparison.
 //
 // Takes the shared bench knobs (--seed / --size / --smoke, common_args.hpp)
 // ahead of the usual --benchmark_* flags; --smoke shrinks min_time so CI
@@ -14,6 +14,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -24,7 +25,6 @@
 #include <vector>
 
 #include "common_args.hpp"
-#include "core/convolve.hpp"
 #include "core/kernels.hpp"
 #include "core/synthetic.hpp"
 #include "wavelet/threads_dwt.hpp"
@@ -46,27 +46,49 @@ const ImageF& scene512() {
     return img;
 }
 
+// The shipped Convolve passes of one level: the fused row pass (both row
+// bands) and the fused column pass (all four subbands). Outputs are
+// allocated once; the column pass accumulates, so its outputs are zeroed
+// with the timer paused.
 void BM_RowPass(benchmark::State& state) {
     const FilterPair fp = FilterPair::daubechies(static_cast<int>(state.range(0)));
     const ImageF& img = scene512();
-    ImageF out;
+    ImageF lo(img.rows(), img.cols() / 2), hi(img.rows(), img.cols() / 2);
     for (auto _ : state) {
-        wavehpc::core::convolve_decimate_rows(img, fp.low(), out, BoundaryMode::Periodic);
-        benchmark::DoNotOptimize(out);
+        wavehpc::core::analyze_rows_range(img, fp, lo, hi, BoundaryMode::Periodic,
+                                          DwtKernel::Convolve, 0, img.rows());
+        benchmark::DoNotOptimize(lo.flat().data());
+        benchmark::DoNotOptimize(hi.flat().data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(img.size() / 2));
+                            static_cast<int64_t>(img.size()));
 }
 BENCHMARK(BM_RowPass)->Arg(2)->Arg(4)->Arg(8);
+
+void zero(ImageF& img) { std::fill(img.flat().begin(), img.flat().end(), 0.0F); }
 
 void BM_ColPass(benchmark::State& state) {
     const FilterPair fp = FilterPair::daubechies(static_cast<int>(state.range(0)));
     const ImageF& img = scene512();
-    ImageF out;
+    const std::size_t half_r = img.rows() / 2;
+    const std::size_t half_c = img.cols() / 2;
+    ImageF lo(img.rows(), half_c), hi(img.rows(), half_c);
+    wavehpc::core::analyze_rows_range(img, fp, lo, hi, BoundaryMode::Periodic,
+                                      DwtKernel::Convolve, 0, img.rows());
+    ImageF ll(half_r, half_c), lh(half_r, half_c), hl(half_r, half_c), hh(half_r, half_c);
     for (auto _ : state) {
-        wavehpc::core::convolve_decimate_cols(img, fp.low(), out, BoundaryMode::Periodic);
-        benchmark::DoNotOptimize(out);
+        state.PauseTiming();
+        for (ImageF* band : {&ll, &lh, &hl, &hh}) zero(*band);
+        state.ResumeTiming();
+        wavehpc::core::analyze_cols_range(lo, hi, fp, ll, lh, hl, hh,
+                                          BoundaryMode::Periodic, DwtKernel::Convolve,
+                                          0, half_r);
+        benchmark::DoNotOptimize(ll.flat().data());
+        benchmark::ClobberMemory();
     }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(img.size()));
 }
 BENCHMARK(BM_ColPass)->Arg(2)->Arg(4)->Arg(8);
 
@@ -164,42 +186,75 @@ BENCHMARK(BM_Reconstruct);
 
 // ------------------------------------------------------------------ report
 //
-// Own-timed convolve-vs-lifting comparison, independent of google-benchmark
-// so CI can gate on it and commit the numbers: best-of-R wall time of one
-// fused analysis level per (taps, kernel), reported as ns/pixel.
+// Own-timed report, independent of google-benchmark so CI can gate on it
+// and commit the numbers: best-of-R wall time of one fused analysis level
+// per (taps, kernel), and of the Convolve row and column passes on their
+// own, all in ns per input pixel of the level.
 
 struct KernelRow {
     int taps = 0;
-    double convolve_ns = 0.0;  // ns per input pixel
+    double convolve_ns = 0.0;  // whole level
     double lifting_ns = 0.0;
+    double convolve_row_ns = 0.0;  // Convolve row pass alone
+    double convolve_col_ns = 0.0;  // Convolve column pass alone
     [[nodiscard]] double speedup() const { return convolve_ns / lifting_ns; }
+    [[nodiscard]] double row_col_ratio() const {
+        return convolve_row_ns / convolve_col_ns;
+    }
 };
 
-double time_level_ns_per_pixel(const ImageF& img, const FilterPair& fp,
-                               DwtKernel kernel, int reps) {
+// Best of `reps` timed calls of `work` after one warm-up call; `prepare`
+// runs before each call with the clock stopped.
+template <typename Prepare, typename Work>
+double best_ns_per_pixel(std::size_t pixels, int reps, Prepare&& prepare, Work&& work) {
     using Clock = std::chrono::steady_clock;
-    ImageF ll, lh, hl, hh;
     double best = std::numeric_limits<double>::infinity();
-    for (int r = 0; r <= reps; ++r) {  // iteration 0 is warm-up
+    for (int r = 0; r <= reps; ++r) {
+        prepare();
         const auto t0 = Clock::now();
-        wavehpc::core::analyze_level(img, fp, ll, lh, hl, hh,
-                                     BoundaryMode::Periodic, kernel);
+        work();
         const double dt = std::chrono::duration<double>(Clock::now() - t0).count();
         if (r > 0) best = std::min(best, dt);
     }
-    return best * 1e9 / static_cast<double>(img.size());
+    return best * 1e9 / static_cast<double>(pixels);
 }
 
 std::vector<KernelRow> run_kernel_report(int reps) {
+    const ImageF& img = scene512();
+    const std::size_t half_r = img.rows() / 2;
+    const std::size_t half_c = img.cols() / 2;
+    const auto no_prepare = [] {};
     std::vector<KernelRow> rows;
     for (const int taps : {2, 4, 8}) {
         const FilterPair fp = FilterPair::daubechies(taps);
         KernelRow row;
         row.taps = taps;
-        row.convolve_ns =
-            time_level_ns_per_pixel(scene512(), fp, DwtKernel::Convolve, reps);
-        row.lifting_ns =
-            time_level_ns_per_pixel(scene512(), fp, DwtKernel::Lifting, reps);
+        ImageF ll, lh, hl, hh;
+        const auto level = [&](DwtKernel kernel) {
+            return best_ns_per_pixel(img.size(), reps, no_prepare, [&] {
+                wavehpc::core::analyze_level(img, fp, ll, lh, hl, hh,
+                                             BoundaryMode::Periodic, kernel);
+            });
+        };
+        row.convolve_ns = level(DwtKernel::Convolve);
+        row.lifting_ns = level(DwtKernel::Lifting);
+
+        ImageF lo(img.rows(), half_c), hi(img.rows(), half_c);
+        row.convolve_row_ns = best_ns_per_pixel(img.size(), reps, no_prepare, [&] {
+            wavehpc::core::analyze_rows_range(img, fp, lo, hi, BoundaryMode::Periodic,
+                                              DwtKernel::Convolve, 0, img.rows());
+        });
+        // analyze_level above left the four bands allocated at their shape.
+        row.convolve_col_ns = best_ns_per_pixel(
+            img.size(), reps,
+            [&] {
+                for (ImageF* band : {&ll, &lh, &hl, &hh}) zero(*band);
+            },
+            [&] {
+                wavehpc::core::analyze_cols_range(lo, hi, fp, ll, lh, hl, hh,
+                                                  BoundaryMode::Periodic,
+                                                  DwtKernel::Convolve, 0, half_r);
+            });
         rows.push_back(row);
     }
     return rows;
@@ -219,7 +274,10 @@ void write_kernel_json(const std::string& path, const std::vector<KernelRow>& ro
         out << "    {\"taps\": " << r.taps                        //
             << ", \"convolve\": " << r.convolve_ns                //
             << ", \"lifting\": " << r.lifting_ns                  //
-            << ", \"speedup\": " << r.speedup() << "}"            //
+            << ", \"speedup\": " << r.speedup()                   //
+            << ", \"convolve_row\": " << r.convolve_row_ns        //
+            << ", \"convolve_col\": " << r.convolve_col_ns        //
+            << ", \"row_col_ratio\": " << r.row_col_ratio() << "}"  //
             << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
@@ -268,13 +326,16 @@ int main(int argc, char** argv) {
     if (args.smoke && json_path.empty()) json_path = "BENCH_kernels.json";
 
     // Kernel comparison report (own timing, runs before google-benchmark).
-    const auto rows = run_kernel_report(args.smoke ? 3 : 9);
+    // --smoke takes the same best of 9: fewer reps let host noise swing the
+    // committed ratios.
+    const auto rows = run_kernel_report(9);
     std::cout << "=== DWT kernel comparison: " << g_size << "x" << g_size
               << " scene, seed " << g_seed << ", one fused level, ns/pixel ===\n";
     for (const auto& r : rows) {
         std::cout << "  taps " << r.taps << ": convolve " << r.convolve_ns
                   << "  lifting " << r.lifting_ns << "  speedup " << r.speedup()
-                  << "x\n";
+                  << "x  | convolve row pass " << r.convolve_row_ns << "  column pass "
+                  << r.convolve_col_ns << "  row/col " << r.row_col_ratio() << "x\n";
     }
     if (!json_path.empty()) {
         write_kernel_json(json_path, rows);

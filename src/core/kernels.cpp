@@ -264,8 +264,50 @@ void accumulate_tap(float* __restrict dll, float* __restrict dlh, float* __restr
 
 // ---------------------------------------------------------------------------
 // Convolve: the golden kernel, bit-identical to the unfused
-// convolve_decimate_* reference (same per-coefficient accumulation order).
+// convolve_decimate_* oracle in tests/convolve.hpp (same per-coefficient
+// accumulation order).
 // ---------------------------------------------------------------------------
+
+// Outputs per register block of the interior row pass: 16 low and 16 high
+// float accumulators take eight 128-bit vector registers, half of the
+// x86-64 SSE set, leaving the rest for loads and tap weights.
+constexpr std::size_t kRowBlock = 16;
+
+// Even and odd phases of a row window: e[j] = x[2j], o[j] = x[2j+1].
+// Standalone for the __restrict parameters, as accumulate_tap.
+void split_phases(const float* __restrict x, std::size_t len, float* __restrict e,
+                  float* __restrict o) {
+    for (std::size_t j = 0; j < len; ++j) {
+        e[j] = x[2 * j];
+        o[j] = x[2 * j + 1];
+    }
+}
+
+// Interior outputs [0, count), count a multiple of kRowBlock, from the
+// phases of their window: tap n of output i reads e[i + n/2] (n even) or
+// o[i + n/2] (n odd). Taps run in the outer loop over a block of
+// registers, so each output sums f[n] * x[2k+n] in tap order from zero,
+// as the scalar loop does, while the block's outputs vectorize.
+void convolve_row_blocks(const float* __restrict e, const float* __restrict o,
+                         std::size_t count, std::span<const float> fl,
+                         std::span<const float> fh, float* __restrict lo,
+                         float* __restrict hi) {
+    for (std::size_t b = 0; b < count; b += kRowBlock) {
+        float acc_lo[kRowBlock] = {};
+        float acc_hi[kRowBlock] = {};
+        for (std::size_t n = 0; n < fl.size(); ++n) {
+            const float* x = (n % 2 == 0 ? e : o) + b + n / 2;
+            for (std::size_t i = 0; i < kRowBlock; ++i) {
+                acc_lo[i] += fl[n] * x[i];
+                acc_hi[i] += fh[n] * x[i];
+            }
+        }
+        for (std::size_t i = 0; i < kRowBlock; ++i) {
+            lo[b + i] = acc_lo[i];
+            hi[b + i] = acc_hi[i];
+        }
+    }
+}
 
 void convolve_row_range(std::span<const float> src, const FilterPair& fp,
                         std::span<float> dlo, std::span<float> dhi, BoundaryMode mode,
@@ -274,7 +316,29 @@ void convolve_row_range(std::span<const float> src, const FilterPair& fp,
     const auto fl = fp.low();
     const auto fh = fp.high();
     const std::size_t taps = fl.size();
-    for (std::size_t k = k0; k < k1; ++k) {
+    // Interior outputs have every tap in range (2k + taps <= cols); windows
+    // start at 2k >= 0, so they are the prefix [0, interior) of the signal.
+    // Whole blocks of them run from the phases; the block remainder and the
+    // edge outputs run the scalar loop below.
+    const std::size_t interior = cols >= taps ? (cols - taps) / 2 + 1 : 0;
+    const std::size_t blocked =
+        k0 < interior ? (std::min(k1, interior) - k0) / kRowBlock * kRowBlock : 0;
+    if (blocked > 0) {
+        // The last blocked output reads phase index blocked-1 + (taps-2)/2,
+        // i.e. x[2(k0+blocked-1) + taps-1]: in range, as that output is
+        // interior.
+        const std::size_t len = blocked + taps / 2 - 1;
+        thread_local std::vector<float> e_buf;
+        thread_local std::vector<float> o_buf;
+        if (e_buf.size() < len) {
+            e_buf.resize(len);
+            o_buf.resize(len);
+        }
+        split_phases(src.data() + 2 * k0, len, e_buf.data(), o_buf.data());
+        convolve_row_blocks(e_buf.data(), o_buf.data(), blocked, fl, fh, dlo.data(),
+                            dhi.data());
+    }
+    for (std::size_t k = k0 + blocked; k < k1; ++k) {
         float acc_lo = 0.0F;
         float acc_hi = 0.0F;
         if (2 * k + taps <= cols) {

@@ -8,9 +8,9 @@
 //
 //   * Convolve — the paper's separable filter+decimate sweeps, fused so
 //     one row pass emits both row bands and one cache-tiled column pass
-//     emits all four subbands. Bit-identical to the historical
-//     convolve_decimate_* reference (same per-coefficient accumulation
-//     order); this is the golden kernel.
+//     emits all four subbands. Bit-identical to the unfused
+//     convolve_decimate_* oracle in the test tree (tests/convolve.hpp;
+//     same per-coefficient accumulation order); this is the golden kernel.
 //
 //   * Lifting — a fused in-place factorization of the analysis polyphase
 //     matrix into taps/2 plane-rotation stages (the paraunitary lattice
@@ -144,8 +144,8 @@ void analyze_cols_range(const ImageF& low_rows, const ImageF& high_rows,
 /// Fused 1-D analysis restricted to output range [k0, k1) of the FULL
 /// signal `x`. lo/hi receive k1-k0 values (output k lands at lo[k-k0]);
 /// boundary extension is applied at the true signal edges, never at k0/k1.
-/// The whole signal is [0, x.size()/2), bit-identical to two
-/// convolve_decimate_1d calls for the Convolve kernel.
+/// The whole signal is [0, x.size()/2), bit-identical to two calls of the
+/// test oracle convolve_decimate_1d for the Convolve kernel.
 void analyze_1d_range(std::span<const float> x, const FilterPair& fp,
                       std::span<float> lo, std::span<float> hi, BoundaryMode mode,
                       DwtKernel kernel, std::size_t k0, std::size_t k1);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -40,9 +41,12 @@ void GoldenArtifact::set(const std::string& key, double value) {
 
 std::string GoldenArtifact::check(const std::string& name, double rel_tol,
                                   double abs_tol) const {
-    const std::string path = golden_dir() + "/" + name + ".txt";
+    const std::string dir = golden_dir();
+    const std::string path = dir + "/" + name + ".txt";
 
     if (regen_mode()) {
+        std::error_code ec;  // a failure shows as "cannot write" just below
+        std::filesystem::create_directories(dir, ec);
         std::ofstream out(path);
         if (!out) return "golden: cannot write " + path;
         out << "# golden artifact '" << name << "'; regenerate with --regen\n";

@@ -1,4 +1,4 @@
-#include "core/convolve.hpp"
+#include "convolve.hpp"
 
 #include <stdexcept>
 

@@ -1,8 +1,9 @@
 #pragma once
 // Filtering + dyadic decimation primitives of the Mallat algorithm
-// (steps 1-4 of the paper's section 2): the unfused analysis reference
-// that the kernel layer's Convolve bodies are pinned to bit for bit.
-// Synthesis lives in the kernel layer (core/kernels.hpp).
+// (steps 1-4 of the paper's section 2): the unfused analysis oracle that
+// the kernel layer's Convolve bodies are pinned to bit for bit. It lives
+// in the test tree because only tests call it; the library runs the
+// kernel layer (core/kernels.hpp) for analysis and synthesis alike.
 //
 // Analysis convention, along a length-N signal x with filter f of length F:
 //     y[k] = sum_{n=0}^{F-1} f[n] * x~[2k + n],  k in [0, N/2)

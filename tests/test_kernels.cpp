@@ -14,7 +14,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/convolve.hpp"
+#include "convolve.hpp"
 #include "core/dwt.hpp"
 #include "core/synthetic.hpp"
 #include "wavelet/threads_dwt.hpp"

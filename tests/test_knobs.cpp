@@ -8,6 +8,7 @@
 #include "core/knobs.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdlib>
@@ -261,6 +262,22 @@ TEST(KnobConsumers, GoldenHarnessKnobs) {
         const ScopedEnv regen("WAVEHPC_REGEN_GOLDEN", on);
         EXPECT_TRUE(wavehpc::testing::regen_mode()) << on;
     }
+}
+
+TEST(KnobConsumers, GoldenRegenCreatesAMissingDirectory) {
+    const fs::path root = fs::temp_directory_path() /
+                          ("wavehpc-golden-" + std::to_string(::getpid()));
+    const fs::path dir = root / "nested" / "golden";
+    fs::remove_all(root);
+    const ScopedEnv golden("WAVEHPC_GOLDEN_DIR", dir.c_str());
+    wavehpc::testing::GoldenArtifact artifact;
+    artifact.set("value", 0.25);
+    {
+        const ScopedEnv regen("WAVEHPC_REGEN_GOLDEN", "1");
+        EXPECT_EQ(artifact.check("regen_probe", 0.0), "");
+    }
+    EXPECT_EQ(artifact.check("regen_probe", 0.0), "");
+    fs::remove_all(root);
 }
 
 // ------------------------------------------------------------ lint

@@ -16,6 +16,7 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/pgm_io.hpp"
@@ -102,25 +103,35 @@ TEST(TilePlan, RejectsBadRequests) {
 // ---------------------------------------------------------------------------
 
 TEST(AnalyzeRange, SegmentsMatchFullSignalBitExact) {
-    const ImageF img = scene(1, 96, 7);
-    const std::span<const float> x = img.row(0);
-    for (const int taps : {2, 4, 8}) {
-        const auto fp = FilterPair::daubechies(taps);
-        for (const BoundaryMode mode : kModes) {
-            for (const DwtKernel kernel : kKernels) {
-                std::vector<float> lo(48), hi(48), slo(48), shi(48);
-                wavehpc::core::analyze_1d_range(x, fp, lo, hi, mode, kernel, 0, 48);
-                // Uneven segmentation incl. a 1-wide and a trailing short one.
-                const std::size_t cuts[] = {0, 1, 17, 40, 48};
-                for (std::size_t s = 0; s + 1 < std::size(cuts); ++s) {
-                    const std::size_t k0 = cuts[s], k1 = cuts[s + 1];
-                    wavehpc::core::analyze_1d_range(
-                        x, fp, std::span<float>(slo).subspan(k0, k1 - k0),
-                        std::span<float>(shi).subspan(k0, k1 - k0), mode, kernel,
-                        k0, k1);
+    // Uneven segmentations incl. a 1-wide and a trailing short segment. On
+    // the 600-pixel signal the cuts miss the 16-output register blocks of
+    // the Convolve row pass, so segments mix whole blocks, remainders and
+    // the right edge.
+    const std::pair<std::size_t, std::vector<std::size_t>> signals[] = {
+        {96, {0, 1, 17, 40, 48}},
+        {600, {0, 1, 17, 40, 48, 255, 256, 273, 300}},
+    };
+    for (const auto& [length, cuts] : signals) {
+        const ImageF img = scene(1, length, 7);
+        const std::span<const float> x = img.row(0);
+        const std::size_t half = length / 2;
+        for (const int taps : {2, 4, 8}) {
+            const auto fp = FilterPair::daubechies(taps);
+            for (const BoundaryMode mode : kModes) {
+                for (const DwtKernel kernel : kKernels) {
+                    std::vector<float> lo(half), hi(half), slo(half), shi(half);
+                    wavehpc::core::analyze_1d_range(x, fp, lo, hi, mode, kernel, 0,
+                                                    half);
+                    for (std::size_t s = 0; s + 1 < cuts.size(); ++s) {
+                        const std::size_t k0 = cuts[s], k1 = cuts[s + 1];
+                        wavehpc::core::analyze_1d_range(
+                            x, fp, std::span<float>(slo).subspan(k0, k1 - k0),
+                            std::span<float>(shi).subspan(k0, k1 - k0), mode, kernel,
+                            k0, k1);
+                    }
+                    EXPECT_EQ(slo, lo) << "length " << length << " taps " << taps;
+                    EXPECT_EQ(shi, hi) << "length " << length << " taps " << taps;
                 }
-                EXPECT_EQ(slo, lo) << "taps " << taps;
-                EXPECT_EQ(shi, hi) << "taps " << taps;
             }
         }
     }
