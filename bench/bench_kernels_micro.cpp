@@ -48,8 +48,7 @@ const ImageF& scene512() {
 
 // The shipped Convolve passes of one level: the fused row pass (both row
 // bands) and the fused column pass (all four subbands). Outputs are
-// allocated once; the column pass accumulates, so its outputs are zeroed
-// with the timer paused.
+// allocated once; both passes write every output.
 void BM_RowPass(benchmark::State& state) {
     const FilterPair fp = FilterPair::daubechies(static_cast<int>(state.range(0)));
     const ImageF& img = scene512();
@@ -66,8 +65,6 @@ void BM_RowPass(benchmark::State& state) {
 }
 BENCHMARK(BM_RowPass)->Arg(2)->Arg(4)->Arg(8);
 
-void zero(ImageF& img) { std::fill(img.flat().begin(), img.flat().end(), 0.0F); }
-
 void BM_ColPass(benchmark::State& state) {
     const FilterPair fp = FilterPair::daubechies(static_cast<int>(state.range(0)));
     const ImageF& img = scene512();
@@ -78,9 +75,6 @@ void BM_ColPass(benchmark::State& state) {
                                       DwtKernel::Convolve, 0, img.rows());
     ImageF ll(half_r, half_c), lh(half_r, half_c), hl(half_r, half_c), hh(half_r, half_c);
     for (auto _ : state) {
-        state.PauseTiming();
-        for (ImageF* band : {&ll, &lh, &hl, &hh}) zero(*band);
-        state.ResumeTiming();
         wavehpc::core::analyze_cols_range(lo, hi, fp, ll, lh, hl, hh,
                                           BoundaryMode::Periodic, DwtKernel::Convolve,
                                           0, half_r);
@@ -203,14 +197,12 @@ struct KernelRow {
     }
 };
 
-// Best of `reps` timed calls of `work` after one warm-up call; `prepare`
-// runs before each call with the clock stopped.
-template <typename Prepare, typename Work>
-double best_ns_per_pixel(std::size_t pixels, int reps, Prepare&& prepare, Work&& work) {
+// Best of `reps` timed calls of `work` after one warm-up call.
+template <typename Work>
+double best_ns_per_pixel(std::size_t pixels, int reps, Work&& work) {
     using Clock = std::chrono::steady_clock;
     double best = std::numeric_limits<double>::infinity();
     for (int r = 0; r <= reps; ++r) {
-        prepare();
         const auto t0 = Clock::now();
         work();
         const double dt = std::chrono::duration<double>(Clock::now() - t0).count();
@@ -223,7 +215,6 @@ std::vector<KernelRow> run_kernel_report(int reps) {
     const ImageF& img = scene512();
     const std::size_t half_r = img.rows() / 2;
     const std::size_t half_c = img.cols() / 2;
-    const auto no_prepare = [] {};
     std::vector<KernelRow> rows;
     for (const int taps : {2, 4, 8}) {
         const FilterPair fp = FilterPair::daubechies(taps);
@@ -231,7 +222,7 @@ std::vector<KernelRow> run_kernel_report(int reps) {
         row.taps = taps;
         ImageF ll, lh, hl, hh;
         const auto level = [&](DwtKernel kernel) {
-            return best_ns_per_pixel(img.size(), reps, no_prepare, [&] {
+            return best_ns_per_pixel(img.size(), reps, [&] {
                 wavehpc::core::analyze_level(img, fp, ll, lh, hl, hh,
                                              BoundaryMode::Periodic, kernel);
             });
@@ -240,21 +231,16 @@ std::vector<KernelRow> run_kernel_report(int reps) {
         row.lifting_ns = level(DwtKernel::Lifting);
 
         ImageF lo(img.rows(), half_c), hi(img.rows(), half_c);
-        row.convolve_row_ns = best_ns_per_pixel(img.size(), reps, no_prepare, [&] {
+        row.convolve_row_ns = best_ns_per_pixel(img.size(), reps, [&] {
             wavehpc::core::analyze_rows_range(img, fp, lo, hi, BoundaryMode::Periodic,
                                               DwtKernel::Convolve, 0, img.rows());
         });
         // analyze_level above left the four bands allocated at their shape.
-        row.convolve_col_ns = best_ns_per_pixel(
-            img.size(), reps,
-            [&] {
-                for (ImageF* band : {&ll, &lh, &hl, &hh}) zero(*band);
-            },
-            [&] {
-                wavehpc::core::analyze_cols_range(lo, hi, fp, ll, lh, hl, hh,
-                                                  BoundaryMode::Periodic,
-                                                  DwtKernel::Convolve, 0, half_r);
-            });
+        row.convolve_col_ns = best_ns_per_pixel(img.size(), reps, [&] {
+            wavehpc::core::analyze_cols_range(lo, hi, fp, ll, lh, hl, hh,
+                                              BoundaryMode::Periodic, DwtKernel::Convolve,
+                                              0, half_r);
+        });
         rows.push_back(row);
     }
     return rows;

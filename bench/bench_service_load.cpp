@@ -296,7 +296,7 @@ SoakResult run_soak(ThreadPool& pool, ServiceConfig cfg, std::size_t edge,
             const std::size_t count =
                 std::max<std::size_t>(64, 1024 >> idx) + resident;
             for (std::size_t i = 0; i < count; ++i) {
-                stock.push_back(arena.obtain(arena.class_floats(idx), false));
+                stock.push_back(arena.obtain(arena.class_floats(idx)));
             }
         }
         for (auto& b : stock) arena.recycle(std::move(b));

@@ -8,6 +8,12 @@
 // approximation plane and prices detail tiles as they fly by, so the
 // bench itself stays height-independent like the driver.
 //
+// The ingest rate includes the synthetic source's generation time. One
+// more timed pass, after a warm-up pass, streams a materialized slice of
+// the scene (at most 1024 rows at full width) from an InMemoryTileSource
+// into a discarding sink: its ns per input pixel (driver_ns_per_px) is the
+// driver alone, and does not depend on the image height.
+//
 // --smoke: a 512 x 512 scene plus the acceptance gates as hard asserts:
 //   * full-scene tiled pyramid bit-identical to the monolithic
 //     core::decompose for every boundary mode x kernel;
@@ -106,7 +112,31 @@ struct RunReport {
     double time_to_full = 0.0;
     wavehpc::svc::ArenaStats arena;
     std::vector<std::size_t> pooled_per_class;
+    std::size_t slice_rows = 0;     ///< height of the in-memory driver pass
+    double driver_ns_per_px = 0.0;  ///< that pass's seconds per input pixel, in ns
 };
+
+/// One stream of a materialized rows x cols slice from memory into a
+/// discarding sink through a reserved arena: the driver's cost alone, in
+/// ns per input pixel. An untimed first stream touches the arena's slabs,
+/// so the timed one pays no first-touch page faults.
+double time_driver(std::size_t rows, std::size_t cols, int levels, int taps,
+                   std::uint64_t seed, const TileConfig& cfg) {
+    const ImageF slice = wavehpc::tile::SyntheticTileSource(rows, cols, seed).materialize();
+    const TilePlan plan =
+        TilePlan::build(rows, cols, levels, static_cast<std::size_t>(taps), cfg);
+    wavehpc::svc::BufferArena arena;
+    for (const auto& r : plan.reservations()) arena.reserve(r.floats, r.count);
+    const auto stream = [&] {
+        wavehpc::tile::InMemoryTileSource src(slice);
+        wavehpc::tile::DiscardSink sink(arena);
+        return wavehpc::tile::stream_decompose(src, FilterPair::daubechies(taps), levels,
+                                               BoundaryMode::Periodic, DwtKernel::Convolve,
+                                               cfg, sink, &arena);
+    };
+    (void)stream();
+    return stream().seconds * 1e9 / static_cast<double>(slice.size());
+}
 
 RunReport run_stream(std::size_t rows, std::size_t cols, int levels, int taps,
                      std::uint64_t seed, const TileConfig& cfg) {
@@ -143,6 +173,8 @@ RunReport run_stream(std::size_t rows, std::size_t cols, int levels, int taps,
         (sink.approx_coded_bytes() + sink.detail_coded_bytes()) / rep.preview_bps;
     rep.arena = arena.stats();
     rep.pooled_per_class = arena.pooled_per_class();
+    rep.slice_rows = std::min<std::size_t>(rows, 1024);
+    rep.driver_ns_per_px = time_driver(rep.slice_rows, cols, levels, taps, seed, cfg);
     return rep;
 }
 
@@ -168,6 +200,8 @@ void print_report(const RunReport& r) {
         std::cout << (i > 0 ? " " : "") << r.pooled_per_class[i];
     }
     std::cout << "]\n";
+    std::cout << "driver alone: " << r.driver_ns_per_px << " ns/px (in-memory "
+              << r.slice_rows << "x" << r.cols << " slice)\n";
 }
 
 void write_json(const std::string& path, const RunReport& r) {
@@ -183,6 +217,8 @@ void write_json(const std::string& path, const RunReport& r) {
         << "  \"bytes_in\": " << r.stats.bytes_in << ",\n"
         << "  \"seconds\": " << r.stats.seconds << ",\n"
         << "  \"bytes_per_sec\": " << r.bytes_per_sec << ",\n"
+        << "  \"driver_slice_rows\": " << r.slice_rows << ",\n"
+        << "  \"driver_ns_per_px\": " << r.driver_ns_per_px << ",\n"
         << "  \"preview_bytes_per_sec\": " << r.preview_bps << ",\n"
         << "  \"approx_seal_seconds\": " << r.stats.approx_seal_seconds << ",\n"
         << "  \"time_to_first_band_seconds\": " << r.time_to_first_band << ",\n"

@@ -1,20 +1,17 @@
 #pragma once
-// Pluggable float-buffer supply for the decomposition paths (ISSUE 8).
+// Pluggable float-buffer supply for the decomposition paths.
 //
 // The decompose loops allocate two kinds of buffers per level: transient
 // row-pass scratch (freed at the end of the level) and the subband planes
 // that outlive the call inside the returned Pyramid. Routing both through a
 // FloatBufferSource lets a caller substitute a recycling pool (svc's
 // BufferArena) without the core layer depending on the service layer; the
-// default HeapBufferSource preserves the historical new/delete behaviour
-// exactly.
+// default HeapBufferSource is plain new/delete.
 //
 // Contract:
-//   * obtain(n, zeroed) returns a vector with size() == n. When `zeroed`
-//     is true every element is 0.0f; otherwise the contents are
-//     unspecified (callers must fully overwrite them — the convolve column
-//     pass ACCUMULATES into its outputs and therefore asks for zeroed
-//     buffers, the row pass writes every element and does not).
+//   * obtain(n) returns a vector with size() == n and unspecified contents.
+//     Every kernel pass writes each element of its outputs, so no caller
+//     asks for cleared memory.
 //   * recycle(v) takes back a buffer the caller no longer needs. The
 //     source may pool the capacity or free it; `v` is consumed either way.
 //   * Both methods must be callable from any thread concurrently
@@ -32,16 +29,14 @@ class FloatBufferSource {
 public:
     virtual ~FloatBufferSource() = default;
 
-    [[nodiscard]] virtual std::vector<float> obtain(std::size_t n, bool zeroed) = 0;
+    [[nodiscard]] virtual std::vector<float> obtain(std::size_t n) = 0;
     virtual void recycle(std::vector<float>&& buf) = 0;
 };
 
-/// The identity source: plain heap vectors, nothing pooled. obtain()
-/// value-initializes (vectors are born zeroed), so `zeroed` is vacuous and
-/// behaviour is byte-for-byte the pre-ISSUE-8 allocation pattern.
+/// The identity source: plain heap vectors, nothing pooled.
 class HeapBufferSource final : public FloatBufferSource {
 public:
-    [[nodiscard]] std::vector<float> obtain(std::size_t n, bool /*zeroed*/) override {
+    [[nodiscard]] std::vector<float> obtain(std::size_t n) override {
         return std::vector<float>(n);
     }
     void recycle(std::vector<float>&& buf) override {
@@ -49,11 +44,11 @@ public:
     }
 };
 
-/// Build an ImageF over a buffer from `src` (size rows*cols, zero-filled
-/// iff `zeroed`).
+/// Build an ImageF over a buffer from `src` (size rows*cols, contents
+/// unspecified: the caller writes every element).
 [[nodiscard]] inline ImageF obtain_image(FloatBufferSource& src, std::size_t rows,
-                                         std::size_t cols, bool zeroed) {
-    return ImageF(rows, cols, src.obtain(rows * cols, zeroed));
+                                         std::size_t cols) {
+    return ImageF(rows, cols, src.obtain(rows * cols));
 }
 
 }  // namespace wavehpc::core

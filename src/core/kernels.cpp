@@ -11,11 +11,6 @@ namespace wavehpc::core {
 
 namespace {
 
-// Column-tile width (floats) for the fused convolve column sweep: per tile
-// the inner loops touch 4 output slices + 2 source slices, 6 * 512 * 4 B =
-// 12 KiB, comfortably inside L1 alongside the filter taps.
-constexpr std::size_t kColTile = 512;
-
 // Process-wide programmatic override; Auto = defer to the environment.
 std::atomic<DwtKernel> g_default_kernel{DwtKernel::Auto};
 
@@ -237,30 +232,15 @@ LiftingPlan build_lifting_plan(const FilterPair& fp) {
 //   * Column pass: output rows [k0, k1) of a plane of `plane_rows` row-band
 //     rows and `width` columns. Rows come from a row source (PlaneRows for a
 //     whole ImageF, a RowAccessor for a tile or a mesh stripe); output row
-//     k lands at row k-out0.
+//     k lands at row k-out0, and its LL at column ll_col0 of that row.
 //
 // Every output element is a fixed function of its own input window, so any
 // range, segment or tile split evaluates the whole-plane expression tree,
-// and therefore the same bits.
+// and therefore the same bits. Every body writes every output it owns, so
+// no destination needs clearing first.
 // ---------------------------------------------------------------------------
 
 namespace {
-
-// One tap of the fused column accumulation. Kept as a standalone function
-// because GCC only tracks __restrict reliably on parameters: the six streams
-// (four destination subband rows, two source rows) are distinct allocations,
-// and making that visible here is what lets the loop vectorize.
-void accumulate_tap(float* __restrict dll, float* __restrict dlh, float* __restrict dhl,
-                    float* __restrict dhh, const float* __restrict sl,
-                    const float* __restrict sh, float wl, float wh, std::size_t c0,
-                    std::size_t c1) {
-    for (std::size_t c = c0; c < c1; ++c) {
-        dll[c] += wl * sl[c];
-        dlh[c] += wh * sl[c];
-        dhl[c] += wl * sh[c];
-        dhh[c] += wh * sh[c];
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Convolve: the golden kernel, bit-identical to the unfused
@@ -274,7 +254,8 @@ void accumulate_tap(float* __restrict dll, float* __restrict dlh, float* __restr
 constexpr std::size_t kRowBlock = 16;
 
 // Even and odd phases of a row window: e[j] = x[2j], o[j] = x[2j+1].
-// Standalone for the __restrict parameters, as accumulate_tap.
+// Standalone because GCC only tracks __restrict reliably on parameters; the
+// streams are distinct allocations, and saying so lets the loop vectorize.
 void split_phases(const float* __restrict x, std::size_t len, float* __restrict e,
                   float* __restrict o) {
     for (std::size_t j = 0; j < len; ++j) {
@@ -361,30 +342,94 @@ void convolve_row_range(std::span<const float> src, const FilterPair& fp,
     }
 }
 
+// Columns per register block of the column pass: 8 accumulators in each of
+// the four subbands take eight 128-bit vector registers, half of the
+// x86-64 SSE set, leaving the rest for the two source loads and the tap
+// weights.
+constexpr std::size_t kColBlock = 8;
+
+// One tap of an output row: the low and high row-band rows the boundary
+// maps it onto, and its low- and high-pass weights.
+struct ColTap {
+    const float* low;
+    const float* high;
+    float wl;
+    float wh;
+};
+
+// One output row of all four subbands, columns [0, width), from its tap
+// list. Taps run in the outer loop over a block of registers, so each
+// output sums f[n] * x in tap order from zero, as the scalar loop for the
+// block remainder does, and is stored once.
+void convolve_col_row(const ColTap* taps, std::size_t count, std::size_t width,
+                      float* __restrict dll, float* __restrict dlh, float* __restrict dhl,
+                      float* __restrict dhh) {
+    std::size_t c = 0;
+    for (; c + kColBlock <= width; c += kColBlock) {
+        float acc_ll[kColBlock] = {};
+        float acc_lh[kColBlock] = {};
+        float acc_hl[kColBlock] = {};
+        float acc_hh[kColBlock] = {};
+        for (std::size_t t = 0; t < count; ++t) {
+            const float* sl = taps[t].low + c;
+            const float* sh = taps[t].high + c;
+            const float wl = taps[t].wl;
+            const float wh = taps[t].wh;
+            for (std::size_t i = 0; i < kColBlock; ++i) {
+                acc_ll[i] += wl * sl[i];
+                acc_lh[i] += wh * sl[i];
+                acc_hl[i] += wl * sh[i];
+                acc_hh[i] += wh * sh[i];
+            }
+        }
+        for (std::size_t i = 0; i < kColBlock; ++i) {
+            dll[c + i] = acc_ll[i];
+            dlh[c + i] = acc_lh[i];
+            dhl[c + i] = acc_hl[i];
+            dhh[c + i] = acc_hh[i];
+        }
+    }
+    for (; c < width; ++c) {
+        float acc_ll = 0.0F;
+        float acc_lh = 0.0F;
+        float acc_hl = 0.0F;
+        float acc_hh = 0.0F;
+        for (std::size_t t = 0; t < count; ++t) {
+            acc_ll += taps[t].wl * taps[t].low[c];
+            acc_lh += taps[t].wh * taps[t].low[c];
+            acc_hl += taps[t].wl * taps[t].high[c];
+            acc_hh += taps[t].wh * taps[t].high[c];
+        }
+        dll[c] = acc_ll;
+        dlh[c] = acc_lh;
+        dhl[c] = acc_hl;
+        dhh[c] = acc_hh;
+    }
+}
+
 template <typename RowSource>
 void convolve_cols_range(const RowSource& low_row, const RowSource& high_row,
                          std::size_t plane_rows, std::size_t width, const FilterPair& fp,
                          ImageF& ll, ImageF& lh, ImageF& hl, ImageF& hh,
                          BoundaryMode mode, std::size_t k0, std::size_t k1,
-                         std::size_t out0) {
+                         std::size_t out0, std::size_t ll_col0) {
     const auto fl = fp.low();
     const auto fh = fp.high();
-    const std::size_t taps = fl.size();
+    thread_local std::vector<ColTap> taps;
+    taps.resize(fl.size());
     for (std::size_t k = k0; k < k1; ++k) {
-        float* dll = ll.row(k - out0).data();
-        float* dlh = lh.row(k - out0).data();
-        float* dhl = hl.row(k - out0).data();
-        float* dhh = hh.row(k - out0).data();
-        for (std::size_t c0 = 0; c0 < width; c0 += kColTile) {
-            const std::size_t c1 = std::min(width, c0 + kColTile);
-            for (std::size_t n = 0; n < taps; ++n) {
-                const std::size_t idx = extend_index(
-                    static_cast<std::ptrdiff_t>(2 * k + n), plane_rows, mode);
-                if (idx >= plane_rows) continue;  // ZeroPad sentinel
-                accumulate_tap(dll, dlh, dhl, dhh, low_row(idx), high_row(idx), fl[n],
-                               fh[n], c0, c1);
-            }
+        // Each tap row is looked up once per output row; a ZeroPad tap
+        // outside the plane contributes nothing and is left out.
+        std::size_t count = 0;
+        for (std::size_t n = 0; n < fl.size(); ++n) {
+            const std::size_t idx =
+                extend_index(static_cast<std::ptrdiff_t>(2 * k + n), plane_rows, mode);
+            if (idx >= plane_rows) continue;
+            taps[count++] = ColTap{low_row(idx), high_row(idx), fl[n], fh[n]};
         }
+        convolve_col_row(taps.data(), count, width, ll.row(k - out0).data() + ll_col0,
+                         lh.row(k - out0).data(), hl.row(k - out0).data(),
+                         hh.row(k - out0).data());
     }
 }
 
@@ -453,7 +498,7 @@ void lift_final(const float* __restrict u, const float* __restrict v, std::size_
 }
 
 // Stage 0 of the row ladder, fused with the polyphase split. Standalone for
-// the same reason as accumulate_tap: GCC drops the alias checks only for
+// the same reason as split_phases: GCC drops the alias checks only for
 // __restrict parameters.
 void lift_row_stage0(const float* __restrict x, std::size_t len, float t0,
                      float* __restrict u, float* __restrict v) {
@@ -555,8 +600,8 @@ void lift_col_final_roll(const float* __restrict u, const float* __restrict v,
 }
 
 // Column lifting for one source plane over output rows [k0, k1): writes
-// out_lo (low-pass columns) and out_hi (high-pass columns) at row k-out0.
-// Outputs are written, not accumulated.
+// out_lo (low-pass columns, from column lo_col0) and out_hi (high-pass
+// columns) at row k-out0. Outputs are written, not accumulated.
 //
 // Single descending sweep with rolling per-stage state. Iteration li
 // computes stage 0 of polyphase strip li, then advances each middle stage t
@@ -571,7 +616,7 @@ template <typename RowSource>
 void lifting_cols_range(const RowSource& src_row, std::size_t plane_rows,
                         std::size_t width, const LiftingPlan& plan, ImageF& out_lo,
                         ImageF& out_hi, BoundaryMode mode, std::size_t k0,
-                        std::size_t k1, std::size_t out0) {
+                        std::size_t k1, std::size_t out0, std::size_t lo_col0) {
     const std::size_t m = plan.stages();
     const std::size_t ext = m - 1;
     const std::size_t strips_end = k1 + ext;  // strip rows k0 .. strips_end-1
@@ -597,7 +642,7 @@ void lifting_cols_range(const RowSource& src_row, std::size_t plane_rows,
         if (li < k1) {
             lift_col_final_roll(uwork, vwork, vprev(m - 2), width, plan.shear[m - 1],
                                 plan.scale_lo, plan.scale_hi,
-                                out_lo.row(li - out0).data(),
+                                out_lo.row(li - out0).data() + lo_col0,
                                 out_hi.row(li - out0).data());
         } else {
             // Priming strip (li >= k1): no output yet; seed the deepest
@@ -660,14 +705,15 @@ template <typename RowSource>
 void col_pass(const Body& body, const RowSource& low_row, const RowSource& high_row,
               std::size_t plane_rows, std::size_t width, const FilterPair& fp, ImageF& ll,
               ImageF& lh, ImageF& hl, ImageF& hh, BoundaryMode mode, std::size_t k0,
-              std::size_t k1, std::size_t out0) {
+              std::size_t k1, std::size_t out0, std::size_t ll_col0) {
     switch (body.kind) {
         case Body::Kind::Haar: {
             const auto fl = fp.low();
             const auto fh = fp.high();
             for (std::size_t k = k0; k < k1; ++k) {
                 haar_col(low_row(2 * k), low_row(2 * k + 1), width, fl[0], fl[1], fh[0],
-                         fh[1], ll.row(k - out0).data(), lh.row(k - out0).data());
+                         fh[1], ll.row(k - out0).data() + ll_col0,
+                         lh.row(k - out0).data());
                 haar_col(high_row(2 * k), high_row(2 * k + 1), width, fl[0], fl[1],
                          fh[0], fh[1], hl.row(k - out0).data(), hh.row(k - out0).data());
             }
@@ -675,13 +721,13 @@ void col_pass(const Body& body, const RowSource& low_row, const RowSource& high_
         }
         case Body::Kind::Lifting:
             lifting_cols_range(low_row, plane_rows, width, body.plan, ll, lh, mode, k0,
-                               k1, out0);
+                               k1, out0, ll_col0);
             lifting_cols_range(high_row, plane_rows, width, body.plan, hl, hh, mode, k0,
-                               k1, out0);
+                               k1, out0, 0);
             return;
         case Body::Kind::Convolve:
             convolve_cols_range(low_row, high_row, plane_rows, width, fp, ll, lh, hl, hh,
-                                mode, k0, k1, out0);
+                                mode, k0, k1, out0, ll_col0);
             return;
     }
 }
@@ -707,7 +753,7 @@ struct PlaneRows {
 // One tap step of the interior row synthesis: even output i takes the
 // even tap pair (le, he) and odd output i the odd pair (lo_w, ho_w), both
 // from band samples lo[i], hi[i]. Standalone for the __restrict
-// parameters, as accumulate_tap.
+// parameters, as split_phases.
 void synthesis_row_tap(float* __restrict even, float* __restrict odd,
                        const float* __restrict lo, const float* __restrict hi, float le,
                        float he, float lo_w, float ho_w, std::size_t count) {
@@ -758,7 +804,7 @@ void synthesis_row(const float* lo, const float* hi, std::size_t half,
 }
 
 // One tap of the column pass; standalone so the __restrict parameters let
-// the loop vectorize, as in accumulate_tap.
+// the loop vectorize, as in split_phases.
 void accumulate_synthesis_tap(float* __restrict dst, const float* __restrict lo,
                               const float* __restrict hi, float wl, float wh,
                               std::size_t width) {
@@ -825,7 +871,7 @@ void analyze_cols_range(const ImageF& low_rows, const ImageF& high_rows,
         throw std::invalid_argument("analyze_cols_range: bad output range");
     }
     col_pass(pick_body(fp, kernel), PlaneRows{low_rows}, PlaneRows{high_rows},
-             low_rows.rows(), cols, fp, ll, lh, hl, hh, mode, k0, k1, 0);
+             low_rows.rows(), cols, fp, ll, lh, hl, hh, mode, k0, k1, 0, 0);
 }
 
 void analyze_1d_range(std::span<const float> x, const FilterPair& fp,
@@ -847,20 +893,23 @@ void analyze_cols_tile(const RowAccessor& low_row, const RowAccessor& high_row,
                        std::size_t plane_rows, std::size_t width,
                        const FilterPair& fp, ImageF& ll, ImageF& lh, ImageF& hl,
                        ImageF& hh, BoundaryMode mode, DwtKernel kernel,
-                       std::size_t k0, std::size_t k1) {
+                       std::size_t k0, std::size_t k1, std::size_t ll_col0) {
     require_even(plane_rows, "row count");
     const std::size_t half = plane_rows / 2;
     if (k0 > k1 || k1 > half) {
         throw std::invalid_argument("analyze_cols_tile: bad output range");
     }
-    for (const ImageF* out : {&ll, &lh, &hl, &hh}) {
+    if (ll.rows() < k1 - k0 || ll.cols() < ll_col0 || ll.cols() - ll_col0 < width) {
+        throw std::invalid_argument("analyze_cols_tile: bad LL shape");
+    }
+    for (const ImageF* out : {&lh, &hl, &hh}) {
         if (out->rows() != k1 - k0 || out->cols() != width) {
             throw std::invalid_argument("analyze_cols_tile: bad output shape");
         }
     }
     if (k0 == k1) return;
     col_pass(pick_body(fp, kernel), low_row, high_row, plane_rows, width, fp, ll, lh,
-             hl, hh, mode, k0, k1, k0);
+             hl, hh, mode, k0, k1, k0, ll_col0);
 }
 
 void analyze_level(const ImageF& in, const FilterPair& fp, ImageF& ll, ImageF& lh,
@@ -873,8 +922,6 @@ void analyze_level(const ImageF& in, const FilterPair& fp, ImageF& ll, ImageF& l
     ImageF low_rows(in.rows(), half_c);
     ImageF high_rows(in.rows(), half_c);
     analyze_rows_range(in, fp, low_rows, high_rows, mode, kernel, 0, in.rows());
-    // Freshly constructed images are zero-filled, which the convolve
-    // accumulation path relies on.
     ll = ImageF(half_r, half_c);
     lh = ImageF(half_r, half_c);
     hl = ImageF(half_r, half_c);

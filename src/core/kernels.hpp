@@ -7,8 +7,8 @@
 // Two kernels implement the per-level analysis:
 //
 //   * Convolve — the paper's separable filter+decimate sweeps, fused so
-//     one row pass emits both row bands and one cache-tiled column pass
-//     emits all four subbands. Bit-identical to the unfused
+//     one row pass emits both row bands and one register-blocked column
+//     pass emits all four subbands. Bit-identical to the unfused
 //     convolve_decimate_* oracle in the test tree (tests/convolve.hpp;
 //     same per-coefficient accumulation order); this is the golden kernel.
 //
@@ -122,8 +122,8 @@ void analyze_rows_range(const ImageF& in, const FilterPair& fp, ImageF& lo, Imag
 
 /// Fused column analysis over output rows [k0, k1), k0 <= k1 <= rows/2: one
 /// sweep over the two row-band intermediates produces all four subbands.
-/// Outputs must be (rows/2, cols); freshly constructed (zero) rows are
-/// assumed for the Convolve accumulation path.
+/// Outputs must be (rows/2, cols); every output in the range is written, so
+/// their prior contents do not matter.
 void analyze_cols_range(const ImageF& low_rows, const ImageF& high_rows,
                         const FilterPair& fp, ImageF& ll, ImageF& lh, ImageF& hl,
                         ImageF& hh, BoundaryMode mode, DwtKernel kernel,
@@ -158,15 +158,18 @@ using RowAccessor = std::function<const float*(std::size_t)>;
 
 /// Fused column analysis of one tile: output rows [k0, k1) of a plane
 /// with `plane_rows` global row-band rows, over a `width`-column segment.
-/// Outputs are (k1-k0, width) and written at LOCAL row k-k0 (the Convolve
-/// path accumulates, so they must start zeroed). Row k touches global
-/// rows 2k .. 2k+taps-1 mapped through `mode`, so the accessors are only
-/// asked for rows the boundary maps into [0, plane_rows).
+/// lh/hl/hh are (k1-k0, width); LL lands in columns [ll_col0,
+/// ll_col0+width) of `ll`, which must have at least k1-k0 rows (the tile
+/// driver writes each tile straight into its level's cascade band). Output
+/// row k is written at LOCAL row k-k0, every element in place, so no
+/// destination needs clearing. Row k touches global rows 2k .. 2k+taps-1
+/// mapped through `mode`, so the accessors are only asked for rows the
+/// boundary maps into [0, plane_rows).
 void analyze_cols_tile(const RowAccessor& low_row, const RowAccessor& high_row,
                        std::size_t plane_rows, std::size_t width,
                        const FilterPair& fp, ImageF& ll, ImageF& lh, ImageF& hl,
                        ImageF& hh, BoundaryMode mode, DwtKernel kernel,
-                       std::size_t k0, std::size_t k1);
+                       std::size_t k0, std::size_t k1, std::size_t ll_col0);
 
 /// Whole-level fused analysis (serial convenience): rows then columns.
 /// Allocates/reshapes the outputs as needed.

@@ -71,11 +71,11 @@ std::size_t BufferArena::class_for(std::size_t n) const noexcept {
     return s_->class_for(n);
 }
 
-std::vector<float> BufferArena::obtain(std::size_t n, bool zeroed) {
+std::vector<float> BufferArena::obtain(std::size_t n) {
     Shared& s = *s_;
     const std::size_t cls = s.class_for(n);
     if (cls >= s.cfg.slab_classes) {
-        // Oversize: plain heap vector, never pooled. Born zeroed either way.
+        // Oversize: plain heap vector, never pooled.
         std::lock_guard lk(s.mu);
         ++s.stats.heap_fallbacks;
         return std::vector<float>(n);
@@ -103,11 +103,7 @@ std::vector<float> BufferArena::obtain(std::size_t n, bool zeroed) {
     if (!hit) {
         slab.reserve(slab_floats);  // capacity == class size: the pool key
     }
-    if (zeroed) {
-        slab.assign(n, 0.0F);  // within capacity: no reallocation
-    } else {
-        slab.resize(n);  // stale contents allowed: caller overwrites all
-    }
+    slab.resize(n);  // within capacity; stale contents: the caller writes all
     return slab;
 }
 

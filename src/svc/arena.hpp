@@ -85,10 +85,11 @@ public:
     BufferArena(const BufferArena&) = delete;
     BufferArena& operator=(const BufferArena&) = delete;
 
-    /// Check out a buffer with size() == n (zero-filled iff `zeroed`).
-    /// Never fails for lack of pool: a cold class allocates (miss), an
-    /// oversize n falls back to the heap (heap_fallbacks).
-    [[nodiscard]] std::vector<float> obtain(std::size_t n, bool zeroed) override;
+    /// Check out a buffer with size() == n. A pooled slab keeps whatever
+    /// its last holder left in it. Never fails for lack of pool: a cold
+    /// class allocates (miss), an oversize n falls back to the heap
+    /// (heap_fallbacks).
+    [[nodiscard]] std::vector<float> obtain(std::size_t n) override;
 
     /// Return a buffer. Pooled iff its capacity exactly matches a size
     /// class and the idle budget holds; freed otherwise.

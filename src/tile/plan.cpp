@@ -60,15 +60,19 @@ std::vector<Reservation> TilePlan::reservations() const {
         if (g.head_rows > 0) {
             res.push_back({g.head_rows * g.out_cols, 2});  // lo + hi heads
         }
-        if (l + 1 < levels) {
-            // LL cascade band feeding the next level's ingest.
+        const bool last = l + 1 == levels;
+        if (!last) {
+            // LL cascade band feeding the next level's ingest; the column
+            // pass writes each tile's LL straight into it.
             res.push_back({std::min(tile_rows, g.out_rows) * g.out_cols, 1});
         }
         // Tile shapes: interior plus (possibly equal) bottom/right edge
-        // remainders. Only one tile's four subband buffers are ever live
-        // in the driver at once, so four slabs per DISTINCT size suffice;
-        // duplicates (an evenly dividing grid, or coincidentally equal
-        // areas) are collapsed rather than double-provisioned.
+        // remainders. Only one tile's subband buffers are ever live in the
+        // driver at once: three detail bands, plus the LL tile at the last
+        // level, whose LL is the approximation output. So three (four at
+        // the last level) slabs per DISTINCT size suffice; duplicates (an
+        // evenly dividing grid, or coincidentally equal areas) are
+        // collapsed rather than double-provisioned.
         const std::size_t th_i = std::min(tile_rows, g.out_rows);
         const std::size_t th_e = g.out_rows - (g.tiles_down - 1) * tile_rows;
         const std::size_t tw_i = std::min(tile_cols, g.out_cols);
@@ -82,7 +86,7 @@ std::vector<Reservation> TilePlan::reservations() const {
                 }
             }
         }
-        for (const std::size_t floats : shapes) res.push_back({floats, 4});
+        for (const std::size_t floats : shapes) res.push_back({floats, last ? 4U : 3U});
     }
     return res;
 }

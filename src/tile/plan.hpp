@@ -78,8 +78,9 @@ struct TilePlan {
     /// Exactly the buffers stream_decompose obtains, as (floats, count)
     /// pairs: the level-0 ingest staging band, each level's lo/hi rings
     /// and head rows, the LL cascade band, and every distinct tile shape
-    /// (interior and edge) times its four subband buffers. Replaying this
-    /// list through BufferArena::reserve makes the stream allocation-free.
+    /// (interior and edge) times its three detail buffers, four at the
+    /// last level where the LL tile is the output. Replaying this list
+    /// through BufferArena::reserve makes the stream allocation-free.
     [[nodiscard]] std::vector<Reservation> reservations() const;
 
     /// Upper bound (bytes) on driver-resident buffer memory: the summed

@@ -31,12 +31,12 @@ PyramidAssembler::PyramidAssembler(std::size_t rows, std::size_t cols, int level
         const std::size_t hr = rows >> (l + 1);
         const std::size_t hc = cols >> (l + 1);
         core::DetailBands d;
-        d.lh = core::obtain_image(buffers_, hr, hc, false);
-        d.hl = core::obtain_image(buffers_, hr, hc, false);
-        d.hh = core::obtain_image(buffers_, hr, hc, false);
+        d.lh = core::obtain_image(buffers_, hr, hc);
+        d.hl = core::obtain_image(buffers_, hr, hc);
+        d.hh = core::obtain_image(buffers_, hr, hc);
         pyr_.levels.push_back(std::move(d));
     }
-    pyr_.approx = core::obtain_image(buffers_, rows >> levels, cols >> levels, false);
+    pyr_.approx = core::obtain_image(buffers_, rows >> levels, cols >> levels);
 }
 
 void PyramidAssembler::on_detail(const TileCoord& coord, core::DetailBands&& bands) {

@@ -35,7 +35,9 @@ struct LevelState {
     ImageF hi_ring;
     ImageF lo_head;  // head_rows x out_cols: the Periodic wrap target
     ImageF hi_head;
-    ImageF ll_band;  // cascade staging toward the next level (absent at last)
+    // Cascade band toward the next level (absent at the last): each tile's
+    // column pass writes its LL here, at the tile's column offset.
+    ImageF ll_band;
     std::size_t ingested = 0;  // input rows pushed through the row pass
     std::size_t next_out = 0;  // first output row not yet emitted
 };
@@ -51,26 +53,31 @@ public:
           kernel_(kernel),
           sink_(sink),
           buffers_(buffers),
-          zero_tiles_(kernel == core::DwtKernel::Convolve),
           start_(std::chrono::steady_clock::now()) {
         states_.resize(plan_.level.size());
         for (std::size_t l = 0; l < states_.size(); ++l) {
             const LevelGeometry& g = plan_.level[l];
             LevelState& st = states_[l];
-            st.lo_ring = obtain(g.ring_rows, g.out_cols, false);
-            st.hi_ring = obtain(g.ring_rows, g.out_cols, false);
+            st.lo_ring = obtain(g.ring_rows, g.out_cols);
+            st.hi_ring = obtain(g.ring_rows, g.out_cols);
             if (g.head_rows > 0) {
-                st.lo_head = obtain(g.head_rows, g.out_cols, false);
-                st.hi_head = obtain(g.head_rows, g.out_cols, false);
+                st.lo_head = obtain(g.head_rows, g.out_cols);
+                st.hi_head = obtain(g.head_rows, g.out_cols);
             }
             if (l + 1 < states_.size()) {
-                st.ll_band =
-                    obtain(std::min(plan_.tile_rows, g.out_rows), g.out_cols, false);
+                st.ll_band = obtain(std::min(plan_.tile_rows, g.out_rows), g.out_cols);
             }
         }
     }
 
+    /// Every buffer the driver still holds goes back to the source, also
+    /// when an exception (a failing TileSource read, say) ends the stream.
     ~StreamContext() {
+        recycle(std::move(staging_));
+        recycle(std::move(tile_ll_));
+        recycle(std::move(tile_.lh));
+        recycle(std::move(tile_.hl));
+        recycle(std::move(tile_.hh));
         for (LevelState& st : states_) {
             recycle(std::move(st.lo_ring));
             recycle(std::move(st.hi_ring));
@@ -80,33 +87,30 @@ public:
         }
     }
 
-    [[nodiscard]] ImageF obtain(std::size_t rows, std::size_t cols, bool zeroed) {
-        meter_.add(rows * cols);
-        return core::obtain_image(buffers_, rows, cols, zeroed);
+    /// Level-0 ingest: read the source in bands of `band` full-width rows
+    /// into the staging band, the only part of the source ever
+    /// materialized, and push each row through the row pass.
+    void ingest(TileSource& src, std::size_t band) {
+        staging_ = obtain(band, src.cols());
+        for (std::size_t y0 = 0; y0 < src.rows(); y0 += band) {
+            const std::size_t n = std::min(band, src.rows() - y0);
+            src.read_rows(y0, n, staging_.flat().first(n * src.cols()));
+            for (std::size_t j = 0; j < n; ++j) {
+                push_row(0, staging_.row(j).data());
+            }
+        }
+        recycle(std::move(staging_));
     }
 
-    void recycle(ImageF&& img) {
-        if (img.size() == 0) return;
-        meter_.sub(img.size());
-        buffers_.recycle(img.release_data());
-    }
-
-    /// Row pass: one full-width input row of level `l` lands in the ring,
-    /// transformed per tile column (horizontal halo = neighbouring pixels
-    /// of the shared scanline, read by analyze_1d_range at the segment
-    /// edges).
+    /// Row pass: one full-width input row of level `l` lands in the ring
+    /// (the horizontal halo is the shared scanline itself).
     void push_row(std::size_t l, const float* row) {
         LevelState& st = states_[l];
         const LevelGeometry& g = plan_.level[l];
-        const std::span<const float> in(row, g.in_cols);
         const auto lo = st.lo_ring.row(st.ingested % g.ring_rows);
         const auto hi = st.hi_ring.row(st.ingested % g.ring_rows);
-        for (std::size_t tj = 0; tj < g.tiles_across; ++tj) {
-            const std::size_t c0 = tj * plan_.tile_cols;
-            const std::size_t c1 = std::min(g.out_cols, c0 + plan_.tile_cols);
-            core::analyze_1d_range(in, fp_, lo.subspan(c0, c1 - c0),
-                                   hi.subspan(c0, c1 - c0), mode_, kernel_, c0, c1);
-        }
+        core::analyze_1d_range(std::span<const float>(row, g.in_cols), fp_, lo, hi, mode_,
+                               kernel_, 0, g.out_cols);
         if (st.ingested < g.head_rows) {
             std::copy(lo.begin(), lo.end(), st.lo_head.row(st.ingested).begin());
             std::copy(hi.begin(), hi.end(), st.hi_head.row(st.ingested).begin());
@@ -153,6 +157,17 @@ public:
     }
 
 private:
+    [[nodiscard]] ImageF obtain(std::size_t rows, std::size_t cols) {
+        meter_.add(rows * cols);
+        return core::obtain_image(buffers_, rows, cols);
+    }
+
+    void recycle(ImageF&& img) {
+        if (img.size() == 0) return;
+        meter_.sub(img.size());
+        buffers_.recycle(img.release_data());
+    }
+
     [[nodiscard]] double elapsed() const {
         return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              start_)
@@ -185,33 +200,33 @@ private:
         const bool last_level = l + 1 == states_.size();
         for (std::size_t tj = 0; tj < g.tiles_across; ++tj) {
             const std::size_t c0 = tj * plan_.tile_cols;
-            const std::size_t c1 = std::min(g.out_cols, c0 + plan_.tile_cols);
-            const std::size_t tw = c1 - c0;
-            ImageF ll = obtain(th, tw, zero_tiles_);
-            ImageF lh = obtain(th, tw, zero_tiles_);
-            ImageF hl = obtain(th, tw, zero_tiles_);
-            ImageF hh = obtain(th, tw, zero_tiles_);
+            const std::size_t tw = std::min(g.out_cols, c0 + plan_.tile_cols) - c0;
+            // The last level's LL tiles are the approximation output; every
+            // other level's LL goes straight into its cascade band.
+            if (last_level) tile_ll_ = obtain(th, tw);
+            tile_.lh = obtain(th, tw);
+            tile_.hl = obtain(th, tw);
+            tile_.hh = obtain(th, tw);
             const core::RowAccessor lo_at = [this, &st, &g, c0](std::size_t r) {
                 return ring_row(st, g, true, r) + c0;
             };
             const core::RowAccessor hi_at = [this, &st, &g, c0](std::size_t r) {
                 return ring_row(st, g, false, r) + c0;
             };
-            core::analyze_cols_tile(lo_at, hi_at, g.in_rows, tw, fp_, ll, lh, hl, hh,
-                                    mode_, kernel_, k0, k1);
+            core::analyze_cols_tile(lo_at, hi_at, g.in_rows, tw, fp_,
+                                    last_level ? tile_ll_ : st.ll_band, tile_.lh,
+                                    tile_.hl, tile_.hh, mode_, kernel_, k0, k1,
+                                    last_level ? 0 : c0);
+            // Hand-offs move the tile out of the driver before the call, so
+            // the sink owns it even if the sink throws.
             if (last_level) {
-                meter_.sub(ll.size());
-                sink_.on_approx(TileCoord{plan_.levels, k0, c0}, std::move(ll));
-            } else {
-                st.ll_band.paste(ll, 0, c0);
-                recycle(std::move(ll));
+                meter_.sub(tile_ll_.size());
+                sink_.on_approx(TileCoord{plan_.levels, k0, c0},
+                                std::exchange(tile_ll_, ImageF{}));
             }
-            core::DetailBands bands;
-            bands.lh = std::move(lh);
-            bands.hl = std::move(hl);
-            bands.hh = std::move(hh);
             meter_.sub(3 * th * tw);
-            sink_.on_detail(TileCoord{static_cast<int>(l), k0, c0}, std::move(bands));
+            sink_.on_detail(TileCoord{static_cast<int>(l), k0, c0},
+                            std::exchange(tile_, core::DetailBands{}));
         }
         if (last_level && k1 == g.out_rows) {
             approx_seal_seconds_ = elapsed();
@@ -233,9 +248,11 @@ private:
     const core::DwtKernel kernel_;
     TileSink& sink_;
     core::FloatBufferSource& buffers_;
-    const bool zero_tiles_;
     const std::chrono::steady_clock::time_point start_;
     std::vector<LevelState> states_;
+    ImageF staging_;          // level-0 ingest band, held while reading
+    ImageF tile_ll_;          // last level's LL tile until its hand-off
+    core::DetailBands tile_;  // a tile's detail bands until their hand-off
     ResidentMeter meter_;
     double approx_seal_seconds_ = 0.0;
     double seconds_ = 0.0;
@@ -254,18 +271,7 @@ TileStreamStats stream_decompose(TileSource& src, const core::FilterPair& fp,
     core::HeapBufferSource fallback;
     core::FloatBufferSource& buf = buffers != nullptr ? *buffers : fallback;
     StreamContext ctx(plan, fp, mode, resolved, sink, buf);
-    // Ingest in bands of tile_rows full-width rows; only this staging band
-    // of the source is ever materialized.
-    const std::size_t band = std::min(cfg.tile_rows, src.rows());
-    ImageF staging = ctx.obtain(band, src.cols(), false);
-    for (std::size_t y0 = 0; y0 < src.rows(); y0 += band) {
-        const std::size_t n = std::min(band, src.rows() - y0);
-        src.read_rows(y0, n, staging.flat().first(n * src.cols()));
-        for (std::size_t j = 0; j < n; ++j) {
-            ctx.push_row(0, staging.row(j).data());
-        }
-    }
-    ctx.recycle(std::move(staging));
+    ctx.ingest(src, std::min(cfg.tile_rows, src.rows()));
     ctx.finalize();
     return ctx.stats(src);
 }

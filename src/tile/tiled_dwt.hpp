@@ -13,15 +13,16 @@
 //     ZeroPad reads nothing, so the head is only read by Periodic);
 //   * an LL cascade band that forwards finished approximation rows to the
 //     next level's ingest (absent at the last level, whose LL tiles ARE
-//     the approximation output).
+//     the approximation output). Each tile's column pass writes its LL
+//     straight into this band, at the tile's column offset.
 //
-// Row transforms run per tile column through core::analyze_1d_range (the
-// horizontal halo is the neighbouring pixels of the shared scanline);
-// column transforms run per tile through core::analyze_cols_tile with a
-// RowAccessor that resolves global row indices against ring/head storage
-// (the vertical halo). Both entry points run the kernel layer's one row and
-// one column body — the code core::decompose runs over whole planes — so
-// the whole pyramid, interior AND edges, is bit-identical to
+// The row transform runs once per ingested row over the full width through
+// core::analyze_1d_range (the horizontal halo is the shared scanline
+// itself); column transforms run per tile through core::analyze_cols_tile
+// with a RowAccessor that resolves global row indices against ring/head
+// storage (the vertical halo). Both entry points run the kernel layer's one
+// row and one column body — the code core::decompose runs over whole
+// planes — so the whole pyramid, interior AND edges, is bit-identical to
 // core::decompose for every kernel and boundary mode.
 //
 // Resident memory is the TilePlan reservation set: independent of the

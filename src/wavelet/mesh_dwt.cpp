@@ -43,9 +43,9 @@ void col_pass(const core::ImageF& low_ext, const core::ImageF& high_ext,
               const core::FilterPair& fp, core::ImageF& ll, core::DetailBands& bands) {
     // Output row k (stripe-local) reads extended rows 2k .. 2k+taps-1, all
     // inside the stripe, so the boundary mapping is the identity and the mode
-    // passed is immaterial. The outputs are freshly constructed (zero)
-    // stripes, as the convolve accumulation requires; like row_pass, the
-    // kernel is pinned to convolve.
+    // passed is immaterial. Every output element is written, and LL fills
+    // its stripe from column 0; like row_pass, the kernel is pinned to
+    // convolve.
     const core::RowAccessor low = [&low_ext](std::size_t r) {
         return low_ext.row(r).data();
     };
@@ -54,7 +54,7 @@ void col_pass(const core::ImageF& low_ext, const core::ImageF& high_ext,
     };
     core::analyze_cols_tile(low, high, low_ext.rows(), low_ext.cols(), fp, ll, bands.lh,
                             bands.hl, bands.hh, core::BoundaryMode::ZeroPad,
-                            core::DwtKernel::Convolve, 0, ll.rows());
+                            core::DwtKernel::Convolve, 0, ll.rows(), 0);
 }
 
 std::vector<float> pack_guard(const core::ImageF& low_rows, const core::ImageF& high_rows,

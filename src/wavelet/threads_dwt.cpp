@@ -59,10 +59,9 @@ std::vector<core::Pyramid> decompose_batch(
                                          images.front()->cols(), levels);
     kernel = core::resolve_dwt_kernel(kernel, fp);  // resolve once for all levels
     core::HeapBufferSource heap;
+    // Every pass writes each element of its outputs, so buffers come from
+    // the source as they are.
     core::FloatBufferSource& src = buffers != nullptr ? *buffers : heap;
-    // Only the convolve column pass accumulates into its outputs; row and
-    // lifting passes write every element and take their buffers dirty.
-    const bool zero_cols = kernel == core::DwtKernel::Convolve;
 
     std::vector<core::Pyramid> out(batch);
     for (auto& p : out) p.levels.reserve(static_cast<std::size_t>(levels));
@@ -76,8 +75,8 @@ std::vector<core::Pyramid> decompose_batch(
         const std::size_t half_r = rows / 2;
         const std::size_t half_c = cols / 2;
         for (std::size_t b = 0; b < batch; ++b) {
-            low_rows[b] = core::obtain_image(src, rows, half_c, false);
-            high_rows[b] = core::obtain_image(src, rows, half_c, false);
+            low_rows[b] = core::obtain_image(src, rows, half_c);
+            high_rows[b] = core::obtain_image(src, rows, half_c);
         }
         // One fused row sweep over the global index space [0, batch*rows):
         // global index g addresses row g%rows of image g/rows. A chunk
@@ -108,11 +107,11 @@ std::vector<core::Pyramid> decompose_batch(
 
         std::vector<core::ImageF> ll(batch);
         for (std::size_t b = 0; b < batch; ++b) {
-            ll[b] = core::obtain_image(src, half_r, half_c, zero_cols);
+            ll[b] = core::obtain_image(src, half_r, half_c);
             core::DetailBands d;
-            d.lh = core::obtain_image(src, half_r, half_c, zero_cols);
-            d.hl = core::obtain_image(src, half_r, half_c, zero_cols);
-            d.hh = core::obtain_image(src, half_r, half_c, zero_cols);
+            d.lh = core::obtain_image(src, half_r, half_c);
+            d.hl = core::obtain_image(src, half_r, half_c);
+            d.hh = core::obtain_image(src, half_r, half_c);
             out[b].levels.push_back(std::move(d));
         }
         // One fused column sweep over [0, batch*half_r).

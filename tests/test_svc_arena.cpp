@@ -43,7 +43,7 @@ std::unique_ptr<TransformResult> arena_result(BufferArena& arena,
                                               std::size_t floats_per_band) {
     auto result = std::make_unique<TransformResult>();
     const auto band = [&] {
-        return ImageF(1, floats_per_band, arena.obtain(floats_per_band, false));
+        return ImageF(1, floats_per_band, arena.obtain(floats_per_band));
     };
     for (int lvl = 0; lvl < 2; ++lvl) {
         wavehpc::core::DetailBands d;
@@ -73,43 +73,43 @@ TEST(ArenaSizeClasses, PowerOfTwoRoundingAndOversizeSentinel) {
     EXPECT_EQ(arena.class_for(513), 4U);   // one past the last index: oversize
 
     // The checkout's size is the request, its capacity the class.
-    auto buf = arena.obtain(100, false);
+    auto buf = arena.obtain(100);
     EXPECT_EQ(buf.size(), 100U);
     EXPECT_EQ(buf.capacity(), 128U);
     arena.recycle(std::move(buf));
 }
 
-TEST(ArenaAccounting, MissThenHitThenZeroedReuse) {
+TEST(ArenaAccounting, MissThenHitThenReuse) {
     BufferArena arena(tiny_config());
-    auto a = arena.obtain(64, false);
+    auto a = arena.obtain(64);
     ArenaStats s = arena.stats();
     EXPECT_EQ(s.misses, 1U);
     EXPECT_EQ(s.hits, 0U);
     EXPECT_EQ(s.bytes_outstanding, 64 * sizeof(float));
     EXPECT_EQ(s.bytes_pooled, 0U);
 
-    // Poison, return, and check a zeroed checkout scrubs the slab.
-    for (float& v : a) v = -1.0F;
     arena.recycle(std::move(a));
     s = arena.stats();
     EXPECT_EQ(s.returns, 1U);
     EXPECT_EQ(s.bytes_outstanding, 0U);
     EXPECT_EQ(s.bytes_pooled, 64 * sizeof(float));
 
-    auto b = arena.obtain(50, true);  // same class, smaller n, zeroed
+    auto b = arena.obtain(50);  // same class, smaller n: the pooled slab
     s = arena.stats();
     EXPECT_EQ(s.hits, 1U);
     EXPECT_EQ(s.misses, 1U);
+    EXPECT_EQ(s.bytes_outstanding, 64 * sizeof(float));
+    EXPECT_EQ(s.bytes_pooled, 0U);
     ASSERT_EQ(b.size(), 50U);
-    for (const float v : b) EXPECT_EQ(v, 0.0F);
+    EXPECT_EQ(b.capacity(), 64U);
     arena.recycle(std::move(b));
 }
 
 TEST(ArenaAccounting, HighWaterTracksPeakFootprint) {
     BufferArena arena(tiny_config());
-    auto a = arena.obtain(64, false);
-    auto b = arena.obtain(64, false);
-    auto c = arena.obtain(256, false);
+    auto a = arena.obtain(64);
+    auto b = arena.obtain(64);
+    auto c = arena.obtain(256);
     const auto peak = (64 + 64 + 256) * sizeof(float);
     EXPECT_EQ(arena.stats().high_water_bytes, peak);
 
@@ -117,14 +117,14 @@ TEST(ArenaAccounting, HighWaterTracksPeakFootprint) {
     arena.recycle(std::move(a));
     arena.recycle(std::move(b));
     arena.recycle(std::move(c));
-    auto d = arena.obtain(64, false);
+    auto d = arena.obtain(64);
     EXPECT_EQ(arena.stats().high_water_bytes, peak);
     arena.recycle(std::move(d));
 }
 
 TEST(ArenaAccounting, OversizeFallsBackToHeapAndIsNeverPooled) {
     BufferArena arena(tiny_config());
-    auto big = arena.obtain(513, true);  // beyond the 512-float top class
+    auto big = arena.obtain(513);  // beyond the 512-float top class
     EXPECT_EQ(big.size(), 513U);
     ArenaStats s = arena.stats();
     EXPECT_EQ(s.heap_fallbacks, 1U);
@@ -136,7 +136,7 @@ TEST(ArenaAccounting, OversizeFallsBackToHeapAndIsNeverPooled) {
     s = arena.stats();
     EXPECT_EQ(s.bytes_pooled, 0U);  // freed, not pooled
     // A repeat checkout is another fallback, not a hit.
-    auto again = arena.obtain(513, false);
+    auto again = arena.obtain(513);
     EXPECT_EQ(arena.stats().heap_fallbacks, 2U);
     arena.recycle(std::move(again));
 }
@@ -144,9 +144,9 @@ TEST(ArenaAccounting, OversizeFallsBackToHeapAndIsNeverPooled) {
 TEST(ArenaAccounting, ReturnsPastTheIdleBudgetAreDropped) {
     // Budget = exactly two 64-float slabs of idle pool.
     BufferArena arena(tiny_config(2 * 64 * sizeof(float)));
-    auto a = arena.obtain(64, false);
-    auto b = arena.obtain(64, false);
-    auto c = arena.obtain(64, false);
+    auto a = arena.obtain(64);
+    auto b = arena.obtain(64);
+    auto c = arena.obtain(64);
     arena.recycle(std::move(a));
     arena.recycle(std::move(b));
     arena.recycle(std::move(c));  // third idle slab busts the budget
@@ -321,7 +321,7 @@ TEST(ArenaStorm, ConcurrentCheckoutReturnConserves) {
             for (int i = 0; i < kIters; ++i) {
                 rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
                 const std::size_t n = 1 + (rng >> 33) % 700;  // spans oversize
-                auto buf = arena.obtain(n, (rng & 1) != 0);
+                auto buf = arena.obtain(n);
                 if (n > 512) {
                     ++oversize_obtains;
                 } else {

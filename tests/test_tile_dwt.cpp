@@ -10,17 +10,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <memory>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/pgm_io.hpp"
 #include "core/synthetic.hpp"
+#include "nan_arena.hpp"
 #include "svc/arena.hpp"
 #include "svc/service.hpp"
 #include "tile/plan.hpp"
@@ -137,6 +142,53 @@ TEST(AnalyzeRange, SegmentsMatchFullSignalBitExact) {
     }
 }
 
+TEST(AnalyzeColsTile, WritesLLAtItsColumnOffsetOnly) {
+    // A column segment's LL lands at ll_col0 of a wider destination (the
+    // tile driver's cascade band) with the whole-plane bits, for each of
+    // the Convolve, Lifting and Haar bodies; the rest of the destination
+    // is not touched, and one too short or too narrow is rejected.
+    const ImageF img = scene(16, 48, 3);
+    const std::size_t c0 = 5, width = 11;  // crosses a column block edge
+    const std::pair<int, DwtKernel> bodies[] = {
+        {4, DwtKernel::Convolve}, {4, DwtKernel::Lifting}, {2, DwtKernel::Lifting}};
+    for (const auto& [taps, kernel] : bodies) {
+        const auto fp = FilterPair::daubechies(taps);
+        ImageF lo(16, 24), hi(16, 24);
+        wavehpc::core::analyze_rows_range(img, fp, lo, hi, BoundaryMode::Periodic,
+                                          kernel, 0, 16);
+        ImageF ll(8, 24), lh(8, 24), hl(8, 24), hh(8, 24);
+        wavehpc::core::analyze_cols_range(lo, hi, fp, ll, lh, hl, hh,
+                                          BoundaryMode::Periodic, kernel, 0, 8);
+        const wavehpc::core::RowAccessor lo_at = [&](std::size_t r) {
+            return lo.row(r).data() + c0;
+        };
+        const wavehpc::core::RowAccessor hi_at = [&](std::size_t r) {
+            return hi.row(r).data() + c0;
+        };
+        const float nan = std::numeric_limits<float>::quiet_NaN();
+        ImageF band(8, 24, nan), tlh(8, width), thl(8, width), thh(8, width);
+        wavehpc::core::analyze_cols_tile(lo_at, hi_at, 16, width, fp, band, tlh, thl,
+                                         thh, BoundaryMode::Periodic, kernel, 0, 8, c0);
+        const std::string tag = "taps " + std::to_string(taps);
+        EXPECT_EQ(band.sub(0, c0, 8, width), ll.sub(0, c0, 8, width)) << tag;
+        EXPECT_EQ(tlh, lh.sub(0, c0, 8, width)) << tag;
+        for (std::size_t r = 0; r < 8; ++r) {
+            for (std::size_t c = 0; c < 24; ++c) {
+                if (c < c0 || c >= c0 + width) {
+                    EXPECT_TRUE(std::isnan(band(r, c))) << tag;
+                }
+            }
+        }
+        for (ImageF bad : {ImageF(7, 24), ImageF(8, c0 + width - 1)}) {
+            EXPECT_THROW(wavehpc::core::analyze_cols_tile(
+                             lo_at, hi_at, 16, width, fp, bad, tlh, thl, thh,
+                             BoundaryMode::Periodic, kernel, 0, 8, c0),
+                         std::invalid_argument)
+                << tag;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Tentpole: tiled pyramid == monolithic pyramid, bit for bit
 // ---------------------------------------------------------------------------
@@ -144,9 +196,12 @@ TEST(AnalyzeRange, SegmentsMatchFullSignalBitExact) {
 TEST(TiledBitIdentity, FullMatrixAgainstMonolithicDecompose) {
     // 96x80 is non-divisible by every tile size below, so the grid has
     // short edge tiles in both axes; tile_cols 64 leaves level-3 planes
-    // (10 output cols) a single tile wide.
+    // (10 output cols) a single tile wide. Each stream runs twice: through
+    // private heap buffers, and through an arena whose slabs start as NaN,
+    // so a driver buffer read before it is written fails the comparison.
     const ImageF img = scene(96, 80, 11);
     const TileConfig tiles[] = {{16, 16}, {8, 24}, {64, 64}, {1, 8}};
+    wavehpc::svc::BufferArena arena;
     for (const int taps : {2, 4, 8}) {
         const auto fp = FilterPair::daubechies(taps);
         for (const int levels : {1, 3}) {
@@ -155,16 +210,21 @@ TEST(TiledBitIdentity, FullMatrixAgainstMonolithicDecompose) {
                     const Pyramid want =
                         wavehpc::core::decompose(img, fp, levels, mode, kernel);
                     for (const TileConfig& cfg : tiles) {
-                        const Pyramid got = wavehpc::tile::tiled_decompose(
-                            img, fp, levels, mode, kernel, cfg, nullptr);
-                        expect_bands_eq(
-                            got, want,
+                        const std::string tag =
                             "taps=" + std::to_string(taps) +
-                                " levels=" + std::to_string(levels) + " mode=" +
-                                std::to_string(static_cast<int>(mode)) + " kernel=" +
-                                std::to_string(static_cast<int>(kernel)) + " tile=" +
-                                std::to_string(cfg.tile_rows) + "x" +
-                                std::to_string(cfg.tile_cols));
+                            " levels=" + std::to_string(levels) +
+                            " mode=" + std::to_string(static_cast<int>(mode)) +
+                            " kernel=" + std::to_string(static_cast<int>(kernel)) +
+                            " tile=" + std::to_string(cfg.tile_rows) + "x" +
+                            std::to_string(cfg.tile_cols);
+                        expect_bands_eq(wavehpc::tile::tiled_decompose(
+                                            img, fp, levels, mode, kernel, cfg, nullptr),
+                                        want, tag);
+                        // No stream holds more than 32 buffers at once.
+                        wavehpc::testing::prime_with_nan(arena, img.size(), 32);
+                        expect_bands_eq(wavehpc::tile::tiled_decompose(
+                                            img, fp, levels, mode, kernel, cfg, &arena),
+                                        want, tag + " arena");
                     }
                 }
             }
@@ -238,6 +298,67 @@ TEST(TiledStreaming, ReservedArenaRunsWithZeroWarmAllocations) {
     EXPECT_GT(after.hits, 0U);
 }
 
+TEST(TiledStreaming, AFailedStreamReturnsEveryDriverBuffer) {
+    // A stream that ends in an exception (a truncated PGM, a sink that
+    // gives up) hands every buffer the driver holds back to the arena:
+    // the staging band and rings when the source fails, and the tile in
+    // flight when the sink does.
+    class FailingSource final : public wavehpc::tile::TileSource {
+    public:
+        [[nodiscard]] std::size_t rows() const override { return inner_.rows(); }
+        [[nodiscard]] std::size_t cols() const override { return inner_.cols(); }
+        void read_rows(std::size_t y0, std::size_t n, std::span<float> dst) override {
+            if (++reads_ == 3) throw std::runtime_error("truncated scene");
+            inner_.read_rows(y0, n, dst);
+        }
+
+    private:
+        wavehpc::tile::SyntheticTileSource inner_{256, 256, 4};
+        int reads_ = 0;
+    };
+    class FailingSink final : public wavehpc::tile::TileSink {
+    public:
+        explicit FailingSink(wavehpc::core::FloatBufferSource& buffers)
+            : discard_(buffers), buffers_(buffers) {}
+        void on_detail(const wavehpc::tile::TileCoord& coord,
+                       wavehpc::core::DetailBands&& bands) override {
+            discard_.on_detail(coord, std::move(bands));
+        }
+        void on_approx(const wavehpc::tile::TileCoord& /*coord*/, ImageF&& ll) override {
+            buffers_.recycle(ll.release_data());
+            throw std::runtime_error("sink gave up");
+        }
+
+    private:
+        wavehpc::tile::DiscardSink discard_;
+        wavehpc::core::FloatBufferSource& buffers_;
+    };
+    const auto fp = FilterPair::daubechies(4);
+    TileConfig cfg;
+    cfg.tile_rows = 32;
+    cfg.tile_cols = 64;
+    {
+        wavehpc::svc::BufferArena arena;
+        FailingSource src;
+        wavehpc::tile::DiscardSink sink(arena);
+        EXPECT_THROW((void)wavehpc::tile::stream_decompose(
+                         src, fp, 2, BoundaryMode::Periodic, DwtKernel::Convolve, cfg,
+                         sink, &arena),
+                     std::runtime_error);
+        EXPECT_EQ(arena.stats().bytes_outstanding, 0U) << "source failure";
+    }
+    {
+        wavehpc::svc::BufferArena arena;
+        wavehpc::tile::SyntheticTileSource src(256, 256, 4);
+        FailingSink sink(arena);
+        EXPECT_THROW((void)wavehpc::tile::stream_decompose(
+                         src, fp, 2, BoundaryMode::Periodic, DwtKernel::Convolve, cfg,
+                         sink, &arena),
+                     std::runtime_error);
+        EXPECT_EQ(arena.stats().bytes_outstanding, 0U) << "sink failure";
+    }
+}
+
 TEST(ArenaReserve, IsAdditiveAndCountsSeparatelyFromMisses) {
     wavehpc::svc::BufferArena arena;
     const std::size_t cls0 = arena.class_floats(0);
@@ -248,7 +369,7 @@ TEST(ArenaReserve, IsAdditiveAndCountsSeparatelyFromMisses) {
     EXPECT_EQ(stats.misses, 0U);
     EXPECT_EQ(arena.pooled_per_class().at(0), 5U);
     for (int i = 0; i < 5; ++i) {
-        auto buf = arena.obtain(cls0, false);
+        auto buf = arena.obtain(cls0);
         EXPECT_EQ(buf.capacity(), cls0);
         // Deliberately leaked from the pool's view only for this scope:
         buf.clear();
