@@ -1,6 +1,6 @@
 #include "mesh/frame.hpp"
 
-#include <algorithm>
+#include <vector>
 
 namespace wavehpc::mesh::frame {
 
@@ -37,14 +37,6 @@ Header make_header(std::uint32_t seq, CheckedBytes payload) {
     return h;
 }
 
-std::vector<std::byte> build(std::uint32_t seq, std::span<const std::byte> payload) {
-    const Header h = make_header(seq, CheckedBytes::of(payload));
-    std::vector<std::byte> frame(kHeaderBytes + payload.size());
-    std::copy(h.begin(), h.end(), frame.begin());
-    std::copy(payload.begin(), payload.end(), frame.begin() + kHeaderBytes);
-    return frame;
-}
-
 bool header_valid(std::span<const std::byte, kHeaderBytes> header,
                   std::size_t payload_size, std::uint32_t payload_crc) noexcept {
     if (get_u32(header.data()) != kMagic) return false;
@@ -59,9 +51,19 @@ std::optional<std::uint32_t> validate(std::span<const std::byte, kHeaderBytes> h
     return crc;
 }
 
-std::optional<std::uint32_t> validate(std::span<const std::byte> frame) {
-    if (frame.size() < kHeaderBytes) return std::nullopt;
-    return validate(frame.first<kHeaderBytes>(), frame.subspan(kHeaderBytes));
+bool nic_accepts(const Header& header, std::span<const std::byte> payload,
+                 std::uint32_t rx_crc, const FaultDecision& fd) {
+    if (!fd.corrupt) return header_valid(header, payload.size(), rx_crc);
+    const std::size_t at = fd.flip_byte % (kHeaderBytes + payload.size());
+    const auto bit = static_cast<std::byte>(1U << fd.flip_bit);
+    if (at < kHeaderBytes) {
+        Header flipped = header;
+        flipped[at] ^= bit;
+        return header_valid(flipped, payload.size(), rx_crc);
+    }
+    std::vector<std::byte> flipped(payload.begin(), payload.end());
+    flipped[at - kHeaderBytes] ^= bit;
+    return validate(header, flipped).has_value();
 }
 
 }  // namespace wavehpc::mesh::frame

@@ -1,19 +1,19 @@
 #pragma once
-// The WHRC NIC frame, the one codec of both reliable transports (the mesh
-// machine's csend_reliable and the shard tier's ShardTransport):
+// The WHRC NIC frame and the receiving NIC's check, shared by both reliable
+// transports through their one ARQ loop (mesh/arq.hpp):
 //
 //   magic u32 'WHRC' | seq u32 | crc u32 = crc32(seq bytes ++ payload) | payload
 //
 // little-endian. The sender derives the CRC from the payload's own CRC
 // (crc32_shift), and the receiver's one pass over the payload yields the
-// CRC that later checks can reuse (CheckedBytes).
+// CRC that later checks can reuse (CheckedBytes). A frame is never
+// assembled: the header travels beside the payload it covers.
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "mesh/faults.hpp"
 
@@ -42,10 +42,6 @@ using Header = std::array<std::byte, kHeaderBytes>;
 /// (O(log n); the payload bytes are not read).
 [[nodiscard]] Header make_header(std::uint32_t seq, CheckedBytes payload);
 
-/// Contiguous frame: header ++ payload (one CRC pass over the payload).
-[[nodiscard]] std::vector<std::byte> build(std::uint32_t seq,
-                                           std::span<const std::byte> payload);
-
 /// Receiver NIC check of `header` against a payload of `payload_size`
 /// bytes whose CRC the receiver computed as `payload_crc`.
 [[nodiscard]] bool header_valid(std::span<const std::byte, kHeaderBytes> header,
@@ -58,8 +54,12 @@ using Header = std::array<std::byte, kHeaderBytes>;
     std::span<const std::byte, kHeaderBytes> header,
     std::span<const std::byte> payload);
 
-/// Same, over a contiguous frame.
-[[nodiscard]] std::optional<std::uint32_t> validate(std::span<const std::byte> frame);
+/// Does the receiving NIC accept this attempt of `header` ++ `payload`?
+/// `rx_crc` is its pass over the clean payload. A drawn corruption flips
+/// one bit in a private copy of the part it lands in (header or payload),
+/// and a flipped payload is re-checked with a pass of its own.
+[[nodiscard]] bool nic_accepts(const Header& header, std::span<const std::byte> payload,
+                               std::uint32_t rx_crc, const FaultDecision& fd);
 
 }  // namespace frame
 }  // namespace wavehpc::mesh

@@ -4,8 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "mesh/frame.hpp"
-
 namespace wavehpc::mesh {
 
 namespace {
@@ -157,6 +155,17 @@ void Machine::advance_with_fail(NodeCtx& ctx, double dt, double NodeStats::*cate
     ctx.proc_->advance(dt);
 }
 
+void Machine::check_retries(const ReliableParams& params) {
+    if (params.max_retries < 0) {
+        throw std::invalid_argument("reliable transport: negative max_retries");
+    }
+}
+
+void Machine::use_reliable_transport(bool on, ReliableParams params) {
+    if (on) check_retries(params);
+    reliable_ = on ? std::optional<ReliableParams>(params) : std::nullopt;
+}
+
 void Machine::validate_send(const NodeCtx& ctx, int tag, int dst) const {
     const auto nprocs = static_cast<int>(rs_->pid_of_rank.size());
     if (dst < 0 || dst >= nprocs) throw std::invalid_argument("csend: bad destination");
@@ -221,130 +230,130 @@ bool Machine::do_send_reliable(NodeCtx& ctx, int tag, int dst,
                                const ReliableParams& params) {
     RunState& rs = *rs_;
     validate_send(ctx, tag, dst);
+    check_retries(params);
     check_fail_stop(ctx);
-
-    NodeStats& st = rs.stats[static_cast<std::size_t>(ctx.rank())];
-    NodeStats& peer_st = rs.stats[static_cast<std::size_t>(dst)];
 
     const Coord3 src_at = rs.placement[static_cast<std::size_t>(ctx.rank())];
     const Coord3 dst_at = rs.placement[static_cast<std::size_t>(dst)];
-    const auto path = profile_.topo.route(src_at, dst_at);
-    const auto back_path = profile_.topo.route(dst_at, src_at);
     const double hop_time =
         static_cast<double>(profile_.topo.hops(src_at, dst_at)) * profile_.per_hop;
-
-    const auto key = std::make_tuple(ctx.rank(), dst, tag);
-    const std::uint32_t seq = rs.next_seq[key];
-    const std::vector<std::byte> frame = frame::build(seq, data);
-
-    const double data_wire =
-        hop_time + static_cast<double>(frame.size()) * profile_.byte_time;
-    const double ack_wire =
-        hop_time + static_cast<double>(kAckBytes) * profile_.byte_time;
+    const std::size_t frame_bytes = frame::kHeaderBytes + data.size();
+    const double data_wire = hop_time + static_cast<double>(frame_bytes) * profile_.byte_time;
+    const double ack_wire = hop_time + static_cast<double>(kAckBytes) * profile_.byte_time;
     const double rtt =
         data_wire + ack_wire + profile_.send_overhead + profile_.recv_overhead;
     const double rto0 = params.rto0 > 0.0 ? params.rto0 : 2.0 * rtt;
-    const double rto_cap = params.rto_cap > 0.0 ? params.rto_cap : 64.0 * rto0;
 
-    double rto = rto0;
-    for (int attempt = 0; attempt <= params.max_retries; ++attempt) {
-        if (attempt > 0) ++st.retransmits;
-        advance_with_fail(ctx, profile_.send_overhead, &NodeStats::comm_seconds);
-        const double ready = ctx.proc_->now();
-
-        const FaultDecision fd = profile_.faults.decide_frame(
-            rs.msg_counter++, ctx.rank(), dst, tag, ready);
-        const auto res =
-            rs.ledger.reserve_path_ex(path, ready, data_wire + fd.delay);
-        const double arrival = res.start + res.duration;
-        ++st.messages_sent;
-        st.bytes_sent += frame.size();
-        if (record_trace_) {
-            rs.trace.push_back({ready, res.start, arrival, ctx.rank(), dst, tag,
-                                frame.size()});
-        }
-
-        // NIC-level outcome of this attempt, resolved synchronously: the
-        // engine runs actions in causal virtual-time order and this channel
-        // is stop-and-wait, so nothing can race on its sequence state.
-        bool ack_ok = false;
+    // What an attempt costs on the machine. Each NIC outcome resolves
+    // synchronously: the engine runs actions in causal virtual-time order
+    // and the channel is stop-and-wait, so nothing races on its state.
+    struct Wire {
+        Machine& m;
+        NodeCtx& ctx;
+        int dst;
+        int tag;
+        std::span<const std::byte> data;
+        std::size_t frame_bytes;
+        std::vector<std::size_t> path;
+        std::vector<std::size_t> back_path;
+        double data_wire;
+        double ack_wire;
+        double rto;
+        double rto_cap;
+        std::optional<double> peer_fail;
+        double arrival = 0.0;  ///< of this attempt's data frame
         double ack_arrival = 0.0;
-        const auto peer_fail = fail_time_of(dst);
-        if (fd.drop) {
-            ++rs.injected_drops;
-        } else if (peer_fail.has_value() && arrival >= *peer_fail) {
+
+        NodeStats& stats(int rank) { return m.rs_->stats[static_cast<std::size_t>(rank)]; }
+
+        std::optional<FaultDecision> send(bool retransmit) {
+            RunState& rs = *m.rs_;
+            if (retransmit) ++stats(ctx.rank()).retransmits;
+            m.advance_with_fail(ctx, m.profile_.send_overhead, &NodeStats::comm_seconds);
+            const double ready = ctx.now();
+            const FaultDecision fd = m.profile_.faults.decide_frame(
+                rs.msg_counter++, ctx.rank(), dst, tag, ready);
+            const auto res = rs.ledger.reserve_path_ex(path, ready, data_wire + fd.delay);
+            arrival = res.start + res.duration;
+            ++stats(ctx.rank()).messages_sent;
+            stats(ctx.rank()).bytes_sent += frame_bytes;
+            if (m.record_trace_) {
+                rs.trace.push_back({ready, res.start, arrival, ctx.rank(), dst, tag,
+                                    frame_bytes});
+            }
+            if (fd.drop) {
+                ++rs.injected_drops;
+                return std::nullopt;
+            }
             // The peer's NIC went down with it: the frame is lost on
             // arrival and no ack will ever come.
-        } else {
-            // The clean frame is read in place; only a drawn corruption
-            // needs a private copy to flip.
-            std::span<const std::byte> wire_frame = frame;
-            std::vector<std::byte> corrupted;
-            if (fd.corrupt) {
-                ++rs.injected_corruptions;
-                corrupted = frame;
-                corrupted[fd.flip_byte % corrupted.size()] ^=
-                    static_cast<std::byte>(1U << fd.flip_bit);
-                wire_frame = corrupted;
-            }
-            if (!frame::validate(wire_frame)) {
-                // Receiver NIC rejects the frame (CRC/magic); no ack.
-                ++peer_st.corruptions_detected;
-            } else {
-                std::uint32_t& expected = rs.expected_seq[key];
-                if (seq == expected) {
-                    ++expected;
-                    Message msg;
-                    msg.src = ctx.rank();
-                    msg.tag = tag;
-                    const auto payload = wire_frame.subspan(frame::kHeaderBytes);
-                    msg.data.assign(payload.begin(), payload.end());
-                    msg.arrival = arrival;
-                    rs.mailbox[static_cast<std::size_t>(dst)].push_back(std::move(msg));
-                    ctx.proc_->notify(rs.pid_of_rank[static_cast<std::size_t>(dst)]);
-                }
-                // Valid frames — fresh or duplicate — are acknowledged by
-                // the receiving NIC; the ack travels the reverse route and
-                // is itself subject to the fault plan.
-                const FaultDecision fa = profile_.faults.decide_frame(
-                    rs.msg_counter++, dst, ctx.rank(), tag, arrival);
-                const auto ares = rs.ledger.reserve_path_ex(
-                    back_path, arrival, ack_wire + fa.delay);
-                if (fa.drop) {
-                    ++rs.injected_drops;
-                } else if (fa.corrupt) {
-                    // A corrupted ack is rejected by the sender's NIC.
-                    ++rs.injected_corruptions;
-                    ++st.corruptions_detected;
-                } else {
-                    ack_ok = true;
-                    ack_arrival = ares.start + ares.duration;
-                }
-            }
+            if (peer_fail.has_value() && arrival >= *peer_fail) return std::nullopt;
+            if (fd.corrupt) ++rs.injected_corruptions;
+            return fd;
         }
-
-        if (ack_ok) {
-            // Wait out the ack's flight time (dying mid-wait if the fail
-            // time strikes first).
-            const double wait = std::max(0.0, ack_arrival - ctx.proc_->now());
-            advance_with_fail(ctx, wait, &NodeStats::comm_seconds);
-            rs.next_seq[key] = seq + 1;
+        void rejected() { ++stats(dst).corruptions_detected; }
+        void deliver() {
+            RunState& rs = *m.rs_;
+            Message msg;
+            msg.src = ctx.rank();
+            msg.tag = tag;
+            msg.data.assign(data.begin(), data.end());
+            msg.arrival = arrival;
+            rs.mailbox[static_cast<std::size_t>(dst)].push_back(std::move(msg));
+            ctx.proc_->notify(rs.pid_of_rank[static_cast<std::size_t>(dst)]);
+        }
+        void duplicate() {}
+        // The ack travels the reverse route and is itself subject to the
+        // fault plan.
+        bool ack() {
+            RunState& rs = *m.rs_;
+            const FaultDecision fa = m.profile_.faults.decide_frame(
+                rs.msg_counter++, dst, ctx.rank(), tag, arrival);
+            const auto ares =
+                rs.ledger.reserve_path_ex(back_path, arrival, ack_wire + fa.delay);
+            if (fa.drop) {
+                ++rs.injected_drops;
+                return false;
+            }
+            if (fa.corrupt) {
+                // A corrupted ack is rejected by the sender's NIC.
+                ++rs.injected_corruptions;
+                ++stats(ctx.rank()).corruptions_detected;
+                return false;
+            }
+            ack_arrival = ares.start + ares.duration;
             return true;
         }
-
         // No ack will come from this attempt: sleep out the retransmission
         // timer (dying at the fail time if it strikes first), then back off.
-        advance_with_fail(ctx, rto, &NodeStats::comm_seconds);
-        ++st.recv_timeouts;
-        rto = std::min(rto * 2.0, rto_cap);
-    }
-    // Giving up: the data frame may have been consumed even though every ack
-    // was lost, in which case the receiver's expected seq already advanced.
-    // Mirror it (the model-level stand-in for acks carrying the expected seq)
-    // so the next send on this channel is neither suppressed as a duplicate
-    // nor skipped ahead of a never-delivered frame.
-    rs.next_seq[key] = rs.expected_seq[key];
-    return false;
+        void lost() {
+            m.advance_with_fail(ctx, rto, &NodeStats::comm_seconds);
+            ++stats(ctx.rank()).recv_timeouts;
+            rto = std::min(rto * 2.0, rto_cap);
+        }
+        // Wait out the ack's flight (dying mid-wait if the fail time strikes).
+        void acked() {
+            m.advance_with_fail(ctx, std::max(0.0, ack_arrival - ctx.now()),
+                                &NodeStats::comm_seconds);
+        }
+    } wire{.m = *this,
+           .ctx = ctx,
+           .dst = dst,
+           .tag = tag,
+           .data = data,
+           .frame_bytes = frame_bytes,
+           .path = profile_.topo.route(src_at, dst_at),
+           .back_path = profile_.topo.route(dst_at, src_at),
+           .data_wire = data_wire,
+           .ack_wire = ack_wire,
+           .rto = rto0,
+           .rto_cap = params.rto_cap > 0.0 ? params.rto_cap : 64.0 * rto0,
+           .peer_fail = fail_time_of(dst)};
+
+    const CheckedBytes payload = CheckedBytes::of(data);
+    // The clean payload's one CRC serves the receiving NIC on every attempt.
+    return arq::transfer(rs.channels[{ctx.rank(), dst, tag}], payload, payload.crc,
+                         params.max_retries, wire);
 }
 
 std::optional<Message> Machine::do_recv(NodeCtx& ctx, int tag, int src,

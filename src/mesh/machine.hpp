@@ -17,6 +17,7 @@
 #include <tuple>
 #include <vector>
 
+#include "mesh/arq.hpp"
 #include "mesh/faults.hpp"
 #include "mesh/ledger.hpp"
 #include "mesh/topology.hpp"
@@ -122,13 +123,14 @@ public:
     /// so expiry never masks a message that arrives before the deadline.
     [[nodiscard]] std::optional<Message> crecv_timeout(int tag, int src, double timeout);
 
-    /// Stop-and-wait reliable send: sequence number + CRC32-protected frame,
-    /// NIC-level ack, retransmit on loss with capped exponential backoff.
-    /// Returns false when max_retries attempts went unacknowledged (the peer
-    /// is presumed dead); duplicate frames from lost acks are suppressed at
-    /// the receiver, so the mailbox sees each payload at most once, in order
-    /// per (source, tag). Books end-to-end time (including the ack wait) as
-    /// comm time.
+    /// Stop-and-wait reliable send (mesh/arq.hpp): sequence number +
+    /// CRC32-protected frame, NIC-level ack, retransmit on loss with capped
+    /// exponential backoff. Returns false when max_retries + 1 attempts went
+    /// unacknowledged (the peer is presumed dead); duplicate frames from
+    /// lost acks are suppressed at the receiver, so the mailbox sees each
+    /// payload at most once, in order per (source, tag). Books end-to-end
+    /// time (including the ack wait) as comm time. Throws
+    /// std::invalid_argument on a negative max_retries.
     [[nodiscard]] bool csend_reliable(int tag, int dst, std::span<const std::byte> data,
                                       const ReliableParams& params = {});
 
@@ -242,9 +244,8 @@ public:
     /// Route every NodeCtx::csend through the reliable transport (and make
     /// a failed delivery throw TransportError). Collectives and node
     /// programs then survive message drops and corruption unchanged.
-    void use_reliable_transport(bool on, ReliableParams params = {}) {
-        reliable_ = on ? std::optional<ReliableParams>(params) : std::nullopt;
-    }
+    /// Throws std::invalid_argument on a negative max_retries.
+    void use_reliable_transport(bool on, ReliableParams params = {});
 
     /// Explore alternative-but-causally-valid schedules: subsequent runs
     /// install a sim::SeededTieBreak with this seed, randomizing which of
@@ -283,8 +284,7 @@ private:
         std::size_t injected_drops = 0;
         std::size_t injected_corruptions = 0;
         /// Stop-and-wait sequence state per (src, dst, tag) channel.
-        std::map<std::tuple<int, int, int>, std::uint32_t> next_seq;
-        std::map<std::tuple<int, int, int>, std::uint32_t> expected_seq;
+        std::map<std::tuple<int, int, int>, arq::Channel> channels;
         explicit RunState(std::size_t links) : ledger(links) {}
     };
 
@@ -296,6 +296,7 @@ private:
                                    std::optional<double> timeout);
 
     void validate_send(const NodeCtx& ctx, int tag, int dst) const;
+    static void check_retries(const ReliableParams& params);
     /// Throws the internal fail-stop signal if `ctx`'s rank is past its
     /// scheduled fail time.
     void check_fail_stop(NodeCtx& ctx) const;

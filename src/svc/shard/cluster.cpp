@@ -53,6 +53,18 @@ thread_local std::vector<std::byte> t_spare_frame;
     return wire::encode_roster_payload(roster);
 }
 
+/// The roster a gossip frame carries; empty if the frame or its payload is
+/// malformed (the beat is simply lost).
+[[nodiscard]] std::vector<wire::RosterEntry> roster_entries(mesh::CheckedBytes frame) {
+    const auto un = wire::try_open(frame);
+    if (!un) return {};
+    try {
+        return wire::decode_roster_payload(un->payload);
+    } catch (const wire::WireError&) {
+        return {};
+    }
+}
+
 }  // namespace
 
 ShardCluster::ShardCluster(runtime::ThreadPool& pool, ShardClusterConfig cfg)
@@ -188,14 +200,7 @@ void ShardCluster::gossip_round_locked(double now) {
     // freshness fence admits exactly the self-beats — the router's
     // detector sees the same observe() stream the old probe loop fed it.
     for (const GossipMsg& m : router_inbox_) {
-        const auto un = wire::try_open({m.frame, m.crc});
-        if (!un) continue;
-        std::vector<wire::RosterEntry> entries;
-        try {
-            entries = wire::decode_roster_payload(un->payload);
-        } catch (const wire::WireError&) {
-            continue;
-        }
+        const auto entries = roster_entries({m.frame, m.crc});
         for (std::size_t e = 0; e < entries.size() && e < n; ++e) {
             detector_.merge_entry(e, entries[e].incarnation, entries[e].last_ok,
                                   now);
@@ -209,14 +214,7 @@ void ShardCluster::gossip_round_locked(double now) {
             continue;
         }
         for (const GossipMsg& m : node.inbox) {
-            const auto un = wire::try_open({m.frame, m.crc});
-            if (!un) continue;
-            std::vector<wire::RosterEntry> entries;
-            try {
-                entries = wire::decode_roster_payload(un->payload);
-            } catch (const wire::WireError&) {
-                continue;
-            }
+            const auto entries = roster_entries({m.frame, m.crc});
             for (std::size_t e = 0; e < entries.size() && e < n; ++e) {
                 const wire::RosterEntry& ent = entries[e];
                 if (e != s) {

@@ -21,10 +21,9 @@
 // id two detectors can compare for agreement.
 //
 // Like CircuitBreaker, this is externally synchronized pure decision
-// logic: the cluster calls it under its own mutex with wall-clock-derived
-// seconds, tests drive it single-threaded with explicit times, and the
-// mesh gossip program (mesh_gossip.hpp) drives one instance per rank with
-// *virtual* seconds — the same state machine in all three settings.
+// logic: the cluster calls it under its own mutex, with wall-clock-derived
+// seconds or the explicit ones of its manual clock, and unit tests drive it
+// single-threaded with explicit times — the same state machine either way.
 
 #include <cstddef>
 #include <cstdint>

@@ -25,26 +25,6 @@ using core::mix64;
     return mix64(key) + n;
 }
 
-/// Does the receiving NIC accept this attempt of `header` ++ `payload`?
-/// `rx_crc` is its pass over the clean payload. A drawn corruption flips
-/// one bit in a private copy of the part it lands in (header or payload),
-/// and a flipped payload is re-checked with a pass of its own.
-[[nodiscard]] bool nic_accepts(const frame::Header& header,
-                               std::span<const std::byte> payload,
-                               std::uint32_t rx_crc, const mesh::FaultDecision& fd) {
-    if (!fd.corrupt) return frame::header_valid(header, payload.size(), rx_crc);
-    const std::size_t at = fd.flip_byte % (frame::kHeaderBytes + payload.size());
-    const auto bit = static_cast<std::byte>(1U << fd.flip_bit);
-    if (at < frame::kHeaderBytes) {
-        frame::Header flipped = header;
-        flipped[at] ^= bit;
-        return frame::header_valid(flipped, payload.size(), rx_crc);
-    }
-    std::vector<std::byte> flipped(payload.begin(), payload.end());
-    flipped[at - frame::kHeaderBytes] ^= bit;
-    return frame::validate(header, flipped).has_value();
-}
-
 }  // namespace
 
 ShardTransport::ShardTransport(int nodes, std::uint64_t seed, int max_retries)
@@ -131,7 +111,7 @@ bool ShardTransport::send_datagram(int src, int dst, int tag,
     std::shared_ptr<const Sink> sink;
     if (fd.drop) {
         ++d.drops;
-    } else if (!nic_accepts(frame::make_header(0, data), data.bytes, rx_crc, fd)) {
+    } else if (!frame::nic_accepts(frame::make_header(0, data), data.bytes, rx_crc, fd)) {
         ++d.corrupt_rejections;
     } else if ((sink = endpoint(sinks_, dst, tag))) {
         ++d.frames_delivered;
@@ -142,42 +122,39 @@ bool ShardTransport::send_datagram(int src, int dst, int tag,
     return true;
 }
 
-ShardTransport::Transfer ShardTransport::arq(int src, int dst, int tag,
-                                             mesh::CheckedBytes data,
-                                             std::uint32_t rx_crc) {
-    Channel& ch = channel(src, dst, tag);
-    WireStats d;
-    Transfer t;
-    {
-        std::lock_guard lk(ch.mu);
-        const std::uint32_t seq = ch.next_seq;
-        const frame::Header header = frame::make_header(seq, data);
-        for (int attempt = 0; attempt <= max_retries_ && !t.acked; ++attempt) {
-            if (attempt > 0) ++d.retransmits;
-            ++d.frames_sent;
-            const Link l = link(src, dst);
-            if (!l.up) continue;
+ShardTransport::Transfer ShardTransport::transfer(int src, int dst, int tag,
+                                                  mesh::CheckedBytes data,
+                                                  std::uint32_t rx_crc) {
+    // What an attempt costs here: counters only. Every attempt reads the
+    // ends' reachability; a down end loses the frame with no draw.
+    struct Wire {
+        const ShardTransport& t;
+        int src;
+        int dst;
+        int tag;
+        Channel& ch;
+        WireStats d{};
+        Link l{};
+        bool fresh = false;
 
+        std::optional<mesh::FaultDecision> send(bool retransmit) {
+            if (retransmit) ++d.retransmits;
+            ++d.frames_sent;
+            l = t.link(src, dst);
+            if (!l.up) return std::nullopt;
             const mesh::FaultDecision fd = l.plan->decide_frame(
                 draw_index(src, dst, tag, ch.draws++), src, dst, tag, l.now);
-            if (fd.drop) {
-                ++d.drops;
-                continue;
-            }
-            if (!nic_accepts(header, data.bytes, rx_crc, fd)) {
-                // Receiver NIC rejects the frame (CRC/magic); no ack.
-                ++d.corrupt_rejections;
-                continue;
-            }
-            if (seq == ch.expected_seq) {
-                ++ch.expected_seq;
-                ++d.frames_delivered;
-                t.fresh = true;
-            } else {
-                ++d.duplicates_suppressed;
-            }
-            // Valid frames — fresh or duplicate — are acknowledged; the ack
-            // travels the reverse direction and draws its own fault.
+            if (!fd.drop) return fd;
+            ++d.drops;
+            return std::nullopt;
+        }
+        void rejected() { ++d.corrupt_rejections; }
+        void deliver() {
+            ++d.frames_delivered;
+            fresh = true;
+        }
+        void duplicate() { ++d.duplicates_suppressed; }
+        bool ack() {
             ++d.frames_sent;
             // The ack draws from the data channel's sequence (not the reverse
             // channel's), keeping one transfer's fate a function of one stream.
@@ -186,22 +163,23 @@ ShardTransport::Transfer ShardTransport::arq(int src, int dst, int tag,
             if (fa.drop) {
                 ++d.drops;
             } else if (fa.corrupt) {
-                // A corrupted ack is rejected by the sender's NIC.
-                ++d.corrupt_rejections;
-            } else {
-                ch.next_seq = seq + 1;
-                t.acked = true;
+                ++d.corrupt_rejections;  // the sender's NIC rejects it
             }
+            return !fa.drop && !fa.corrupt;
         }
-        if (!t.acked) {
-            // Give up. The data frame may have been consumed even though every
-            // ack was lost; mirror the receiver's expected seq (the model-level
-            // stand-in for acks carrying it) so the channel stays in step.
-            ++d.gave_up;
-            ch.next_seq = ch.expected_seq;
-        }
+        void lost() {}
+        void acked() {}
+    };
+    Channel& ch = channel(src, dst, tag);
+    Wire wire{.t = *this, .src = src, .dst = dst, .tag = tag, .ch = ch};
+    Transfer t;
+    {
+        std::lock_guard lk(ch.mu);
+        t.acked = mesh::arq::transfer(ch.arq, data, rx_crc, max_retries_, wire);
     }
-    record(d);
+    t.fresh = wire.fresh;
+    if (!t.acked) ++wire.d.gave_up;
+    record(wire.d);
     return t;
 }
 
@@ -213,7 +191,7 @@ std::optional<std::vector<std::byte>> ShardTransport::rpc(
 std::optional<std::vector<std::byte>> ShardTransport::rpc(int src, int dst, int tag,
                                                           mesh::CheckedBytes data) {
     const std::uint32_t rx_crc = mesh::crc32(data.bytes);
-    const Transfer request = arq(src, dst, tag, data, rx_crc);
+    const Transfer request = transfer(src, dst, tag, data, rx_crc);
     // The channel is stop-and-wait and starts every transfer in step with
     // its receiver, so an acked transfer was accepted fresh exactly once.
     // A fresh payload reaches the handler even when every ack was lost.
@@ -226,7 +204,7 @@ std::optional<std::vector<std::byte>> ShardTransport::rpc(int src, int dst, int 
     if (!request.acked) return std::nullopt;
     // Response leg: back under the reverse channel's own ARQ.
     const auto resp = mesh::CheckedBytes::of(response);
-    if (!arq(dst, src, tag, resp, mesh::crc32(response)).acked) return std::nullopt;
+    if (!transfer(dst, src, tag, resp, mesh::crc32(response)).acked) return std::nullopt;
     return response;
 }
 

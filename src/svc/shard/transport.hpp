@@ -4,13 +4,14 @@
 //
 // The live sharded cluster cannot run inside mesh::Machine — the machine
 // is a run-to-completion virtual-time simulator, while the cluster serves
-// real threads. ShardTransport closes that gap: it speaks the machine's
-// exact NIC protocol (the shared WHRC codec in mesh/frame.hpp, stop-and-
-// wait ARQ with per-(src,dst,tag) sequence channels, duplicate
-// suppression, give-up resync) against the same link-aware FaultPlan, so
-// every byte the router exchanges with a shard takes the same losses,
-// corruptions, and asymmetric partitions a mesh program would — just on
-// the caller's clock instead of the simulator's.
+// real threads. ShardTransport closes that gap: rpc runs the machine's own
+// stop-and-wait loop (mesh::arq::transfer: per-(src,dst,tag) sequence
+// channels, the NIC check of mesh/frame.hpp, duplicate suppression, give-up
+// resync) against the same link-aware FaultPlan, so every byte the router
+// exchanges with a shard takes the same losses, corruptions, and asymmetric
+// partitions a mesh program would — just on the caller's clock instead of
+// the simulator's. Only the wire policy differs: an attempt here costs
+// counters, not virtual time.
 //
 // Nodes are small integers: shards 0..N-1, the router N. Two delivery
 // shapes:
@@ -52,6 +53,7 @@
 #include <tuple>
 #include <vector>
 
+#include "mesh/arq.hpp"
 #include "mesh/faults.hpp"
 #include "mesh/frame.hpp"
 
@@ -103,8 +105,7 @@ public:
 private:
     struct Channel {
         std::mutex mu;
-        std::uint32_t next_seq = 0;
-        std::uint32_t expected_seq = 0;
+        mesh::arq::Channel arq;
         std::uint64_t draws = 0;  ///< fault draws consumed on this channel
     };
 
@@ -136,10 +137,10 @@ private:
     [[nodiscard]] Link link(int src, int dst) const;
     void record(const WireStats& delta);
 
-    /// One ARQ transfer src->dst on its channel; `rx_crc` is the receiving
-    /// NIC's pass over the clean payload bytes.
-    Transfer arq(int src, int dst, int tag, mesh::CheckedBytes data,
-                 std::uint32_t rx_crc);
+    /// One ARQ transfer (mesh::arq::transfer) src->dst on its channel;
+    /// `rx_crc` is the receiving NIC's pass over the clean payload bytes.
+    Transfer transfer(int src, int dst, int tag, mesh::CheckedBytes data,
+                      std::uint32_t rx_crc);
 
     mutable std::mutex mu_;  ///< registry: everything below but stats
     int nodes_;

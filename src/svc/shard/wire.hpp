@@ -20,11 +20,10 @@
 //     payload_crc  u32  mesh::crc32 over the payload bytes
 //   payload (payload_size bytes)
 //
-// The same encoding serves both legs: the live in-process ShardTransport
-// (transport.hpp) and the mesh::Machine gossip program (mesh_gossip.hpp).
-// A machine-injected bit flip on a plain csend lands in the payload or
-// header and is caught here at unseal time — the wire CRC is the shard
-// tier's own integrity check, layered under the transform-result CRC audit.
+// Every sealed frame crosses the in-process ShardTransport (transport.hpp)
+// inside a WHRC NIC frame (mesh/frame.hpp). The wire CRC is the shard
+// tier's own integrity check, layered under the transform-result CRC
+// audit: a frame that reaches unseal malformed is rejected here.
 
 #include <cstddef>
 #include <cstdint>

@@ -29,14 +29,20 @@ std::string format_value(double v) {
 
 }  // namespace
 
-void GoldenArtifact::set(const std::string& key, double value) {
-    for (const auto& [k, v] : values_) {
-        if (k == key) throw std::logic_error("GoldenArtifact: duplicate key " + key);
+void GoldenArtifact::set(const std::string& key, double value) { add(key, value, false); }
+
+void GoldenArtifact::set_count(const std::string& key, std::uint64_t n) {
+    add(key, static_cast<double>(n), true);
+}
+
+void GoldenArtifact::add(const std::string& key, double value, bool exact) {
+    for (const Value& v : values_) {
+        if (v.key == key) throw std::logic_error("GoldenArtifact: duplicate key " + key);
     }
     if (key.empty() || key.find_first_of(" \t\n#") != std::string::npos) {
         throw std::logic_error("GoldenArtifact: bad key '" + key + "'");
     }
-    values_.emplace_back(key, value);
+    values_.push_back({key, value, exact});
 }
 
 std::string GoldenArtifact::check(const std::string& name, double rel_tol,
@@ -50,7 +56,7 @@ std::string GoldenArtifact::check(const std::string& name, double rel_tol,
         std::ofstream out(path);
         if (!out) return "golden: cannot write " + path;
         out << "# golden artifact '" << name << "'; regenerate with --regen\n";
-        for (const auto& [k, v] : values_) out << k << ' ' << format_value(v) << '\n';
+        for (const Value& v : values_) out << v.key << ' ' << format_value(v.value) << '\n';
         return out ? std::string{} : "golden: write failed for " + path;
     }
 
@@ -74,7 +80,7 @@ std::string GoldenArtifact::check(const std::string& name, double rel_tol,
     }
 
     std::ostringstream report;
-    for (const auto& [k, computed] : values_) {
+    for (const auto& [k, computed, exact] : values_) {
         const auto it = golden.find(k);
         if (it == golden.end()) {
             report << "  new key (not in golden): " << k << " = "
@@ -82,12 +88,14 @@ std::string GoldenArtifact::check(const std::string& name, double rel_tol,
             continue;
         }
         const double want = it->second;
+        const double rtol = exact ? 0.0 : rel_tol;
+        const double atol = exact ? 0.0 : abs_tol;
         const double err = std::abs(computed - want);
-        const double rel = err / std::max(std::abs(want), abs_tol);
-        if (err > abs_tol && rel > rel_tol) {
+        const double rel = err / std::max(std::abs(want), atol);
+        if (err > atol && rel > rtol) {
             report << "  " << k << ": golden " << format_value(want) << ", got "
                    << format_value(computed) << " (rel err " << rel << ", tol "
-                   << rel_tol << ")\n";
+                   << rtol << ")\n";
         }
         golden.erase(it);
     }

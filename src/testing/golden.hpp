@@ -8,6 +8,7 @@
 // ignored. Regeneration is explicit: run the suite with --regen (or
 // WAVEHPC_REGEN_GOLDEN=1) and commit the rewritten files.
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -18,22 +19,27 @@ public:
     /// Record one named value; keys must be unique within the artifact and
     /// are compared (and written) in insertion order.
     void set(const std::string& key, double value);
+    /// Record a count: it must match the golden exactly, whatever
+    /// tolerance check() is given.
+    void set_count(const std::string& key, std::uint64_t n);
 
     /// Compare against `<golden_dir()>/<name>.txt`. Returns an empty string
     /// on match (every golden key present, relative error within `rel_tol`,
-    /// absolute error within `abs_tol` near zero, no keys added or removed);
-    /// otherwise a multi-line mismatch report. In regen mode, rewrites the
-    /// file instead and returns empty.
+    /// absolute error within `abs_tol` near zero, counts equal, no keys
+    /// added or removed); otherwise a multi-line mismatch report. In regen
+    /// mode, rewrites the file instead and returns empty.
     [[nodiscard]] std::string check(const std::string& name, double rel_tol,
                                     double abs_tol = 1e-12) const;
 
-    [[nodiscard]] const std::vector<std::pair<std::string, double>>& values()
-        const noexcept {
-        return values_;
-    }
-
 private:
-    std::vector<std::pair<std::string, double>> values_;
+    struct Value {
+        std::string key;
+        double value = 0.0;
+        bool exact = false;
+    };
+    void add(const std::string& key, double value, bool exact);
+
+    std::vector<Value> values_;
 };
 
 /// Directory holding the golden files: $WAVEHPC_GOLDEN_DIR if set, else the

@@ -1,5 +1,6 @@
 // Golden artifact regression: the numeric outputs behind the paper's
-// Table 1, Figures 5-7, and the Appendix B/C tables, snapshotted into
+// Table 1, Figures 5-7, and the Appendix B/C tables, plus the accounting of
+// both reliable transports under seeded faults, snapshotted into
 // tests/golden/*.txt and compared with tolerance-aware diffs. The published
 // scaling *shapes* (snake ~7x at 32 procs, speedup falling with level
 // count, MasPar >= 30 images/s) are asserted directly on the fresh values,
@@ -11,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cost_model.hpp"
@@ -23,8 +26,10 @@
 #include "nbody/parallel.hpp"
 #include "perf/budget.hpp"
 #include "pic/parallel.hpp"
+#include "svc/shard/transport.hpp"
 #include "testing/golden.hpp"
 #include "testing/invariants.hpp"
+#include "testing/seeds.hpp"
 #include "wavelet/mesh_dwt.hpp"
 #include "workload/centroid.hpp"
 #include "workload/kernels.hpp"
@@ -237,6 +242,217 @@ TEST(GoldenArtifacts, AppendixCCentroids) {
     art.set("worked_example", worked);
     EXPECT_NEAR(worked, 0.738, 5e-4);
     EXPECT_EQ(art.check("appendix_c", kRelTol), "");
+}
+
+// ------------------------------------------------------ reliable transports
+
+using wavehpc::mesh::Machine;
+using wavehpc::mesh::NodeCtx;
+
+std::vector<std::byte> seeded_payload(std::size_t n, std::uint64_t seed) {
+    wtest::SplitMix64 rng(seed);
+    std::vector<std::byte> out(n);
+    for (auto& b : out) b = static_cast<std::byte>(rng.next() & 0xFFU);
+    return out;
+}
+
+/// The makespan, the injected faults, the ledger's reservations, the trace
+/// and every rank's transport accounting of one machine run.
+void record_run(wtest::GoldenArtifact& art, const std::string& prefix,
+                const Machine::RunResult& res) {
+    art.set(prefix + "_makespan", res.makespan);
+    art.set_count(prefix + "_reservations", res.messages);
+    art.set_count(prefix + "_drops", res.injected_drops);
+    art.set_count(prefix + "_corruptions", res.injected_corruptions);
+    art.set_count(prefix + "_trace_rows", res.trace.size());
+    double arrivals = 0.0;
+    for (const auto& ev : res.trace) arrivals += ev.arrival_time;
+    art.set(prefix + "_trace_arrivals", arrivals);
+    for (std::size_t r = 0; r < res.stats.size(); ++r) {
+        const auto& st = res.stats[r];
+        const std::string p = prefix + "_r" + std::to_string(r) + "_";
+        art.set_count(p + "sent", st.messages_sent);
+        art.set_count(p + "bytes", st.bytes_sent);
+        art.set_count(p + "retransmits", st.retransmits);
+        art.set_count(p + "timeouts", st.recv_timeouts);
+        art.set_count(p + "corrupt", st.corruptions_detected);
+        art.set(p + "comm", st.comm_seconds);
+    }
+}
+
+/// Ring traffic under the transparent reliable csend: every round each
+/// rank ships a seeded payload to its successor and checks the one from
+/// its predecessor.
+Machine::RunResult ring_run(Machine& machine, std::size_t nprocs, int rounds) {
+    machine.use_reliable_transport(true);
+    machine.record_trace(true);
+    const auto payload = [](int round, int rank) {
+        return seeded_payload(64 + 397 * static_cast<std::size_t>(round) +
+                                  13 * static_cast<std::size_t>(rank),
+                              static_cast<std::uint64_t>(round * 100 + rank));
+    };
+    return machine.run(nprocs, [&](NodeCtx& ctx) {
+        const int n = ctx.nprocs();
+        const int next = (ctx.rank() + 1) % n;
+        const int prev = (ctx.rank() + n - 1) % n;
+        for (int round = 0; round < rounds; ++round) {
+            ctx.send_span<std::byte>(round, next, payload(round, ctx.rank()));
+            EXPECT_EQ(ctx.recv_vector<std::byte>(round, prev), payload(round, prev));
+            ctx.compute(1e-3);
+        }
+    });
+}
+
+/// Rank 0 sends `count` payloads to rank 1 with csend_reliable; rank 1
+/// takes what arrives until a 1 s silence. Returns (acked, received).
+std::pair<std::uint64_t, std::uint64_t> one_way_run(Machine& machine, int count,
+                                                    std::size_t bytes, int max_retries,
+                                                    Machine::RunResult& res) {
+    std::uint64_t acked = 0;
+    std::uint64_t received = 0;
+    res = machine.run(2, [&](NodeCtx& ctx) {
+        if (ctx.rank() == 0) {
+            wavehpc::mesh::ReliableParams params;
+            params.max_retries = max_retries;
+            for (int i = 0; i < count; ++i) {
+                const auto data = seeded_payload(bytes, static_cast<std::uint64_t>(i));
+                acked += ctx.csend_reliable(3, 1, data, params) ? 1 : 0;
+            }
+        } else {
+            while (ctx.crecv_timeout(3, 0, 1.0).has_value()) ++received;
+        }
+    });
+    return {acked, received};
+}
+
+// Pins what both reliable transports report under seeded faults: the mesh
+// machine's virtual-time accounting on four plans (drop and corruption on
+// data and acks; a LinkFault delay window and a degradation window; a
+// receiver fail-stop mid-transfer; give-up at max_retries 0 and 1), and a
+// ShardTransport schedule of rpc and datagram calls. Counts compare exactly.
+TEST(GoldenArtifacts, ReliableTransport) {
+    namespace mesh = wavehpc::mesh;
+    wtest::GoldenArtifact art;
+    {
+        Machine machine(mesh::MachineProfile::paragon_pvm());
+        mesh::FaultPlan plan;
+        plan.seed = 7;
+        plan.drop_probability = 0.15;
+        plan.corrupt_probability = 0.15;
+        machine.set_faults(plan);
+        record_run(art, "noisy", ring_run(machine, 4, 8));
+    }
+    {
+        Machine machine(mesh::MachineProfile::cray_t3d_pvm());
+        mesh::FaultPlan plan;
+        plan.seed = 11;
+        plan.drop_probability = 0.05;
+        mesh::LinkFault lossy;  // 0 -> 1: lossy, corrupting and slow early on
+        lossy.src = 0;
+        lossy.dst = 1;
+        lossy.t_end = 0.02;
+        lossy.drop_probability = 0.5;
+        lossy.corrupt_probability = 0.25;
+        lossy.delay_seconds = 2e-3;
+        mesh::LinkFault slow;  // anything into rank 3: delayed only
+        slow.dst = 3;
+        slow.t_begin = 0.005;
+        slow.t_end = 0.015;
+        slow.drop_probability = 0.0;
+        slow.delay_seconds = 5e-4;
+        plan.links = {lossy, slow};
+        plan.degradations = {{0.002, 0.012, 3.0}};
+        machine.set_faults(plan);
+        record_run(art, "windows", ring_run(machine, 6, 6));
+    }
+    {
+        Machine machine(mesh::MachineProfile::paragon_nx());
+        mesh::FaultPlan plan;
+        plan.seed = 5;
+        plan.drop_probability = 0.1;
+        plan.failures = {{1, 1.5e-3}};
+        machine.set_faults(plan);
+        machine.record_trace(true);
+        Machine::RunResult res;
+        const auto [acked, received] = one_way_run(machine, 16, 2048, 4, res);
+        EXPECT_TRUE(res.stats[1].fail_stopped);
+        EXPECT_LT(acked, 16U);
+        record_run(art, "failstop", res);
+        art.set_count("failstop_acked", acked);
+        art.set_count("failstop_received", received);
+    }
+    for (const int max_retries : {0, 1}) {
+        Machine machine(mesh::MachineProfile::test_profile(2, 1));
+        mesh::FaultPlan plan;
+        plan.seed = 3;
+        plan.corrupt_probability = 0.2;
+        plan.drop_exact = {0, 2, 3, 6, 7, 8, 9, 14};
+        machine.set_faults(plan);
+        machine.record_trace(true);
+        Machine::RunResult res;
+        const auto [acked, received] = one_way_run(machine, 10, 24, max_retries, res);
+        EXPECT_LT(acked, 10U);
+        const std::string prefix = "giveup" + std::to_string(max_retries);
+        record_run(art, prefix, res);
+        art.set_count(prefix + "_acked", acked);
+        art.set_count(prefix + "_received", received);
+    }
+    {
+        using wavehpc::svc::shard::ShardTransport;
+        ShardTransport wire(4, 1996, 3);
+        mesh::FaultPlan plan;
+        plan.seed = 0;  // inherit the transport seed
+        plan.drop_probability = 0.1;
+        plan.corrupt_probability = 0.1;
+        mesh::LinkFault window;
+        window.src = 0;
+        window.dst = 2;
+        window.t_begin = 0.5;
+        window.t_end = 1.0;
+        window.drop_probability = 0.6;
+        window.corrupt_probability = 0.1;
+        plan.links = {window};
+        wire.set_faults(plan);
+        std::uint64_t handled = 0;
+        std::uint64_t sunk = 0;
+        for (int node = 0; node < 4; ++node) {
+            wire.set_handler(node, 1, [&handled](int, wavehpc::mesh::CheckedBytes in) {
+                ++handled;
+                return std::vector<std::byte>(in.bytes.rbegin(), in.bytes.rend());
+            });
+            wire.set_sink(node, 2, [&sunk](int, wavehpc::mesh::CheckedBytes) { ++sunk; });
+        }
+        wtest::SplitMix64 rng(20261017);
+        std::uint64_t rpc_ok = 0;
+        std::uint64_t datagram_ok = 0;
+        for (int step = 0; step < 200; ++step) {
+            wire.set_time(0.01 * step);
+            if (step == 60 || step == 110) wire.set_reachable(3, step == 110);
+            const auto src = static_cast<int>(rng.below(4));
+            const auto dst = static_cast<int>((static_cast<std::uint64_t>(src) + 1 +
+                                               rng.below(3)) % 4);
+            const auto data = seeded_payload(1 + rng.below(600), rng.next());
+            if (rng.below(3) == 0) {
+                datagram_ok += wire.send_datagram(src, dst, 2, data) ? 1 : 0;
+            } else if (const auto resp = wire.rpc(src, dst, 1, data)) {
+                ++rpc_ok;
+                EXPECT_TRUE(std::equal(resp->begin(), resp->end(), data.rbegin()));
+            }
+        }
+        const auto st = wire.stats();
+        art.set_count("shard_frames_sent", st.frames_sent);
+        art.set_count("shard_frames_delivered", st.frames_delivered);
+        art.set_count("shard_drops", st.drops);
+        art.set_count("shard_corrupt_rejections", st.corrupt_rejections);
+        art.set_count("shard_retransmits", st.retransmits);
+        art.set_count("shard_duplicates_suppressed", st.duplicates_suppressed);
+        art.set_count("shard_gave_up", st.gave_up);
+        art.set_count("shard_handler_calls", handled);
+        art.set_count("shard_sink_calls", sunk);
+        art.set_count("shard_rpc_ok", rpc_ok);
+        art.set_count("shard_datagram_ok", datagram_ok);
+    }
+    EXPECT_EQ(art.check("reliable_transport", kRelTol), "");
 }
 
 }  // namespace

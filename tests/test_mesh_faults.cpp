@@ -87,39 +87,44 @@ TEST(Crc32, ShiftChainsAnySeededSplit) {
     }
 }
 
-// One WHRC codec for both transports: build() stays byte-identical to the
-// original chained-CRC construction, validate() hands back the payload CRC
-// from its one pass, and any single-bit flip is rejected.
-TEST(Frame, BuildMatchesChainedCrcAndValidateRejectsFlips) {
+// One WHRC codec for both transports: make_header() stays byte-identical
+// to the original chained-CRC construction, validate() hands back the
+// payload CRC from its one pass, and any single-bit flip is rejected, by
+// validate() and by the receiving NIC's check of a drawn corruption.
+TEST(Frame, HeaderMatchesChainedCrcAndValidateRejectsFlips) {
     const auto payload = seeded_bytes(300, 5);
-    const auto f = frame::build(0x01020304U, payload);
-    ASSERT_EQ(f.size(), frame::kHeaderBytes + payload.size());
-    const auto u32_at = [&f](std::size_t at) {
+    const auto h = frame::make_header(0x01020304U, CheckedBytes::of(payload));
+    const auto u32_at = [&h](std::size_t at) {
         std::uint32_t v = 0;
         for (int i = 0; i < 4; ++i) {
-            v |= std::to_integer<std::uint32_t>(f[at + i]) << (8 * i);
+            v |= std::to_integer<std::uint32_t>(h[at + i]) << (8 * i);
         }
         return v;
     };
     EXPECT_EQ(u32_at(0), frame::kMagic);
     EXPECT_EQ(u32_at(4), 0x01020304U);
-    EXPECT_EQ(u32_at(8), crc32(payload, crc32({f.data() + 4, 4})));
-    EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
-                           f.begin() + frame::kHeaderBytes));
+    EXPECT_EQ(u32_at(8), crc32(payload, crc32({h.data() + 4, 4})));
 
-    const auto crc = frame::validate(f);
+    const auto crc = frame::validate(h, payload);
     ASSERT_TRUE(crc.has_value());
     EXPECT_EQ(*crc, crc32(payload));
-    EXPECT_FALSE(frame::validate({f.data(), frame::kHeaderBytes - 1}));
-    for (const std::size_t at : {0UL, 5UL, 9UL, 12UL, 200UL, f.size() - 1}) {
-        auto bad = f;
-        bad[at] ^= std::byte{0x08};
-        EXPECT_FALSE(frame::validate(bad)) << "flip at byte " << at;
+    EXPECT_TRUE(frame::nic_accepts(h, payload, *crc, FaultDecision{}));
+    const std::size_t frame_bytes = frame::kHeaderBytes + payload.size();
+    for (const std::size_t at : {0UL, 5UL, 9UL, 12UL, 200UL, frame_bytes - 1}) {
+        auto bad_header = h;
+        auto bad_payload = payload;
+        if (at < frame::kHeaderBytes) {
+            bad_header[at] ^= std::byte{0x08};
+        } else {
+            bad_payload[at - frame::kHeaderBytes] ^= std::byte{0x08};
+        }
+        EXPECT_FALSE(frame::validate(bad_header, bad_payload)) << "flip at byte " << at;
+        FaultDecision fd;
+        fd.corrupt = true;
+        fd.flip_byte = at + 7 * frame_bytes;  // taken mod the frame size
+        fd.flip_bit = 3;
+        EXPECT_FALSE(frame::nic_accepts(h, payload, *crc, fd)) << "flip at byte " << at;
     }
-
-    // The known-CRC header equals the one build() computed by its pass.
-    const auto h = frame::make_header(0x01020304U, CheckedBytes::of(payload));
-    EXPECT_TRUE(std::equal(h.begin(), h.end(), f.begin()));
 }
 
 TEST(FaultPlan, DisabledByDefault) {
@@ -284,6 +289,48 @@ TEST(FaultMachine, CsendReliableGivesUpOnSilentPeer) {
     });
     EXPECT_EQ(res.stats[0].retransmits, 3U);
     EXPECT_EQ(res.injected_drops, 4U);
+}
+
+// A negative retry budget is a caller bug, not a silent peer: both reliable
+// entry points reject it before a frame is sent.
+TEST(FaultMachine, NegativeMaxRetriesIsRejected) {
+    Machine machine(MachineProfile::test_profile(2, 1));
+    ReliableParams params;
+    params.max_retries = -1;
+    EXPECT_THROW(machine.use_reliable_transport(true, params), std::invalid_argument);
+    EXPECT_THROW((void)machine.run(2,
+                                   [&params](NodeCtx& ctx) {
+                                       if (ctx.rank() != 0) return;
+                                       const int v = 9;
+                                       (void)ctx.csend_reliable(
+                                           1, 1,
+                                           std::as_bytes(std::span<const int, 1>(&v, 1)),
+                                           params);
+                                   }),
+                 std::invalid_argument);
+}
+
+// One CRC pass per side per transfer, however many attempts it takes: the
+// sender's pass makes the header, and the receiving NIC reuses the clean
+// payload's CRC on every attempt instead of re-hashing the frame.
+TEST(FaultMachine, ReliableSendHashesItsPayloadOncePerSide) {
+    Machine machine(MachineProfile::test_profile(2, 1));
+    FaultPlan plan;
+    plan.drop_exact = {1, 3, 5};  // the first three acks: delivered on attempt 4
+    machine.set_faults(plan);
+    const auto payload = seeded_bytes(64 * 1024, 9);
+    std::uint64_t hashed = 0;
+    const auto res = machine.run(2, [&](NodeCtx& ctx) {
+        if (ctx.rank() == 0) {
+            const std::uint64_t before = crc32_bytes_hashed();
+            EXPECT_TRUE(ctx.csend_reliable(2, 1, payload));
+            hashed = crc32_bytes_hashed() - before;
+        } else {
+            EXPECT_EQ(ctx.crecv(2, 0).data, payload);
+        }
+    });
+    EXPECT_EQ(res.stats[0].retransmits, 3U);
+    EXPECT_LE(hashed, 2 * payload.size() + 64);
 }
 
 TEST(FaultMachine, GiveUpWithLostAcksDoesNotDesyncTheChannel) {

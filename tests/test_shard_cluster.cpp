@@ -3,8 +3,10 @@
 // re-admission, stale-epoch refusal after an un-noticed kill+revive,
 // replies racing a lost admit verdict (orphaned or beating it home),
 // cross-shard degraded cache fallback, chaos-plan replay (shard events AND
-// forwarded in-service faults), no-stranding on shutdown, and fleet
-// metrics that never go backwards across a kill.
+// forwarded in-service faults), no-stranding on shutdown, fleet metrics
+// that never go backwards across a kill, and the gossip drills: survivors
+// converging on one roster over a lossy wire, split-brain refutation, and
+// same-seed replay of the roster and the wire.
 
 #include "svc/shard/cluster.hpp"
 
@@ -12,12 +14,17 @@
 
 #include <chrono>
 #include <future>
+#include <initializer_list>
+#include <latch>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/knobs.hpp"
 #include "core/synthetic.hpp"
+#include "testing/seeds.hpp"
 
 namespace {
 
@@ -28,11 +35,13 @@ using wavehpc::svc::ChaosPlan;
 using wavehpc::svc::RejectReason;
 using wavehpc::svc::ServiceShutdownError;
 using wavehpc::svc::TransformRequest;
+using wavehpc::svc::shard::ClusterCounters;
 using wavehpc::svc::shard::ClusterSubmitResult;
 using wavehpc::svc::shard::ShardCluster;
 using wavehpc::svc::shard::ShardClusterConfig;
 using wavehpc::svc::shard::ShardHealth;
 using wavehpc::svc::shard::ShardId;
+using wavehpc::svc::shard::WireStats;
 
 std::shared_ptr<const ImageF> scene(std::uint64_t seed, std::size_t n = 32) {
     return std::make_shared<const ImageF>(wavehpc::core::landsat_tm_like(n, n, seed));
@@ -208,7 +217,10 @@ TEST(ShardCluster, StaleEpochRefusalAfterUnnoticedKillRevive) {
 // Every ack of the victim's request leg is lost (shard -> router on the
 // request tag), so the router gives up and fails over although the victim
 // admitted the request. The victim's late reply has no in-flight entry:
-// it is dropped and counted, never delivered twice or held forever.
+// it is dropped and counted, never delivered twice or held forever. Both
+// pool workers are parked until submit() returns, so the victim computes
+// only after the router has withdrawn the attempt: the service uses the
+// pool for its batches alone, so admission never waits on it.
 TEST(ShardCluster, ReplyToAWithdrawnAttemptIsDroppedAndCounted) {
     ThreadPool pool(2);
     ShardCluster cluster(pool, manual_cfg(3));
@@ -224,7 +236,18 @@ TEST(ShardCluster, ReplyToAWithdrawnAttemptIsDroppedAndCounted) {
     plan.links = {lost_acks};
     cluster.set_transport_faults(plan);
 
+    std::latch parked(2);
+    std::promise<void> release;
+    const std::shared_future<void> released = release.get_future().share();
+    for (int w = 0; w < 2; ++w) {
+        pool.submit([&parked, released] {
+            parked.count_down();
+            released.wait();
+        });
+    }
+    parked.wait();
     ClusterSubmitResult r = cluster.submit(request_for(img));
+    release.set_value();
     ASSERT_TRUE(r.result.accepted);
     EXPECT_EQ(r.shard, chain[1]);
     EXPECT_TRUE(wavehpc::svc::audit_result(*r.result.future.get().result));
@@ -512,6 +535,122 @@ TEST(ShardCluster, SplitBrainDrillRefutesHealsAndKeepsGoodput) {
         EXPECT_EQ(cluster.node_roster_hash(s), cluster.roster_hash())
             << "shard " << s << " diverged after heal";
     }
+}
+
+
+/// A lossy wire for the gossip drills: 5 % drops and 2 % corruption on
+/// every frame, drawn from the cluster's transport seed.
+ShardClusterConfig lossy_cfg(std::size_t shards, std::uint64_t transport_seed) {
+    ShardClusterConfig cfg = manual_cfg(shards);
+    cfg.gossip_seed = transport_seed;
+    cfg.transport_faults.seed = 0;  // inherit gossip_seed
+    cfg.transport_faults.drop_probability = 0.05;
+    cfg.transport_faults.corrupt_probability = 0.02;
+    return cfg;
+}
+
+/// One transport seed for a gossip drill, with the text a failure prints
+/// to replay it.
+struct DrillSeed {
+    std::uint64_t seed;
+    std::string repro;
+};
+
+/// The drill's fixed transport seeds, plus three derived from
+/// WAVEHPC_FAULT_SEED when it is set (CI's partition drill sweeps it).
+std::vector<DrillSeed> drill_seeds(std::initializer_list<std::uint64_t> fixed) {
+    constexpr const char* kSeedEnv = "WAVEHPC_FAULT_SEED";
+    std::vector<DrillSeed> out;
+    for (const std::uint64_t seed : fixed) {
+        out.push_back({seed, "transport seed " + std::to_string(seed)});
+    }
+    if (const auto base = wavehpc::core::env_unsigned(kSeedEnv)) {
+        for (std::uint64_t i = 0; i < 3; ++i) {
+            const std::uint64_t seed = wavehpc::testing::derive_seed(*base, i);
+            out.push_back({seed, "transport seed " + std::to_string(seed) + "; " +
+                                     wavehpc::testing::repro_line(
+                                         kSeedEnv, *base,
+                                         "./build/tests/test_shard_cluster")});
+        }
+    }
+    return out;
+}
+
+// Two shards die mid-run on a lossy wire. The gossiped rosters must still
+// converge: both corpses Dead, every survivor Alive, and every survivor's
+// own view equal to the router's — under several transport seeds, since
+// agreement may not depend on which frames the wire loses.
+TEST(ShardCluster, SurvivorsConvergeOnOneRosterAfterTwoKills) {
+    for (const DrillSeed& drill : drill_seeds({1, 7, 1996})) {
+        ThreadPool pool(2);
+        ShardCluster cluster(pool, lossy_cfg(6, drill.seed));
+        for (int i = 0; i <= 100; ++i) {
+            if (i == 25) cluster.kill(1);
+            if (i == 40) cluster.kill(4);
+            cluster.tick(0.01 * static_cast<double>(i));
+        }
+        EXPECT_EQ(cluster.health(1), ShardHealth::Dead) << drill.repro;
+        EXPECT_EQ(cluster.health(4), ShardHealth::Dead) << drill.repro;
+        for (ShardId s = 0; s < cluster.shard_count(); ++s) {
+            if (s == 1 || s == 4) continue;
+            EXPECT_EQ(cluster.health(s), ShardHealth::Alive) << "shard " << s << "; "
+                                                             << drill.repro;
+            EXPECT_EQ(cluster.node_roster_hash(s), cluster.roster_hash())
+                << "shard " << s << "; " << drill.repro;
+        }
+        EXPECT_GT(cluster.wire_stats().drops, 0U) << drill.repro;
+    }
+}
+
+// One config, one fault plan and one tick sequence (with a kill and a
+// revive) replay bit-identically: the manual-clock gossip round is
+// sequential and every fault draw is a function of the transport seed.
+TEST(ShardCluster, SameSeedReplaysTheRosterAndWireBitIdentically) {
+    struct Replay {
+        std::uint64_t roster_hash = 0;
+        std::uint64_t epoch = 0;
+        std::vector<std::uint64_t> node_hashes;
+        WireStats wire;
+        ClusterCounters counters;
+    };
+    const auto run = [] {
+        ThreadPool pool(2);
+        ShardCluster cluster(pool, lossy_cfg(5, 42));
+        for (int i = 0; i <= 80; ++i) {
+            if (i == 20) cluster.kill(2);
+            if (i == 45) cluster.revive(2);
+            cluster.tick(0.01 * static_cast<double>(i));
+        }
+        Replay r;
+        r.roster_hash = cluster.roster_hash();
+        r.epoch = cluster.roster_epoch();
+        for (ShardId s = 0; s < cluster.shard_count(); ++s) {
+            r.node_hashes.push_back(cluster.node_roster_hash(s));
+        }
+        r.wire = cluster.wire_stats();
+        r.counters = cluster.counters();
+        return r;
+    };
+    const Replay a = run();
+    const Replay b = run();
+    EXPECT_EQ(a.roster_hash, b.roster_hash);
+    EXPECT_EQ(a.epoch, b.epoch);
+    EXPECT_EQ(a.node_hashes, b.node_hashes);
+    EXPECT_EQ(a.wire.frames_sent, b.wire.frames_sent);
+    EXPECT_EQ(a.wire.frames_delivered, b.wire.frames_delivered);
+    EXPECT_EQ(a.wire.drops, b.wire.drops);
+    EXPECT_EQ(a.wire.corrupt_rejections, b.wire.corrupt_rejections);
+    EXPECT_EQ(a.wire.retransmits, b.wire.retransmits);
+    EXPECT_EQ(a.wire.duplicates_suppressed, b.wire.duplicates_suppressed);
+    EXPECT_EQ(a.wire.gave_up, b.wire.gave_up);
+    EXPECT_EQ(a.counters.suspicions, b.counters.suspicions);
+    EXPECT_EQ(a.counters.deaths, b.counters.deaths);
+    EXPECT_EQ(a.counters.readmissions, b.counters.readmissions);
+    EXPECT_EQ(a.counters.refutations, b.counters.refutations);
+    // The run exercised what it replays: lost frames, a death, a return.
+    EXPECT_GT(a.wire.drops, 0U);
+    EXPECT_GE(a.counters.deaths, 1U);
+    EXPECT_GE(a.counters.readmissions, 1U);
 }
 
 }  // namespace

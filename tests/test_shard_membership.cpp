@@ -1,59 +1,22 @@
 // Heartbeat failure detector (shard tier): the Alive -> Suspect -> Dead
 // state machine under explicit time, the epoch fence on re-admission (a
-// stale beat from a previous life cannot resurrect a corpse), roster-hash
-// agreement between independent observers of one heartbeat stream, and
-// gossip-lite convergence of the same state machine run SPMD on the mesh
-// machine under virtual time.
+// stale beat from a previous life cannot resurrect a corpse), and roster-hash
+// agreement between independent observers of one heartbeat stream. The
+// gossiped roster exchange over a faulty wire is exercised through
+// ShardCluster's manual clock (test_shard_cluster).
 
 #include "svc/shard/membership.hpp"
 
 #include <gtest/gtest.h>
 
-#include <initializer_list>
-#include <string>
 #include <vector>
-
-#include "core/knobs.hpp"
-#include "svc/shard/mesh_gossip.hpp"
-#include "svc/shard/wire.hpp"
-#include "testing/seeds.hpp"
 
 namespace {
 
 using wavehpc::svc::shard::FailureDetector;
 using wavehpc::svc::shard::MembershipConfig;
-using wavehpc::svc::shard::MeshGossipParams;
-using wavehpc::svc::shard::MeshGossipResult;
 using wavehpc::svc::shard::RosterTransition;
-using wavehpc::svc::shard::run_mesh_gossip;
 using wavehpc::svc::shard::ShardHealth;
-
-constexpr const char* kSeedEnv = "WAVEHPC_SCHED_SEED";
-constexpr const char* kBinary = "./build/tests/test_shard_membership";
-
-/// One engine schedule for a mesh gossip drill, with the text a failure
-/// prints to replay it.
-struct Schedule {
-    std::uint64_t seed;
-    std::string repro;
-};
-
-/// The drill's fixed schedule seeds, plus three derived from
-/// WAVEHPC_SCHED_SEED when it is set (CI's partition drill sweeps it).
-std::vector<Schedule> schedules(std::initializer_list<std::uint64_t> fixed) {
-    std::vector<Schedule> out;
-    for (const std::uint64_t seed : fixed) {
-        out.push_back({seed, "schedule seed " + std::to_string(seed)});
-    }
-    if (const auto base = wavehpc::core::env_unsigned(kSeedEnv)) {
-        for (std::uint64_t i = 0; i < 3; ++i) {
-            const std::uint64_t seed = wavehpc::testing::derive_seed(*base, i);
-            out.push_back({seed, "schedule seed " + std::to_string(seed) + "; " +
-                                     wavehpc::testing::repro_line(kSeedEnv, *base, kBinary)});
-        }
-    }
-    return out;
-}
 
 MembershipConfig fast_cfg() {
     MembershipConfig cfg;
@@ -283,91 +246,6 @@ TEST(FailureDetectorTest, IndependentObserversOfOneStreamAgreeOnRosterHash) {
     b.observe(1, true, 0.30, 2);
     b.observe(1, true, 0.31, 2);
     EXPECT_NE(a.roster_hash(), b.roster_hash());
-}
-
-// The same detector as an SPMD gossip program over the mesh machine's
-// virtual clock: fail-stop two ranks mid-run; every survivor must end on
-// one roster hash with exactly the dead ranks marked Dead — under several
-// engine schedule seeds, since agreement may not depend on message order.
-TEST(MeshGossipTest, SurvivorsConvergeOnOneRosterUnderAnySchedule) {
-    for (const Schedule& sched : schedules({0, 1, 1996})) {
-        MeshGossipParams p;
-        p.ranks = 6;
-        p.run_seconds = 1.0;
-        p.membership = fast_cfg();
-        p.fail_at = {{1, 0.25}, {4, 0.40}};
-        p.schedule_seed = sched.seed;
-
-        const MeshGossipResult r = run_mesh_gossip(p);
-        ASSERT_EQ(r.views.size(), 6U);
-        EXPECT_TRUE(r.converged) << sched.repro;
-        EXPECT_TRUE(r.views[1].fail_stopped);
-        EXPECT_TRUE(r.views[4].fail_stopped);
-        for (std::size_t rank = 0; rank < r.views.size(); ++rank) {
-            if (r.views[rank].fail_stopped) continue;
-            EXPECT_EQ(r.views[rank].roster_hash, r.survivor_roster_hash) << sched.repro;
-            ASSERT_EQ(r.views[rank].health.size(), 6U);
-            EXPECT_EQ(r.views[rank].health[1], ShardHealth::Dead) << sched.repro;
-            EXPECT_EQ(r.views[rank].health[4], ShardHealth::Dead) << sched.repro;
-            EXPECT_EQ(r.views[rank].health[rank], ShardHealth::Alive) << sched.repro;
-        }
-    }
-}
-
-// Asymmetric partition drill on the mesh leg: rank 2's *outgoing* gossip
-// is dropped for a window (peers stop hearing it and mark it Dead) while
-// its *incoming* links stay clean (it keeps hearing their rosters — and
-// their stale Dead claims about itself). The victim must refute by bumping
-// its incarnation, and after the window heals every rank — victim included
-// — must converge back to one roster with everyone Alive, under several
-// engine schedules.
-TEST(MeshGossipTest, AsymmetricPartitionHealsThroughRefutation) {
-    for (const Schedule& sched : schedules({1, 7, 1996})) {
-        MeshGossipParams p;
-        p.ranks = 5;
-        p.run_seconds = 1.2;
-        p.membership = fast_cfg();
-        wavehpc::mesh::LinkFault mute;  // victim -> everyone, beats only
-        mute.src = 2;
-        mute.dst = -1;
-        mute.tag = wavehpc::svc::shard::wire::kGossipTag;
-        mute.t_begin = 0.20;
-        mute.t_end = 0.50;
-        mute.drop_probability = 1.0;
-        p.link_faults = {mute};
-        p.schedule_seed = sched.seed;
-
-        const MeshGossipResult r = run_mesh_gossip(p);
-        ASSERT_EQ(r.views.size(), 5U);
-        EXPECT_TRUE(r.converged) << sched.repro;
-        EXPECT_GE(r.views[2].refutations, 1U) << sched.repro;
-        EXPECT_GE(r.views[2].incarnation, 2U) << sched.repro;
-        for (std::size_t rank = 0; rank < r.views.size(); ++rank) {
-            EXPECT_FALSE(r.views[rank].fail_stopped);
-            EXPECT_EQ(r.views[rank].roster_hash, r.survivor_roster_hash)
-                << "rank " << rank << "; " << sched.repro;
-            for (const ShardHealth h : r.views[rank].health) {
-                EXPECT_EQ(h, ShardHealth::Alive) << sched.repro;
-            }
-        }
-    }
-}
-
-TEST(MeshGossipTest, SameSeedReplaysBitIdentically) {
-    MeshGossipParams p;
-    p.ranks = 5;
-    p.run_seconds = 0.8;
-    p.membership = fast_cfg();
-    p.fail_at = {{2, 0.2}};
-    p.schedule_seed = 42;
-    const MeshGossipResult a = run_mesh_gossip(p);
-    const MeshGossipResult b = run_mesh_gossip(p);
-    ASSERT_EQ(a.views.size(), b.views.size());
-    EXPECT_EQ(a.makespan, b.makespan);
-    for (std::size_t r = 0; r < a.views.size(); ++r) {
-        EXPECT_EQ(a.views[r].roster_hash, b.views[r].roster_hash);
-        EXPECT_EQ(a.views[r].epoch, b.views[r].epoch);
-    }
 }
 
 }  // namespace
