@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 #include "core/splitmix.hpp"
@@ -98,7 +100,10 @@ constexpr auto kX2n = make_x2n_table();
 [[nodiscard]] double parse_probability_at(std::string_view token,
                                           std::size_t offset) {
     const double v = parse_double_at(token, offset, "probability");
-    if (v < 0.0 || v > 1.0) parse_fail("probability out of [0,1]", token, offset);
+    // Written so NaN fails too: every comparison with NaN is false.
+    if (!(v >= 0.0 && v <= 1.0)) {
+        parse_fail("probability out of [0,1]", token, offset);
+    }
     return v;
 }
 
@@ -106,12 +111,27 @@ constexpr auto kX2n = make_x2n_table();
                                          std::size_t offset,
                                          const std::string& what) {
     if (token.empty()) parse_fail("empty " + what, token, offset);
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t v = 0;
     for (char c : token) {
         if (c < '0' || c > '9') parse_fail("invalid " + what, token, offset);
-        v = v * 10 + static_cast<std::uint64_t>(c - '0');
+        const auto digit = static_cast<std::uint64_t>(c - '0');
+        if (v > (kMax - digit) / 10) {
+            parse_fail(what + " out of range", token, offset);
+        }
+        v = v * 10 + digit;
     }
     return v;
+}
+
+/// Non-negative integer token that fits an int (ranks, tags).
+[[nodiscard]] int parse_int_at(std::string_view token, std::size_t offset,
+                               const std::string& what) {
+    const std::uint64_t v = parse_u64_at(token, offset, what);
+    if (v > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+        parse_fail(what + " out of range", token, offset);
+    }
+    return static_cast<int>(v);
 }
 
 /// Millisecond integer token → seconds.
@@ -124,7 +144,7 @@ constexpr auto kX2n = make_x2n_table();
 /// Rank token: '*' = wildcard, else a non-negative integer.
 [[nodiscard]] int parse_rank_at(std::string_view token, std::size_t offset) {
     if (token == "*") return -1;
-    return static_cast<int>(parse_u64_at(token, offset, "rank"));
+    return parse_int_at(token, offset, "rank");
 }
 
 /// Split `body` on `sep`, invoking fn(piece, offset_of_piece_in_spec).
@@ -159,8 +179,7 @@ void for_each_piece(std::string_view body, std::size_t body_offset, char sep,
     std::size_t pair_off = offsets[0];
     const std::size_t at = pair.find('@');
     if (at != std::string_view::npos) {
-        lf.tag = static_cast<int>(
-            parse_u64_at(pair.substr(at + 1), pair_off + at + 1, "tag"));
+        lf.tag = parse_int_at(pair.substr(at + 1), pair_off + at + 1, "tag");
         pair = pair.substr(0, at);
     }
     const std::size_t gt = pair.find('>');
@@ -311,8 +330,7 @@ FaultPlan FaultPlan::parse(std::string_view spec, std::uint64_t seed) {
                     parse_fail("fail event needs RANK:AT_MS", p, o);
                 }
                 NodeFailure nf;
-                nf.rank = static_cast<int>(
-                    parse_u64_at(p.substr(0, colon), o, "rank"));
+                nf.rank = parse_int_at(p.substr(0, colon), o, "rank");
                 nf.at = parse_millis_at(p.substr(colon + 1), o + colon + 1);
                 plan.failures.push_back(nf);
             });
@@ -333,8 +351,9 @@ FaultPlan FaultPlan::parse(std::string_view spec, std::uint64_t seed) {
                 w.t_begin = parse_millis_at(parts[0], offs[0]);
                 w.t_end = parse_millis_at(parts[1], offs[1]);
                 w.factor = parse_double_at(parts[2], offs[2], "factor");
-                if (w.factor < 1.0) {
-                    parse_fail("degrade factor must be >= 1", parts[2], offs[2]);
+                if (!(std::isfinite(w.factor) && w.factor >= 1.0)) {
+                    parse_fail("degrade factor must be finite and >= 1",
+                               parts[2], offs[2]);
                 }
                 plan.degradations.push_back(w);
             });

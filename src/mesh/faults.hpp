@@ -123,8 +123,10 @@ struct FaultPlan {
     /// T0_MS:T1_MS:FACTOR); link (';'-separated
     /// SRC>DST:T0_MS:T1_MS:DROP[:CORRUPT[:DELAY_MS]], '*' wildcards, and
     /// an optional '@TAG' suffix on the SRC>DST pair scopes the rule to one
-    /// message tag). Malformed input throws std::invalid_argument naming
-    /// the offending token and its byte offset within `spec`.
+    /// message tag). Malformed input, and a value the plan cannot honour
+    /// (a NaN probability, a factor that is not finite, an integer past
+    /// 2^64, a rank or tag past INT_MAX), throws std::invalid_argument
+    /// naming the offending token and its byte offset within `spec`.
     [[nodiscard]] static FaultPlan parse(std::string_view spec,
                                          std::uint64_t seed);
 };

@@ -94,6 +94,9 @@ public:
     /// until the byte budget holds. No-op if result->result_bytes alone
     /// exceeds the budget, or if the result carries a CRC that its
     /// coefficients fail (corruption caught at the door; audit_failures).
+    /// The door audit is a full CRC pass on the caller's thread, before
+    /// this cache's lock: callers must not hold a lock of their own
+    /// across the call.
     void insert(const CacheKey& key, std::shared_ptr<const TransformResult> result);
 
     /// Turn on CRC verification of entries on every lookup (the service

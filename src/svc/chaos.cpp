@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <new>
 #include <thread>
 
@@ -60,8 +62,8 @@ enum Lane : std::uint64_t {
     char* end = nullptr;
     const std::string owned(text);
     const double v = std::strtod(owned.c_str(), &end);
-    if (end != owned.c_str() + owned.size() || !(v >= 0.0)) {
-        parse_fail(key, "needs a non-negative millisecond value", text, off);
+    if (end != owned.c_str() + owned.size() || !(v >= 0.0 && std::isfinite(v))) {
+        parse_fail(key, "needs a finite non-negative millisecond value", text, off);
     }
     return v * 1e-3;
 }
@@ -76,12 +78,17 @@ void sleep_seconds(double seconds) {
     if (num.empty()) {
         parse_fail(key, "has an empty numeric field", num, off);
     }
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t v = 0;
     for (const char c : num) {
         if (c < '0' || c > '9') {
             parse_fail(key, "needs unsigned integers", num, off);
         }
-        v = v * 10 + static_cast<std::uint64_t>(c - '0');
+        const auto digit = static_cast<std::uint64_t>(c - '0');
+        if (v > (kMax - digit) / 10) {
+            parse_fail(key, "needs integers below 2^64", num, off);
+        }
+        v = v * 10 + digit;
     }
     return v;
 }
@@ -239,15 +246,8 @@ ChaosPlan ChaosPlan::parse(std::string_view spec, std::uint64_t seed) {
                 if (colon == std::string_view::npos) colon = value.size();
                 const std::string_view num = value.substr(p, colon - p);
                 if (!num.empty()) {
-                    std::uint64_t v = 0;
-                    for (const char c : num) {
-                        if (c < '0' || c > '9') {
-                            parse_fail(key, "needs ':'-separated indices", num,
-                                       value_off + p);
-                        }
-                        v = v * 10 + static_cast<std::uint64_t>(c - '0');
-                    }
-                    plan.compute_error_exact.push_back(v);
+                    plan.compute_error_exact.push_back(
+                        parse_uint(key, num, value_off + p));
                 }
                 p = colon + 1;
             }

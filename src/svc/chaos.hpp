@@ -100,7 +100,9 @@ struct ChaosPlan {
     /// indices), and the shard-tier events shard_kill / shard_partition /
     /// shard_slow, each a ';'-separated list of
     /// SHARD:START_MS:DURATION_MS[:STALL_MS] entries (STALL_MS is
-    /// shard_slow-only). Throws std::invalid_argument on malformed input.
+    /// shard_slow-only). Throws std::invalid_argument, naming the token,
+    /// on malformed input and on values it cannot honour (a NaN
+    /// probability, an infinite duration, an integer past 2^64).
     [[nodiscard]] static ChaosPlan parse(std::string_view spec, std::uint64_t seed);
 
     /// WAVEHPC_CHAOS_PLAN under WAVEHPC_CHAOS_SEED (default 1); a disabled

@@ -506,9 +506,12 @@ void PyramidService::run_batch(const std::vector<std::shared_ptr<Flight>>& batch
     }
 
     // Phase 2 (unlocked): ONE fused sweep for every member that survived
-    // injection. Per-member results are bit-identical to solo computes
-    // (decompose_batch contract); every buffer comes from the arena.
+    // injection, then every member's settle. Per-member results are
+    // bit-identical to solo computes (decompose_batch contract); every
+    // buffer comes from the arena.
     const TransformRequest& req0 = live.front().flight->request;
+    runtime::ThreadPool* const pool =
+        req0.backend == Backend::Serial ? nullptr : &pool_;
     std::vector<const core::ImageF*> images;
     std::vector<Cell*> computing;
     for (Cell& cell : live) {
@@ -533,22 +536,21 @@ void PyramidService::run_batch(const std::vector<std::shared_ptr<Flight>>& batch
                     tile_cfg_, &arena_, &tstats));
                 first_band_seconds = tstats.approx_seal_seconds;
             } else {
-                pyrs = wavelet::decompose_batch(
-                    images, fp, req0.levels, req0.boundary,
-                    req0.backend == Backend::Serial ? nullptr : &pool_,
-                    req0.kernel, &arena_);
+                pyrs = wavelet::decompose_batch(images, fp, req0.levels,
+                                                req0.boundary, pool, req0.kernel,
+                                                &arena_);
             }
         } catch (...) {
             sweep_error = std::current_exception();
         }
         const auto sweep_end = Clock::now();
         const double sweep_seconds = seconds_between(start, sweep_end);
-        for (std::size_t i = 0; i < computing.size(); ++i) {
+        // One member's settle, ending with its cache insert. It writes only
+        // its own Cell, and every call it makes takes its own lock (chaos,
+        // arena, cache), so members settle in parallel and no CRC pass
+        // runs under mu_.
+        const auto settle = [&](std::size_t i) {
             Cell& cell = *computing[i];
-            if (sweep_error) {
-                cell.error = sweep_error;
-                continue;
-            }
             auto owned = std::make_unique<TransformResult>();
             owned->pyramid = std::move(pyrs[i]);
             owned->key = cell.flight->key;
@@ -566,14 +568,14 @@ void PyramidService::run_batch(const std::vector<std::shared_ptr<Flight>>& batch
                 // The corrupted buffers still return to the pool: the
                 // retry obtains fresh slabs and overwrites every element.
                 arena_.recycle_pyramid(std::move(owned->pyramid));
-                continue;
+                return;
             }
             // The lease: cache + waiters share it; the last release
             // (typically cache eviction) recycles the slabs.
             cell.result = arena_.adopt(std::move(owned));
             if (req0.progressive) {
                 // Approximation-only preview for allow_degraded clients,
-                // cached under the flight's preview key in phase 3. Plain
+                // cached under the flight's preview key below. Plain
                 // heap-owned result: its one band is a copy, not arena
                 // slabs, so no adopt lease.
                 auto pv = std::make_shared<TransformResult>();
@@ -585,6 +587,21 @@ void PyramidService::run_batch(const std::vector<std::shared_ptr<Flight>>& batch
                 pv->crc32 = pyramid_crc32(pv->pyramid);
                 cell.preview = std::move(pv);
             }
+            // Cached before phase 3 removes the flight, so a submit in
+            // between hits the cache instead of starting a new flight. A
+            // watchdog-abandoned member is cached too: salvage.
+            cache_.insert(cell.flight->key, cell.result);
+            if (cell.preview) cache_.insert(cell.preview->key, cell.preview);
+        };
+        const auto settle_range = [&](std::size_t i0, std::size_t i1) {
+            for (std::size_t i = i0; i < i1; ++i) settle(i);
+        };
+        if (sweep_error) {
+            for (Cell* cell : computing) cell->error = sweep_error;
+        } else if (pool != nullptr) {
+            pool->parallel_for(0, computing.size(), settle_range);
+        } else {
+            settle_range(0, computing.size());
         }
     }
     const auto finish = Clock::now();
@@ -597,9 +614,9 @@ void PyramidService::run_batch(const std::vector<std::shared_ptr<Flight>>& batch
     };
     std::vector<Delivery> deliveries;
     {
-        // Phase 3 (locked): settle every member — the historical
-        // per-flight success/retry/quarantine logic, minus the slot
-        // bookkeeping, which happens once for the whole batch at the end.
+        // Phase 3 (locked): book every member's outcome — the per-flight
+        // success/retry/quarantine logic, minus the slot bookkeeping,
+        // which happens once for the whole batch at the end.
         std::unique_lock lk(mu_);
         bool ewma_updated = false;
         for (Cell& cell : live) {
@@ -609,16 +626,10 @@ void PyramidService::run_batch(const std::vector<std::shared_ptr<Flight>>& batch
 
             if (flight.abandoned) {
                 // The watchdog already failed the waiters (and the slot,
-                // once every member was abandoned); all that is left is
-                // salvage — cache a clean result so the work is not
+                // once every member was abandoned); the settle already
+                // cached a clean result as salvage, so the work is not
                 // wasted.
-                if (cell.result) {
-                    cache_.insert(flight.key, cell.result);
-                    if (cell.preview) {
-                        cache_.insert(cell.preview->key, cell.preview);
-                        ++counters_.progressive;
-                    }
-                }
+                if (cell.preview) ++counters_.progressive;
                 continue;
             }
 
@@ -633,11 +644,7 @@ void PyramidService::run_batch(const std::vector<std::shared_ptr<Flight>>& batch
                 d.result = cell.result;
                 d.attempts = flight.attempts;
                 remove_flight_locked(flight);
-                cache_.insert(flight.key, cell.result);
-                if (cell.preview) {
-                    cache_.insert(cell.preview->key, cell.preview);
-                    ++counters_.progressive;
-                }
+                if (cell.preview) ++counters_.progressive;
                 const double compute_seconds = cell.result->compute_seconds;
                 queue_wait_hist_.record(seconds_between(flight.admitted_at, start));
                 compute_hist_.record(compute_seconds);

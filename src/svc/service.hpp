@@ -30,7 +30,10 @@
 //                       │ chaos hooks: injected stall / bad_alloc /
 //                       │ compute error / result-bit corruption
 //                       ▼
-//                    success: CRC audit ► cache insert ► fulfil waiters
+//                    settle, per member, on the pool, without mu_:
+//                       CRC ► chaos hook ► audit ► lease ► cache insert
+//                       ▼
+//                    under mu_: success ► fulfil waiters
 //                    failure: breaker tick ► retry with jittered capped
 //                             exponential backoff, or quarantine after
 //                             max_attempts ► fail waiters
@@ -38,6 +41,8 @@
 // Invariants the tests pin (on top of ISSUE 4's):
 //   * A corrupted result buffer never reaches a waiter or the cache: the
 //     CRC taken at compute end is audited before delivery and on insert.
+//     Every one of these passes runs in the member's settle, on a pool
+//     worker, never under the service mutex.
 //   * A stalled compute fails its waiters after the watchdog budget and
 //     releases the concurrency slot; the pool worker finishes on its own
 //     and the salvage result may still be cached, but never delivered.

@@ -626,4 +626,45 @@ TEST(FaultSpecErrors, ChaosPlanParseNamesTheTokenAndByteOffset) {
     }
 }
 
+// Values the grammars parse but cannot honour: NaN probabilities, a NaN or
+// infinite slowdown factor, infinite stalls, integers past 2^64 (which
+// used to wrap) and ranks past INT_MAX (which used to truncate, 2^32-1
+// into the '*' wildcard). Each must throw and name its token.
+TEST(FaultSpecErrors, UnhonourableValuesAreRejectedByToken) {
+    struct Case {
+        bool chaos;  ///< ChaosPlan grammar, else FaultPlan
+        const char* spec;
+        const char* token;  ///< quoted, as the error names it
+    };
+    const Case cases[] = {
+        {false, "drop=nan", "'nan'"},
+        {false, "corrupt=nan", "'nan'"},
+        {false, "link=0>1:0:10:nan", "'nan'"},
+        {false, "link=0>1:0:10:0.5:nan", "'nan'"},
+        {false, "degrade=0:10:nan", "'nan'"},
+        {false, "degrade=0:10:inf", "'inf'"},
+        {false, "drop_exact=18446744073709551616", "'18446744073709551616'"},
+        {false, "fail=0:99999999999999999999999", "'99999999999999999999999'"},
+        {false, "fail=4294967296:10", "'4294967296'"},
+        {false, "link=4294967295>1:0:10:1.0", "'4294967295'"},
+        {true, "compute_exact=18446744073709551617", "'18446744073709551617'"},
+        {true, "shard_kill=18446744073709551616:0:10", "'18446744073709551616'"},
+        {true, "stall_ms=inf", "'inf'"},
+        {true, "pool_stall_ms=inf", "'inf'"},
+    };
+    for (const Case& c : cases) {
+        try {
+            if (c.chaos) {
+                (void)ChaosPlan::parse(c.spec, 1);
+            } else {
+                (void)FaultPlan::parse(c.spec, 1);
+            }
+            ADD_FAILURE() << c.spec << ": accepted";
+        } catch (const std::invalid_argument& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(c.token), std::string::npos) << c.spec << ": " << what;
+        }
+    }
+}
+
 }  // namespace

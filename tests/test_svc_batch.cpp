@@ -29,6 +29,7 @@ using wavehpc::core::ImageF;
 using wavehpc::core::Pyramid;
 using wavehpc::runtime::ThreadPool;
 using wavehpc::svc::Backend;
+using wavehpc::svc::ChaosPlan;
 using wavehpc::svc::Clock;
 using wavehpc::svc::DeadlineExpiredError;
 using wavehpc::svc::Priority;
@@ -52,12 +53,14 @@ bool same_pyramid(const Pyramid& a, const Pyramid& b) {
     return a.approx == b.approx;
 }
 
-/// A pool whose single worker is parked on a latch until release() — the
+/// A pool whose workers are all parked on a latch until release() — the
 /// deterministic way to stack compatible requests into pending_.
 struct GatedPool {
-    GatedPool() : pool(1), opened(gate.get_future()) {
-        auto wait_on = opened;
-        pool.submit([wait_on] { wait_on.wait(); });
+    explicit GatedPool(std::size_t workers = 1)
+        : pool(workers), opened(gate.get_future()) {
+        for (std::size_t w = 0; w < workers; ++w) {
+            pool.submit([wait_on = opened] { wait_on.wait(); });
+        }
     }
     void release() { gate.set_value(); }
 
@@ -228,6 +231,79 @@ TEST(ServiceBatching, QueuedCompatibleRequestsFuseIntoOneSweep) {
     EXPECT_EQ(m.counters.computes, 4U);
     EXPECT_EQ(m.counters.completed, 4U);
     service.shutdown();
+}
+
+// A fused batch settles its members on the pool: each one's CRC point of
+// truth, chaos hook, audit and cache insert run in parallel. One member's
+// result is corrupted after its checksum; the audit must catch exactly
+// that member, retry it alone, and leave the other members untouched.
+TEST(ServiceBatching, FusedBatchSettlesOnThePoolAndRetriesOnlyTheCorruptedMember) {
+    // Draw 0 is the lead's solo attempt, draws 1-5 the fused batch and
+    // draw 6 the retry: find a seed whose plan corrupts exactly one of
+    // draws 1-5 and neither of the others.
+    ChaosPlan plan;
+    std::uint64_t corrupted = 0;
+    for (std::uint64_t seed = 1; corrupted == 0; ++seed) {
+        ASSERT_LT(seed, 10000U);
+        plan = ChaosPlan::parse("corrupt=0.2", seed);
+        if (plan.decide(0).corrupt || plan.decide(6).corrupt) continue;
+        std::uint64_t hits = 0;
+        std::uint64_t at = 0;
+        for (std::uint64_t d = 1; d <= 5; ++d) {
+            if (plan.decide(d).corrupt) {
+                ++hits;
+                at = d;
+            }
+        }
+        if (hits == 1) corrupted = at;
+    }
+
+    GatedPool gated(4);
+    ServiceConfig cfg;
+    cfg.max_concurrency = 1;
+    cfg.batch_max = 8;
+    cfg.resilience.retry.base_seconds = 0.001;
+    PyramidService service(gated.pool, cfg);
+    service.set_chaos_plan(plan);
+
+    // The lead dispatches solo behind the gate; the other five stack in
+    // pending_ and fuse into one batch when it completes.
+    std::vector<TransformRequest> reqs;
+    std::vector<wavehpc::svc::TransformFuture> futures;
+    for (std::uint64_t s = 0; s < 6; ++s) {
+        TransformRequest req;
+        req.image = scene(64, 100 + s);
+        req.taps = 4;
+        req.levels = 2;
+        auto sub = service.submit(req);
+        ASSERT_TRUE(sub.accepted);
+        reqs.push_back(req);
+        futures.push_back(sub.future);
+    }
+    gated.release();
+
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+        const auto reply = futures[i].get();
+        ASSERT_NE(reply.result, nullptr);
+        const Pyramid ref = wavehpc::core::decompose(
+            *reqs[i].image, FilterPair::daubechies(reqs[i].taps), reqs[i].levels,
+            reqs[i].boundary, reqs[i].kernel);
+        EXPECT_TRUE(same_pyramid(reply.result->pyramid, ref)) << "request " << i;
+        EXPECT_EQ(reply.attempts, i == corrupted ? 2U : 1U) << "request " << i;
+        if (i > 0 && i != corrupted) {
+            EXPECT_EQ(reply.batch_size, 5U) << "request " << i;
+        }
+    }
+    service.shutdown();
+
+    const auto m = service.metrics();
+    EXPECT_EQ(m.counters.crc_audit_failures, 1U);
+    EXPECT_EQ(m.counters.retries, 1U);
+    EXPECT_EQ(service.chaos_stats().corruptions, 1U);
+    const auto cache = service.cache_stats();
+    EXPECT_EQ(cache.entries, 6U);
+    EXPECT_EQ(cache.insertions, 6U);
+    EXPECT_EQ(cache.audit_failures, 0U);
 }
 
 TEST(ServiceBatching, ScheduleUnequalRequestsNeverCoalesce) {
