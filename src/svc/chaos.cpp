@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -57,20 +56,20 @@ enum Lane : std::uint64_t {
     return v;
 }
 
+/// Upper bound of every millisecond field: one hour. A longer stall or
+/// window outlasts any run, and sleep_for's integer cast overflows on the
+/// largest doubles.
+constexpr double kMaxMillis = 3'600'000.0;
+
 [[nodiscard]] double parse_millis(std::string_view key, std::string_view text,
                                   std::size_t off) {
     char* end = nullptr;
     const std::string owned(text);
     const double v = std::strtod(owned.c_str(), &end);
-    if (end != owned.c_str() + owned.size() || !(v >= 0.0 && std::isfinite(v))) {
-        parse_fail(key, "needs a finite non-negative millisecond value", text, off);
+    if (end != owned.c_str() + owned.size() || !(v >= 0.0 && v <= kMaxMillis)) {
+        parse_fail(key, "needs a millisecond value in [0, 3600000] (one hour)", text, off);
     }
     return v * 1e-3;
-}
-
-void sleep_seconds(double seconds) {
-    if (seconds <= 0.0) return;
-    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
 [[nodiscard]] std::uint64_t parse_uint(std::string_view key, std::string_view num,
@@ -147,6 +146,11 @@ void parse_shard_events(std::string_view key, std::string_view value,
 }
 
 }  // namespace
+
+void sleep_seconds(double seconds) {
+    if (seconds <= 0.0) return;
+    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+}
 
 bool ChaosPlan::enabled() const noexcept {
     return compute_error_probability > 0.0 || alloc_failure_probability > 0.0 ||

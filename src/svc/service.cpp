@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "core/knobs.hpp"
@@ -123,6 +124,17 @@ SubmitResult PyramidService::admit(TransformRequest request, Completion& on_done
     if (!request.image) {
         throw std::invalid_argument("PyramidService::submit: null image");
     }
+    // Any byte casts into an enum; one past its last value would reach the
+    // kernels and the cache key raw.
+    const auto in_range = [](bool ok, const char* field) {
+        if (!ok) {
+            throw std::invalid_argument(std::string("PyramidService::submit: bad ") + field);
+        }
+    };
+    in_range(request.boundary <= core::BoundaryMode::ZeroPad, "boundary");
+    in_range(request.kernel <= core::DwtKernel::Lifting, "kernel");
+    in_range(request.backend <= Backend::Threads, "backend");
+    in_range(request.priority <= Priority::Interactive, "priority");
     core::validate_decomposition_request(request.image->rows(),
                                          request.image->cols(), request.levels);
     const auto fp = core::FilterPair::daubechies(request.taps);  // eager taps validation

@@ -11,11 +11,6 @@ namespace wavehpc::svc::shard {
 
 namespace {
 
-void sleep_seconds(double seconds) {
-    if (seconds <= 0.0) return;
-    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-}
-
 /// This thread's last pixel-carrying frame (a sealed request or reply),
 /// handed to its next seal: steady traffic allocates no frame memory.
 thread_local std::vector<std::byte> t_spare_frame;

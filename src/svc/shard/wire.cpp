@@ -48,6 +48,15 @@ struct ByteReader {
         need(1, what);
         return static_cast<std::uint8_t>(buf[pos++]);
     }
+    /// One enum byte; a value past `last` is a defect.
+    template <typename E>
+    E enum_u8(E last, const char* what) {
+        const std::uint8_t v = u8(what);
+        if (v > static_cast<std::uint8_t>(last)) {
+            throw WireError(std::string("wire: bad ") + what);
+        }
+        return static_cast<E>(v);
+    }
     std::uint16_t u16(const char* what = "u16") {
         need(2, what);
         std::uint16_t v = 0;
@@ -339,10 +348,10 @@ TransformRequest decode_request_payload(std::span<const std::byte> payload,
     TransformRequest req;
     req.taps = r.u8("taps");
     req.levels = r.u8("levels");
-    req.boundary = static_cast<core::BoundaryMode>(r.u8("boundary"));
-    req.kernel = static_cast<core::DwtKernel>(r.u8("kernel"));
-    req.backend = static_cast<Backend>(r.u8("backend"));
-    req.priority = static_cast<Priority>(r.u8("priority"));
+    req.boundary = r.enum_u8(core::BoundaryMode::ZeroPad, "boundary");
+    req.kernel = r.enum_u8(core::DwtKernel::Lifting, "kernel");
+    req.backend = r.enum_u8(Backend::Threads, "backend");
+    req.priority = r.enum_u8(Priority::Interactive, "priority");
     req.allow_degraded = r.u8("allow_degraded") != 0;
     req.progressive = r.u8("progressive") != 0;
     const double deadline_rel = r.f64("deadline");
@@ -482,16 +491,8 @@ std::vector<std::byte> encode_admit_payload(const AdmitWire& a) {
 AdmitWire decode_admit_payload(std::span<const std::byte> payload) {
     ByteReader r{payload};
     AdmitWire a;
-    const std::uint8_t status = r.u8("admit status");
-    if (status > static_cast<std::uint8_t>(AdmitStatus::Down)) {
-        throw WireError("wire: bad admit status");
-    }
-    a.status = static_cast<AdmitStatus>(status);
-    const std::uint8_t reason = r.u8("admit reject reason");
-    if (reason > static_cast<std::uint8_t>(RejectReason::Quarantined)) {
-        throw WireError("wire: bad admit reject reason");
-    }
-    a.reject_reason = static_cast<RejectReason>(reason);
+    a.status = r.enum_u8(AdmitStatus::Down, "admit status");
+    a.reject_reason = r.enum_u8(RejectReason::Quarantined, "admit reject reason");
     a.retry_after = r.f64("admit retry_after");
     if (r.remaining() != 0) throw WireError("wire: trailing admit bytes");
     return a;

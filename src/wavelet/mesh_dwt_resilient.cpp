@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <map>
 #include <optional>
 #include <stdexcept>
 
@@ -12,8 +11,6 @@
 namespace wavehpc::wavelet {
 
 namespace {
-
-using detail::kNotARow;
 
 // Tag space: clear of the plain decomposition's tags (1..192) and far below
 // the collectives' base (1 << 20). Stripe-data, guard, and response tags are
@@ -74,11 +71,6 @@ std::vector<std::int32_t> make_ctrl(int level, int attempt, std::size_t w_count,
     return c;
 }
 
-struct LevelWork {
-    core::ImageF ll;
-    core::DetailBands bands;
-};
-
 }  // namespace
 
 ResilientDwtResult mesh_decompose_resilient(mesh::Machine& machine,
@@ -101,24 +93,8 @@ ResilientDwtResult mesh_decompose_resilient(mesh::Machine& machine,
     }
     const int max_attempts = std::clamp(cfg.max_attempts_per_level, 1, kMaxAttempts);
 
-    const auto placement2 =
-        core::make_placement(nprocs, machine.profile().topo.sx(), cfg.mapping);
-    std::vector<mesh::Coord3> placement;
-    placement.reserve(nprocs);
-    for (auto c : placement2) placement.push_back({c.x, c.y, 0});
-
-    const int taps = fp.taps();
-
     ResilientDwtResult result;
-    result.pyramid.levels.resize(static_cast<std::size_t>(cfg.levels));
-    for (int k = 0; k < cfg.levels; ++k) {
-        const std::size_t r2 = img.rows() >> (k + 1);
-        const std::size_t c2 = img.cols() >> (k + 1);
-        auto& d = result.pyramid.levels[static_cast<std::size_t>(k)];
-        d.lh = core::ImageF(r2, c2);
-        d.hl = core::ImageF(r2, c2);
-        d.hh = core::ImageF(r2, c2);
-    }
+    result.pyramid = detail::pyramid_shell(img.rows(), img.cols(), cfg.levels);
 
     const auto body = [&](mesh::NodeCtx& ctx) {
         const auto send_bytes = [&](int tag, int dst, std::span<const std::byte> b,
@@ -135,109 +111,28 @@ ResilientDwtResult mesh_decompose_resilient(mesh::Machine& machine,
             return send_bytes(tag, dst, std::as_bytes(std::span<const float>(v)), params);
         };
 
-        // One stripe's worth of a level attempt: row pass, guard exchange,
-        // column pass. Returns nullopt — with the suspected ranks appended
-        // to `dead` — when a peer stopped answering.
-        const auto run_stripe =
-            [&](const core::StripePartition& part, std::size_t w,
-                const std::vector<int>& ranks, int level, int attempt,
-                std::size_t level_rows, const core::ImageF& stripe,
-                std::vector<int>& dead) -> std::optional<LevelWork> {
-            const std::size_t h = stripe.rows();
-            const std::size_t level_cols = stripe.cols();
-            const std::size_t half_c = level_cols / 2;
-            const std::size_t first = part.first_row(w);
-
-            core::ImageF low_rows(h, half_c);
-            core::ImageF high_rows(h, half_c);
-            detail::row_pass(stripe, fp, cfg.mode, low_rows, high_rows);
-            const std::size_t row_outputs = h * level_cols;
-            ctx.compute(compute_model.seconds(
-                row_outputs, row_outputs * static_cast<std::size_t>(taps)));
-
-            for (std::size_t j = 0; j < part.parts(); ++j) {
-                if (j == w) continue;
-                const auto needed_j =
-                    detail::guard_rows(part, j, 0, taps, level_rows, cfg.mode);
-                std::vector<std::size_t> mine;
-                for (std::size_t g : needed_j) {
-                    if (g != kNotARow && g >= first && g < first + h) mine.push_back(g);
-                }
-                if (mine.empty()) continue;
-                const auto payload = detail::pack_guard(low_rows, high_rows, first, mine);
-                ctx.compute_redundant(compute_model.per_output() *
-                                      static_cast<double>(payload.size()));
-                if (!send_f32(guard_tag(level, attempt), ranks[j], payload,
-                              cfg.reliable)) {
-                    dead.push_back(ranks[j]);
-                }
-            }
-            if (!dead.empty()) return std::nullopt;
-
-            const auto needed =
-                detail::guard_rows(part, w, 0, taps, level_rows, cfg.mode);
-            std::map<std::size_t, std::vector<float>> from_owner;
-            std::map<std::size_t, std::size_t> cursor;
-            for (std::size_t g : needed) {
-                if (g == kNotARow) continue;
-                const std::size_t o = part.owner(g);
-                if (o == w || from_owner.find(o) != from_owner.end()) continue;
-                auto m = ctx.crecv_timeout(guard_tag(level, attempt), ranks[o],
-                                           cfg.detect_timeout);
-                if (!m.has_value()) {
-                    dead.push_back(ranks[o]);
-                    return std::nullopt;
-                }
-                from_owner[o] = to_floats(*m);
-                cursor[o] = 0;
-            }
-
-            const std::size_t guard = needed.size();
-            core::ImageF low_ext(h + guard, half_c, 0.0F);
-            core::ImageF high_ext(h + guard, half_c, 0.0F);
-            low_ext.paste(low_rows, 0, 0);
-            high_ext.paste(high_rows, 0, 0);
-            for (std::size_t t = 0; t < guard; ++t) {
-                const std::size_t g = needed[t];
-                if (g == kNotARow) continue;  // ZeroPad: stays zero
-                auto ldst = low_ext.row(h + t);
-                auto hdst = high_ext.row(h + t);
-                if (g >= first && g < first + h) {
-                    const auto lsrc = low_rows.row(g - first);
-                    const auto hsrc = high_rows.row(g - first);
-                    std::copy(lsrc.begin(), lsrc.end(), ldst.begin());
-                    std::copy(hsrc.begin(), hsrc.end(), hdst.begin());
-                } else {
-                    const std::size_t o = part.owner(g);
-                    auto& buf = from_owner.at(o);
-                    std::size_t& cur = cursor.at(o);
-                    if ((cur + 2) * half_c > buf.size()) {
-                        throw std::logic_error(
-                            "mesh_decompose_resilient: guard underflow");
+        // A level attempt's guard link: reliable sends and timed receives on
+        // attempt-scoped tags, with every peer that stops answering appended
+        // to `dead`, so the stripe's level returns nullopt.
+        const auto reliable_link = [&](int level, int attempt, const std::vector<int>& ranks,
+                                       std::vector<int>& dead) {
+            const int tag = guard_tag(level, attempt);
+            return detail::GuardLink{
+                [&, tag](std::size_t j, std::span<const float> floats) {
+                    if (send_bytes(tag, ranks[j], std::as_bytes(floats), cfg.reliable)) {
+                        return true;
                     }
-                    std::copy_n(buf.begin() + static_cast<std::ptrdiff_t>(cur * half_c),
-                                half_c, ldst.begin());
-                    std::copy_n(
-                        buf.begin() + static_cast<std::ptrdiff_t>((cur + 1) * half_c),
-                        half_c, hdst.begin());
-                    cur += 2;
-                }
-            }
-            ctx.compute_redundant(compute_model.per_output() *
-                                  static_cast<double>(2 * guard * half_c));
-
-            LevelWork out;
-            const std::size_t out_h = h / 2;
-            out.ll = core::ImageF(out_h, half_c);
-            out.bands.lh = core::ImageF(out_h, half_c);
-            out.bands.hl = core::ImageF(out_h, half_c);
-            out.bands.hh = core::ImageF(out_h, half_c);
-            detail::col_pass(low_ext, high_ext, fp, out.ll, out.bands);
-            const std::size_t col_outputs = 4 * out_h * half_c;
-            ctx.compute(compute_model.seconds(
-                col_outputs, col_outputs * static_cast<std::size_t>(taps)));
-            ctx.compute(compute_model.per_level());
-            return out;
+                    dead.push_back(ranks[j]);
+                    return false;
+                },
+                [&, tag](std::size_t j) -> std::optional<std::vector<float>> {
+                    auto m = ctx.crecv_timeout(tag, ranks[j], cfg.detect_timeout);
+                    if (!m.has_value()) {
+                        dead.push_back(ranks[j]);
+                        return std::nullopt;
+                    }
+                    return to_floats(*m);
+                }};
         };
 
         // ------------------------------------------------------ worker loop
@@ -267,8 +162,9 @@ ResilientDwtResult mesh_decompose_resilient(mesh::Machine& machine,
 
                 const core::StripePartition part(level_rows, w_count, 2);
                 std::vector<int> dead;
-                auto work = run_stripe(part, my_index, ranks, level, attempt,
-                                       level_rows, stripe, dead);
+                auto work = detail::stripe_level(
+                    ctx, reliable_link(level, attempt, ranks, dead), part, my_index, 0,
+                    stripe, fp, cfg.mode, compute_model);
 
                 std::vector<float> resp;
                 if (!work.has_value()) {
@@ -276,13 +172,8 @@ ResilientDwtResult mesh_decompose_resilient(mesh::Machine& machine,
                     for (int d : dead) resp.push_back(static_cast<float>(d));
                 } else {
                     resp.push_back(kRespGather);
-                    const auto append = [&resp](const core::ImageF& im) {
-                        resp.insert(resp.end(), im.flat().begin(), im.flat().end());
-                    };
-                    append(work->ll);
-                    append(work->bands.lh);
-                    append(work->bands.hl);
-                    append(work->bands.hh);
+                    detail::pack_bands(resp, {&work->ll, &work->bands.lh, &work->bands.hl,
+                                              &work->bands.hh});
                 }
                 // If even the reliable response cannot get through, rank 0's
                 // collect timeout classifies us dead; converges either way.
@@ -352,14 +243,15 @@ ResilientDwtResult mesh_decompose_resilient(mesh::Machine& machine,
                     }
                 }
 
-                std::optional<LevelWork> own;
+                std::optional<detail::LevelBands> own;
                 std::vector<std::optional<std::vector<float>>> resp(w_count);
                 if (scatter_ok) {
                     std::vector<int> dead0;
                     const core::ImageF own_stripe =
                         current.sub(part.first_row(0), 0, part.height(0), level_cols);
-                    own = run_stripe(part, 0, ranks, level, attempt, level_rows,
-                                     own_stripe, dead0);
+                    own = detail::stripe_level(
+                        ctx, reliable_link(level, attempt, ranks, dead0), part, 0, 0,
+                        own_stripe, fp, cfg.mode, compute_model);
                     newly_dead.insert(newly_dead.end(), dead0.begin(), dead0.end());
 
                     for (std::size_t idx = 1; idx < w_count; ++idx) {
@@ -417,26 +309,9 @@ ResilientDwtResult mesh_decompose_resilient(mesh::Machine& machine,
                     };
                     commit(0, own->ll, own->bands);
                     for (std::size_t idx = 1; idx < w_count; ++idx) {
-                        const auto& v = *resp[idx];
-                        const std::size_t out_h = part.height(idx) / 2;
-                        const std::size_t n = out_h * half_c;
-                        if (v.size() != 1 + 4 * n) {
-                            throw std::logic_error(
-                                "mesh_decompose_resilient: bad gather payload");
-                        }
-                        const auto slice = [&](std::size_t s) {
-                            return core::ImageF(
-                                out_h, half_c,
-                                std::vector<float>(
-                                    v.begin() + static_cast<std::ptrdiff_t>(1 + s * n),
-                                    v.begin() +
-                                        static_cast<std::ptrdiff_t>(1 + (s + 1) * n)));
-                        };
-                        core::DetailBands b;
-                        b.lh = slice(1);
-                        b.hl = slice(2);
-                        b.hh = slice(3);
-                        commit(idx, slice(0), b);
+                        auto b = detail::unpack_bands(std::span<const float>(*resp[idx]).subspan(1),
+                                                      part.height(idx) / 2, half_c, 4);
+                        commit(idx, b[0], {std::move(b[1]), std::move(b[2]), std::move(b[3])});
                     }
                     current = std::move(next);
                     break;  // next level
@@ -462,7 +337,8 @@ ResilientDwtResult mesh_decompose_resilient(mesh::Machine& machine,
         }
     };
 
-    result.run = machine.run(nprocs, placement, body);
+    result.run = machine.run(
+        nprocs, detail::placement(nprocs, machine.profile().topo.sx(), cfg.mapping), body);
     result.seconds = result.run.makespan;
     return result;
 }

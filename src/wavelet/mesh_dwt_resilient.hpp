@@ -10,10 +10,11 @@
 // retransmissions), reported to rank 0, and the level is redone from the
 // checkpoint with the dead rank's rows re-striped over the survivors.
 //
-// Row and column filtering go through the same detail::row_pass/col_pass
-// kernels as the plain decomposition and each output row depends only on
-// global input rows, never on stripe boundaries — so the assembled pyramid
-// is bit-identical to the fault-free result whenever recovery succeeds.
+// Each stripe runs the plain decomposition's level body (detail::stripe_level:
+// row pass, guard exchange, column pass) over a link of reliable sends and
+// timed receives, and each output row depends only on global input rows,
+// never on stripe boundaries — so the assembled pyramid is bit-identical to
+// the fault-free result whenever recovery succeeds.
 //
 // All time spent on redo attempts is charged to NodeStats::recovery_seconds
 // (the perf budget's recovery category) via recovery mode.

@@ -1,10 +1,10 @@
 #include "wavelet/mesh_idwt.hpp"
 
-#include <map>
+#include <algorithm>
 #include <set>
 
 #include "core/kernels.hpp"
-#include "wavelet/mesh_dwt.hpp"  // detail::level_range
+#include "wavelet/mesh_dwt.hpp"
 
 namespace wavehpc::wavelet {
 
@@ -44,11 +44,6 @@ MeshIdwtResult mesh_reconstruct(mesh::Machine& machine, const core::Pyramid& pyr
     const std::size_t cols = pyramid.approx.cols() << levels;
     const core::StripePartition part0(rows, nprocs, std::size_t{1} << levels);
 
-    const auto placement2 =
-        core::make_placement(nprocs, machine.profile().topo.sx(), cfg.mapping);
-    std::vector<mesh::Coord3> placement;
-    for (auto c : placement2) placement.push_back({c.x, c.y, 0});
-
     const int taps = fp.taps();
     MeshIdwtResult result;
     result.image = core::ImageF(rows, cols);
@@ -58,63 +53,48 @@ MeshIdwtResult mesh_reconstruct(mesh::Machine& machine, const core::Pyramid& pyr
         const auto p = static_cast<std::size_t>(ctx.nprocs());
 
         // ----------------------------------------------- pyramid scatter
-        core::ImageF current;  // my stripe of the running approximation
-        std::vector<core::DetailBands> details(static_cast<std::size_t>(levels));
-        const auto stripe_of = [&](const core::ImageF& full, int level) {
-            const LevelRange lr = detail::level_range(part0, me, level);
+        // A rank's stripe of a full-size level-`level` band, and of one
+        // pyramid level's three detail bands.
+        const auto stripe_of = [&](const core::ImageF& full, std::size_t rank, int level) {
+            const LevelRange lr = detail::level_range(part0, rank, level);
             return full.sub(lr.first, 0, lr.count, full.cols());
         };
+        const auto bands_of = [&](std::size_t rank, int k) -> core::DetailBands {
+            const auto& d = pyramid.levels[static_cast<std::size_t>(k)];
+            return {stripe_of(d.lh, rank, k + 1), stripe_of(d.hl, rank, k + 1),
+                    stripe_of(d.hh, rank, k + 1)};
+        };
+        core::ImageF current;  // my stripe of the running approximation
+        std::vector<core::DetailBands> details(static_cast<std::size_t>(levels));
         if (cfg.scatter_gather && me == 0) {
             for (std::size_t i = 1; i < p; ++i) {
-                const auto send_stripe = [&](const core::ImageF& full, int level,
-                                             int tag) {
-                    const LevelRange lr = detail::level_range(part0, i, level);
-                    const core::ImageF s = full.sub(lr.first, 0, lr.count, full.cols());
-                    ctx.send_span<float>(tag, static_cast<int>(i), s.flat());
-                };
-                send_stripe(pyramid.approx, levels, kTagScatterApprox);
+                ctx.send_span<float>(kTagScatterApprox, static_cast<int>(i),
+                                     stripe_of(pyramid.approx, i, levels).flat());
                 for (int k = 0; k < levels; ++k) {
-                    const auto& d = pyramid.levels[static_cast<std::size_t>(k)];
                     // One message per level: LH, HL, HH stripes concatenated.
-                    const LevelRange lr = detail::level_range(part0, i, k + 1);
+                    const core::DetailBands b = bands_of(i, k);
                     std::vector<float> payload;
-                    for (const core::ImageF* band : {&d.lh, &d.hl, &d.hh}) {
-                        const core::ImageF s =
-                            band->sub(lr.first, 0, lr.count, band->cols());
-                        payload.insert(payload.end(), s.flat().begin(), s.flat().end());
-                    }
+                    detail::pack_bands(payload, {&b.lh, &b.hl, &b.hh});
                     ctx.send_span<float>(kTagScatterDetail + k, static_cast<int>(i),
                                          std::span<const float>(payload));
                 }
             }
         }
         if (me == 0 || !cfg.scatter_gather) {
-            current = stripe_of(pyramid.approx, levels);
+            current = stripe_of(pyramid.approx, me, levels);
             for (int k = 0; k < levels; ++k) {
-                const auto& d = pyramid.levels[static_cast<std::size_t>(k)];
-                details[static_cast<std::size_t>(k)] = {stripe_of(d.lh, k + 1),
-                                                        stripe_of(d.hl, k + 1),
-                                                        stripe_of(d.hh, k + 1)};
+                details[static_cast<std::size_t>(k)] = bands_of(me, k);
             }
         } else {
-            auto adata = ctx.recv_vector<float>(kTagScatterApprox, 0);
             const LevelRange lra = detail::level_range(part0, me, levels);
-            current = core::ImageF(lra.count, cols >> levels, std::move(adata));
+            current = core::ImageF(lra.count, cols >> levels,
+                                   ctx.recv_vector<float>(kTagScatterApprox, 0));
             for (int k = 0; k < levels; ++k) {
                 const auto data = ctx.recv_vector<float>(kTagScatterDetail + k, 0);
-                const LevelRange lr = detail::level_range(part0, me, k + 1);
-                const std::size_t band = lr.count * (cols >> (k + 1));
-                if (data.size() != 3 * band) {
-                    throw std::logic_error("mesh_reconstruct: bad scatter payload");
-                }
-                const auto slice = [&](std::size_t idx) {
-                    return core::ImageF(
-                        lr.count, cols >> (k + 1),
-                        std::vector<float>(
-                            data.begin() + static_cast<std::ptrdiff_t>(idx * band),
-                            data.begin() + static_cast<std::ptrdiff_t>((idx + 1) * band)));
-                };
-                details[static_cast<std::size_t>(k)] = {slice(0), slice(1), slice(2)};
+                auto b = detail::unpack_bands(data, detail::level_range(part0, me, k + 1).count,
+                                              cols >> (k + 1), 3);
+                details[static_cast<std::size_t>(k)] = {std::move(b[0]), std::move(b[1]),
+                                                        std::move(b[2])};
             }
         }
 
@@ -127,73 +107,39 @@ MeshIdwtResult mesh_reconstruct(mesh::Machine& machine, const core::Pyramid& pyr
             const auto& d = details[static_cast<std::size_t>(stage)];
 
             // ---- north guard exchange on all four coefficient bands ----
-            // Send what others need from my coefficient rows ...
-            for (std::size_t j = 0; j < p; ++j) {
-                if (j == me) continue;
+            // Every coefficient row my output rows read, local or not, lands
+            // in the halo: 4 band rows per entry of `needed`.
+            const auto needs = [&](std::size_t j) {
                 const LevelRange jout = detail::level_range(part0, j, stage);
-                const auto needed = detail::synthesis_rows_needed(
-                    jout.first, jout.count, half_rows, taps, cfg.mode);
-                std::vector<float> payload;
-                for (std::size_t g : needed) {
-                    if (g < in_lr.first || g >= in_lr.first + in_lr.count) continue;
-                    const std::size_t local = g - in_lr.first;
+                return detail::synthesis_rows_needed(jout.first, jout.count, half_rows, taps,
+                                                     cfg.mode);
+            };
+            const auto needed = needs(me);
+            core::ImageF halo(4 * needed.size(), half_c);
+            (void)detail::exchange_guard(
+                ctx, detail::plain_link(ctx, kTagGuardBase + stage), part0, me, stage + 1,
+                needs, 4 * half_c,
+                [&](std::size_t g, std::vector<float>& out) {
                     const core::ImageF* bands[] = {&current, &d.lh, &d.hl, &d.hh};
                     for (const core::ImageF* band : bands) {
-                        const auto r = band->row(local);
-                        payload.insert(payload.end(), r.begin(), r.end());
+                        const auto r = band->row(g - in_lr.first);
+                        out.insert(out.end(), r.begin(), r.end());
                     }
-                }
-                if (payload.empty()) continue;
-                ctx.compute_redundant(compute_model.per_output() *
-                                      static_cast<double>(payload.size()));
-                ctx.send_span<float>(kTagGuardBase + stage, static_cast<int>(j),
-                                     std::span<const float>(payload));
-            }
-            // ... and collect what I need, keyed by global coefficient row.
-            const auto needed = detail::synthesis_rows_needed(
-                out_lr.first, out_lr.count, half_rows, taps, cfg.mode);
-            std::map<std::size_t, std::size_t> halo_index;  // global row -> slot
-            std::vector<std::size_t> missing;
-            for (std::size_t g : needed) {
-                if (g < in_lr.first || g >= in_lr.first + in_lr.count) {
-                    halo_index[g] = missing.size();
-                    missing.push_back(g);
-                }
-            }
-            // 4 band rows per halo slot.
-            core::ImageF halo(4 * std::max<std::size_t>(missing.size(), 1), half_c,
-                              0.0F);
-            std::map<std::size_t, std::vector<float>> from_owner;
-            std::map<std::size_t, std::size_t> cursor;
-            for (std::size_t g : missing) {
-                const std::size_t o = part0.owner(g << (stage + 1));
-                if (from_owner.find(o) == from_owner.end()) {
-                    from_owner[o] = ctx.recv_vector<float>(kTagGuardBase + stage,
-                                                           static_cast<int>(o));
-                    cursor[o] = 0;
-                }
-                auto& buf = from_owner.at(o);
-                std::size_t& cur = cursor.at(o);
-                if ((cur + 4) * half_c > buf.size()) {
-                    throw std::logic_error("mesh_reconstruct: guard underflow");
-                }
-                for (std::size_t b = 0; b < 4; ++b) {
-                    std::copy_n(
-                        buf.begin() + static_cast<std::ptrdiff_t>((cur + b) * half_c),
-                        half_c, halo.row(4 * halo_index.at(g) + b).begin());
-                }
-                cur += 4;
-                ctx.compute_redundant(compute_model.per_output() *
-                                      static_cast<double>(4 * half_c));
-            }
+                },
+                [&](std::size_t t, std::span<const float> line) {
+                    for (std::size_t b = 0; b < 4; ++b) {
+                        std::copy_n(line.begin() + static_cast<std::ptrdiff_t>(b * half_c),
+                                    half_c, halo.row(4 * t + b).begin());
+                    }
+                },
+                compute_model.per_output(), compute_model.per_output());
 
-            const auto band_row = [&](const core::ImageF& own,
-                                      std::size_t band_slot) -> core::RowAccessor {
+            // `needed` is sorted, so a row's halo slot is its rank in it.
+            const auto band_row = [&](std::size_t band_slot) -> core::RowAccessor {
                 return [&, band_slot](std::size_t k) -> const float* {
-                    if (k >= in_lr.first && k < in_lr.first + in_lr.count) {
-                        return own.row(k - in_lr.first).data();
-                    }
-                    return halo.row(4 * halo_index.at(k) + band_slot).data();
+                    const auto t = static_cast<std::size_t>(
+                        std::lower_bound(needed.begin(), needed.end(), k) - needed.begin());
+                    return halo.row(4 * t + band_slot).data();
                 };
             };
 
@@ -202,10 +148,10 @@ MeshIdwtResult mesh_reconstruct(mesh::Machine& machine, const core::Pyramid& pyr
             const std::size_t m1 = out_lr.first + out_lr.count;
             core::ImageF low_rows(out_lr.count, half_c);
             core::ImageF high_rows(out_lr.count, half_c);
-            core::synthesize_cols_tile(band_row(current, 0), band_row(d.lh, 1), half_rows,
-                                       half_c, fp, low_rows, cfg.mode, m0, m1);
-            core::synthesize_cols_tile(band_row(d.hl, 2), band_row(d.hh, 3), half_rows,
-                                       half_c, fp, high_rows, cfg.mode, m0, m1);
+            core::synthesize_cols_tile(band_row(0), band_row(1), half_rows, half_c, fp,
+                                       low_rows, cfg.mode, m0, m1);
+            core::synthesize_cols_tile(band_row(2), band_row(3), half_rows, half_c, fp,
+                                       high_rows, cfg.mode, m0, m1);
             core::ImageF out(out_lr.count, 2 * half_c);
             core::synthesize_rows_range(low_rows, high_rows, fp, out, cfg.mode, 0,
                                         out_lr.count);
@@ -235,7 +181,8 @@ MeshIdwtResult mesh_reconstruct(mesh::Machine& machine, const core::Pyramid& pyr
         }
     };
 
-    result.run = machine.run(nprocs, placement, body);
+    result.run = machine.run(
+        nprocs, detail::placement(nprocs, machine.profile().topo.sx(), cfg.mapping), body);
     result.seconds = result.run.makespan;
     return result;
 }

@@ -2,6 +2,7 @@
 // stripe-decomposition helpers.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
@@ -55,9 +56,17 @@ TEST(Metrics, EnergySumsSquares) {
 
 class PgmRoundTrip : public ::testing::Test {
 protected:
-    std::string path_ = (std::filesystem::temp_directory_path() /
-                         "wavehpc_test_img.pgm").string();
+    // One file per process and case: ctest runs every case as its own
+    // process, concurrently.
+    void SetUp() override {
+        const std::string name =
+            ::testing::UnitTest::GetInstance()->current_test_info()->name();
+        path_ = (std::filesystem::temp_directory_path() /
+                 ("wavehpc_test_img_" + std::to_string(::getpid()) + "_" + name + ".pgm"))
+                    .string();
+    }
     void TearDown() override { std::remove(path_.c_str()); }
+    std::string path_;
 };
 
 TEST_F(PgmRoundTrip, WriteThenReadPreservesPixels) {

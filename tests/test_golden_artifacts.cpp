@@ -1,10 +1,11 @@
 // Golden artifact regression: the numeric outputs behind the paper's
 // Table 1, Figures 5-7, and the Appendix B/C tables, plus the accounting of
-// both reliable transports under seeded faults, snapshotted into
-// tests/golden/*.txt and compared with tolerance-aware diffs. The published
-// scaling *shapes* (snake ~7x at 32 procs, speedup falling with level
-// count, MasPar >= 30 images/s) are asserted directly on the fresh values,
-// so a refactor that silently changes a curve fails here first.
+// both reliable transports under seeded faults and of every mesh wavelet
+// backend, snapshotted into tests/golden/*.txt and compared with
+// tolerance-aware diffs. The published scaling *shapes* (snake ~7x at 32
+// procs, speedup falling with level count, MasPar >= 30 images/s) are
+// asserted directly on the fresh values, so a refactor that silently
+// changes a curve fails here first.
 //
 // Regenerate after an intentional change:
 //   ./build/tests/test_golden_artifacts --regen      (or WAVEHPC_REGEN_GOLDEN=1)
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -21,6 +23,7 @@
 #include "core/cost_model.hpp"
 #include "core/synthetic.hpp"
 #include "maspar/maspar_dwt.hpp"
+#include "mesh/faults.hpp"
 #include "mesh/machine.hpp"
 #include "nbody/model.hpp"
 #include "nbody/parallel.hpp"
@@ -31,6 +34,9 @@
 #include "testing/invariants.hpp"
 #include "testing/seeds.hpp"
 #include "wavelet/mesh_dwt.hpp"
+#include "wavelet/mesh_dwt_block.hpp"
+#include "wavelet/mesh_dwt_resilient.hpp"
+#include "wavelet/mesh_idwt.hpp"
 #include "workload/centroid.hpp"
 #include "workload/kernels.hpp"
 
@@ -453,6 +459,168 @@ TEST(GoldenArtifacts, ReliableTransport) {
         art.set_count("shard_datagram_ok", datagram_ok);
     }
     EXPECT_EQ(art.check("reliable_transport", kRelTol), "");
+}
+
+// ------------------------------------------------------ mesh wavelet backends
+
+/// CRC of every coefficient bit, finest detail level first, approx last.
+std::uint32_t pyramid_crc(const wavehpc::core::Pyramid& pyr) {
+    std::uint32_t crc = 0;
+    for (const auto& d : pyr.levels) {
+        for (const ImageF* band : {&d.lh, &d.hl, &d.hh}) {
+            crc = wavehpc::mesh::crc32(std::as_bytes(band->flat()), crc);
+        }
+    }
+    return wavehpc::mesh::crc32(std::as_bytes(pyr.approx.flat()), crc);
+}
+
+/// The makespan, the message count and every rank's traffic and time split.
+void record_mesh_run(wtest::GoldenArtifact& art, const std::string& prefix,
+                     const Machine::RunResult& res, std::uint32_t crc) {
+    art.set(prefix + "_makespan", res.makespan);
+    art.set_count(prefix + "_messages", res.messages);
+    art.set_count(prefix + "_crc", crc);
+    for (std::size_t r = 0; r < res.stats.size(); ++r) {
+        const auto& st = res.stats[r];
+        const std::string p = prefix + "_r" + std::to_string(r) + "_";
+        art.set_count(p + "sent", st.messages_sent);
+        art.set_count(p + "bytes", st.bytes_sent);
+        art.set_count(p + "retransmits", st.retransmits);
+        art.set_count(p + "timeouts", st.recv_timeouts);
+        art.set(p + "useful", st.useful_seconds);
+        art.set(p + "redundant", st.redundant_seconds);
+        art.set(p + "recovery", st.recovery_seconds);
+    }
+}
+
+// Pins the mesh backends that Table 1 and Figures 5-7 do not run: striped
+// decomposition under every boundary mode, the block decomposition, the
+// distributed reconstruction and the resilient decomposition (clean, under
+// seeded drops and corruption, and across a fail-stop). Counts and CRCs
+// compare exactly.
+TEST(GoldenArtifacts, MeshWaveletBackends) {
+    namespace mesh = wavehpc::mesh;
+    namespace wl = wavehpc::wavelet;
+    using wavehpc::core::BoundaryMode;
+    const auto model = SequentialCostModel::paragon_node();
+    const ImageF img = wavehpc::core::landsat_tm_like(64, 64, 22);
+    wtest::GoldenArtifact art;
+
+    struct StripeCase {
+        const char* key;
+        int taps;
+        int levels;
+        BoundaryMode mode;
+        std::size_t nprocs;
+        MappingPolicy mapping;
+        bool scatter_gather;
+    };
+    constexpr StripeCase kStripe[] = {
+        {"stripe_sym_f8l1_p4", 8, 1, BoundaryMode::Symmetric, 4, MappingPolicy::Snake, true},
+        {"stripe_per_f4l2_p3", 4, 2, BoundaryMode::Periodic, 3, MappingPolicy::Naive, true},
+        {"stripe_zero_f6l2_p4", 6, 2, BoundaryMode::ZeroPad, 4, MappingPolicy::Snake, true},
+        {"stripe_per_f8l3_p8", 8, 3, BoundaryMode::Periodic, 8, MappingPolicy::Snake, true},
+        {"stripe_zero_f2l3_p2_local", 2, 3, BoundaryMode::ZeroPad, 2, MappingPolicy::Snake,
+         false},
+    };
+    for (const auto& c : kStripe) {
+        Machine machine(mesh::MachineProfile::paragon_pvm());
+        wl::MeshDwtConfig cfg;
+        cfg.levels = c.levels;
+        cfg.mode = c.mode;
+        cfg.mapping = c.mapping;
+        cfg.scatter_gather = c.scatter_gather;
+        const auto res = wl::mesh_decompose(machine, img, FilterPair::daubechies(c.taps),
+                                            cfg, c.nprocs, model);
+        record_mesh_run(art, c.key, res.run, pyramid_crc(res.pyramid));
+    }
+
+    struct BlockCase {
+        const char* key;
+        int taps;
+        int levels;
+        BoundaryMode mode;
+        std::size_t grid_rows;
+        std::size_t grid_cols;
+        bool scatter_gather;
+    };
+    constexpr BlockCase kBlock[] = {
+        {"block_sym_f4l2_2x2", 4, 2, BoundaryMode::Symmetric, 2, 2, true},
+        {"block_per_f8l1_2x4", 8, 1, BoundaryMode::Periodic, 2, 4, true},
+        {"block_zero_f6l2_4x2", 6, 2, BoundaryMode::ZeroPad, 4, 2, true},
+        {"block_per_f2l3_1x2_local", 2, 3, BoundaryMode::Periodic, 1, 2, false},
+    };
+    for (const auto& c : kBlock) {
+        Machine machine(mesh::MachineProfile::paragon_pvm());
+        wl::BlockDwtConfig cfg;
+        cfg.levels = c.levels;
+        cfg.mode = c.mode;
+        cfg.grid_rows = c.grid_rows;
+        cfg.grid_cols = c.grid_cols;
+        cfg.scatter_gather = c.scatter_gather;
+        const auto res = wl::block_decompose(machine, img, FilterPair::daubechies(c.taps),
+                                             cfg, model);
+        record_mesh_run(art, c.key, res.run, pyramid_crc(res.pyramid));
+    }
+
+    struct ReconstructCase {
+        const char* key;
+        int taps;
+        int levels;
+        BoundaryMode mode;
+        std::size_t nprocs;
+        bool scatter_gather;
+    };
+    constexpr ReconstructCase kReconstruct[] = {
+        {"idwt_per_f4l2_p4", 4, 2, BoundaryMode::Periodic, 4, true},
+        {"idwt_sym_f8l1_p3", 8, 1, BoundaryMode::Symmetric, 3, true},
+        {"idwt_zero_f6l3_p8", 6, 3, BoundaryMode::ZeroPad, 8, true},
+        {"idwt_per_f2l2_p2_local", 2, 2, BoundaryMode::Periodic, 2, false},
+    };
+    for (const auto& c : kReconstruct) {
+        const FilterPair fp = FilterPair::daubechies(c.taps);
+        const auto pyr = wavehpc::core::decompose(img, fp, c.levels, c.mode,
+                                                  wavehpc::core::DwtKernel::Convolve);
+        Machine machine(mesh::MachineProfile::paragon_pvm());
+        wl::MeshIdwtConfig cfg;
+        cfg.mode = c.mode;
+        cfg.scatter_gather = c.scatter_gather;
+        const auto res = wl::mesh_reconstruct(machine, pyr, fp, cfg, c.nprocs, model);
+        record_mesh_run(art, c.key, res.run,
+                        wavehpc::mesh::crc32(std::as_bytes(res.image.flat())));
+    }
+
+    {
+        const FilterPair fp = FilterPair::daubechies(4);
+        Machine machine(mesh::MachineProfile::paragon_pvm());
+        wl::ResilientDwtConfig cfg;
+        cfg.levels = 2;
+        const auto clean = wl::mesh_decompose_resilient(machine, img, fp, cfg, 4, model);
+        record_mesh_run(art, "resilient_clean", clean.run, pyramid_crc(clean.pyramid));
+
+        mesh::FaultPlan noisy;
+        noisy.seed = 3;
+        noisy.drop_probability = 0.05;
+        noisy.corrupt_probability = 0.02;
+        machine.set_faults(noisy);
+        const auto lossy = wl::mesh_decompose_resilient(machine, img, fp, cfg, 4, model);
+        record_mesh_run(art, "resilient_noisy", lossy.run, pyramid_crc(lossy.pyramid));
+        art.set_count("resilient_noisy_drops", lossy.run.injected_drops);
+        art.set_count("resilient_noisy_corruptions", lossy.run.injected_corruptions);
+        art.set_count("resilient_noisy_level_retries", lossy.level_retries);
+
+        mesh::FaultPlan kill;
+        kill.failures = {{.rank = 2, .at = 0.5 * clean.seconds}};
+        machine.set_faults(kill);
+        cfg.detect_timeout = clean.seconds;
+        const auto failover = wl::mesh_decompose_resilient(machine, img, fp, cfg, 4, model);
+        EXPECT_TRUE(failover.run.stats[2].fail_stopped);
+        record_mesh_run(art, "resilient_failstop", failover.run,
+                        pyramid_crc(failover.pyramid));
+        art.set_count("resilient_failstop_level_retries", failover.level_retries);
+        art.set_count("resilient_failstop_failed_ranks", failover.failed_ranks.size());
+    }
+    EXPECT_EQ(art.check("mesh_backends", kRelTol), "");
 }
 
 }  // namespace

@@ -275,6 +275,27 @@ TEST(WireCodec, ReplyErrorsCarryTheirTypeAcrossTheWire) {
     }
 }
 
+// Each enum byte of a request payload (boundary, kernel, backend, priority
+// at offsets 2-5) set past its enum's last value must fail to decode,
+// naming the field, instead of reaching admission and the cache key raw.
+TEST(WireCodec, RequestPayloadRejectsOutOfRangeEnumsByField) {
+    TransformRequest req;
+    req.image = tiny_image();
+    const auto now = wavehpc::svc::Clock::now();
+    const auto payload = wire::encode_request_payload(req, now);
+    const char* const fields[] = {"boundary", "kernel", "backend", "priority"};
+    for (std::size_t i = 0; i < 4; ++i) {
+        auto bad = payload;
+        bad[2 + i] = std::byte{0xC7};
+        try {
+            (void)wire::decode_request_payload(bad, now);
+            ADD_FAILURE() << fields[i] << ": decoded";
+        } catch (const wire::WireError& e) {
+            EXPECT_NE(std::string(e.what()).find(fields[i]), std::string::npos) << e.what();
+        }
+    }
+}
+
 TEST(WireCodec, AdmitPayloadRoundTripsAndValidatesEnums) {
     wire::AdmitWire a;
     a.status = wire::AdmitStatus::Rejected;
@@ -627,9 +648,10 @@ TEST(FaultSpecErrors, ChaosPlanParseNamesTheTokenAndByteOffset) {
 }
 
 // Values the grammars parse but cannot honour: NaN probabilities, a NaN or
-// infinite slowdown factor, infinite stalls, integers past 2^64 (which
-// used to wrap) and ranks past INT_MAX (which used to truncate, 2^32-1
-// into the '*' wildcard). Each must throw and name its token.
+// infinite slowdown factor, infinite stalls and stalls past one hour
+// (1e300 ms overflows sleep_for), integers past 2^64 (which used to wrap)
+// and ranks past INT_MAX (which used to truncate, 2^32-1 into the '*'
+// wildcard). Each must throw and name its token.
 TEST(FaultSpecErrors, UnhonourableValuesAreRejectedByToken) {
     struct Case {
         bool chaos;  ///< ChaosPlan grammar, else FaultPlan
@@ -651,6 +673,10 @@ TEST(FaultSpecErrors, UnhonourableValuesAreRejectedByToken) {
         {true, "shard_kill=18446744073709551616:0:10", "'18446744073709551616'"},
         {true, "stall_ms=inf", "'inf'"},
         {true, "pool_stall_ms=inf", "'inf'"},
+        {true, "stall_ms=1e18", "'1e18'"},
+        {true, "stall_ms=1e300", "'1e300'"},
+        {true, "pool_stall_ms=1e300", "'1e300'"},
+        {true, "shard_slow=0:0:10:1e300", "'1e300'"},
     };
     for (const Case& c : cases) {
         try {

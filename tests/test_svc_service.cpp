@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -70,6 +71,37 @@ TEST(ServiceAdmission, MalformedRequestsThrowSynchronously) {
     EXPECT_THROW((void)service.submit(odd), std::invalid_argument);
     auto bad_taps = request_for(scene(32, 1), 5, 1);
     EXPECT_THROW((void)service.submit(bad_taps), std::invalid_argument);
+}
+
+// A byte cast into an enum past its last value must not reach the kernels
+// or the cache key: admission names the field and refuses it.
+TEST(ServiceAdmission, OutOfRangeEnumsAreRejectedByField) {
+    ThreadPool pool(1);
+    PyramidService service(pool);
+    constexpr auto kBad = std::uint8_t{0xC7};
+    struct Case {
+        const char* field;
+        void (*corrupt)(TransformRequest&);
+    };
+    const Case cases[] = {
+        {"boundary",
+         [](TransformRequest& r) { r.boundary = static_cast<wavehpc::core::BoundaryMode>(kBad); }},
+        {"kernel",
+         [](TransformRequest& r) { r.kernel = static_cast<wavehpc::core::DwtKernel>(kBad); }},
+        {"backend", [](TransformRequest& r) { r.backend = static_cast<Backend>(kBad); }},
+        {"priority", [](TransformRequest& r) { r.priority = static_cast<Priority>(kBad); }},
+    };
+    for (const Case& c : cases) {
+        auto req = request_for(scene(32, 1));
+        c.corrupt(req);
+        try {
+            (void)service.submit(req);
+            ADD_FAILURE() << c.field << ": accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos) << e.what();
+        }
+    }
+    EXPECT_EQ(service.metrics().counters.submitted, 0U);
 }
 
 TEST(ServiceAdmission, SaturationRejectsWithRetryAfterInsteadOfBlocking) {

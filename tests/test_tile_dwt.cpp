@@ -9,6 +9,7 @@
 #include "tile/tiled_dwt.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
@@ -384,10 +385,17 @@ TEST(ArenaReserve, IsAdditiveAndCountsSeparatelyFromMisses) {
 
 class PgmWindow : public ::testing::Test {
 protected:
-    std::string path_ = (std::filesystem::temp_directory_path() /
-                         "wavehpc_tile_window.pgm")
-                            .string();
+    // One file per process and case: ctest runs every case as its own
+    // process, concurrently.
+    void SetUp() override {
+        const std::string name =
+            ::testing::UnitTest::GetInstance()->current_test_info()->name();
+        path_ = (std::filesystem::temp_directory_path() /
+                 ("wavehpc_tile_window_" + std::to_string(::getpid()) + "_" + name + ".pgm"))
+                    .string();
+    }
     void TearDown() override { std::remove(path_.c_str()); }
+    std::string path_;
 };
 
 TEST_F(PgmWindow, BinaryWindowsMatchFullRead) {
