@@ -36,6 +36,7 @@
 #include "svc/cache.hpp"
 #include "svc/metrics.hpp"
 #include "svc/service.hpp"
+#include "testing/invariants.hpp"
 #include "testing/seeds.hpp"
 
 namespace {
@@ -134,8 +135,8 @@ PointResult run_point(ThreadPool& pool, const ServiceConfig& cfg,
             if (!wavehpc::svc::audit_result(*reply.result)) ++out.crc_escapes;
             if (p.scene == 0 && !reply.degraded) {
                 ++out.verified;
-                if (!load::pyramids_identical(reply.result->pyramid,
-                                              scene0_refs[p.mix])) {
+                if (!wavehpc::testing::pyramids_bit_identical(reply.result->pyramid,
+                                                              scene0_refs[p.mix])) {
                     ++out.mismatches;
                 }
             }
@@ -185,11 +186,8 @@ int main(int argc, char** argv) {
               << " Poisson arrivals per point; plan per fault rate R: "
                  "compute=R, corrupt=R/2, alloc=R/4, pool_stall=R (1 ms)\n\n";
 
-    // Auto kernel end to end: requests leave kernel at Auto, so references
-    // and replies resolve through the same process selector.
     const auto scenes = load::make_scene_pool(edge, seed);
-    const auto scene0_refs =
-        load::make_scene0_refs(*scenes[0], wavehpc::core::DwtKernel::Auto);
+    const auto scene0_refs = load::make_scene0_refs(*scenes[0]);
 
     ThreadPool pool(std::max(2U, std::thread::hardware_concurrency()));
     ServiceConfig cfg = ServiceConfig::from_env();  // WAVEHPC_SVC_* apply
@@ -201,8 +199,7 @@ int main(int argc, char** argv) {
         std::min(cfg.resilience.retry.cap_seconds, 0.008);
 
     // Capacity estimate (the load bench's): mix-weighted cold compute.
-    const double weighted_compute = load::measure_weighted_cold_compute(
-        *scenes[0], wavehpc::core::DwtKernel::Auto);
+    const double weighted_compute = load::measure_weighted_cold_compute(*scenes[0]);
     const double capacity_rps =
         static_cast<double>(cfg.max_concurrency) / weighted_compute;
     std::cout << "measured cold compute (mix-weighted): "

@@ -18,29 +18,20 @@
 #include "perf/budget.hpp"
 #include "perf/report.hpp"
 #include "sim/engine.hpp"
+#include "testing/invariants.hpp"
 #include "wavelet/mesh_dwt_resilient.hpp"
 
 namespace {
 
 using wavehpc::core::FilterPair;
 using wavehpc::core::ImageF;
-using wavehpc::core::Pyramid;
 using wavehpc::core::SequentialCostModel;
 using wavehpc::mesh::FaultPlan;
 using wavehpc::mesh::Machine;
 using wavehpc::mesh::MachineProfile;
+using wavehpc::testing::pyramids_bit_identical;
 using wavehpc::wavelet::ResilientDwtConfig;
 using wavehpc::wavelet::ResilientDwtResult;
-
-bool pyramids_identical(const Pyramid& a, const Pyramid& b) {
-    if (a.depth() != b.depth()) return false;
-    for (std::size_t k = 0; k < a.depth(); ++k) {
-        if (a.levels[k].lh != b.levels[k].lh) return false;
-        if (a.levels[k].hl != b.levels[k].hl) return false;
-        if (a.levels[k].hh != b.levels[k].hh) return false;
-    }
-    return a.approx == b.approx;
-}
 
 ResilientDwtResult run_once(const ImageF& img, const FilterPair& fp,
                             std::size_t procs, const FaultPlan& plan) {
@@ -84,8 +75,8 @@ void drop_sweep(const ImageF& img, const FilterPair& fp, std::uint64_t seed,
                         std::to_string(retx),
                         std::to_string(res.run.injected_drops),
                         std::to_string(timeouts),
-                        pyramids_identical(res.pyramid, clean.pyramid) ? "yes"
-                                                                       : "NO"});
+                        pyramids_bit_identical(res.pyramid, clean.pyramid) ? "yes"
+                                                                           : "NO"});
         }
         tw.print(std::cout);
         std::cout << '\n';
@@ -130,7 +121,7 @@ void failstop_demo(const ImageF& img, const FilterPair& fp) {
     const auto res = wavehpc::wavelet::mesh_decompose_resilient(
         machine, img, fp, cfg, 8, SequentialCostModel::paragon_node());
     std::cout << "  coefficients identical to fault-free run: "
-              << (pyramids_identical(res.pyramid, clean.pyramid) ? "yes" : "NO")
+              << (pyramids_bit_identical(res.pyramid, clean.pyramid) ? "yes" : "NO")
               << "\n  level redo attempts: " << res.level_retries
               << ", makespan " << wavehpc::perf::TableWriter::num(res.seconds)
               << " s (clean " << wavehpc::perf::TableWriter::num(clean.seconds)

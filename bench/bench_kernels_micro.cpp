@@ -1,23 +1,20 @@
 // google-benchmark microbenchmarks of the host wavelet kernels: sequential
-// vs thread-pool decomposition, per filter size, plus the Convolve row and
-// column passes and the convolve-vs-lifting kernel comparison.
+// vs thread-pool decomposition, per filter size, plus one fused analysis
+// level and the Convolve row and column passes on their own.
 //
 // Takes the shared bench knobs (--seed / --size / --smoke, common_args.hpp)
 // ahead of the usual --benchmark_* flags; --smoke shrinks min_time so CI
 // can pipeline-check the binary without measuring anything.
 //
 // Extra flags (via the shared parser's hook):
-//   --json PATH        write the per-kernel ns/pixel report as JSON
+//   --json PATH        write the per-filter ns/pixel report as JSON
 //                      (--smoke defaults this to BENCH_kernels.json)
-//   --min-speedup F    exit non-zero unless lifting/convolve speedup at the
-//                      widest filter reaches F (the CI regression gate)
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -86,27 +83,20 @@ void BM_ColPass(benchmark::State& state) {
 }
 BENCHMARK(BM_ColPass)->Arg(2)->Arg(4)->Arg(8);
 
-// Convolve vs lifting through the unified kernel layer: one fused level
-// (row pass + column pass, all four subbands). Arg 0 = taps, arg 1 = the
-// DwtKernel enum value (1 = convolve, 2 = lifting).
+// One fused level through the kernel layer (row pass + column pass, all
+// four subbands).
 void BM_AnalyzeLevel(benchmark::State& state) {
     const FilterPair fp = FilterPair::daubechies(static_cast<int>(state.range(0)));
-    const auto kernel = static_cast<DwtKernel>(state.range(1));
     const ImageF& img = scene512();
     ImageF ll, lh, hl, hh;
     for (auto _ : state) {
-        wavehpc::core::analyze_level(img, fp, ll, lh, hl, hh,
-                                     BoundaryMode::Periodic, kernel);
+        wavehpc::core::analyze_level(img, fp, ll, lh, hl, hh, BoundaryMode::Periodic);
         benchmark::DoNotOptimize(ll);
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                             static_cast<int64_t>(img.size()));
 }
-BENCHMARK(BM_AnalyzeLevel)
-    ->ArgNames({"taps", "kernel"})
-    ->Args({2, 1})->Args({2, 2})
-    ->Args({4, 1})->Args({4, 2})
-    ->Args({8, 1})->Args({8, 2});
+BENCHMARK(BM_AnalyzeLevel)->ArgName("taps")->Arg(2)->Arg(4)->Arg(8);
 
 void BM_SequentialDecompose(benchmark::State& state) {
     const FilterPair fp = FilterPair::daubechies(static_cast<int>(state.range(0)));
@@ -182,16 +172,14 @@ BENCHMARK(BM_Reconstruct);
 //
 // Own-timed report, independent of google-benchmark so CI can gate on it
 // and commit the numbers: best-of-R wall time of one fused analysis level
-// per (taps, kernel), and of the Convolve row and column passes on their
-// own, all in ns per input pixel of the level.
+// per filter size, and of the Convolve row and column passes on their own,
+// all in ns per input pixel of the level.
 
 struct KernelRow {
     int taps = 0;
-    double convolve_ns = 0.0;  // whole level
-    double lifting_ns = 0.0;
+    double convolve_ns = 0.0;      // whole level
     double convolve_row_ns = 0.0;  // Convolve row pass alone
     double convolve_col_ns = 0.0;  // Convolve column pass alone
-    [[nodiscard]] double speedup() const { return convolve_ns / lifting_ns; }
     [[nodiscard]] double row_col_ratio() const {
         return convolve_row_ns / convolve_col_ns;
     }
@@ -221,14 +209,9 @@ std::vector<KernelRow> run_kernel_report(int reps) {
         KernelRow row;
         row.taps = taps;
         ImageF ll, lh, hl, hh;
-        const auto level = [&](DwtKernel kernel) {
-            return best_ns_per_pixel(img.size(), reps, [&] {
-                wavehpc::core::analyze_level(img, fp, ll, lh, hl, hh,
-                                             BoundaryMode::Periodic, kernel);
-            });
-        };
-        row.convolve_ns = level(DwtKernel::Convolve);
-        row.lifting_ns = level(DwtKernel::Lifting);
+        row.convolve_ns = best_ns_per_pixel(img.size(), reps, [&] {
+            wavehpc::core::analyze_level(img, fp, ll, lh, hl, hh, BoundaryMode::Periodic);
+        });
 
         ImageF lo(img.rows(), half_c), hi(img.rows(), half_c);
         row.convolve_row_ns = best_ns_per_pixel(img.size(), reps, [&] {
@@ -259,8 +242,6 @@ void write_kernel_json(const std::string& path, const std::vector<KernelRow>& ro
         const auto& r = rows[i];
         out << "    {\"taps\": " << r.taps                        //
             << ", \"convolve\": " << r.convolve_ns                //
-            << ", \"lifting\": " << r.lifting_ns                  //
-            << ", \"speedup\": " << r.speedup()                   //
             << ", \"convolve_row\": " << r.convolve_row_ns        //
             << ", \"convolve_col\": " << r.convolve_col_ns        //
             << ", \"row_col_ratio\": " << r.row_col_ratio() << "}"  //
@@ -273,8 +254,7 @@ void write_kernel_json(const std::string& path, const std::vector<KernelRow>& ro
 
 int main(int argc, char** argv) {
     // Split argv: --benchmark_* flags go to google-benchmark untouched,
-    // everything else is ours (--seed / --size / --smoke / --json /
-    // --min-speedup).
+    // everything else is ours (--seed / --size / --smoke / --json).
     std::vector<char*> gb_argv = {argv[0]};
     std::vector<char*> our_argv = {argv[0]};
     for (int i = 1; i < argc; ++i) {
@@ -284,19 +264,10 @@ int main(int argc, char** argv) {
 
     wavehpc::bench::CommonArgs args;
     std::string json_path;
-    double min_speedup = 0.0;
     const auto extra = [&](std::string_view flag, std::string_view value) {
         if (flag == "--json" && !value.empty()) {
             json_path = std::string(value);
             return wavehpc::bench::Consume::kFlagAndValue;
-        }
-        if (flag == "--min-speedup" && !value.empty()) {
-            char* end = nullptr;
-            const std::string text(value);
-            min_speedup = std::strtod(text.c_str(), &end);
-            if (end != nullptr && *end == '\0' && min_speedup > 0.0) {
-                return wavehpc::bench::Consume::kFlagAndValue;
-            }
         }
         return wavehpc::bench::Consume::kNo;
     };
@@ -311,16 +282,15 @@ int main(int argc, char** argv) {
     // The PR-committed artifact: --smoke emits BENCH_kernels.json by default.
     if (args.smoke && json_path.empty()) json_path = "BENCH_kernels.json";
 
-    // Kernel comparison report (own timing, runs before google-benchmark).
-    // --smoke takes the same best of 9: fewer reps let host noise swing the
+    // Kernel report (own timing, runs before google-benchmark). --smoke
+    // takes the same best of 9: fewer reps let host noise swing the
     // committed ratios.
     const auto rows = run_kernel_report(9);
-    std::cout << "=== DWT kernel comparison: " << g_size << "x" << g_size
+    std::cout << "=== DWT kernel passes: " << g_size << "x" << g_size
               << " scene, seed " << g_seed << ", one fused level, ns/pixel ===\n";
     for (const auto& r : rows) {
-        std::cout << "  taps " << r.taps << ": convolve " << r.convolve_ns
-                  << "  lifting " << r.lifting_ns << "  speedup " << r.speedup()
-                  << "x  | convolve row pass " << r.convolve_row_ns << "  column pass "
+        std::cout << "  taps " << r.taps << ": convolve level " << r.convolve_ns
+                  << "  | row pass " << r.convolve_row_ns << "  column pass "
                   << r.convolve_col_ns << "  row/col " << r.row_col_ratio() << "x\n";
     }
     if (!json_path.empty()) {
@@ -328,15 +298,6 @@ int main(int argc, char** argv) {
         std::cout << "wrote " << json_path << "\n";
     }
     std::cout << "\n";
-    if (min_speedup > 0.0) {
-        const auto& widest = rows.back();
-        if (widest.speedup() < min_speedup) {
-            std::cerr << argv[0] << ": lifting speedup " << widest.speedup()
-                      << "x at " << widest.taps << " taps is below the --min-speedup "
-                      << min_speedup << "x gate\n";
-            return 1;
-        }
-    }
 
     int gb_argc = static_cast<int>(gb_argv.size());
     benchmark::Initialize(&gb_argc, gb_argv.data());

@@ -22,9 +22,6 @@
 //
 // Extra flags (via the shared parser's hook):
 //   --requests N      arrivals per load point (default 400, smoke 120)
-//   --kernel K        DWT kernel for every request and reference: "convolve"
-//                     (default), "lifting", or "auto" (process selector) —
-//                     the capacity-lift knob for the unified kernel layer
 //   --json PATH       also write the sweep as JSON (the per-PR BENCH_service
 //                     artifact: offered/done rps, p50/p95/p99, hit rate)
 //   --soak            run the sustained soak after the sweep
@@ -45,6 +42,7 @@
 #include "common_load.hpp"
 #include "perf/report.hpp"
 #include "svc/service.hpp"
+#include "testing/invariants.hpp"
 #include "testing/seeds.hpp"
 
 namespace {
@@ -62,11 +60,6 @@ using wavehpc::svc::ServiceConfig;
 using wavehpc::svc::TransformRequest;
 
 using Clock = std::chrono::steady_clock;
-
-// Set from --kernel before any point runs; requests and the out-of-band
-// references use the same kernel so the bit-identity check stays valid
-// (threads and serial lifting are bit-identical, pinned by test_kernels).
-wavehpc::core::DwtKernel g_kernel = wavehpc::core::DwtKernel::Convolve;
 
 struct PointResult {
     double offered_rps = 0.0;
@@ -100,7 +93,6 @@ PointResult run_point(ThreadPool& pool, const ServiceConfig& cfg,
         req.image = scenes[a.scene];
         req.taps = load::kTable1Mix[a.mix].taps;
         req.levels = load::kTable1Mix[a.mix].levels;
-        req.kernel = g_kernel;
         req.backend = Backend::Threads;
         auto sub = service.submit(req);
         if (sub.accepted) pending.push_back({std::move(sub.future), a.scene, a.mix});
@@ -112,8 +104,8 @@ PointResult run_point(ThreadPool& pool, const ServiceConfig& cfg,
         const auto reply = p.future.get();
         if (p.scene == 0) {
             ++out.verified;
-            if (!load::pyramids_identical(reply.result->pyramid,
-                                          scene0_refs[p.mix])) {
+            if (!wavehpc::testing::pyramids_bit_identical(reply.result->pyramid,
+                                                          scene0_refs[p.mix])) {
                 ++out.mismatches;
             }
         }
@@ -192,8 +184,8 @@ double run_soak_phase(PyramidService& service,
                 // Sampled audit: every 32nd scene-0 reply this client sees.
                 if (p.popular && (popular_seen++ & 31U) == 0) {
                     sc.verified.fetch_add(1, std::memory_order_relaxed);
-                    if (!load::pyramids_identical(reply.result->pyramid,
-                                                  scene0_refs[p.mix])) {
+                    if (!wavehpc::testing::pyramids_bit_identical(
+                            reply.result->pyramid, scene0_refs[p.mix])) {
                         sc.mismatches.fetch_add(1, std::memory_order_relaxed);
                     }
                 }
@@ -211,7 +203,6 @@ double run_soak_phase(PyramidService& service,
                 const std::size_t mix = pick_soak_mix(rng);
                 req.taps = load::kTable1Mix[mix].taps;
                 req.levels = load::kTable1Mix[mix].levels;
-                req.kernel = g_kernel;
                 req.backend = Backend::Threads;
                 for (;;) {
                     auto sub = service.submit(req);
@@ -348,8 +339,7 @@ void write_json(const std::string& path, std::size_t edge, std::uint64_t seed,
     }
     os << "{\n  \"bench\": \"service_load\",\n  \"edge\": " << edge
        << ",\n  \"seed\": " << seed << ",\n  \"requests_per_point\": "
-       << n_requests << ",\n  \"kernel\": \""
-       << wavehpc::core::to_string(g_kernel) << "\",\n  \"cold_capacity_rps\": "
+       << n_requests << ",\n  \"cold_capacity_rps\": "
        << capacity_rps << ",\n  \"points\": [\n";
     for (std::size_t k = 0; k < points.size(); ++k) {
         const auto& p = points[k];
@@ -415,9 +405,6 @@ int main(int argc, char** argv) {
             wavehpc::bench::detail::parse_u64(value, soak_requests_flag)) {
             return Consume::kFlagAndValue;
         }
-        if (flag == "--kernel" && wavehpc::core::parse_dwt_kernel(value, g_kernel)) {
-            return Consume::kFlagAndValue;
-        }
         if (flag == "--json" && !value.empty()) {
             json_path = std::string(value);
             return Consume::kFlagAndValue;
@@ -437,19 +424,17 @@ int main(int argc, char** argv) {
               << edge << "x" << edge << " scenes, pool of " << load::kDefaultScenes
               << " (scene 0 takes half the traffic), mix F8/L1 40% / F4/L2 35% "
                  "/ F2/L4 25%, seed "
-              << seed << ", " << n_requests << " Poisson arrivals per point, "
-              << wavehpc::core::to_string(g_kernel) << " kernel\n\n";
+              << seed << ", " << n_requests << " Poisson arrivals per point\n\n";
 
     const auto scenes = load::make_scene_pool(edge, seed);
-    const auto scene0_refs = load::make_scene0_refs(*scenes[0], g_kernel);
+    const auto scene0_refs = load::make_scene0_refs(*scenes[0]);
 
     ThreadPool pool(std::max(2U, std::thread::hardware_concurrency()));
     ServiceConfig cfg = ServiceConfig::from_env();  // WAVEHPC_SVC_* apply
 
     // Capacity estimate: mix-weighted cold compute time of the popular
     // scene, measured sequentially, times the service concurrency.
-    const double weighted_compute =
-        load::measure_weighted_cold_compute(*scenes[0], g_kernel);
+    const double weighted_compute = load::measure_weighted_cold_compute(*scenes[0]);
     const double capacity_rps =
         static_cast<double>(cfg.max_concurrency) / weighted_compute;
     std::cout << "measured cold compute (mix-weighted): "

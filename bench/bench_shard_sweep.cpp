@@ -57,6 +57,7 @@
 #include "svc/cache.hpp"
 #include "svc/shard/cluster.hpp"
 #include "svc/shard/wire.hpp"
+#include "testing/invariants.hpp"
 #include "testing/seeds.hpp"
 
 namespace {
@@ -165,8 +166,8 @@ StormResult run_storm(ShardCluster& cluster,
             if (!wavehpc::svc::audit_result(*reply.result)) ++out.crc_escapes;
             if (p.scene == 0 && !reply.degraded) {
                 ++out.verified;
-                if (!load::pyramids_identical(reply.result->pyramid,
-                                              scene0_refs[p.mix])) {
+                if (!wavehpc::testing::pyramids_bit_identical(reply.result->pyramid,
+                                                              scene0_refs[p.mix])) {
                     ++out.mismatches;
                 }
             }

@@ -16,7 +16,7 @@
 //
 // --smoke: a 512 x 512 scene plus the acceptance gates as hard asserts:
 //   * full-scene tiled pyramid bit-identical to the monolithic
-//     core::decompose for every boundary mode x kernel;
+//     core::decompose for every boundary mode;
 //   * interior coefficients bit-identical to a monolithic decompose of an
 //     overlapping offset sub-window (seam independence);
 //   * peak resident bytes identical across a 4x image-height change and
@@ -39,6 +39,7 @@
 #include "core/synthetic.hpp"
 #include "perf/report.hpp"
 #include "svc/arena.hpp"
+#include "testing/invariants.hpp"
 #include "tile/plan.hpp"
 #include "tile/progressive.hpp"
 #include "tile/source.hpp"
@@ -244,20 +245,11 @@ void smoke_bit_identity() {
     cfg.tile_cols = 24;
     for (const BoundaryMode mode :
          {BoundaryMode::Periodic, BoundaryMode::Symmetric, BoundaryMode::ZeroPad}) {
-        for (const DwtKernel kernel : {DwtKernel::Convolve, DwtKernel::Lifting}) {
-            const Pyramid want = wavehpc::core::decompose(img, fp, 3, mode, kernel);
-            const Pyramid got =
-                wavehpc::tile::tiled_decompose(img, fp, 3, mode, kernel, cfg, nullptr);
-            bool same = got.approx == want.approx;
-            for (std::size_t l = 0; l < want.depth(); ++l) {
-                same = same && got.levels[l].lh == want.levels[l].lh &&
-                       got.levels[l].hl == want.levels[l].hl &&
-                       got.levels[l].hh == want.levels[l].hh;
-            }
-            check(same, "tiled pyramid != monolithic decompose (mode " +
-                            std::to_string(static_cast<int>(mode)) + ", kernel " +
-                            std::to_string(static_cast<int>(kernel)) + ")");
-        }
+        const Pyramid want = wavehpc::core::decompose(img, fp, 3, mode);
+        const Pyramid got = wavehpc::tile::tiled_decompose(img, fp, 3, mode, cfg, nullptr);
+        check(wavehpc::testing::pyramids_bit_identical(got, want),
+              "tiled pyramid != monolithic decompose (mode " +
+                  std::to_string(static_cast<int>(mode)) + ")");
     }
 }
 
@@ -274,10 +266,9 @@ void smoke_interior_window() {
     cfg.tile_rows = 40;
     cfg.tile_cols = 48;
     const Pyramid tiled = wavehpc::tile::tiled_decompose(
-        img, fp, levels, BoundaryMode::Symmetric, DwtKernel::Convolve, cfg, nullptr);
+        img, fp, levels, BoundaryMode::Symmetric, cfg, nullptr);
     const Pyramid window = wavehpc::core::decompose(
-        img.sub(off, off, win, win), fp, levels, BoundaryMode::ZeroPad,
-        DwtKernel::Convolve);
+        img.sub(off, off, win, win), fp, levels, BoundaryMode::ZeroPad);
     std::size_t compared = 0;
     for (int l = 0; l < levels; ++l) {
         // Band coords: window band row k == full band row k + off>>(l+1).

@@ -124,40 +124,25 @@ make_scene_pool(std::size_t edge, std::uint64_t seed,
 /// Ground truth for the bit-identity audit: sequential decompositions of
 /// the popular scene, one per mix configuration.
 [[nodiscard]] inline std::vector<core::Pyramid> make_scene0_refs(
-    const core::ImageF& scene0,
-    core::DwtKernel kernel = core::DwtKernel::Convolve) {
+    const core::ImageF& scene0) {
     std::vector<core::Pyramid> refs;
     refs.reserve(kTable1MixCount);
     for (const auto& m : kTable1Mix) {
         refs.push_back(core::decompose(scene0, core::FilterPair::daubechies(m.taps),
-                                       m.levels, core::BoundaryMode::Periodic,
-                                       kernel));
+                                       m.levels, core::BoundaryMode::Periodic));
     }
     return refs;
 }
 
-[[nodiscard]] inline bool pyramids_identical(const core::Pyramid& a,
-                                             const core::Pyramid& b) {
-    if (a.depth() != b.depth()) return false;
-    for (std::size_t k = 0; k < a.depth(); ++k) {
-        if (a.levels[k].lh != b.levels[k].lh) return false;
-        if (a.levels[k].hl != b.levels[k].hl) return false;
-        if (a.levels[k].hh != b.levels[k].hh) return false;
-    }
-    return a.approx == b.approx;
-}
-
 /// Mix-weighted sequential cold-compute time of `scene0` — the capacity
 /// yardstick the load benches scale their offered rates from.
-[[nodiscard]] inline double measure_weighted_cold_compute(
-    const core::ImageF& scene0,
-    core::DwtKernel kernel = core::DwtKernel::Convolve) {
+[[nodiscard]] inline double measure_weighted_cold_compute(const core::ImageF& scene0) {
     using Clock = std::chrono::steady_clock;
     double weighted = 0.0;
     for (const auto& m : kTable1Mix) {
         const auto t0 = Clock::now();
         (void)core::decompose(scene0, core::FilterPair::daubechies(m.taps),
-                              m.levels, core::BoundaryMode::Periodic, kernel);
+                              m.levels, core::BoundaryMode::Periodic);
         weighted +=
             m.weight * std::chrono::duration<double>(Clock::now() - t0).count();
     }

@@ -77,12 +77,7 @@ int main(int argc, char** argv) {
                     perf::TableWriter::pct(b.useful), perf::TableWriter::pct(b.comm),
                     perf::TableWriter::pct(b.redundancy),
                     perf::TableWriter::pct(b.imbalance)});
-        // The mesh stripes pin the convolve kernel (the halo-extended
-        // column pass has no lifting form), so the bit-identity reference
-        // must pin it too even when WAVEHPC_DWT_KERNEL selects lifting.
-        if (!(res.pyramid.approx ==
-              core::decompose(img, fp, levels, cfg.mode,
-                              core::DwtKernel::Convolve).approx)) {
+        if (!(res.pyramid.approx == core::decompose(img, fp, levels, cfg.mode).approx)) {
             std::cerr << "paragon backend mismatch!\n";
             return 1;
         }

@@ -41,25 +41,22 @@ void validate_pyramid(const Pyramid& pyr) {
     }
 }
 
-Subbands decompose_level(const ImageF& in, const FilterPair& fp, BoundaryMode mode,
-                         DwtKernel kernel) {
+Subbands decompose_level(const ImageF& in, const FilterPair& fp, BoundaryMode mode) {
     validate_decomposition_request(in.rows(), in.cols(), 1);
     // Steps 1-4 run through the shared kernel layer: one fused row pass
     // (I -> L, H) and one fused column pass (L, H -> LL, LH, HL, HH).
     Subbands sb;
-    analyze_level(in, fp, sb.ll, sb.detail.lh, sb.detail.hl, sb.detail.hh, mode,
-                  kernel);
+    analyze_level(in, fp, sb.ll, sb.detail.lh, sb.detail.hl, sb.detail.hh, mode);
     return sb;
 }
 
 Pyramid decompose(const ImageF& img, const FilterPair& fp, int levels, BoundaryMode mode,
-                  DwtKernel kernel) {
+                  DwtKernel /*kernel*/) {
     validate_decomposition_request(img.rows(), img.cols(), levels);
-    kernel = resolve_dwt_kernel(kernel, fp);  // resolve once for all levels
     Pyramid pyr;
     pyr.levels.reserve(static_cast<std::size_t>(levels));
     for (int k = 0; k < levels; ++k) {
-        Subbands sb = decompose_level(k == 0 ? img : pyr.approx, fp, mode, kernel);
+        Subbands sb = decompose_level(k == 0 ? img : pyr.approx, fp, mode);
         pyr.levels.push_back(std::move(sb.detail));
         pyr.approx = std::move(sb.ll);
     }

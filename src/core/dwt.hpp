@@ -36,16 +36,15 @@ struct Pyramid {
     [[nodiscard]] std::size_t depth() const noexcept { return levels.size(); }
 };
 
-/// Steps (1)-(4) of the paper's algorithm: decompose one level. `kernel`
-/// selects the arithmetic path (core/kernels.hpp); Auto defers to the
-/// process-wide selector and resolves to Convolve by default.
+/// Steps (1)-(4) of the paper's algorithm: decompose one level through the
+/// kernel layer (core/kernels.hpp).
 [[nodiscard]] Subbands decompose_level(const ImageF& in, const FilterPair& fp,
-                                       BoundaryMode mode = BoundaryMode::Periodic,
-                                       DwtKernel kernel = DwtKernel::Auto);
+                                       BoundaryMode mode = BoundaryMode::Periodic);
 
 /// Full multi-resolution decomposition to `levels` levels. The image
 /// dimensions must be divisible by 2^levels. Reads `img` in place at
-/// level 0 (no working copy).
+/// level 0 (no working copy). `kernel` is unused (Convolve is the one
+/// kernel); it stays because the benchmark package passes it.
 [[nodiscard]] Pyramid decompose(const ImageF& img, const FilterPair& fp, int levels,
                                 BoundaryMode mode = BoundaryMode::Periodic,
                                 DwtKernel kernel = DwtKernel::Auto);

@@ -6,6 +6,7 @@
 // Landsat bands as single-precision floats, hence the ImageF alias.
 
 #include <cstddef>
+#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -88,8 +89,14 @@ public:
         }
     }
 
+    /// Equal when the shapes match and the pixels are the same bytes, so
+    /// +0 and -0 differ and an image holding a NaN equals its copy: the
+    /// bit identity the backends and tests claim, not value equality.
     friend bool operator==(const Image& a, const Image& b) {
-        return a.rows_ == b.rows_ && a.cols_ == b.cols_ && a.data_ == b.data_;
+        // Equal shapes mean equal sizes; an empty image may hold no buffer.
+        const std::size_t bytes = a.data_.size() * sizeof(T);
+        return a.rows_ == b.rows_ && a.cols_ == b.cols_ &&
+               (bytes == 0 || std::memcmp(a.data_.data(), b.data_.data(), bytes) == 0);
     }
 
     /// Move the pixel storage out (capacity preserved), leaving an empty

@@ -1,231 +1,17 @@
 #include "core/kernels.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
 #include <stdexcept>
-
-#include "core/knobs.hpp"
 
 namespace wavehpc::core {
 
-namespace {
-
-// Process-wide programmatic override; Auto = defer to the environment.
-std::atomic<DwtKernel> g_default_kernel{DwtKernel::Auto};
-
-void require_even(std::size_t n, const char* what) {
-    if (n == 0 || n % 2 != 0) {
-        throw std::invalid_argument(std::string("kernels: ") + what +
-                                    " must be even and non-zero");
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Lifting plan construction: peel plane rotations off the analysis filter
-// functionals in double precision, then verify by regenerating the filter.
-//
-// State: after stage t the lattice outputs are shift-invariant functionals
-//   u_t[i] = sum_j pU[j] a[i+j] + qU[j] b[i+j]   (likewise pV/qV for v_t)
-// over the polyphase streams a[i] = x[2k+2i], b[i] = x[2k+2i+1]. The
-// forward recursion (see kernels.hpp) grows the support by one per stage;
-// peeling inverts it one rotation at a time, choosing the angle that
-// annihilates the tail coefficient.
-// ---------------------------------------------------------------------------
-
-struct Lattice {
-    std::vector<double> c;  // cos(theta_t)
-    std::vector<double> s;  // sin(theta_t)
-};
-
-// Forward-regenerate the functional coefficient arrays from a lattice and
-// return the max abs deviation from the target polyphase coefficients.
-[[nodiscard]] double lattice_residual(const Lattice& lat, const std::vector<double>& tpU,
-                                      const std::vector<double>& tqU,
-                                      const std::vector<double>& tpV,
-                                      const std::vector<double>& tqV) {
-    const std::size_t m = lat.c.size();
-    std::vector<double> pU{lat.c[0]}, qU{lat.s[0]}, pV{-lat.s[0]}, qV{lat.c[0]};
-    for (std::size_t t = 1; t < m; ++t) {
-        std::vector<double> npU(t + 1, 0.0), nqU(t + 1, 0.0), npV(t + 1, 0.0),
-            nqV(t + 1, 0.0);
-        const double c = lat.c[t];
-        const double s = lat.s[t];
-        for (std::size_t j = 0; j <= t; ++j) {
-            const double pu = j < t ? pU[j] : 0.0;
-            const double qu = j < t ? qU[j] : 0.0;
-            const double pv = j > 0 ? pV[j - 1] : 0.0;
-            const double qv = j > 0 ? qV[j - 1] : 0.0;
-            npU[j] = c * pu + s * pv;
-            nqU[j] = c * qu + s * qv;
-            npV[j] = -s * pu + c * pv;
-            nqV[j] = -s * qu + c * qv;
-        }
-        pU = std::move(npU);
-        qU = std::move(nqU);
-        pV = std::move(npV);
-        qV = std::move(nqV);
-    }
-    double worst = 0.0;
-    for (std::size_t j = 0; j < m; ++j) {
-        worst = std::max(worst, std::abs(pU[j] - tpU[j]));
-        worst = std::max(worst, std::abs(qU[j] - tqU[j]));
-        worst = std::max(worst, std::abs(pV[j] - tpV[j]));
-        worst = std::max(worst, std::abs(qV[j] - tqV[j]));
-    }
-    return worst;
-}
-
-// Attempt the peeling for one output-sign combination. Returns the residual
-// of the forward verification (infinity when the peeling degenerates).
-[[nodiscard]] double try_factorize(const FilterPair& fp, double sign_lo, double sign_hi,
-                                   Lattice& out) {
-    const auto fl = fp.low();
-    const auto fh = fp.high();
-    const std::size_t m = fl.size() / 2;
-    std::vector<double> pU(m), qU(m), pV(m), qV(m);
-    for (std::size_t j = 0; j < m; ++j) {
-        pU[j] = sign_lo * static_cast<double>(fl[2 * j]);
-        qU[j] = sign_lo * static_cast<double>(fl[2 * j + 1]);
-        pV[j] = sign_hi * static_cast<double>(fh[2 * j]);
-        qV[j] = sign_hi * static_cast<double>(fh[2 * j + 1]);
-    }
-    const std::vector<double> tpU = pU, tqU = qU, tpV = pV, tqV = qV;
-
-    Lattice lat;
-    lat.c.assign(m, 1.0);
-    lat.s.assign(m, 0.0);
-    for (std::size_t t = m; t-- > 1;) {
-        // Tail annihilation: (c, s) proportional to (pV[t], pU[t]) zeroes
-        // the stage-t coefficient of the inverted U functional.
-        const double r = std::hypot(pV[t], pU[t]);
-        if (r < 1e-12) return std::numeric_limits<double>::infinity();
-        const double c = pV[t] / r;
-        const double s = pU[t] / r;
-        lat.c[t] = c;
-        lat.s[t] = s;
-        std::vector<double> npU(t), nqU(t), npV(t), nqV(t);
-        for (std::size_t j = 0; j < t; ++j) {
-            npU[j] = c * pU[j] - s * pV[j];
-            nqU[j] = c * qU[j] - s * qV[j];
-            npV[j] = s * pU[j + 1] + c * pV[j + 1];
-            nqV[j] = s * qU[j + 1] + c * qV[j + 1];
-        }
-        pU = std::move(npU);
-        qU = std::move(nqU);
-        pV = std::move(npV);
-        qV = std::move(nqV);
-    }
-    // Stage 0 must be a pure rotation: (pU, qU) = (c, s), (pV, qV) = (-s, c).
-    lat.c[0] = pU[0];
-    lat.s[0] = qU[0];
-    // The head-zero conditions of every peeled stage, the rotation form of
-    // stage 0, and the sign choice are all checked at once by regenerating
-    // the filter from the lattice.
-    const double residual = lattice_residual(lat, tpU, tqU, tpV, tqV);
-    out = std::move(lat);
-    return residual;
-}
-
-}  // namespace
-
-const char* to_string(DwtKernel k) noexcept {
-    switch (k) {
-        case DwtKernel::Auto:
-            return "auto";
-        case DwtKernel::Convolve:
-            return "convolve";
-        case DwtKernel::Lifting:
-            return "lifting";
-    }
-    return "convolve";  // unreachable
-}
-
-bool parse_dwt_kernel(std::string_view text, DwtKernel& out) noexcept {
-    if (text == "auto") {
-        out = DwtKernel::Auto;
-    } else if (text == "convolve") {
-        out = DwtKernel::Convolve;
-    } else if (text == "lifting") {
-        out = DwtKernel::Lifting;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-DwtKernel default_dwt_kernel() {
-    const DwtKernel k = g_default_kernel.load(std::memory_order_relaxed);
-    if (k != DwtKernel::Auto) return k;
-    return env_choice("WAVEHPC_DWT_KERNEL") == "lifting" ? DwtKernel::Lifting
-                                                         : DwtKernel::Convolve;
-}
-
-void set_default_dwt_kernel(DwtKernel k) noexcept {
-    g_default_kernel.store(k, std::memory_order_relaxed);
-}
-
-DwtKernel resolve_dwt_kernel(DwtKernel requested, const FilterPair& fp) {
-    DwtKernel k = requested == DwtKernel::Auto ? default_dwt_kernel() : requested;
-    if (k == DwtKernel::Lifting && !build_lifting_plan(fp).valid) {
-        k = DwtKernel::Convolve;
-    }
-    return k;
-}
-
-LiftingPlan build_lifting_plan(const FilterPair& fp) {
-    LiftingPlan plan;
-    const std::size_t taps = fp.low().size();
-    if (taps < 2 || taps % 2 != 0) return plan;
-    const std::size_t m = taps / 2;
-
-    // The lattice output signs are a convention, not a degree of freedom we
-    // control: try the four combinations and keep the one whose forward
-    // regeneration reproduces the registered filter bank.
-    constexpr double kResidualTol = 1e-5;  // filter taps are floats (~6e-8 ulp)
-    Lattice best;
-    double best_sign_lo = 1.0;
-    double best_sign_hi = 1.0;
-    double best_residual = std::numeric_limits<double>::infinity();
-    for (const double sign_lo : {1.0, -1.0}) {
-        for (const double sign_hi : {1.0, -1.0}) {
-            Lattice lat;
-            const double residual = try_factorize(fp, sign_lo, sign_hi, lat);
-            if (residual < best_residual) {
-                best_residual = residual;
-                best = lat;
-                best_sign_lo = sign_lo;
-                best_sign_hi = sign_hi;
-            }
-        }
-    }
-    if (best_residual > kResidualTol) return plan;  // not lattice-factorizable
-
-    // Fold the rotations into shear form: rotation = cos * [[1, T], [-T, 1]]
-    // with T = tan(theta); the cosines accumulate into the output scales.
-    double prod_c = 1.0;
-    plan.shear.resize(m);
-    for (std::size_t t = 0; t < m; ++t) {
-        // A near-90-degree stage would blow the shear coefficient up and
-        // lose float precision to cancellation; refuse and let the caller
-        // fall back to convolution.
-        if (std::abs(best.c[t]) < 1e-2) return plan;
-        const double shear = best.s[t] / best.c[t];
-        if (std::abs(shear) > 64.0) return plan;
-        plan.shear[t] = static_cast<float>(shear);
-        prod_c *= best.c[t];
-    }
-    plan.scale_lo = static_cast<float>(best_sign_lo * prod_c);
-    plan.scale_hi = static_cast<float>(best_sign_hi * prod_c);
-    plan.valid = true;
-    return plan;
-}
-
-// ---------------------------------------------------------------------------
-// Analysis bodies: one loop body per kernel and per pass, run by every
-// caller — the whole-plane sweeps (serial, threads, batched), the tile
-// stream, and the mesh backends over their pre-extended stripes — so a fix
-// or a vectorization of a pass lands once.
+// Analysis bodies: one Convolve loop body per pass, run by every caller —
+// the whole-plane sweeps (serial, threads, batched), the tile stream, and
+// the mesh backends over their pre-extended stripes — so a fix or a
+// vectorization of a pass lands once. Both are bit-identical to the unfused
+// convolve_decimate_* oracle in tests/convolve.hpp (same per-coefficient
+// accumulation order).
 //
 //   * Row pass: output range [k0, k1) of the FULL signal x, output k at
 //     lo[k-k0]. Boundary extension applies at the true signal edges only.
@@ -242,11 +28,12 @@ LiftingPlan build_lifting_plan(const FilterPair& fp) {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Convolve: the golden kernel, bit-identical to the unfused
-// convolve_decimate_* oracle in tests/convolve.hpp (same per-coefficient
-// accumulation order).
-// ---------------------------------------------------------------------------
+void require_even(std::size_t n, const char* what) {
+    if (n == 0 || n % 2 != 0) {
+        throw std::invalid_argument(std::string("kernels: ") + what +
+                                    " must be even and non-zero");
+    }
+}
 
 // Outputs per register block of the interior row pass: 16 low and 16 high
 // float accumulators take eight 128-bit vector registers, half of the
@@ -433,305 +220,6 @@ void convolve_cols_range(const RowSource& low_row, const RowSource& high_row,
     }
 }
 
-// ---------------------------------------------------------------------------
-// Lifting kernels. All loops are unit-stride over distinct buffers; the
-// in-place stage updates read v[i+1] before writing v[i] (anti-dependence
-// of distance one), which auto-vectorizes cleanly.
-// ---------------------------------------------------------------------------
-
-// taps == 2: the lattice collapses to a single rotation whose entries ARE
-// the filter coefficients, so it is executed in rotation form straight from
-// the filter floats — the identical multiply/add sequence as the convolve
-// kernel, hence bit-exact (the window never reaches the boundary either).
-void haar_row(const float* __restrict x, std::size_t half, float fl0, float fl1,
-              float fh0, float fh1, float* __restrict lo, float* __restrict hi) {
-    for (std::size_t k = 0; k < half; ++k) {
-        const float x0 = x[2 * k];
-        const float x1 = x[2 * k + 1];
-        float acc_lo = fl0 * x0;
-        acc_lo += fl1 * x1;
-        float acc_hi = fh0 * x0;
-        acc_hi += fh1 * x1;
-        lo[k] = acc_lo;
-        hi[k] = acc_hi;
-    }
-}
-
-void haar_col(const float* __restrict e, const float* __restrict o, std::size_t w,
-              float f0, float f1, float g0, float g1, float* __restrict dlo,
-              float* __restrict dhi) {
-    for (std::size_t c = 0; c < w; ++c) {
-        float acc_lo = f0 * e[c];
-        acc_lo += f1 * o[c];
-        float acc_hi = g0 * e[c];
-        acc_hi += g1 * o[c];
-        dlo[c] = acc_lo;
-        dhi[c] = acc_hi;
-    }
-}
-
-void lift_stage(float* __restrict u, float* __restrict v, std::size_t len, float t) {
-    for (std::size_t i = 0; i < len; ++i) {
-        const float a = u[i];
-        const float b = v[i + 1];
-        u[i] = a + t * b;
-        v[i] = b - t * a;
-    }
-}
-
-void lift_final(const float* __restrict u, const float* __restrict v, std::size_t half,
-                float t, float sl, float sh, float* __restrict lo,
-                float* __restrict hi) {
-    for (std::size_t k = 0; k < half; ++k) {
-        const float a = u[k];
-        const float b = v[k + 1];
-        lo[k] = sl * (a + t * b);
-        hi[k] = sh * (b - t * a);
-    }
-}
-
-/// Extended sample of the signal at (possibly out-of-range) index `i`.
-[[nodiscard]] inline float ext_sample(std::span<const float> x, std::ptrdiff_t i,
-                                      BoundaryMode mode) noexcept {
-    const std::size_t idx = extend_index(i, x.size(), mode);
-    return idx < x.size() ? x[idx] : 0.0F;
-}
-
-// Stage 0 of the row ladder, fused with the polyphase split. Standalone for
-// the same reason as split_phases: GCC drops the alias checks only for
-// __restrict parameters.
-void lift_row_stage0(const float* __restrict x, std::size_t len, float t0,
-                     float* __restrict u, float* __restrict v) {
-    for (std::size_t j = 0; j < len; ++j) {
-        const float a = x[2 * j];
-        const float b = x[2 * j + 1];
-        u[j] = a + t0 * b;
-        v[j] = b - t0 * a;
-    }
-}
-
-// Lifting ladder over the pair window [k0, k1+ext), m >= 2: stage-0 values
-// are seeded from the global signal (direct loads while the pair is in
-// range, ext_sample past the edge), then the shrinking middle stages and
-// the fused final stage run on the segment. Output k reads only pairs
-// k..k+ext, all inside the window, so every intermediate equals its
-// whole-signal counterpart bit for bit. u and v are separate allocations:
-// carving both from one buffer misaligns v, which measured ~7 % slower at
-// 8 taps on a 512-wide plane (x86-64, SSE2).
-void lifting_row_range(std::span<const float> x, const LiftingPlan& plan,
-                       std::span<float> lo, std::span<float> hi, BoundaryMode mode,
-                       std::size_t k0, std::size_t k1) {
-    const std::size_t half = x.size() / 2;
-    const std::size_t m = plan.stages();
-    const std::size_t ext = m - 1;
-    const std::size_t seg = k1 - k0;
-    const float t0 = plan.shear[0];
-    thread_local std::vector<float> u_buf;
-    thread_local std::vector<float> v_buf;
-    if (u_buf.size() < seg + ext) {
-        u_buf.resize(seg + ext);
-        v_buf.resize(seg + ext);
-    }
-    float* const u = u_buf.data();
-    float* const v = v_buf.data();
-    const std::size_t direct = std::min(seg + ext, half - std::min(half, k0));
-    lift_row_stage0(x.data() + 2 * k0, direct, t0, u, v);
-    for (std::size_t j = direct; j < seg + ext; ++j) {
-        const std::size_t i = k0 + j;
-        const float a = ext_sample(x, static_cast<std::ptrdiff_t>(2 * i), mode);
-        const float b = ext_sample(x, static_cast<std::ptrdiff_t>(2 * i + 1), mode);
-        u[j] = a + t0 * b;
-        v[j] = b - t0 * a;
-    }
-    for (std::size_t t = 1; t + 1 < m; ++t) {
-        lift_stage(u, v, seg + ext - t, plan.shear[t]);
-    }
-    lift_final(u, v, seg, plan.shear[m - 1], plan.scale_lo, plan.scale_hi, lo.data(),
-               hi.data());
-}
-
-/// Source row of the even (parity == 0) or odd (parity == 1) polyphase
-/// plane at plane index `i`, mapped through the boundary when 2i+parity
-/// falls outside; returns nullptr for a ZeroPad row of zeros.
-template <typename RowSource>
-[[nodiscard]] const float* polyphase_row(const RowSource& row, std::size_t plane_rows,
-                                         std::size_t i, int parity, BoundaryMode mode) {
-    const std::size_t idx =
-        extend_index(static_cast<std::ptrdiff_t>(2 * i) + parity, plane_rows, mode);
-    return idx < plane_rows ? row(idx) : nullptr;
-}
-
-void lift_col_stage0(const float* __restrict e, const float* __restrict o,
-                     std::size_t w, float t0, float* __restrict u,
-                     float* __restrict v) {
-    for (std::size_t c = 0; c < w; ++c) {
-        const float a = e[c];
-        const float b = o[c];
-        u[c] = a + t0 * b;
-        v[c] = b - t0 * a;
-    }
-}
-
-// Rolling column-stage kernels for the single-pass sweep: a stage consumes
-// v_{t-1}[li+1] from `vprev` and leaves v_{t-1}[li] there for the next
-// (descending) iteration.
-void lift_col_roll(float* __restrict u, float* __restrict v,
-                   float* __restrict vprev, std::size_t w, float t) {
-    for (std::size_t c = 0; c < w; ++c) {
-        const float a = u[c];
-        const float b = vprev[c];
-        u[c] = a + t * b;
-        const float keep = v[c];
-        v[c] = b - t * a;
-        vprev[c] = keep;
-    }
-}
-
-void lift_col_final_roll(const float* __restrict u, const float* __restrict v,
-                         float* __restrict vprev, std::size_t w, float t, float sl,
-                         float sh, float* __restrict dlo, float* __restrict dhi) {
-    for (std::size_t c = 0; c < w; ++c) {
-        const float a = u[c];
-        const float b = vprev[c];
-        dlo[c] = sl * (a + t * b);
-        dhi[c] = sh * (b - t * a);
-        vprev[c] = v[c];
-    }
-}
-
-// Column lifting for one source plane over output rows [k0, k1): writes
-// out_lo (low-pass columns, from column lo_col0) and out_hi (high-pass
-// columns) at row k-out0. Outputs are written, not accumulated.
-//
-// Single descending sweep with rolling per-stage state. Iteration li
-// computes stage 0 of polyphase strip li, then advances each middle stage t
-// using v_{t-1}[li+1] stashed in vprev[t-1] by iteration li+1, and emits
-// output row li once every stage is available. All state between the
-// source read and the output write is m+1 rows (~L1), so the pass streams
-// the source once instead of once per stage. Each output element evaluates
-// exactly the expression tree of the naive stage-by-stage ladder, and every
-// column is independent, so any [k0, k1) split or column segment is
-// bit-identical.
-template <typename RowSource>
-void lifting_cols_range(const RowSource& src_row, std::size_t plane_rows,
-                        std::size_t width, const LiftingPlan& plan, ImageF& out_lo,
-                        ImageF& out_hi, BoundaryMode mode, std::size_t k0,
-                        std::size_t k1, std::size_t out0, std::size_t lo_col0) {
-    const std::size_t m = plan.stages();
-    const std::size_t ext = m - 1;
-    const std::size_t strips_end = k1 + ext;  // strip rows k0 .. strips_end-1
-    thread_local std::vector<float> scratch;
-    if (scratch.size() < (m + 1) * width) scratch.resize((m + 1) * width);
-    float* const uwork = scratch.data() + ext * width;
-    float* const vwork = uwork + width;
-    const auto vprev = [&](std::size_t t) { return scratch.data() + t * width; };
-    std::vector<float> zeros;  // lazily sized; ZeroPad rows only
-    for (std::size_t li = strips_end; li-- > k0;) {
-        const float* e = polyphase_row(src_row, plane_rows, li, 0, mode);
-        const float* o = polyphase_row(src_row, plane_rows, li, 1, mode);
-        if (e == nullptr || o == nullptr) {
-            if (zeros.size() != width) zeros.assign(width, 0.0F);
-            if (e == nullptr) e = zeros.data();
-            if (o == nullptr) o = zeros.data();
-        }
-        lift_col_stage0(e, o, width, plan.shear[0], uwork, vwork);
-        std::size_t t = 1;
-        for (; t + 1 < m && li + t < strips_end; ++t) {
-            lift_col_roll(uwork, vwork, vprev(t - 1), width, plan.shear[t]);
-        }
-        if (li < k1) {
-            lift_col_final_roll(uwork, vwork, vprev(m - 2), width, plan.shear[m - 1],
-                                plan.scale_lo, plan.scale_hi,
-                                out_lo.row(li - out0).data() + lo_col0,
-                                out_hi.row(li - out0).data());
-        } else {
-            // Priming strip (li >= k1): no output yet; seed the deepest
-            // completed stage's v for the next iteration.
-            float* const dst = vprev(t - 1);
-            for (std::size_t c = 0; c < width; ++c) dst[c] = vwork[c];
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The one kernel dispatch, and the two passes every entry point runs.
-// ---------------------------------------------------------------------------
-
-// The loop body a call runs, picked once per call: Auto resolves through
-// the process default, Lifting on a two-tap bank runs the exact Haar
-// butterfly, and Lifting without a verified plan falls back to Convolve.
-struct Body {
-    enum class Kind : std::uint8_t { Convolve, Haar, Lifting };
-    Kind kind = Kind::Convolve;
-    LiftingPlan plan;  ///< valid when kind == Lifting
-};
-
-[[nodiscard]] Body pick_body(const FilterPair& fp, DwtKernel kernel) {
-    Body body;
-    if (kernel == DwtKernel::Auto) kernel = default_dwt_kernel();
-    if (kernel != DwtKernel::Lifting) return body;
-    if (fp.low().size() == 2) {
-        body.kind = Body::Kind::Haar;
-        return body;
-    }
-    body.plan = build_lifting_plan(fp);
-    if (body.plan.valid) body.kind = Body::Kind::Lifting;
-    return body;
-}
-
-void row_pass(const Body& body, std::span<const float> x, const FilterPair& fp,
-              std::span<float> lo, std::span<float> hi, BoundaryMode mode, std::size_t k0,
-              std::size_t k1) {
-    switch (body.kind) {
-        case Body::Kind::Haar: {
-            // Haar windows never reach the boundary: x + 2*k0 re-bases the
-            // same in-range loads.
-            const auto fl = fp.low();
-            const auto fh = fp.high();
-            haar_row(x.data() + 2 * k0, k1 - k0, fl[0], fl[1], fh[0], fh[1], lo.data(),
-                     hi.data());
-            return;
-        }
-        case Body::Kind::Lifting:
-            lifting_row_range(x, body.plan, lo, hi, mode, k0, k1);
-            return;
-        case Body::Kind::Convolve:
-            convolve_row_range(x, fp, lo, hi, mode, k0, k1);
-            return;
-    }
-}
-
-template <typename RowSource>
-void col_pass(const Body& body, const RowSource& low_row, const RowSource& high_row,
-              std::size_t plane_rows, std::size_t width, const FilterPair& fp, ImageF& ll,
-              ImageF& lh, ImageF& hl, ImageF& hh, BoundaryMode mode, std::size_t k0,
-              std::size_t k1, std::size_t out0, std::size_t ll_col0) {
-    switch (body.kind) {
-        case Body::Kind::Haar: {
-            const auto fl = fp.low();
-            const auto fh = fp.high();
-            for (std::size_t k = k0; k < k1; ++k) {
-                haar_col(low_row(2 * k), low_row(2 * k + 1), width, fl[0], fl[1], fh[0],
-                         fh[1], ll.row(k - out0).data() + ll_col0,
-                         lh.row(k - out0).data());
-                haar_col(high_row(2 * k), high_row(2 * k + 1), width, fl[0], fl[1],
-                         fh[0], fh[1], hl.row(k - out0).data(), hh.row(k - out0).data());
-            }
-            return;
-        }
-        case Body::Kind::Lifting:
-            lifting_cols_range(low_row, plane_rows, width, body.plan, ll, lh, mode, k0,
-                               k1, out0, ll_col0);
-            lifting_cols_range(high_row, plane_rows, width, body.plan, hl, hh, mode, k0,
-                               k1, out0, 0);
-            return;
-        case Body::Kind::Convolve:
-            convolve_cols_range(low_row, high_row, plane_rows, width, fp, ll, lh, hl, hh,
-                                mode, k0, k1, out0, ll_col0);
-            return;
-    }
-}
-
 /// Row source over a whole plane: a direct row lookup the compiler inlines
 /// (the tile API's RowAccessor costs a std::function call per row).
 struct PlaneRows {
@@ -835,7 +323,7 @@ void synthesis_col_pass(const RowSource& low_row, const RowSource& high_row,
 }  // namespace
 
 void analyze_rows_range(const ImageF& in, const FilterPair& fp, ImageF& lo, ImageF& hi,
-                        BoundaryMode mode, DwtKernel kernel, std::size_t r0,
+                        BoundaryMode mode, DwtKernel /*kernel*/, std::size_t r0,
                         std::size_t r1) {
     require_even(in.cols(), "column count");
     const std::size_t half = in.cols() / 2;
@@ -846,15 +334,14 @@ void analyze_rows_range(const ImageF& in, const FilterPair& fp, ImageF& lo, Imag
     if (r0 > r1 || r1 > in.rows()) {
         throw std::invalid_argument("analyze_rows_range: bad row range");
     }
-    const Body body = pick_body(fp, kernel);
     for (std::size_t r = r0; r < r1; ++r) {
-        row_pass(body, in.row(r), fp, lo.row(r), hi.row(r), mode, 0, half);
+        convolve_row_range(in.row(r), fp, lo.row(r), hi.row(r), mode, 0, half);
     }
 }
 
 void analyze_cols_range(const ImageF& low_rows, const ImageF& high_rows,
                         const FilterPair& fp, ImageF& ll, ImageF& lh, ImageF& hl,
-                        ImageF& hh, BoundaryMode mode, DwtKernel kernel,
+                        ImageF& hh, BoundaryMode mode, DwtKernel /*kernel*/,
                         std::size_t k0, std::size_t k1) {
     require_even(low_rows.rows(), "row count");
     const std::size_t half = low_rows.rows() / 2;
@@ -870,13 +357,13 @@ void analyze_cols_range(const ImageF& low_rows, const ImageF& high_rows,
     if (k0 > k1 || k1 > half) {
         throw std::invalid_argument("analyze_cols_range: bad output range");
     }
-    col_pass(pick_body(fp, kernel), PlaneRows{low_rows}, PlaneRows{high_rows},
-             low_rows.rows(), cols, fp, ll, lh, hl, hh, mode, k0, k1, 0, 0);
+    convolve_cols_range(PlaneRows{low_rows}, PlaneRows{high_rows}, low_rows.rows(), cols,
+                        fp, ll, lh, hl, hh, mode, k0, k1, 0, 0);
 }
 
 void analyze_1d_range(std::span<const float> x, const FilterPair& fp,
                       std::span<float> lo, std::span<float> hi, BoundaryMode mode,
-                      DwtKernel kernel, std::size_t k0, std::size_t k1) {
+                      std::size_t k0, std::size_t k1) {
     require_even(x.size(), "signal length");
     const std::size_t half = x.size() / 2;
     if (k0 > k1 || k1 > half) {
@@ -886,14 +373,14 @@ void analyze_1d_range(std::span<const float> x, const FilterPair& fp,
         throw std::invalid_argument("analyze_1d_range: band size must be k1-k0");
     }
     if (k0 == k1) return;
-    row_pass(pick_body(fp, kernel), x, fp, lo, hi, mode, k0, k1);
+    convolve_row_range(x, fp, lo, hi, mode, k0, k1);
 }
 
 void analyze_cols_tile(const RowAccessor& low_row, const RowAccessor& high_row,
                        std::size_t plane_rows, std::size_t width,
                        const FilterPair& fp, ImageF& ll, ImageF& lh, ImageF& hl,
-                       ImageF& hh, BoundaryMode mode, DwtKernel kernel,
-                       std::size_t k0, std::size_t k1, std::size_t ll_col0) {
+                       ImageF& hh, BoundaryMode mode, std::size_t k0, std::size_t k1,
+                       std::size_t ll_col0) {
     require_even(plane_rows, "row count");
     const std::size_t half = plane_rows / 2;
     if (k0 > k1 || k1 > half) {
@@ -908,26 +395,26 @@ void analyze_cols_tile(const RowAccessor& low_row, const RowAccessor& high_row,
         }
     }
     if (k0 == k1) return;
-    col_pass(pick_body(fp, kernel), low_row, high_row, plane_rows, width, fp, ll, lh,
-             hl, hh, mode, k0, k1, k0, ll_col0);
+    convolve_cols_range(low_row, high_row, plane_rows, width, fp, ll, lh, hl, hh, mode, k0,
+                        k1, k0, ll_col0);
 }
 
 void analyze_level(const ImageF& in, const FilterPair& fp, ImageF& ll, ImageF& lh,
-                   ImageF& hl, ImageF& hh, BoundaryMode mode, DwtKernel kernel) {
+                   ImageF& hl, ImageF& hh, BoundaryMode mode) {
     require_even(in.rows(), "row count");
     require_even(in.cols(), "column count");
     const std::size_t half_r = in.rows() / 2;
     const std::size_t half_c = in.cols() / 2;
-    if (kernel == DwtKernel::Auto) kernel = default_dwt_kernel();
     ImageF low_rows(in.rows(), half_c);
     ImageF high_rows(in.rows(), half_c);
-    analyze_rows_range(in, fp, low_rows, high_rows, mode, kernel, 0, in.rows());
+    analyze_rows_range(in, fp, low_rows, high_rows, mode, DwtKernel::Convolve, 0,
+                       in.rows());
     ll = ImageF(half_r, half_c);
     lh = ImageF(half_r, half_c);
     hl = ImageF(half_r, half_c);
     hh = ImageF(half_r, half_c);
-    analyze_cols_range(low_rows, high_rows, fp, ll, lh, hl, hh, mode, kernel, 0,
-                       half_r);
+    analyze_cols_range(low_rows, high_rows, fp, ll, lh, hl, hh, mode, DwtKernel::Convolve,
+                       0, half_r);
 }
 
 void synthesize_rows_range(const ImageF& low, const ImageF& high, const FilterPair& fp,

@@ -1,42 +1,19 @@
 #pragma once
 // The unified DWT kernel layer: every backend (serial, threads, mesh,
 // maspar) runs its analysis and synthesis arithmetic through the entry
-// points below, so boundary handling, accumulation order, and kernel
-// selection live in exactly one place.
+// points below, so boundary handling and accumulation order live in
+// exactly one place.
 //
-// Two kernels implement the per-level analysis:
-//
-//   * Convolve — the paper's separable filter+decimate sweeps, fused so
-//     one row pass emits both row bands and one register-blocked column
-//     pass emits all four subbands. Bit-identical to the unfused
-//     convolve_decimate_* oracle in the test tree (tests/convolve.hpp;
-//     same per-coefficient accumulation order); this is the golden kernel.
-//
-//   * Lifting — a fused in-place factorization of the analysis polyphase
-//     matrix into taps/2 plane-rotation stages (the paraunitary lattice
-//     form of the lifting scheme, Daubechies–Sweldens / Vaidyanathan),
-//     derived *numerically from the registered filter bank* at plan-build
-//     time and verified against the filter taps before use. Each stage is
-//     two fused multiply-adds per sample pair in shear form (rotation =
-//     scale x shear), so an analysis costs ~(taps+2) multiplies per
-//     coefficient pair instead of convolution's 2*taps, the inner loops
-//     are unit-stride and compiler-vectorizable, and the whole level runs
-//     in-place over cache-sized polyphase strips. Haar reduces to the
-//     single exact butterfly and stays bit-identical to Convolve; wider
-//     filters agree within float tolerance (see DESIGN.md).
-//
-// Selection: callers pass DwtKernel::Auto to defer to the process-wide
-// selector — set_default_dwt_kernel() if called, else the
-// WAVEHPC_DWT_KERNEL environment variable ("convolve" | "lifting"; "auto"
-// means convolve, anything else throws), else Convolve. A Lifting request silently falls back to Convolve when no
-// verified plan exists for the filter (never happens for the registered
-// Daubechies banks; pinned by test_kernels).
+// One kernel implements the per-level analysis: the paper's separable
+// filter+decimate sweeps (Convolve), fused so one row pass emits both row
+// bands and one register-blocked column pass emits all four subbands. It is
+// bit-identical to the unfused convolve_decimate_* oracle in the test tree
+// (tests/convolve.hpp; same per-coefficient accumulation order). DESIGN.md
+// section 12 says why there is one kernel.
 
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <string_view>
-#include <vector>
 
 #include "core/boundary.hpp"
 #include "core/filters.hpp"
@@ -44,72 +21,29 @@
 
 namespace wavehpc::core {
 
+/// The analysis kernel a caller names. Convolve is the only kernel, and no
+/// code branches on this value. It stays in the signatures that the
+/// benchmark package calls, and as one byte of the service cache key and
+/// the shard request frame, whose layouts keep the historical values.
 enum class DwtKernel : std::uint8_t {
-    Auto,      ///< resolve via set_default_dwt_kernel / WAVEHPC_DWT_KERNEL
-    Convolve,  ///< separable convolve+decimate (bit-exact golden reference)
-    Lifting,   ///< fused in-place lattice lifting (fast path)
+    Auto,      ///< the default: resolves to Convolve
+    Convolve,  ///< separable convolve+decimate
 };
 
-/// "convolve" / "lifting" / "auto" (for diagnostics and bench labels).
-[[nodiscard]] const char* to_string(DwtKernel k) noexcept;
-
-/// Parse a kernel name ("convolve" | "lifting" | "auto", case-sensitive).
-/// Returns false (out untouched) for anything else.
-[[nodiscard]] bool parse_dwt_kernel(std::string_view text, DwtKernel& out) noexcept;
-
-/// Process-wide kernel default used to resolve DwtKernel::Auto: the last
-/// set_default_dwt_kernel() value, else WAVEHPC_DWT_KERNEL, else Convolve.
-/// Throws std::invalid_argument when the variable holds another word.
-[[nodiscard]] DwtKernel default_dwt_kernel();
-
-/// Programmatic selector (overrides the environment until reset). Passing
-/// DwtKernel::Auto clears the override and re-reads the environment.
-void set_default_dwt_kernel(DwtKernel k) noexcept;
-
-/// The kernel that will actually run for `fp`: Auto resolves through
-/// default_dwt_kernel(), and Lifting degrades to Convolve when the filter
-/// has no verified lifting plan.
-[[nodiscard]] DwtKernel resolve_dwt_kernel(DwtKernel requested, const FilterPair& fp);
+/// The kernel that runs for `fp`: always Convolve. Callers that store the
+/// kernel (cache key, request frame) store this value, so Auto never
+/// reaches a key or a frame.
+[[nodiscard]] constexpr DwtKernel resolve_dwt_kernel(DwtKernel /*requested*/,
+                                                     const FilterPair& /*fp*/) noexcept {
+    return DwtKernel::Convolve;
+}
 
 // ---------------------------------------------------------------------------
-// Lifting plan (exposed for tests and the bench reporters).
-// ---------------------------------------------------------------------------
-
-/// Factorization of one orthonormal analysis filter pair into lattice
-/// lifting stages. With polyphase inputs a[i] = x[2k+2i], b[i] = x[2k+2i+1]:
-///
-///   stage 0:        u[i] = a[i] + shear[0]*b[i]
-///                   v[i] = b[i] - shear[0]*a[i]
-///   stage t>=1:     u[i] = u[i] + shear[t]*v[i+1]
-///                   v[i] = v[i+1] - shear[t]*u_old[i]
-///   outputs:        lo[k] = scale_lo * u[k],  hi[k] = scale_hi * v[k]
-///
-/// where shear[t] = tan(theta_t) and scale_* fold the per-stage cos(theta_t)
-/// factors plus the lattice output signs. Built from the filter taps by
-/// peeling rotations off the polyphase matrix (double precision) and
-/// verified by regenerating the impulse responses; `valid` is false when
-/// the factorization does not reproduce the filter to 1e-6 or a shear
-/// coefficient is too large to be numerically safe in float.
-struct LiftingPlan {
-    std::vector<float> shear;  ///< tan(theta_t), one per stage (taps/2 stages)
-    float scale_lo = 1.0F;     ///< sign_lo * prod_t cos(theta_t)
-    float scale_hi = 1.0F;     ///< sign_hi * prod_t cos(theta_t)
-    bool valid = false;
-
-    [[nodiscard]] std::size_t stages() const noexcept { return shear.size(); }
-};
-
-/// Derive (and verify) the lifting plan for `fp`. Deterministic and cheap
-/// (a few hundred double ops); callers on hot paths build it once per level
-/// sweep, not per row.
-[[nodiscard]] LiftingPlan build_lifting_plan(const FilterPair& fp);
-
-// ---------------------------------------------------------------------------
-// Analysis entry points. `kernel` must be a *resolved* kernel
-// (resolve_dwt_kernel); passing Auto resolves internally. Each entry point
-// checks its shapes and range (std::invalid_argument), picks the kernel once
-// and runs the layer's single loop body for that kernel and pass, so the
-// whole-plane sweeps and the tile-local calls below execute the same code.
+// Analysis entry points. Each checks its shapes and range
+// (std::invalid_argument) and runs the layer's single loop body for its
+// pass, so the whole-plane sweeps and the tile-local calls below execute
+// the same code. The whole-plane passes keep an unused DwtKernel parameter
+// only because the benchmark package passes one.
 // ---------------------------------------------------------------------------
 
 /// Fused row analysis over rows [r0, r1), r0 <= r1 <= in.rows(): each input
@@ -134,21 +68,18 @@ void analyze_cols_range(const ImageF& low_rows, const ImageF& high_rows,
 // backends' pre-extended stripes). These entry points address the *global*
 // signal/plane geometry while reading and writing local storage. They are
 // not twins of the whole-plane sweeps: they run the same bodies, a whole
-// plane being the range [0, rows/2). Convolve computes each output
-// independently, and the lifting ladder only ever reads pair indices to the
-// RIGHT of an output (output k depends on polyphase pairs k .. k+stages-1),
-// so a segment primed with stage-0 values for that window reproduces the
-// whole-plane expression tree exactly.
+// plane being the range [0, rows/2). Each output is computed independently,
+// so a segment reproduces the whole-plane expression tree exactly.
 // ---------------------------------------------------------------------------
 
 /// Fused 1-D analysis restricted to output range [k0, k1) of the FULL
 /// signal `x`. lo/hi receive k1-k0 values (output k lands at lo[k-k0]);
 /// boundary extension is applied at the true signal edges, never at k0/k1.
 /// The whole signal is [0, x.size()/2), bit-identical to two calls of the
-/// test oracle convolve_decimate_1d for the Convolve kernel.
+/// test oracle convolve_decimate_1d.
 void analyze_1d_range(std::span<const float> x, const FilterPair& fp,
                       std::span<float> lo, std::span<float> hi, BoundaryMode mode,
-                      DwtKernel kernel, std::size_t k0, std::size_t k1);
+                      std::size_t k0, std::size_t k1);
 
 /// Maps an in-range global row-band row index (boundary mapping has
 /// already been applied, so the argument is always < plane_rows) to the
@@ -168,14 +99,13 @@ using RowAccessor = std::function<const float*(std::size_t)>;
 void analyze_cols_tile(const RowAccessor& low_row, const RowAccessor& high_row,
                        std::size_t plane_rows, std::size_t width,
                        const FilterPair& fp, ImageF& ll, ImageF& lh, ImageF& hl,
-                       ImageF& hh, BoundaryMode mode, DwtKernel kernel,
-                       std::size_t k0, std::size_t k1, std::size_t ll_col0);
+                       ImageF& hh, BoundaryMode mode, std::size_t k0, std::size_t k1,
+                       std::size_t ll_col0);
 
 /// Whole-level fused analysis (serial convenience): rows then columns.
 /// Allocates/reshapes the outputs as needed.
 void analyze_level(const ImageF& in, const FilterPair& fp, ImageF& ll, ImageF& lh,
-                   ImageF& hl, ImageF& hh, BoundaryMode mode,
-                   DwtKernel kernel = DwtKernel::Auto);
+                   ImageF& hl, ImageF& hh, BoundaryMode mode);
 
 // ---------------------------------------------------------------------------
 // Synthesis entry points (the paper's figure 2), the mirror of the analysis

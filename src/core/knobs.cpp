@@ -21,7 +21,6 @@ const char* value_of(const Knob& k) {
     switch (k.kind) {
     case KnobKind::Unsigned: os << "an integer in [" << k.min << ", " << k.max << ']'; break;
     case KnobKind::Real: os << "a number in [" << k.lo << ", " << k.hi << ']'; break;
-    case KnobKind::Choice: os << "one of " << k.choices; break;
     case KnobKind::Text: break;  // every value is in the domain
     }
     throw std::invalid_argument(os.str());
@@ -53,21 +52,6 @@ std::optional<double> env_real(KnobRef<KnobKind::Real> knob) {
     const double v = std::strtod(raw, &end);
     if (end == raw || *end != '\0' || !(v >= k.lo && v <= k.hi)) reject(k, raw);  // NaN fails
     return v;
-}
-
-std::optional<std::string_view> env_choice(KnobRef<KnobKind::Choice> knob) {
-    const Knob& k = knob.row();
-    const char* raw = value_of(k);
-    if (raw == nullptr) return std::nullopt;
-    const std::string_view value(raw);
-    std::string_view rest(k.choices);
-    while (!rest.empty()) {
-        const std::size_t bar = rest.find('|');
-        const std::string_view word = rest.substr(0, bar);
-        if (word == value) return word;
-        rest = bar == std::string_view::npos ? std::string_view{} : rest.substr(bar + 1);
-    }
-    reject(k, raw);
 }
 
 std::optional<std::string> env_text(KnobRef<KnobKind::Text> knob) {

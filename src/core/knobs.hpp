@@ -12,8 +12,7 @@
 //
 // Reads name their row with a string literal that is looked up at compile
 // time (KnobRef), so a misspelt name or a read of the wrong kind does not
-// build, and a read costs one getenv plus the parse — the kernel selector
-// reads WAVEHPC_DWT_KERNEL on every submit.
+// build, and a read costs one getenv plus the parse.
 
 #include <array>
 #include <cstddef>
@@ -29,18 +28,16 @@ namespace wavehpc::core {
 enum class KnobKind : std::uint8_t {
     Unsigned,  ///< decimal integer in [min, max]
     Real,      ///< floating-point number in [lo, hi]; "inf" if hi is infinite
-    Choice,    ///< one of the words in `choices`
     Text,      ///< any string (a path, a spec its consumer parses, a flag)
 };
 
 struct Knob {
     const char* name;
     KnobKind kind;
-    std::uint64_t min = 0;     ///< Unsigned domain
+    std::uint64_t min = 0;  ///< Unsigned domain
     std::uint64_t max = 0;
-    double lo = 0.0;           ///< Real domain
+    double lo = 0.0;        ///< Real domain
     double hi = 0.0;
-    const char* choices = "";  ///< Choice domain, '|'-separated
 };
 
 namespace knob_row {
@@ -55,9 +52,6 @@ constexpr Knob integer(const char* name, std::uint64_t min, std::uint64_t max) {
 constexpr Knob real(const char* name, double lo, double hi) {
     return {.name = name, .kind = KnobKind::Real, .lo = lo, .hi = hi};
 }
-constexpr Knob choice(const char* name, const char* choices) {
-    return {.name = name, .kind = KnobKind::Choice, .choices = choices};
-}
 constexpr Knob text(const char* name) { return {.name = name, .kind = KnobKind::Text}; }
 
 }  // namespace knob_row
@@ -65,7 +59,6 @@ constexpr Knob text(const char* name) { return {.name = name, .kind = KnobKind::
 /// Every variable the code reads. README's "Environment knobs" table lists
 /// the same names (test_knobs checks both directions).
 inline constexpr std::array kKnobs{
-    knob_row::choice("WAVEHPC_DWT_KERNEL", "convolve|lifting|auto"),
     // svc::ServiceConfig::from_env
     knob_row::integer("WAVEHPC_SVC_QUEUE_DEPTH", 1, knob_row::kU64),
     knob_row::integer("WAVEHPC_SVC_QUEUE_BYTES", 1, knob_row::kU64),
@@ -123,8 +116,6 @@ private:
 
 [[nodiscard]] std::optional<std::uint64_t> env_unsigned(KnobRef<KnobKind::Unsigned> knob);
 [[nodiscard]] std::optional<double> env_real(KnobRef<KnobKind::Real> knob);
-/// The matched word of the row's `choices` (static storage).
-[[nodiscard]] std::optional<std::string_view> env_choice(KnobRef<KnobKind::Choice> knob);
 [[nodiscard]] std::optional<std::string> env_text(KnobRef<KnobKind::Text> knob);
 
 }  // namespace wavehpc::core

@@ -14,10 +14,7 @@ MasparDwtResult maspar_decompose(const MasParProfile& profile, const core::Image
     // at the kept positions, which equals convolving the decimated plane),
     // so the pyramid comes from the reference kernels while the cycle
     // ledger follows the algorithm-specific schedule.
-    // Pinned to the convolve golden kernel: the simulator's bit-compared
-    // artifacts must not shift with the process kernel selection.
-    res.pyramid = core::decompose(img, fp, levels, core::BoundaryMode::Periodic,
-                                  core::DwtKernel::Convolve);
+    res.pyramid = core::decompose(img, fp, levels, core::BoundaryMode::Periodic);
     res.cycles = model.total_cost(img.rows(), img.cols(), levels, fp.taps(), alg, virt);
     res.seconds = model.seconds(res.cycles);
     return res;

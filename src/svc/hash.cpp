@@ -60,11 +60,12 @@ CacheKey assemble_cache_key(std::uint64_t digest_lo, std::uint64_t digest_hi,
 }
 
 CacheKey make_cache_key(const core::ImageF& img, int taps, int levels,
-                        core::BoundaryMode boundary, core::DwtKernel kernel) {
+                        core::BoundaryMode boundary) {
     std::uint64_t lo = 0;
     std::uint64_t hi = 0;
     content_digest(img, lo, hi);
-    return assemble_cache_key(lo, hi, img, taps, levels, boundary, kernel);
+    return assemble_cache_key(lo, hi, img, taps, levels, boundary,
+                              core::DwtKernel::Convolve);
 }
 
 DigestMemo::DigestMemo(std::size_t capacity)

@@ -7,11 +7,9 @@
 // in-process backend is bit-identical to core::decompose by construction
 // (tested in test_wavelet_parallel), so requests that differ only in
 // backend may — must, for single-flight to pay off — share one cached
-// result. The kernel IS included: convolve and lifting produce
-// float-rounding-different coefficients (except Haar), so their results
-// are distinct cache entries. Callers pass the *resolved* kernel
-// (core::resolve_dwt_kernel), never Auto, so an env-knob change cannot
-// alias two different computations under one key.
+// result. The key keeps a kernel byte, always core::DwtKernel::Convolve
+// (the one analysis kernel), so keys and the wire frames that carry them
+// keep their historical layout and values.
 //
 // The digest is two independent splitmix64-finalizer lanes over the pixel
 // words. Not cryptographic: an adversary could forge a collision, but the
@@ -40,7 +38,7 @@ struct CacheKey {
     std::uint8_t taps = 0;
     std::uint8_t levels = 0;
     std::uint8_t boundary = 0;
-    std::uint8_t kernel = 0;  ///< resolved core::DwtKernel (never Auto)
+    std::uint8_t kernel = 0;  ///< core::DwtKernel::Convolve (see above)
     /// Band selector: 0 = the full pyramid, 1 = approximation-only preview
     /// (the progressive pipeline's first deliverable). Previews live in
     /// the same cache under their own key so a degraded client can be
@@ -73,7 +71,9 @@ struct CacheKeyHash {
 /// 128-bit content digest of the raw pixel bytes.
 void content_digest(const core::ImageF& img, std::uint64_t& lo, std::uint64_t& hi);
 
-/// Assemble a key from an already-computed digest (no pixel pass).
+/// Assemble a key from an already-computed digest (no pixel pass). `kernel`
+/// is stored as given; callers pass core::resolve_dwt_kernel's value. The
+/// parameter stays because the benchmark package passes it.
 [[nodiscard]] CacheKey assemble_cache_key(std::uint64_t digest_lo,
                                           std::uint64_t digest_hi,
                                           const core::ImageF& img, int taps,
@@ -81,12 +81,9 @@ void content_digest(const core::ImageF& img, std::uint64_t& lo, std::uint64_t& h
                                           core::DwtKernel kernel);
 
 /// Assemble the full key for a transform request. Cost is one linear pass
-/// over the pixels; callers hash outside any service lock. `kernel` must
-/// be resolved (Convolve or Lifting, not Auto); the default matches the
-/// historical key layout.
+/// over the pixels; callers hash outside any service lock.
 [[nodiscard]] CacheKey make_cache_key(const core::ImageF& img, int taps, int levels,
-                                      core::BoundaryMode boundary,
-                                      core::DwtKernel kernel = core::DwtKernel::Convolve);
+                                      core::BoundaryMode boundary);
 
 /// Memoized content digests for resubmitted scenes (ISSUE 8).
 ///

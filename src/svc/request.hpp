@@ -39,10 +39,10 @@ struct TransformRequest {
     int taps = 8;                               ///< filter size (2/4/6/8)
     int levels = 1;
     core::BoundaryMode boundary = core::BoundaryMode::Periodic;
-    /// DWT kernel (core/kernels.hpp). Auto resolves at submit time through
-    /// the process selector (WAVEHPC_DWT_KERNEL / set_default_dwt_kernel),
-    /// and the resolved kernel is part of the cache key — convolve and
-    /// lifting coefficients differ at float-rounding level.
+    /// DWT kernel (core/kernels.hpp). Convolve is the one kernel and no
+    /// code branches on this field; submit resolves Auto to Convolve, which
+    /// the cache key and the shard request frame carry. It stays because
+    /// the benchmark package sets it.
     core::DwtKernel kernel = core::DwtKernel::Auto;
     Backend backend = Backend::Threads;
     Priority priority = Priority::Normal;

@@ -132,15 +132,14 @@ SubmitResult PyramidService::admit(TransformRequest request, Completion& on_done
         }
     };
     in_range(request.boundary <= core::BoundaryMode::ZeroPad, "boundary");
-    in_range(request.kernel <= core::DwtKernel::Lifting, "kernel");
+    in_range(request.kernel <= core::DwtKernel::Convolve, "kernel");
     in_range(request.backend <= Backend::Threads, "backend");
     in_range(request.priority <= Priority::Interactive, "priority");
     core::validate_decomposition_request(request.image->rows(),
                                          request.image->cols(), request.levels);
     const auto fp = core::FilterPair::daubechies(request.taps);  // eager taps validation
-    // Resolve the kernel once at admission: the cache key, the flight, and
-    // dedup all see the same concrete kernel even if the process selector
-    // changes while the request is queued.
+    // Auto becomes Convolve here, the kernel byte every cache key and shard
+    // frame carries.
     request.kernel = core::resolve_dwt_kernel(request.kernel, fp);
 
     const auto submitted_at = Clock::now();
@@ -363,7 +362,6 @@ bool PyramidService::batch_compatible(const Flight& a, const Flight& b) noexcept
            a.request.taps == b.request.taps &&
            a.request.levels == b.request.levels &&
            a.request.boundary == b.request.boundary &&
-           a.request.kernel == b.request.kernel &&
            a.request.image->rows() == b.request.image->rows() &&
            a.request.image->cols() == b.request.image->cols();
 }
@@ -544,8 +542,8 @@ void PyramidService::run_batch(const std::vector<std::shared_ptr<Flight>>& batch
                 // bit-identical to the fused sweep's.
                 tile::TileStreamStats tstats;
                 pyrs.push_back(tile::tiled_decompose(
-                    *images.front(), fp, req0.levels, req0.boundary, req0.kernel,
-                    tile_cfg_, &arena_, &tstats));
+                    *images.front(), fp, req0.levels, req0.boundary, tile_cfg_, &arena_,
+                    &tstats));
                 first_band_seconds = tstats.approx_seal_seconds;
             } else {
                 pyrs = wavelet::decompose_batch(images, fp, req0.levels,

@@ -86,7 +86,7 @@ struct ServiceConfig {
     std::uint64_t cache_bytes = 64u << 20;      ///< result cache budget
     ResilienceConfig resilience;                ///< retry/breaker/watchdog posture
     /// Batch planner (ISSUE 8): up to this many *schedule-equivalent*
-    /// pending flights — same dims/taps/levels/boundary/kernel/backend AND
+    /// pending flights — same dims/taps/levels/boundary/backend AND
     /// same priority + deadline, so coalescing can never reorder work the
     /// scheduler promised to serialize — fuse into one sweep per dispatch.
     /// 1 = strict per-flight dispatch (the pre-ISSUE-8 behaviour).

@@ -477,11 +477,9 @@ std::vector<ShardId> ShardCluster::placement(const TransformRequest& request) co
     if (!request.image) {
         throw std::invalid_argument("ShardCluster::placement: null image");
     }
-    const CacheKey key = make_cache_key(*request.image, request.taps,
-                                        request.levels, request.boundary,
-                                        core::resolve_dwt_kernel(
-                                            request.kernel,
-                                            core::FilterPair::daubechies(request.taps)));
+    (void)core::FilterPair::daubechies(request.taps);  // eager taps validation, as submit
+    const CacheKey key = make_cache_key(*request.image, request.taps, request.levels,
+                                        request.boundary);
     return ring_.replicas(key, cfg_.replicas);
 }
 

@@ -349,7 +349,7 @@ TransformRequest decode_request_payload(std::span<const std::byte> payload,
     req.taps = r.u8("taps");
     req.levels = r.u8("levels");
     req.boundary = r.enum_u8(core::BoundaryMode::ZeroPad, "boundary");
-    req.kernel = r.enum_u8(core::DwtKernel::Lifting, "kernel");
+    req.kernel = r.enum_u8(core::DwtKernel::Convolve, "kernel");
     req.backend = r.enum_u8(Backend::Threads, "backend");
     req.priority = r.enum_u8(Priority::Interactive, "priority");
     req.allow_degraded = r.u8("allow_degraded") != 0;
@@ -390,7 +390,7 @@ ReplyWire decode_reply_payload(std::span<const std::byte> payload) {
     const std::uint8_t status = r.u8("reply status");
     if (status == 1) {
         rw.is_error = true;
-        rw.error_kind = static_cast<ReplyErrorKind>(r.u8("error kind"));
+        rw.error_kind = r.enum_u8(ReplyErrorKind::Other, "error kind");
         const std::uint32_t n = r.u32("error message size");
         r.need(n, "error message");
         rw.error_message.assign(

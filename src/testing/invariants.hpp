@@ -40,7 +40,8 @@ struct TrafficReport {
                                        double tol = 1e-6);
 
 /// True iff the two pyramids have identical structure and bit-identical
-/// coefficients in every band (float equality, no tolerance).
+/// coefficients in every band (core::Image's bytewise operator==). The one
+/// pyramid comparison of the tests and benches.
 [[nodiscard]] bool pyramids_bit_identical(const core::Pyramid& a,
                                           const core::Pyramid& b);
 

@@ -136,8 +136,7 @@ double preview_bytes_per_second() {
 }
 
 core::Pyramid tiled_decompose(const core::ImageF& img, const core::FilterPair& fp,
-                              int levels, core::BoundaryMode mode,
-                              core::DwtKernel kernel, const TileConfig& cfg,
+                              int levels, core::BoundaryMode mode, const TileConfig& cfg,
                               core::FloatBufferSource* buffers,
                               TileStreamStats* stats) {
     core::HeapBufferSource fallback;
@@ -145,7 +144,8 @@ core::Pyramid tiled_decompose(const core::ImageF& img, const core::FilterPair& f
     InMemoryTileSource src(img);
     PyramidAssembler sink(img.rows(), img.cols(), levels, buf);
     const TileStreamStats st =
-        stream_decompose(src, fp, levels, mode, kernel, cfg, sink, &buf);
+        stream_decompose(src, fp, levels, mode, core::DwtKernel::Convolve, cfg, sink,
+                         &buf);
     if (stats != nullptr) *stats = st;
     return sink.take();
 }

@@ -110,12 +110,11 @@ private:
 
 /// One-call tiled decomposition of an in-memory image — the service's
 /// progressive compute path: InMemoryTileSource -> stream_decompose ->
-/// PyramidAssembler. Bit-identical to core::decompose for every kernel
-/// and boundary mode.
+/// PyramidAssembler. Bit-identical to core::decompose for every boundary
+/// mode.
 [[nodiscard]] core::Pyramid tiled_decompose(const core::ImageF& img,
                                             const core::FilterPair& fp, int levels,
                                             core::BoundaryMode mode,
-                                            core::DwtKernel kernel,
                                             const TileConfig& cfg,
                                             core::FloatBufferSource* buffers,
                                             TileStreamStats* stats = nullptr);

@@ -45,12 +45,11 @@ struct LevelState {
 class StreamContext {
 public:
     StreamContext(const TilePlan& plan, const core::FilterPair& fp,
-                  core::BoundaryMode mode, core::DwtKernel kernel, TileSink& sink,
+                  core::BoundaryMode mode, TileSink& sink,
                   core::FloatBufferSource& buffers)
         : plan_(plan),
           fp_(fp),
           mode_(mode),
-          kernel_(kernel),
           sink_(sink),
           buffers_(buffers),
           start_(std::chrono::steady_clock::now()) {
@@ -110,7 +109,7 @@ public:
         const auto lo = st.lo_ring.row(st.ingested % g.ring_rows);
         const auto hi = st.hi_ring.row(st.ingested % g.ring_rows);
         core::analyze_1d_range(std::span<const float>(row, g.in_cols), fp_, lo, hi, mode_,
-                               kernel_, 0, g.out_cols);
+                               0, g.out_cols);
         if (st.ingested < g.head_rows) {
             std::copy(lo.begin(), lo.end(), st.lo_head.row(st.ingested).begin());
             std::copy(hi.begin(), hi.end(), st.hi_head.row(st.ingested).begin());
@@ -215,7 +214,7 @@ private:
             };
             core::analyze_cols_tile(lo_at, hi_at, g.in_rows, tw, fp_,
                                     last_level ? tile_ll_ : st.ll_band, tile_.lh,
-                                    tile_.hl, tile_.hh, mode_, kernel_, k0, k1,
+                                    tile_.hl, tile_.hh, mode_, k0, k1,
                                     last_level ? 0 : c0);
             // Hand-offs move the tile out of the driver before the call, so
             // the sink owns it even if the sink throws.
@@ -245,7 +244,6 @@ private:
     const TilePlan& plan_;
     const core::FilterPair& fp_;
     const core::BoundaryMode mode_;
-    const core::DwtKernel kernel_;
     TileSink& sink_;
     core::FloatBufferSource& buffers_;
     const std::chrono::steady_clock::time_point start_;
@@ -262,15 +260,14 @@ private:
 
 TileStreamStats stream_decompose(TileSource& src, const core::FilterPair& fp,
                                  int levels, core::BoundaryMode mode,
-                                 core::DwtKernel kernel, const TileConfig& cfg,
+                                 core::DwtKernel /*kernel*/, const TileConfig& cfg,
                                  TileSink& sink, core::FloatBufferSource* buffers) {
     core::validate_decomposition_request(src.rows(), src.cols(), levels);
-    const core::DwtKernel resolved = core::resolve_dwt_kernel(kernel, fp);
     const TilePlan plan =
         TilePlan::build(src.rows(), src.cols(), levels, fp.low().size(), cfg);
     core::HeapBufferSource fallback;
     core::FloatBufferSource& buf = buffers != nullptr ? *buffers : fallback;
-    StreamContext ctx(plan, fp, mode, resolved, sink, buf);
+    StreamContext ctx(plan, fp, mode, sink, buf);
     ctx.ingest(src, std::min(cfg.tile_rows, src.rows()));
     ctx.finalize();
     return ctx.stats(src);

@@ -23,7 +23,7 @@
 // storage (the vertical halo). Both entry points run the kernel layer's one
 // row and one column body — the code core::decompose runs over whole
 // planes — so the whole pyramid, interior AND edges, is bit-identical to
-// core::decompose for every kernel and boundary mode.
+// core::decompose for every boundary mode.
 //
 // Resident memory is the TilePlan reservation set: independent of the
 // image height, which is what makes images >> RAM streamable.
@@ -84,7 +84,9 @@ struct TileStreamStats {
 /// Stream-decompose `src` into `sink`. `buffers` supplies every driver
 /// buffer (nullptr: a private heap source); pre-provision it from
 /// TilePlan::reservations() for an allocation-free run. Dimensions must
-/// satisfy core::validate_decomposition_request.
+/// satisfy core::validate_decomposition_request. `kernel` is unused
+/// (Convolve is the one kernel); it stays because the benchmark package
+/// passes it.
 TileStreamStats stream_decompose(TileSource& src, const core::FilterPair& fp,
                                  int levels, core::BoundaryMode mode,
                                  core::DwtKernel kernel, const TileConfig& cfg,

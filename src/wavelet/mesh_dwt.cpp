@@ -116,8 +116,7 @@ std::optional<LevelBands> stripe_level(mesh::NodeCtx& ctx, const GuardLink& link
     const std::size_t level_rows = part.total_rows() >> level;
     const std::size_t first = level_range(part, me, level).first;
 
-    // Row pass: fully local under striping (figure 3), kernel pinned to
-    // convolve like col_pass.
+    // Row pass: fully local under striping (figure 3).
     core::ImageF low_rows(h, half_c);
     core::ImageF high_rows(h, half_c);
     core::analyze_rows_range(stripe, fp, low_rows, high_rows, mode,
@@ -162,9 +161,7 @@ LevelBands col_pass(mesh::NodeCtx& ctx, const core::ImageF& low_ext,
     // Output row k (stripe-local) reads extended rows 2k .. 2k+taps-1, all
     // inside the stripe, so the boundary mapping is the identity and the mode
     // passed is immaterial. Every output element is written, and LL fills
-    // its stripe from column 0. Like the row pass, the kernel is pinned to
-    // convolve so the simulator's bit-compared artifacts stay stable
-    // regardless of the process kernel selection (WAVEHPC_DWT_KERNEL).
+    // its stripe from column 0.
     const std::size_t cols = low_ext.cols();
     LevelBands out{core::ImageF(out_rows, cols),
                    {core::ImageF(out_rows, cols), core::ImageF(out_rows, cols),
@@ -176,8 +173,8 @@ LevelBands col_pass(mesh::NodeCtx& ctx, const core::ImageF& low_ext,
         return high_ext.row(r).data();
     };
     core::analyze_cols_tile(low, high, low_ext.rows(), cols, fp, out.ll, out.bands.lh,
-                            out.bands.hl, out.bands.hh, core::BoundaryMode::ZeroPad,
-                            core::DwtKernel::Convolve, 0, out_rows, 0);
+                            out.bands.hl, out.bands.hh, core::BoundaryMode::ZeroPad, 0,
+                            out_rows, 0);
     const std::size_t col_outputs = 4 * out_rows * cols;
     ctx.compute(model.seconds(col_outputs,
                               col_outputs * static_cast<std::size_t>(fp.taps())));

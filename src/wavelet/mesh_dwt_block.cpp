@@ -92,8 +92,7 @@ MeshDwtResult block_decompose(mesh::Machine& machine, const core::ImageF& img,
             // inside the tile, so the boundary mapping is the identity.
             for (std::size_t r = 0; r < h; ++r) {
                 core::analyze_1d_range(ext_in.row(r), fp, low_rows.row(r),
-                                       high_rows.row(r), cfg.mode,
-                                       core::DwtKernel::Convolve, 0, half_w);
+                                       high_rows.row(r), cfg.mode, 0, half_w);
             }
             const std::size_t row_outputs = 2 * h * half_w;
             ctx.compute(compute_model.seconds(row_outputs,

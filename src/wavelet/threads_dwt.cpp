@@ -32,18 +32,19 @@ core::ImageF reconstruct_parallel(const core::Pyramid& pyr, const core::FilterPa
 
 core::Pyramid decompose_parallel(const core::ImageF& img, const core::FilterPair& fp,
                                  int levels, core::BoundaryMode mode,
-                                 runtime::ThreadPool& pool, core::DwtKernel kernel) {
+                                 runtime::ThreadPool& pool) {
     // A batch of one: identical range splits (parallel_for over [0, rows)),
     // identical kernel calls, hence bit-identical to the historical
     // unbatched loop.
-    auto pyrs = decompose_batch({&img}, fp, levels, mode, &pool, kernel, nullptr);
+    auto pyrs = decompose_batch({&img}, fp, levels, mode, &pool, core::DwtKernel::Convolve,
+                                nullptr);
     return std::move(pyrs.front());
 }
 
 std::vector<core::Pyramid> decompose_batch(
     const std::vector<const core::ImageF*>& images, const core::FilterPair& fp,
     int levels, core::BoundaryMode mode, runtime::ThreadPool* pool,
-    core::DwtKernel kernel, core::FloatBufferSource* buffers) {
+    core::DwtKernel /*kernel*/, core::FloatBufferSource* buffers) {
     const std::size_t batch = images.size();
     if (batch == 0) return {};
     for (const core::ImageF* im : images) {
@@ -57,7 +58,6 @@ std::vector<core::Pyramid> decompose_batch(
     }
     core::validate_decomposition_request(images.front()->rows(),
                                          images.front()->cols(), levels);
-    kernel = core::resolve_dwt_kernel(kernel, fp);  // resolve once for all levels
     core::HeapBufferSource heap;
     // Every pass writes each element of its outputs, so buffers come from
     // the source as they are.
@@ -88,7 +88,7 @@ std::vector<core::Pyramid> decompose_batch(
                 const std::size_t take = std::min(rows - r, g1 - g0);
                 const core::ImageF& in = lvl == 0 ? *images[b] : current[b];
                 core::analyze_rows_range(in, fp, low_rows[b], high_rows[b], mode,
-                                         kernel, r, r + take);
+                                         core::DwtKernel::Convolve, r, r + take);
                 g0 += take;
                 ++b;
                 r = 0;
@@ -122,7 +122,8 @@ std::vector<core::Pyramid> decompose_batch(
                 const std::size_t take = std::min(half_r - k, g1 - g0);
                 core::DetailBands& d = out[b].levels.back();
                 core::analyze_cols_range(low_rows[b], high_rows[b], fp, ll[b], d.lh,
-                                         d.hl, d.hh, mode, kernel, k, k + take);
+                                         d.hl, d.hh, mode, core::DwtKernel::Convolve, k,
+                                         k + take);
                 g0 += take;
                 ++b;
                 k = 0;

@@ -11,15 +11,14 @@
 
 namespace wavehpc::wavelet {
 
-/// Bit-identical to core::decompose(img, fp, levels, mode, kernel): both
-/// run the shared fused kernels, and every output coefficient is a fixed
-/// function of its source rows, so splitting the row ranges across workers
-/// changes no accumulation order. `kernel` selects convolve vs lifting
-/// exactly as in core::decompose (Auto defers to the process selector).
-[[nodiscard]] core::Pyramid decompose_parallel(
-    const core::ImageF& img, const core::FilterPair& fp, int levels,
-    core::BoundaryMode mode, runtime::ThreadPool& pool,
-    core::DwtKernel kernel = core::DwtKernel::Auto);
+/// Bit-identical to core::decompose(img, fp, levels, mode): both run the
+/// shared fused kernels, and every output coefficient is a fixed function
+/// of its source rows, so splitting the row ranges across workers changes
+/// no accumulation order.
+[[nodiscard]] core::Pyramid decompose_parallel(const core::ImageF& img,
+                                               const core::FilterPair& fp, int levels,
+                                               core::BoundaryMode mode,
+                                               runtime::ThreadPool& pool);
 
 /// Fused batched decomposition (ISSUE 8): N same-shaped images share ONE
 /// row sweep and ONE column sweep per level, parallelized over the global
@@ -34,7 +33,9 @@ namespace wavehpc::wavelet {
 /// All images must be non-null with identical dimensions (throws
 /// std::invalid_argument otherwise). `pool` may be null for a serial batch.
 /// `buffers` (may be null = heap) supplies every scratch and subband
-/// buffer; transient intermediates are recycled back into it.
+/// buffer; transient intermediates are recycled back into it. `kernel` is
+/// unused (Convolve is the one kernel); it stays because the benchmark
+/// package passes it.
 [[nodiscard]] std::vector<core::Pyramid> decompose_batch(
     const std::vector<const core::ImageF*>& images, const core::FilterPair& fp,
     int levels, core::BoundaryMode mode, runtime::ThreadPool* pool,

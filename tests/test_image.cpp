@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
 namespace {
@@ -95,6 +96,17 @@ TEST(Image, EqualityComparesShapeAndPixels) {
     b(1, 1) = 2.0F;
     EXPECT_FALSE(a == b);
     EXPECT_FALSE(a == ImageF(4, 1, 1.0F));
+
+    // Bits, not values: +0 and -0 compare equal as floats but differ here,
+    // and an image holding a NaN equals its copy.
+    ImageF zeros(2, 2, 0.0F);
+    ImageF signed_zero = zeros;
+    signed_zero(0, 1) = -0.0F;
+    EXPECT_FALSE(zeros == signed_zero);
+    ImageF with_nan(2, 2, 1.0F);
+    with_nan(1, 0) = std::numeric_limits<float>::quiet_NaN();
+    const ImageF copy = with_nan;
+    EXPECT_TRUE(with_nan == copy);
 }
 
 }  // namespace

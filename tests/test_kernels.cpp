@@ -1,20 +1,17 @@
-// Unified kernel layer (core/kernels.hpp): kernel selection, lifting-plan
-// factorization, convolve/lifting agreement, and the synthesis boundary
-// contract. The boundary tests are the regression net for the
-// analysis/synthesis asymmetry bug: synthesis used to wrap periodically
-// no matter which BoundaryMode produced the coefficients, so each
-// non-Periodic case here failed before the fix.
+// Unified kernel layer (core/kernels.hpp): the entry points' range checks
+// and the synthesis boundary contract. The boundary tests are the
+// regression net for the analysis/synthesis asymmetry bug: synthesis used
+// to wrap periodically no matter which BoundaryMode produced the
+// coefficients, so each non-Periodic case here failed before the fix.
 
 #include "core/kernels.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
-#include "convolve.hpp"
 #include "core/dwt.hpp"
 #include "core/synthetic.hpp"
 #include "wavelet/threads_dwt.hpp"
@@ -25,10 +22,7 @@ using wavehpc::core::BoundaryMode;
 using wavehpc::core::DwtKernel;
 using wavehpc::core::FilterPair;
 using wavehpc::core::ImageF;
-using wavehpc::core::build_lifting_plan;
 using wavehpc::core::extend_index;
-using wavehpc::core::parse_dwt_kernel;
-using wavehpc::core::set_default_dwt_kernel;
 
 constexpr BoundaryMode kModes[] = {BoundaryMode::Periodic, BoundaryMode::Symmetric,
                                    BoundaryMode::ZeroPad};
@@ -48,218 +42,6 @@ double max_abs_diff(const ImageF& a, const ImageF& b) {
         }
     }
     return worst;
-}
-
-// RAII guard: force a known process-wide kernel selection state and restore
-// Auto (environment-driven) on the way out so tests cannot leak selection.
-struct KernelOverride {
-    explicit KernelOverride(DwtKernel k) { set_default_dwt_kernel(k); }
-    ~KernelOverride() { set_default_dwt_kernel(DwtKernel::Auto); }
-};
-
-// ------------------------------------------------------------------ selection
-
-TEST(KernelSelect, ParseAcceptsTheThreeNamesOnly) {
-    DwtKernel k = DwtKernel::Auto;
-    EXPECT_TRUE(parse_dwt_kernel("convolve", k));
-    EXPECT_EQ(k, DwtKernel::Convolve);
-    EXPECT_TRUE(parse_dwt_kernel("lifting", k));
-    EXPECT_EQ(k, DwtKernel::Lifting);
-    EXPECT_TRUE(parse_dwt_kernel("auto", k));
-    EXPECT_EQ(k, DwtKernel::Auto);
-
-    k = DwtKernel::Lifting;
-    EXPECT_FALSE(parse_dwt_kernel("Convolve", k));  // case-sensitive
-    EXPECT_FALSE(parse_dwt_kernel("", k));
-    EXPECT_FALSE(parse_dwt_kernel("fft", k));
-    EXPECT_EQ(k, DwtKernel::Lifting);  // untouched on failure
-
-    EXPECT_STREQ(wavehpc::core::to_string(DwtKernel::Convolve), "convolve");
-    EXPECT_STREQ(wavehpc::core::to_string(DwtKernel::Lifting), "lifting");
-    EXPECT_STREQ(wavehpc::core::to_string(DwtKernel::Auto), "auto");
-}
-
-TEST(KernelSelect, EnvironmentVariableDrivesAutoResolution) {
-    set_default_dwt_kernel(DwtKernel::Auto);  // defer to the environment
-    const FilterPair fp = FilterPair::daubechies(4);
-
-    ASSERT_EQ(::setenv("WAVEHPC_DWT_KERNEL", "lifting", 1), 0);
-    EXPECT_EQ(wavehpc::core::default_dwt_kernel(), DwtKernel::Lifting);
-    EXPECT_EQ(wavehpc::core::resolve_dwt_kernel(DwtKernel::Auto, fp),
-              DwtKernel::Lifting);
-
-    ASSERT_EQ(::setenv("WAVEHPC_DWT_KERNEL", "bogus", 1), 0);
-    EXPECT_THROW((void)wavehpc::core::default_dwt_kernel(), std::invalid_argument);
-
-    ASSERT_EQ(::unsetenv("WAVEHPC_DWT_KERNEL"), 0);
-    EXPECT_EQ(wavehpc::core::default_dwt_kernel(), DwtKernel::Convolve);
-}
-
-TEST(KernelSelect, ProgrammaticOverrideBeatsEnvironment) {
-    ASSERT_EQ(::setenv("WAVEHPC_DWT_KERNEL", "convolve", 1), 0);
-    {
-        KernelOverride lift(DwtKernel::Lifting);
-        EXPECT_EQ(wavehpc::core::default_dwt_kernel(), DwtKernel::Lifting);
-    }
-    EXPECT_EQ(wavehpc::core::default_dwt_kernel(), DwtKernel::Convolve);
-    ASSERT_EQ(::unsetenv("WAVEHPC_DWT_KERNEL"), 0);
-}
-
-TEST(KernelSelect, ExplicitKernelIgnoresTheDefault) {
-    KernelOverride lift(DwtKernel::Lifting);
-    const FilterPair fp = FilterPair::daubechies(8);
-    EXPECT_EQ(wavehpc::core::resolve_dwt_kernel(DwtKernel::Convolve, fp),
-              DwtKernel::Convolve);
-    EXPECT_EQ(wavehpc::core::resolve_dwt_kernel(DwtKernel::Lifting, fp),
-              DwtKernel::Lifting);
-}
-
-// ----------------------------------------------------------------- the plans
-
-TEST(LiftingPlan, EveryRegisteredDaubechiesBankFactorizes) {
-    for (const int taps : kTaps) {
-        const auto plan = build_lifting_plan(FilterPair::daubechies(taps));
-        EXPECT_TRUE(plan.valid) << "taps=" << taps;
-        EXPECT_EQ(plan.stages(), static_cast<std::size_t>(taps / 2))
-            << "taps=" << taps;
-        EXPECT_NE(plan.scale_lo, 0.0F);
-        EXPECT_NE(plan.scale_hi, 0.0F);
-    }
-}
-
-TEST(LiftingPlan, HaarIsTheSingleExactButterfly) {
-    const auto plan = build_lifting_plan(FilterPair::daubechies(2));
-    ASSERT_TRUE(plan.valid);
-    ASSERT_EQ(plan.stages(), 1U);
-    EXPECT_NEAR(plan.shear[0], 1.0F, 1e-6F);
-    EXPECT_NEAR(std::abs(plan.scale_lo), std::sqrt(0.5F), 1e-6F);
-}
-
-TEST(LiftingPlan, D4FirstStageIsTheKnownSixtyDegreeRotation) {
-    // The Daubechies-4 lattice angle is exactly 60 degrees (tan = sqrt 3),
-    // a closed-form anchor for the numerical peeling.
-    const auto plan = build_lifting_plan(FilterPair::daubechies(4));
-    ASSERT_TRUE(plan.valid);
-    ASSERT_EQ(plan.stages(), 2U);
-    EXPECT_NEAR(plan.shear[0], std::sqrt(3.0F), 1e-5F);
-}
-
-TEST(LiftingPlan, UnfactorizableFilterIsRejectedNotMisused) {
-    // A filter that is not paraunitary has no lattice factorization; the
-    // plan must come back invalid and resolve_ must degrade to Convolve.
-    const FilterPair box({0.5F, 0.5F, 0.5F, 0.5F}, "box4");
-    const auto plan = build_lifting_plan(box);
-    EXPECT_FALSE(plan.valid);
-    EXPECT_EQ(wavehpc::core::resolve_dwt_kernel(DwtKernel::Lifting, box),
-              DwtKernel::Convolve);
-}
-
-// -------------------------------------------------- convolve/lifting parity
-
-TEST(LiftingKernel, HaarMatchesConvolveBitExactly) {
-    const FilterPair fp = FilterPair::daubechies(2);
-    const ImageF img = scene(64, 96, 42);
-    for (const auto mode : kModes) {
-        ImageF cl(64, 48), ch(64, 48), ll(64, 48), lh(64, 48);
-        wavehpc::core::analyze_rows_range(img, fp, cl, ch, mode,
-                                          DwtKernel::Convolve, 0, img.rows());
-        wavehpc::core::analyze_rows_range(img, fp, ll, lh, mode,
-                                          DwtKernel::Lifting, 0, img.rows());
-        for (std::size_t r = 0; r < cl.rows(); ++r) {
-            for (std::size_t c = 0; c < cl.cols(); ++c) {
-                ASSERT_EQ(cl(r, c), ll(r, c)) << r << "," << c;
-                ASSERT_EQ(ch(r, c), lh(r, c)) << r << "," << c;
-            }
-        }
-    }
-}
-
-TEST(LiftingKernel, HaarWholeLevelBitExact) {
-    const FilterPair fp = FilterPair::daubechies(2);
-    const ImageF img = scene(64, 64, 7);
-    for (const auto mode : kModes) {
-        ImageF cll, clh, chl, chh, lll, llh, lhl, lhh;
-        wavehpc::core::analyze_level(img, fp, cll, clh, chl, chh, mode,
-                                     DwtKernel::Convolve);
-        wavehpc::core::analyze_level(img, fp, lll, llh, lhl, lhh, mode,
-                                     DwtKernel::Lifting);
-        EXPECT_EQ(max_abs_diff(cll, lll), 0.0) << "mode " << int(mode);
-        EXPECT_EQ(max_abs_diff(clh, llh), 0.0);
-        EXPECT_EQ(max_abs_diff(chl, lhl), 0.0);
-        EXPECT_EQ(max_abs_diff(chh, lhh), 0.0);
-    }
-}
-
-TEST(LiftingKernel, WideFiltersMatchConvolveWithinTolerance) {
-    // Different factorization, different rounding: agreement is within a
-    // documented tolerance on 0..255-scale scenes (DESIGN.md), not bit-exact.
-    constexpr double kTol = 1e-3;
-    const ImageF img = scene(64, 96, 1996);
-    for (const int taps : {4, 6, 8}) {
-        const FilterPair fp = FilterPair::daubechies(taps);
-        for (const auto mode : kModes) {
-            ImageF cll, clh, chl, chh, lll, llh, lhl, lhh;
-            wavehpc::core::analyze_level(img, fp, cll, clh, chl, chh, mode,
-                                         DwtKernel::Convolve);
-            wavehpc::core::analyze_level(img, fp, lll, llh, lhl, lhh, mode,
-                                         DwtKernel::Lifting);
-            EXPECT_LT(max_abs_diff(cll, lll), kTol)
-                << "taps=" << taps << " mode=" << int(mode);
-            EXPECT_LT(max_abs_diff(clh, llh), kTol);
-            EXPECT_LT(max_abs_diff(chl, lhl), kTol);
-            EXPECT_LT(max_abs_diff(chh, lhh), kTol);
-        }
-    }
-}
-
-TEST(LiftingKernel, OneDimensionalAgreesWithDecimate1d) {
-    const FilterPair fp = FilterPair::daubechies(8);
-    const ImageF img = scene(1, 128, 3);
-    const auto x = img.flat();
-    std::vector<float> rlo(64), rhi(64), lo(64), hi(64);
-    for (const auto mode : kModes) {
-        wavehpc::core::convolve_decimate_1d(x, fp.low(), rlo, mode);
-        wavehpc::core::convolve_decimate_1d(x, fp.high(), rhi, mode);
-        wavehpc::core::analyze_1d_range(x, fp, lo, hi, mode, DwtKernel::Lifting, 0, 64);
-        for (std::size_t k = 0; k < 64; ++k) {
-            EXPECT_NEAR(lo[k], rlo[k], 1e-3F) << "mode " << int(mode);
-            EXPECT_NEAR(hi[k], rhi[k], 1e-3F) << "mode " << int(mode);
-        }
-    }
-}
-
-TEST(LiftingKernel, ThreadedDecomposeBitIdenticalToSerialLifting) {
-    // The thread split must not change lifting results: every output row is
-    // a fixed function of its source rows regardless of chunk boundaries.
-    const ImageF img = scene(96, 64, 11);
-    const FilterPair fp = FilterPair::daubechies(8);
-    wavehpc::runtime::ThreadPool pool(3);
-    for (const auto mode : kModes) {
-        const auto serial =
-            wavehpc::core::decompose(img, fp, 2, mode, DwtKernel::Lifting);
-        const auto parallel = wavehpc::wavelet::decompose_parallel(
-            img, fp, 2, mode, pool, DwtKernel::Lifting);
-        ASSERT_EQ(serial.levels.size(), parallel.levels.size());
-        EXPECT_EQ(max_abs_diff(serial.approx, parallel.approx), 0.0);
-        for (std::size_t l = 0; l < serial.levels.size(); ++l) {
-            EXPECT_EQ(max_abs_diff(serial.levels[l].lh, parallel.levels[l].lh), 0.0);
-            EXPECT_EQ(max_abs_diff(serial.levels[l].hl, parallel.levels[l].hl), 0.0);
-            EXPECT_EQ(max_abs_diff(serial.levels[l].hh, parallel.levels[l].hh), 0.0);
-        }
-    }
-}
-
-TEST(LiftingKernel, EnvKnobReachesDecompose) {
-    // End-to-end: selecting lifting through the process default changes the
-    // coefficients decompose() produces (proof the knob is actually wired).
-    const ImageF img = scene(32, 32, 5);
-    const FilterPair fp = FilterPair::daubechies(8);
-    const auto convolve = wavehpc::core::decompose(img, fp, 1);
-    KernelOverride lift(DwtKernel::Lifting);
-    const auto lifting = wavehpc::core::decompose(img, fp, 1);
-    const double dev = max_abs_diff(convolve.approx, lifting.approx);
-    EXPECT_GT(dev, 0.0);    // a different kernel ran...
-    EXPECT_LT(dev, 1e-3);   // ...computing the same transform
 }
 
 // ------------------------------------------------------ entry-point ranges
@@ -285,7 +67,7 @@ TEST(AnalysisRange, PlaneSweepsRejectRangesOutsideThePlane) {
                                                    DwtKernel::Convolve, 3, 2),
                  std::invalid_argument);
     EXPECT_THROW(wavehpc::core::analyze_cols_range(lo, hi, fp, ll, lh, hl, hh, mode,
-                                                   DwtKernel::Lifting, 0, 5),
+                                                   DwtKernel::Convolve, 0, 5),
                  std::invalid_argument);
     EXPECT_NO_THROW(wavehpc::core::analyze_cols_range(lo, hi, fp, ll, lh, hl, hh, mode,
                                                       DwtKernel::Convolve, 0, 4));
@@ -450,8 +232,8 @@ TEST(SynthesisBoundary, SymmetricFoldsOntoTheReflection) {
 }
 
 TEST(SynthesisBoundary, RoundTripMatrixInteriorExactEdgesBounded) {
-    // decompose + reconstruct under one shared mode, every mode x filter x
-    // kernel. Periodic is perfect reconstruction everywhere. Symmetric /
+    // decompose + reconstruct under one shared mode, every mode x filter.
+    // Periodic is perfect reconstruction everywhere. Symmetric /
     // ZeroPad with orthonormal (asymmetric) Daubechies filters reconstruct
     // the interior exactly; both edges carry the documented distortion —
     // right/bottom because analysis windows extend (then truncate or
@@ -464,33 +246,28 @@ TEST(SynthesisBoundary, RoundTripMatrixInteriorExactEdgesBounded) {
         const FilterPair fp = FilterPair::daubechies(taps);
         const std::size_t margin = 4 * static_cast<std::size_t>(taps);
         for (const auto mode : kModes) {
-            for (const auto kernel : {DwtKernel::Convolve, DwtKernel::Lifting}) {
-                const auto pyr = wavehpc::core::decompose(img, fp, 2, mode, kernel);
-                const auto back = wavehpc::core::reconstruct(pyr, fp, mode);
-                ASSERT_EQ(back.rows(), img.rows());
-                ASSERT_EQ(back.cols(), img.cols());
-                const double tol = 3e-3;  // 0..255 scale, two levels
-                if (mode == BoundaryMode::Periodic) {
-                    EXPECT_LT(max_abs_diff(img, back), tol)
-                        << "taps=" << taps << " kernel=" << int(kernel);
-                    continue;
-                }
-                double interior = 0.0, edge = 0.0;
-                for (std::size_t r = 0; r < img.rows(); ++r) {
-                    for (std::size_t c = 0; c < img.cols(); ++c) {
-                        const double d = std::abs(double(img(r, c)) - double(back(r, c)));
-                        const bool inside = r >= margin && r + margin < img.rows() &&
-                                            c >= margin && c + margin < img.cols();
-                        (inside ? interior : edge) = std::max(inside ? interior : edge, d);
-                    }
-                }
-                EXPECT_LT(interior, tol)
-                    << "taps=" << taps << " mode=" << int(mode)
-                    << " kernel=" << int(kernel);
-                // Edge distortion is the mode's documented attenuation/fold,
-                // bounded by the signal scale — not periodic contamination.
-                EXPECT_LT(edge, 2000.0) << "taps=" << taps << " mode=" << int(mode);
+            const auto pyr = wavehpc::core::decompose(img, fp, 2, mode);
+            const auto back = wavehpc::core::reconstruct(pyr, fp, mode);
+            ASSERT_EQ(back.rows(), img.rows());
+            ASSERT_EQ(back.cols(), img.cols());
+            const double tol = 3e-3;  // 0..255 scale, two levels
+            if (mode == BoundaryMode::Periodic) {
+                EXPECT_LT(max_abs_diff(img, back), tol) << "taps=" << taps;
+                continue;
             }
+            double interior = 0.0, edge = 0.0;
+            for (std::size_t r = 0; r < img.rows(); ++r) {
+                for (std::size_t c = 0; c < img.cols(); ++c) {
+                    const double d = std::abs(double(img(r, c)) - double(back(r, c)));
+                    const bool inside = r >= margin && r + margin < img.rows() &&
+                                        c >= margin && c + margin < img.cols();
+                    (inside ? interior : edge) = std::max(inside ? interior : edge, d);
+                }
+            }
+            EXPECT_LT(interior, tol) << "taps=" << taps << " mode=" << int(mode);
+            // Edge distortion is the mode's documented attenuation/fold,
+            // bounded by the signal scale — not periodic contamination.
+            EXPECT_LT(edge, 2000.0) << "taps=" << taps << " mode=" << int(mode);
         }
     }
 }

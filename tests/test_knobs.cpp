@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "core/kernels.hpp"
 #include "svc/chaos.hpp"
 #include "svc/service.hpp"
 #include "testing/golden.hpp"
@@ -144,33 +143,6 @@ TEST(KnobRule, RealKind) {
     }
 }
 
-TEST(KnobRule, ChoiceKind) {
-    const auto read = [] { return core::env_choice("WAVEHPC_DWT_KERNEL"); };
-    {
-        const ScopedEnv env("WAVEHPC_DWT_KERNEL", nullptr);
-        EXPECT_EQ(read(), std::nullopt);
-    }
-    {
-        const ScopedEnv env("WAVEHPC_DWT_KERNEL", "");
-        EXPECT_EQ(read(), std::nullopt);
-    }
-    for (const char* word : {"convolve", "lifting", "auto"}) {
-        const ScopedEnv env("WAVEHPC_DWT_KERNEL", word);
-        EXPECT_EQ(read(), word);
-    }
-    for (const char* bad : {"Lifting", "lifting ", "lift"}) {
-        expect_rejected("WAVEHPC_DWT_KERNEL", bad, read);
-    }
-    const ScopedEnv env("WAVEHPC_DWT_KERNEL", "fft");
-    try {
-        (void)read();
-        FAIL() << "fft accepted";
-    } catch (const std::invalid_argument& e) {
-        EXPECT_NE(std::string(e.what()).find("convolve|lifting|auto"), std::string::npos)
-            << "the message names the domain: " << e.what();
-    }
-}
-
 TEST(KnobRule, TextKind) {
     {
         const ScopedEnv env("WAVEHPC_GOLDEN_DIR", nullptr);
@@ -195,8 +167,6 @@ TEST(KnobConsumers, FormerlySilentValuesNowThrow) {
                     [] { return wavehpc::tile::TileConfig::from_env(); });
     expect_rejected("WAVEHPC_FUZZ_SEED", "12abc",
                     [] { return wavehpc::testing::env_seed("WAVEHPC_FUZZ_SEED", 1); });
-    core::set_default_dwt_kernel(core::DwtKernel::Auto);  // defer to the environment
-    expect_rejected("WAVEHPC_DWT_KERNEL", "Lifting", [] { return core::default_dwt_kernel(); });
     expect_rejected("WAVEHPC_TILE_PREVIEW_BPS", "0.5",
                     [] { return wavehpc::tile::preview_bytes_per_second(); });
     expect_rejected("WAVEHPC_SCHED_CASES", "0",

@@ -17,7 +17,6 @@
 namespace {
 
 using wavehpc::core::BoundaryMode;
-using wavehpc::core::DwtKernel;
 using wavehpc::core::ImageF;
 using wavehpc::svc::CacheKey;
 using wavehpc::svc::make_cache_key;
@@ -83,8 +82,8 @@ TEST(ShardRing, ShorterChainsArePrefixesOfLongerOnes) {
     }
 }
 
-// Placement is per *scene*: keys differing only in taps/levels/boundary/
-// kernel land on the same shard, which is what makes the per-shard cache
+// Placement is per *scene*: keys differing only in taps/levels/boundary
+// land on the same shard, which is what makes the per-shard cache
 // (and its same-scene variant fallback) effective.
 TEST(ShardRing, TransformVariantsOfOneSceneColocate) {
     const HashRing ring(8, 64, 1996);
@@ -94,9 +93,6 @@ TEST(ShardRing, TransformVariantsOfOneSceneColocate) {
     EXPECT_EQ(ring.primary(make_cache_key(img, 4, 2, BoundaryMode::Periodic)), home);
     EXPECT_EQ(ring.primary(make_cache_key(img, 2, 4, BoundaryMode::Periodic)), home);
     EXPECT_EQ(ring.primary(make_cache_key(img, 8, 1, BoundaryMode::ZeroPad)), home);
-    EXPECT_EQ(ring.primary(make_cache_key(img, 8, 1, BoundaryMode::Periodic,
-                                          DwtKernel::Lifting)),
-              home);
 }
 
 TEST(ShardRing, ArcFractionsSumToOneAndStayBalanced) {

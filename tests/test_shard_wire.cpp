@@ -273,25 +273,46 @@ TEST(WireCodec, ReplyErrorsCarryTheirTypeAcrossTheWire) {
     } catch (const std::runtime_error& e) {
         EXPECT_STREQ(e.what(), "boom");
     }
+
+    // The kind byte (offset 1) past ReplyErrorKind::Other fails to decode,
+    // naming the field, instead of decoding as an unknown kind.
+    for (const int kind : {5, 0xC7}) {
+        auto bad = wire::encode_reply_error_payload(wire::ReplyErrorKind::Other, "boom");
+        bad[1] = static_cast<std::byte>(kind);
+        try {
+            (void)wire::decode_reply_payload(bad);
+            ADD_FAILURE() << "kind " << kind << ": decoded";
+        } catch (const wire::WireError& e) {
+            EXPECT_NE(std::string(e.what()).find("error kind"), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 // Each enum byte of a request payload (boundary, kernel, backend, priority
 // at offsets 2-5) set past its enum's last value must fail to decode,
 // naming the field, instead of reaching admission and the cache key raw.
+// Each field tries its first value past the enum and a byte far past it.
 TEST(WireCodec, RequestPayloadRejectsOutOfRangeEnumsByField) {
     TransformRequest req;
     req.image = tiny_image();
     const auto now = wavehpc::svc::Clock::now();
     const auto payload = wire::encode_request_payload(req, now);
-    const char* const fields[] = {"boundary", "kernel", "backend", "priority"};
+    const struct {
+        const char* name;
+        int first_bad;
+    } fields[] = {{"boundary", 3}, {"kernel", 2}, {"backend", 2}, {"priority", 3}};
     for (std::size_t i = 0; i < 4; ++i) {
-        auto bad = payload;
-        bad[2 + i] = std::byte{0xC7};
-        try {
-            (void)wire::decode_request_payload(bad, now);
-            ADD_FAILURE() << fields[i] << ": decoded";
-        } catch (const wire::WireError& e) {
-            EXPECT_NE(std::string(e.what()).find(fields[i]), std::string::npos) << e.what();
+        for (const int value : {fields[i].first_bad, 0xC7}) {
+            auto bad = payload;
+            bad[2 + i] = static_cast<std::byte>(value);
+            try {
+                (void)wire::decode_request_payload(bad, now);
+                ADD_FAILURE() << fields[i].name << " = " << value << ": decoded";
+            } catch (const wire::WireError& e) {
+                EXPECT_NE(std::string(e.what()).find(fields[i].name), std::string::npos)
+                    << e.what();
+            }
         }
     }
 }

@@ -18,6 +18,7 @@
 #include "nan_arena.hpp"
 #include "svc/arena.hpp"
 #include "svc/service.hpp"
+#include "testing/invariants.hpp"
 #include "wavelet/threads_dwt.hpp"
 
 namespace {
@@ -39,18 +40,6 @@ using wavehpc::svc::TransformRequest;
 
 std::shared_ptr<const ImageF> scene(std::size_t n, std::uint64_t seed) {
     return std::make_shared<const ImageF>(wavehpc::core::landsat_tm_like(n, n, seed));
-}
-
-bool same_pyramid(const Pyramid& a, const Pyramid& b) {
-    if (a.levels.size() != b.levels.size()) return false;
-    for (std::size_t k = 0; k < a.levels.size(); ++k) {
-        if (!(a.levels[k].lh == b.levels[k].lh) ||
-            !(a.levels[k].hl == b.levels[k].hl) ||
-            !(a.levels[k].hh == b.levels[k].hh)) {
-            return false;
-        }
-    }
-    return a.approx == b.approx;
 }
 
 /// A pool whose workers are all parked on a latch until release() — the
@@ -76,8 +65,8 @@ std::uint64_t next_rng(std::uint64_t& s) {
 
 // The core property: decompose_batch(i) is bit-identical to the solo
 // serial reference for every member, across a seeded randomized sweep of
-// batch sizes, shapes, taps, levels, boundary modes, kernels, serial vs
-// pooled execution, and heap vs arena buffers. Before each round the arena
+// batch sizes, shapes, taps, levels, boundary modes, serial vs pooled
+// execution, and heap vs arena buffers. Before each round the arena
 // is primed with NaN slabs, so a buffer used before it is fully written
 // shows up as a mismatch.
 TEST(DecomposeBatch, BitIdenticalToSoloAcrossRandomizedMixes) {
@@ -88,7 +77,6 @@ TEST(DecomposeBatch, BitIdenticalToSoloAcrossRandomizedMixes) {
     constexpr BoundaryMode kModes[] = {BoundaryMode::Periodic,
                                        BoundaryMode::Symmetric,
                                        BoundaryMode::ZeroPad};
-    constexpr DwtKernel kKernels[] = {DwtKernel::Convolve, DwtKernel::Lifting};
     std::uint64_t run_hits = 0;
 
     for (int round = 0; round < 12; ++round) {
@@ -96,7 +84,6 @@ TEST(DecomposeBatch, BitIdenticalToSoloAcrossRandomizedMixes) {
         const int taps = kTaps[next_rng(rng) % 4];
         const int levels = 1 + static_cast<int>(next_rng(rng) % 3);
         const auto mode = kModes[next_rng(rng) % 3];
-        const auto kernel = kKernels[next_rng(rng) % 2];
         const std::size_t batch = 1 + next_rng(rng) % 5;
         const bool pooled = (next_rng(rng) & 1) != 0;
         const bool pool_buffers = (next_rng(rng) & 1) != 0;
@@ -118,14 +105,13 @@ TEST(DecomposeBatch, BitIdenticalToSoloAcrossRandomizedMixes) {
         }
         const std::uint64_t hits_before = arena.stats().hits;
         const auto pyrs = wavehpc::wavelet::decompose_batch(
-            ptrs, fp, levels, mode, pooled ? &pool : nullptr, kernel,
+            ptrs, fp, levels, mode, pooled ? &pool : nullptr, DwtKernel::Convolve,
             pool_buffers ? &arena : nullptr);
         run_hits += arena.stats().hits - hits_before;
         ASSERT_EQ(pyrs.size(), batch);
         for (std::size_t b = 0; b < batch; ++b) {
-            const Pyramid ref =
-                wavehpc::core::decompose(imgs[b], fp, levels, mode, kernel);
-            EXPECT_TRUE(same_pyramid(pyrs[b], ref))
+            const Pyramid ref = wavehpc::core::decompose(imgs[b], fp, levels, mode);
+            EXPECT_TRUE(wavehpc::testing::pyramids_bit_identical(pyrs[b], ref))
                 << "round " << round << " member " << b << " n=" << n
                 << " taps=" << taps << " levels=" << levels;
         }
@@ -162,7 +148,7 @@ TEST(ServiceBatching, RandomizedMixBitIdenticalToPerRequestExecution) {
 
     // All submissions stack in pending_ behind the gate, so the planner
     // sees the whole randomized mix at once — deterministic coverage of
-    // grouping across taps/levels/kernel/backend.
+    // grouping across taps/levels/backend.
     std::uint64_t rng = 0x5EEDB00Fu;
     constexpr int kTaps[] = {4, 8};
     struct Pending {
@@ -175,8 +161,6 @@ TEST(ServiceBatching, RandomizedMixBitIdenticalToPerRequestExecution) {
         req.image = scene(32, 1 + next_rng(rng) % 6);
         req.taps = kTaps[next_rng(rng) % 2];
         req.levels = 1 + static_cast<int>(next_rng(rng) % 2);
-        req.kernel = (next_rng(rng) & 1) != 0 ? DwtKernel::Convolve
-                                              : DwtKernel::Lifting;
         req.backend = (next_rng(rng) & 1) != 0 ? Backend::Threads : Backend::Serial;
         auto sub = service.submit(req);
         if (sub.accepted) accepted.push_back({req, sub.future});
@@ -190,9 +174,8 @@ TEST(ServiceBatching, RandomizedMixBitIdenticalToPerRequestExecution) {
         ASSERT_NE(reply.result, nullptr);
         if (reply.batch_size > 1) ++fused_replies;
         const Pyramid ref = wavehpc::core::decompose(
-            *p.req.image, FilterPair::daubechies(p.req.taps), p.req.levels,
-            p.req.boundary, p.req.kernel);
-        EXPECT_TRUE(same_pyramid(reply.result->pyramid, ref));
+            *p.req.image, FilterPair::daubechies(p.req.taps), p.req.levels, p.req.boundary);
+        EXPECT_TRUE(wavehpc::testing::pyramids_bit_identical(reply.result->pyramid, ref));
     }
     // The mix actually exercised the fused path.
     EXPECT_GT(fused_replies, 0U);
@@ -287,8 +270,9 @@ TEST(ServiceBatching, FusedBatchSettlesOnThePoolAndRetriesOnlyTheCorruptedMember
         ASSERT_NE(reply.result, nullptr);
         const Pyramid ref = wavehpc::core::decompose(
             *reqs[i].image, FilterPair::daubechies(reqs[i].taps), reqs[i].levels,
-            reqs[i].boundary, reqs[i].kernel);
-        EXPECT_TRUE(same_pyramid(reply.result->pyramid, ref)) << "request " << i;
+            reqs[i].boundary);
+        EXPECT_TRUE(wavehpc::testing::pyramids_bit_identical(reply.result->pyramid, ref))
+            << "request " << i;
         EXPECT_EQ(reply.attempts, i == corrupted ? 2U : 1U) << "request " << i;
         if (i > 0 && i != corrupted) {
             EXPECT_EQ(reply.batch_size, 5U) << "request " << i;

@@ -121,19 +121,6 @@ TEST(ResultCacheTest, OversizedResultIsNotCached) {
     EXPECT_EQ(s.evictions, 0U);
 }
 
-TEST(CacheKeyTest, KernelIsPartOfTheKey) {
-    // Convolve and lifting coefficients differ at rounding level, so a
-    // cached convolve pyramid must never satisfy a lifting request.
-    const auto img = scene(32, 7);
-    const auto convolve = make_cache_key(*img, 8, 1, BoundaryMode::Periodic,
-                                         wavehpc::core::DwtKernel::Convolve);
-    const auto lifting = make_cache_key(*img, 8, 1, BoundaryMode::Periodic,
-                                        wavehpc::core::DwtKernel::Lifting);
-    EXPECT_NE(convolve, lifting);
-    // The 4-arg spelling keys the historical (convolve) kernel.
-    EXPECT_EQ(make_cache_key(*img, 8, 1, BoundaryMode::Periodic), convolve);
-}
-
 // A same-scene key under different transform parameters (what a degraded
 // reply serves).
 CacheKey variant_of(const CacheKey& key, std::uint8_t taps) {

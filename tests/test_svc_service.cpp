@@ -74,31 +74,45 @@ TEST(ServiceAdmission, MalformedRequestsThrowSynchronously) {
 }
 
 // A byte cast into an enum past its last value must not reach the kernels
-// or the cache key: admission names the field and refuses it.
+// or the cache key: admission names the field and refuses it. Each field
+// tries its first value past the enum and a byte far past it.
 TEST(ServiceAdmission, OutOfRangeEnumsAreRejectedByField) {
     ThreadPool pool(1);
     PyramidService service(pool);
-    constexpr auto kBad = std::uint8_t{0xC7};
     struct Case {
         const char* field;
-        void (*corrupt)(TransformRequest&);
+        std::uint8_t first_bad;
+        void (*corrupt)(TransformRequest&, std::uint8_t);
     };
     const Case cases[] = {
-        {"boundary",
-         [](TransformRequest& r) { r.boundary = static_cast<wavehpc::core::BoundaryMode>(kBad); }},
-        {"kernel",
-         [](TransformRequest& r) { r.kernel = static_cast<wavehpc::core::DwtKernel>(kBad); }},
-        {"backend", [](TransformRequest& r) { r.backend = static_cast<Backend>(kBad); }},
-        {"priority", [](TransformRequest& r) { r.priority = static_cast<Priority>(kBad); }},
+        {"boundary", 3,
+         [](TransformRequest& r, std::uint8_t v) {
+             r.boundary = static_cast<wavehpc::core::BoundaryMode>(v);
+         }},
+        {"kernel", 2,
+         [](TransformRequest& r, std::uint8_t v) {
+             r.kernel = static_cast<wavehpc::core::DwtKernel>(v);
+         }},
+        {"backend", 2,
+         [](TransformRequest& r, std::uint8_t v) {
+             r.backend = static_cast<Backend>(v);
+         }},
+        {"priority", 3,
+         [](TransformRequest& r, std::uint8_t v) {
+             r.priority = static_cast<Priority>(v);
+         }},
     };
     for (const Case& c : cases) {
-        auto req = request_for(scene(32, 1));
-        c.corrupt(req);
-        try {
-            (void)service.submit(req);
-            ADD_FAILURE() << c.field << ": accepted";
-        } catch (const std::invalid_argument& e) {
-            EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos) << e.what();
+        for (const std::uint8_t value : {c.first_bad, std::uint8_t{0xC7}}) {
+            auto req = request_for(scene(32, 1));
+            c.corrupt(req, value);
+            try {
+                (void)service.submit(req);
+                ADD_FAILURE() << c.field << " = " << int(value) << ": accepted";
+            } catch (const std::invalid_argument& e) {
+                EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+                    << e.what();
+            }
         }
     }
     EXPECT_EQ(service.metrics().counters.submitted, 0U);

@@ -1,7 +1,7 @@
 // Tiled gigapixel DWT pipeline (ISSUE 9): the tier-1 contract is BIT
 // identity — every coefficient of the tiled/streamed pyramid, interior
 // and edge, equals the monolithic core::decompose output exactly, for
-// every tile size x taps x levels x boundary mode x kernel combination —
+// every tile size x taps x levels x boundary mode combination —
 // plus the constant-memory claims (zero warm allocations after
 // TilePlan::reservations(), height-independent peak residency), the
 // windowed PGM reader, and the service's progressive/preview path.
@@ -45,7 +45,6 @@ using wavehpc::tile::TilePlan;
 
 constexpr BoundaryMode kModes[] = {BoundaryMode::Periodic, BoundaryMode::Symmetric,
                                    BoundaryMode::ZeroPad};
-constexpr DwtKernel kKernels[] = {DwtKernel::Convolve, DwtKernel::Lifting};
 
 [[nodiscard]] ImageF scene(std::size_t rows, std::size_t cols, std::uint64_t seed) {
     return wavehpc::core::landsat_tm_like(rows, cols, seed);
@@ -124,20 +123,16 @@ TEST(AnalyzeRange, SegmentsMatchFullSignalBitExact) {
         for (const int taps : {2, 4, 8}) {
             const auto fp = FilterPair::daubechies(taps);
             for (const BoundaryMode mode : kModes) {
-                for (const DwtKernel kernel : kKernels) {
-                    std::vector<float> lo(half), hi(half), slo(half), shi(half);
-                    wavehpc::core::analyze_1d_range(x, fp, lo, hi, mode, kernel, 0,
-                                                    half);
-                    for (std::size_t s = 0; s + 1 < cuts.size(); ++s) {
-                        const std::size_t k0 = cuts[s], k1 = cuts[s + 1];
-                        wavehpc::core::analyze_1d_range(
-                            x, fp, std::span<float>(slo).subspan(k0, k1 - k0),
-                            std::span<float>(shi).subspan(k0, k1 - k0), mode, kernel,
-                            k0, k1);
-                    }
-                    EXPECT_EQ(slo, lo) << "length " << length << " taps " << taps;
-                    EXPECT_EQ(shi, hi) << "length " << length << " taps " << taps;
+                std::vector<float> lo(half), hi(half), slo(half), shi(half);
+                wavehpc::core::analyze_1d_range(x, fp, lo, hi, mode, 0, half);
+                for (std::size_t s = 0; s + 1 < cuts.size(); ++s) {
+                    const std::size_t k0 = cuts[s], k1 = cuts[s + 1];
+                    wavehpc::core::analyze_1d_range(
+                        x, fp, std::span<float>(slo).subspan(k0, k1 - k0),
+                        std::span<float>(shi).subspan(k0, k1 - k0), mode, k0, k1);
                 }
+                EXPECT_EQ(slo, lo) << "length " << length << " taps " << taps;
+                EXPECT_EQ(shi, hi) << "length " << length << " taps " << taps;
             }
         }
     }
@@ -145,21 +140,20 @@ TEST(AnalyzeRange, SegmentsMatchFullSignalBitExact) {
 
 TEST(AnalyzeColsTile, WritesLLAtItsColumnOffsetOnly) {
     // A column segment's LL lands at ll_col0 of a wider destination (the
-    // tile driver's cascade band) with the whole-plane bits, for each of
-    // the Convolve, Lifting and Haar bodies; the rest of the destination
-    // is not touched, and one too short or too narrow is rejected.
+    // tile driver's cascade band) with the whole-plane bits; the rest of
+    // the destination is not touched, and one too short or too narrow is
+    // rejected.
     const ImageF img = scene(16, 48, 3);
     const std::size_t c0 = 5, width = 11;  // crosses a column block edge
-    const std::pair<int, DwtKernel> bodies[] = {
-        {4, DwtKernel::Convolve}, {4, DwtKernel::Lifting}, {2, DwtKernel::Lifting}};
-    for (const auto& [taps, kernel] : bodies) {
+    for (const int taps : {4, 2}) {
         const auto fp = FilterPair::daubechies(taps);
         ImageF lo(16, 24), hi(16, 24);
         wavehpc::core::analyze_rows_range(img, fp, lo, hi, BoundaryMode::Periodic,
-                                          kernel, 0, 16);
+                                          DwtKernel::Convolve, 0, 16);
         ImageF ll(8, 24), lh(8, 24), hl(8, 24), hh(8, 24);
         wavehpc::core::analyze_cols_range(lo, hi, fp, ll, lh, hl, hh,
-                                          BoundaryMode::Periodic, kernel, 0, 8);
+                                          BoundaryMode::Periodic, DwtKernel::Convolve,
+                                          0, 8);
         const wavehpc::core::RowAccessor lo_at = [&](std::size_t r) {
             return lo.row(r).data() + c0;
         };
@@ -169,7 +163,7 @@ TEST(AnalyzeColsTile, WritesLLAtItsColumnOffsetOnly) {
         const float nan = std::numeric_limits<float>::quiet_NaN();
         ImageF band(8, 24, nan), tlh(8, width), thl(8, width), thh(8, width);
         wavehpc::core::analyze_cols_tile(lo_at, hi_at, 16, width, fp, band, tlh, thl,
-                                         thh, BoundaryMode::Periodic, kernel, 0, 8, c0);
+                                         thh, BoundaryMode::Periodic, 0, 8, c0);
         const std::string tag = "taps " + std::to_string(taps);
         EXPECT_EQ(band.sub(0, c0, 8, width), ll.sub(0, c0, 8, width)) << tag;
         EXPECT_EQ(tlh, lh.sub(0, c0, 8, width)) << tag;
@@ -183,7 +177,7 @@ TEST(AnalyzeColsTile, WritesLLAtItsColumnOffsetOnly) {
         for (ImageF bad : {ImageF(7, 24), ImageF(8, c0 + width - 1)}) {
             EXPECT_THROW(wavehpc::core::analyze_cols_tile(
                              lo_at, hi_at, 16, width, fp, bad, tlh, thl, thh,
-                             BoundaryMode::Periodic, kernel, 0, 8, c0),
+                             BoundaryMode::Periodic, 0, 8, c0),
                          std::invalid_argument)
                 << tag;
         }
@@ -207,26 +201,22 @@ TEST(TiledBitIdentity, FullMatrixAgainstMonolithicDecompose) {
         const auto fp = FilterPair::daubechies(taps);
         for (const int levels : {1, 3}) {
             for (const BoundaryMode mode : kModes) {
-                for (const DwtKernel kernel : kKernels) {
-                    const Pyramid want =
-                        wavehpc::core::decompose(img, fp, levels, mode, kernel);
-                    for (const TileConfig& cfg : tiles) {
-                        const std::string tag =
-                            "taps=" + std::to_string(taps) +
-                            " levels=" + std::to_string(levels) +
-                            " mode=" + std::to_string(static_cast<int>(mode)) +
-                            " kernel=" + std::to_string(static_cast<int>(kernel)) +
-                            " tile=" + std::to_string(cfg.tile_rows) + "x" +
-                            std::to_string(cfg.tile_cols);
-                        expect_bands_eq(wavehpc::tile::tiled_decompose(
-                                            img, fp, levels, mode, kernel, cfg, nullptr),
-                                        want, tag);
-                        // No stream holds more than 32 buffers at once.
-                        wavehpc::testing::prime_with_nan(arena, img.size(), 32);
-                        expect_bands_eq(wavehpc::tile::tiled_decompose(
-                                            img, fp, levels, mode, kernel, cfg, &arena),
-                                        want, tag + " arena");
-                    }
+                const Pyramid want = wavehpc::core::decompose(img, fp, levels, mode);
+                for (const TileConfig& cfg : tiles) {
+                    const std::string tag =
+                        "taps=" + std::to_string(taps) +
+                        " levels=" + std::to_string(levels) +
+                        " mode=" + std::to_string(static_cast<int>(mode)) +
+                        " tile=" + std::to_string(cfg.tile_rows) + "x" +
+                        std::to_string(cfg.tile_cols);
+                    expect_bands_eq(
+                        wavehpc::tile::tiled_decompose(img, fp, levels, mode, cfg, nullptr),
+                        want, tag);
+                    // No stream holds more than 32 buffers at once.
+                    wavehpc::testing::prime_with_nan(arena, img.size(), 32);
+                    expect_bands_eq(
+                        wavehpc::tile::tiled_decompose(img, fp, levels, mode, cfg, &arena),
+                        want, tag + " arena");
                 }
             }
         }
@@ -240,17 +230,14 @@ TEST(TiledBitIdentity, StreamedSyntheticSceneMatchesMaterialized) {
     TileConfig cfg;
     cfg.tile_rows = 24;
     cfg.tile_cols = 56;
-    for (const DwtKernel kernel : kKernels) {
-        const Pyramid want = wavehpc::core::decompose(
-            img, fp, 2, BoundaryMode::Periodic, kernel);
-        wavehpc::core::HeapBufferSource buffers;
-        wavehpc::tile::PyramidAssembler sink(128, 192, 2, buffers);
-        const auto stats = wavehpc::tile::stream_decompose(
-            src, fp, 2, BoundaryMode::Periodic, kernel, cfg, sink, &buffers);
-        expect_bands_eq(sink.pyramid(), want, "streamed");
-        EXPECT_EQ(stats.bytes_in, 128U * 192U * 4U);
-        EXPECT_GE(stats.seconds, stats.approx_seal_seconds);
-    }
+    const Pyramid want = wavehpc::core::decompose(img, fp, 2, BoundaryMode::Periodic);
+    wavehpc::core::HeapBufferSource buffers;
+    wavehpc::tile::PyramidAssembler sink(128, 192, 2, buffers);
+    const auto stats = wavehpc::tile::stream_decompose(
+        src, fp, 2, BoundaryMode::Periodic, DwtKernel::Convolve, cfg, sink, &buffers);
+    expect_bands_eq(sink.pyramid(), want, "streamed");
+    EXPECT_EQ(stats.bytes_in, 128U * 192U * 4U);
+    EXPECT_GE(stats.seconds, stats.approx_seal_seconds);
 }
 
 // ---------------------------------------------------------------------------
@@ -292,7 +279,7 @@ TEST(TiledStreaming, ReservedArenaRunsWithZeroWarmAllocations) {
     wavehpc::tile::SyntheticTileSource src(256, 320, 9);
     wavehpc::tile::DiscardSink sink(arena);
     (void)wavehpc::tile::stream_decompose(src, fp, 3, BoundaryMode::Periodic,
-                                          DwtKernel::Lifting, cfg, sink, &arena);
+                                          DwtKernel::Convolve, cfg, sink, &arena);
     const auto after = arena.stats();
     EXPECT_EQ(after.misses, 0U) << "stream allocated outside the reservation set";
     EXPECT_EQ(after.heap_fallbacks, 0U);
