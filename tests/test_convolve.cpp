@@ -203,6 +203,67 @@ TEST_P(RowsColsAgainst1d, FusedConvolvePassesMatchTheOracleBitForBit) {
     }
 }
 
+TEST_P(RowsColsAgainst1d, ZeroOutputsArePositiveZeroLikeTheOracle) {
+    // Both fused passes sum each output from +0.0F, as the oracle does, so
+    // an output whose window holds only zeros of either sign is +0, never
+    // -0. Image::operator== compares bytes: a body that seeds its sum with
+    // its first product (a Haar butterfly does) gives -0 wherever every
+    // product is -0, as at 2 taps and at the ZeroPad edges, and fails here
+    // even though the values compare equal.
+    const auto [taps, mode] = GetParam();
+    const FilterPair fp = FilterPair::daubechies(taps);
+    constexpr std::size_t rows = 16;
+    constexpr std::size_t cols = 24;
+
+    // The top half of the rows is -0, so every row window there is zero.
+    ImageF img = random_image(rows, cols, 3);
+    for (std::size_t r = 0; r < rows / 2; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) img(r, c) = -0.0F;
+    }
+    ImageF lo(rows, cols / 2), hi(rows, cols / 2);
+    wavehpc::core::analyze_rows_range(img, fp, lo, hi, mode,
+                                      wavehpc::core::DwtKernel::Convolve, 0, rows);
+    ImageF want;
+    wavehpc::core::convolve_decimate_rows(img, fp.low(), want, mode);
+    EXPECT_EQ(lo, want);
+    wavehpc::core::convolve_decimate_rows(img, fp.high(), want, mode);
+    EXPECT_EQ(hi, want);
+    for (std::size_t r = 0; r < rows / 2; ++r) {
+        for (std::size_t k = 0; k < cols / 2; ++k) {
+            EXPECT_FALSE(std::signbit(lo(r, k))) << r << "," << k;
+            EXPECT_FALSE(std::signbit(hi(r, k))) << r << "," << k;
+        }
+    }
+
+    // The left half of the columns of both row bands is -0, so every
+    // column window there is zero.
+    ImageF low_rows = random_image(rows, cols / 2, 5);
+    ImageF high_rows = random_image(rows, cols / 2, 6);
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols / 4; ++c) low_rows(r, c) = high_rows(r, c) = -0.0F;
+    }
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    ImageF ll(rows / 2, cols / 2, nan), lh(rows / 2, cols / 2, nan),
+        hl(rows / 2, cols / 2, nan), hh(rows / 2, cols / 2, nan);
+    wavehpc::core::analyze_cols_range(low_rows, high_rows, fp, ll, lh, hl, hh, mode,
+                                      wavehpc::core::DwtKernel::Convolve, 0, rows / 2);
+    wavehpc::core::convolve_decimate_cols(low_rows, fp.low(), want, mode);
+    EXPECT_EQ(ll, want);
+    wavehpc::core::convolve_decimate_cols(low_rows, fp.high(), want, mode);
+    EXPECT_EQ(lh, want);
+    wavehpc::core::convolve_decimate_cols(high_rows, fp.low(), want, mode);
+    EXPECT_EQ(hl, want);
+    wavehpc::core::convolve_decimate_cols(high_rows, fp.high(), want, mode);
+    EXPECT_EQ(hh, want);
+    for (std::size_t k = 0; k < rows / 2; ++k) {
+        for (std::size_t c = 0; c < cols / 4; ++c) {
+            for (const ImageF* band : {&ll, &lh, &hl, &hh}) {
+                EXPECT_FALSE(std::signbit((*band)(k, c))) << k << "," << c;
+            }
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     TapsAndModes, RowsColsAgainst1d,
     ::testing::Combine(::testing::Values(2, 4, 6, 8),

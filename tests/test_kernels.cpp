@@ -1,8 +1,9 @@
-// Unified kernel layer (core/kernels.hpp): the entry points' range checks
-// and the synthesis boundary contract. The boundary tests are the
-// regression net for the analysis/synthesis asymmetry bug: synthesis used
-// to wrap periodically no matter which BoundaryMode produced the
-// coefficients, so each non-Periodic case here failed before the fix.
+// Unified kernel layer (core/kernels.hpp): the kept kernel argument, the
+// entry points' range checks and the synthesis boundary contract. The
+// boundary tests are the regression net for the analysis/synthesis
+// asymmetry bug: synthesis used to wrap periodically no matter which
+// BoundaryMode produced the coefficients, so each non-Periodic case here
+// failed before the fix.
 
 #include "core/kernels.hpp"
 
@@ -42,6 +43,66 @@ double max_abs_diff(const ImageF& a, const ImageF& b) {
         }
     }
     return worst;
+}
+
+// ---------------------------------------------------------- kernel argument
+
+// DwtKernel stays in the signatures the benchmark package calls and as one
+// byte of the cache key and the request frame; Convolve is the only kernel.
+
+TEST(KernelArgument, EveryRequestResolvesToConvolveWithItsHistoricalByte) {
+    // The cache key and the request frame store these bytes; golden keys
+    // and frames written before the enum shrank read Convolve as 1.
+    EXPECT_EQ(static_cast<int>(DwtKernel::Auto), 0);
+    EXPECT_EQ(static_cast<int>(DwtKernel::Convolve), 1);
+    const FilterPair box({0.5F, 0.5F, 0.5F, 0.5F}, "box4");
+    for (const FilterPair& fp : {FilterPair::daubechies(2), FilterPair::daubechies(8), box}) {
+        for (const auto requested : {DwtKernel::Auto, DwtKernel::Convolve}) {
+            EXPECT_EQ(wavehpc::core::resolve_dwt_kernel(requested, fp), DwtKernel::Convolve)
+                << fp.name() << " requested " << int(requested);
+        }
+    }
+}
+
+TEST(KernelArgument, AnalysisBitsDoNotDependOnIt) {
+    // Auto, Convolve and the defaulted argument run the same bodies. The
+    // scene carries a -0 block so that a sign flip shows under the bytewise
+    // Image::operator==.
+    ImageF img = scene(48, 40, 21);
+    for (std::size_t r = 0; r < 8; ++r) {
+        for (std::size_t c = 0; c < 8; ++c) img(r, c) = -0.0F;
+    }
+    for (const int taps : kTaps) {
+        const FilterPair fp = FilterPair::daubechies(taps);
+        for (const auto mode : kModes) {
+            const auto dflt = wavehpc::core::decompose(img, fp, 2, mode);
+            for (const auto kernel : {DwtKernel::Auto, DwtKernel::Convolve}) {
+                const auto pyr = wavehpc::core::decompose(img, fp, 2, mode, kernel);
+                ASSERT_EQ(pyr.depth(), dflt.depth());
+                EXPECT_EQ(pyr.approx, dflt.approx) << "taps=" << taps;
+                for (std::size_t l = 0; l < pyr.depth(); ++l) {
+                    EXPECT_EQ(pyr.levels[l].lh, dflt.levels[l].lh) << "level " << l;
+                    EXPECT_EQ(pyr.levels[l].hl, dflt.levels[l].hl) << "level " << l;
+                    EXPECT_EQ(pyr.levels[l].hh, dflt.levels[l].hh) << "level " << l;
+                }
+            }
+
+            ImageF alo(48, 20), ahi(48, 20), clo(48, 20), chi(48, 20);
+            wavehpc::core::analyze_rows_range(img, fp, alo, ahi, mode, DwtKernel::Auto, 0,
+                                              48);
+            wavehpc::core::analyze_rows_range(img, fp, clo, chi, mode,
+                                              DwtKernel::Convolve, 0, 48);
+            EXPECT_EQ(alo, clo) << "taps=" << taps;
+            EXPECT_EQ(ahi, chi) << "taps=" << taps;
+            ImageF a[4] = {ImageF(24, 20), ImageF(24, 20), ImageF(24, 20), ImageF(24, 20)};
+            ImageF c[4] = {ImageF(24, 20), ImageF(24, 20), ImageF(24, 20), ImageF(24, 20)};
+            wavehpc::core::analyze_cols_range(clo, chi, fp, a[0], a[1], a[2], a[3], mode,
+                                              DwtKernel::Auto, 0, 24);
+            wavehpc::core::analyze_cols_range(clo, chi, fp, c[0], c[1], c[2], c[3], mode,
+                                              DwtKernel::Convolve, 0, 24);
+            for (int b = 0; b < 4; ++b) EXPECT_EQ(a[b], c[b]) << "band " << b;
+        }
+    }
 }
 
 // ------------------------------------------------------ entry-point ranges

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -133,6 +134,71 @@ TEST(DecomposeBatch, RejectsNullAndMismatchedShapes) {
     EXPECT_TRUE(wavehpc::wavelet::decompose_batch({}, fp, 1,
                                                   BoundaryMode::Periodic, nullptr)
                     .empty());
+}
+
+TEST(DecomposeBatch, KernelArgumentLeavesEveryMemberUnchanged) {
+    // Convolve is the one kernel: a batch that names Auto and one that
+    // names Convolve produce the same bits, serial and pooled.
+    ThreadPool pool(2);
+    const auto fp = FilterPair::daubechies(6);
+    const ImageF a = wavehpc::core::landsat_tm_like(32, 32, 3);
+    const ImageF b = wavehpc::core::landsat_tm_like(32, 32, 4);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        const auto autos = wavehpc::wavelet::decompose_batch(
+            {&a, &b}, fp, 2, BoundaryMode::Symmetric, p, DwtKernel::Auto);
+        const auto convolves = wavehpc::wavelet::decompose_batch(
+            {&a, &b}, fp, 2, BoundaryMode::Symmetric, p, DwtKernel::Convolve);
+        ASSERT_EQ(autos.size(), 2U);
+        ASSERT_EQ(convolves.size(), 2U);
+        for (std::size_t m = 0; m < 2; ++m) {
+            EXPECT_TRUE(wavehpc::testing::pyramids_bit_identical(autos[m], convolves[m]))
+                << "member " << m << (p != nullptr ? " pooled" : " serial");
+        }
+    }
+}
+
+// testing::pyramids_bit_identical is the one pyramid comparison of the
+// tests and benches: it must see a sign flip of a zero in any band, accept
+// a NaN against its own copy, and reject a structural mismatch.
+TEST(PyramidsBitIdentical, ComparesEveryBandsBytesAndItsStructure) {
+    const auto fp = FilterPair::daubechies(4);
+    const Pyramid ref =
+        wavehpc::core::decompose(wavehpc::core::landsat_tm_like(32, 32, 8), fp, 2,
+                                 BoundaryMode::Periodic);
+    ASSERT_EQ(ref.depth(), 2U);
+    EXPECT_TRUE(wavehpc::testing::pyramids_bit_identical(ref, ref));
+
+    // Every band of every level, the approximation included.
+    const auto flip_sign_of_zero = [&ref](const auto& band_of) {
+        Pyramid a = ref;
+        Pyramid b = ref;
+        band_of(a)(1, 1) = 0.0F;
+        band_of(b)(1, 1) = -0.0F;
+        return wavehpc::testing::pyramids_bit_identical(a, b);
+    };
+    EXPECT_FALSE(flip_sign_of_zero([](Pyramid& p) -> ImageF& { return p.approx; }));
+    for (std::size_t l = 0; l < ref.depth(); ++l) {
+        EXPECT_FALSE(flip_sign_of_zero([l](Pyramid& p) -> ImageF& { return p.levels[l].lh; }))
+            << "lh level " << l;
+        EXPECT_FALSE(flip_sign_of_zero([l](Pyramid& p) -> ImageF& { return p.levels[l].hl; }))
+            << "hl level " << l;
+        EXPECT_FALSE(flip_sign_of_zero([l](Pyramid& p) -> ImageF& { return p.levels[l].hh; }))
+            << "hh level " << l;
+    }
+
+    Pyramid with_nan = ref;
+    with_nan.levels[1].hh(0, 0) = std::numeric_limits<float>::quiet_NaN();
+    const Pyramid nan_copy = with_nan;
+    EXPECT_TRUE(wavehpc::testing::pyramids_bit_identical(with_nan, nan_copy));
+    EXPECT_FALSE(wavehpc::testing::pyramids_bit_identical(with_nan, ref));
+
+    Pyramid shallower = ref;
+    shallower.levels.pop_back();
+    EXPECT_FALSE(wavehpc::testing::pyramids_bit_identical(shallower, ref));
+    const Pyramid wider =
+        wavehpc::core::decompose(wavehpc::core::landsat_tm_like(32, 64, 8), fp, 2,
+                                 BoundaryMode::Periodic);
+    EXPECT_FALSE(wavehpc::testing::pyramids_bit_identical(wider, ref));
 }
 
 // Service-level property test: a randomized mix offered to a batching

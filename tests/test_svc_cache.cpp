@@ -78,6 +78,20 @@ TEST(CacheKeyTest, KeySensitiveToContentAndEveryParameter) {
     EXPECT_NE(make_cache_key(tall, 8, 1, BoundaryMode::Periodic), base);
 }
 
+TEST(CacheKeyTest, KeyCarriesTheConvolveKernelByte) {
+    // Convolve is the one kernel, but the key keeps its kernel byte at the
+    // historical value 1 so stored keys and shard frames keep their bytes.
+    const auto img = scene(32, 7);
+    const auto key = make_cache_key(*img, 8, 1, BoundaryMode::Periodic);
+    EXPECT_EQ(key.kernel, 1U);
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+    wavehpc::svc::content_digest(*img, lo, hi);
+    EXPECT_EQ(wavehpc::svc::assemble_cache_key(lo, hi, *img, 8, 1, BoundaryMode::Periodic,
+                                               wavehpc::core::DwtKernel::Convolve),
+              key);
+}
+
 TEST(ResultCacheTest, LruEvictsOldestUnderByteBudget) {
     ResultCache cache(100);
     cache.insert(key_of(1), fake_result(key_of(1), 40));
@@ -233,6 +247,31 @@ TEST(ServiceCacheTest, ThreadsBackendHitsSerialBackendEntry) {
     req.backend = Backend::Threads;
     const auto reply = service.submit(req).future.get();
     EXPECT_TRUE(reply.cache_hit);
+    service.shutdown();
+}
+
+TEST(ServiceCacheTest, AutoKernelRequestHitsTheConvolveEntry) {
+    // Admission resolves Auto to Convolve before keying, so a request that
+    // names no kernel and one that names Convolve share one cache entry,
+    // keyed with the Convolve byte.
+    ThreadPool pool(2);
+    PyramidService service(pool);
+    TransformRequest req;
+    req.image = scene(32, 9);
+    req.taps = 4;
+    req.levels = 1;
+    req.kernel = wavehpc::core::DwtKernel::Auto;
+    auto cold = service.submit(req);
+    ASSERT_TRUE(cold.accepted);
+    const auto cold_reply = cold.future.get();
+    ASSERT_NE(cold_reply.result, nullptr);
+    EXPECT_EQ(cold_reply.result->key.kernel, 1U);
+
+    req.kernel = wavehpc::core::DwtKernel::Convolve;
+    const auto warm_reply = service.submit(req).future.get();
+    EXPECT_TRUE(warm_reply.cache_hit);
+    EXPECT_EQ(warm_reply.result, cold_reply.result);
+    EXPECT_EQ(service.metrics().counters.computes, 1U);
     service.shutdown();
 }
 

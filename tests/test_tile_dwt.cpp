@@ -240,6 +240,23 @@ TEST(TiledBitIdentity, StreamedSyntheticSceneMatchesMaterialized) {
     EXPECT_GE(stats.seconds, stats.approx_seal_seconds);
 }
 
+TEST(TiledBitIdentity, StreamThatNamesAutoMatchesMaterialized) {
+    // Convolve is the one kernel, so a stream that names Auto emits the
+    // monolithic decompose's bits too.
+    wavehpc::tile::SyntheticTileSource src(64, 96, 7);
+    const ImageF img = src.materialize();
+    const auto fp = FilterPair::daubechies(4);
+    TileConfig cfg;
+    cfg.tile_rows = 16;
+    cfg.tile_cols = 40;
+    const Pyramid want = wavehpc::core::decompose(img, fp, 2, BoundaryMode::ZeroPad);
+    wavehpc::core::HeapBufferSource buffers;
+    wavehpc::tile::PyramidAssembler sink(64, 96, 2, buffers);
+    (void)wavehpc::tile::stream_decompose(src, fp, 2, BoundaryMode::ZeroPad,
+                                          DwtKernel::Auto, cfg, sink, &buffers);
+    expect_bands_eq(sink.pyramid(), want, "auto");
+}
+
 // ---------------------------------------------------------------------------
 // Constant-memory claims
 // ---------------------------------------------------------------------------
