@@ -160,8 +160,9 @@ int main(int argc, char** argv) {
     std::uint64_t requests_flag = 0;
     const auto extra = [&requests_flag](std::string_view flag,
                                         std::string_view value) {
-        if (flag == "--requests" &&
-            wavehpc::bench::detail::parse_u64(value, requests_flag)) {
+        const auto n = wavehpc::core::parse_unsigned(value);
+        if (flag == "--requests" && n) {
+            requests_flag = *n;
             return Consume::kFlagAndValue;
         }
         return Consume::kNo;

@@ -393,16 +393,17 @@ int main(int argc, char** argv) {
     bool soak = false;
     std::string json_path;
     const auto extra = [&](std::string_view flag, std::string_view value) {
-        if (flag == "--requests" &&
-            wavehpc::bench::detail::parse_u64(value, requests_flag)) {
+        const auto n = wavehpc::core::parse_unsigned(value);
+        if (flag == "--requests" && n) {
+            requests_flag = *n;
             return Consume::kFlagAndValue;
         }
         if (flag == "--soak") {
             soak = true;
             return Consume::kFlag;
         }
-        if (flag == "--soak-requests" &&
-            wavehpc::bench::detail::parse_u64(value, soak_requests_flag)) {
+        if (flag == "--soak-requests" && n) {
+            soak_requests_flag = *n;
             return Consume::kFlagAndValue;
         }
         if (flag == "--json" && !value.empty()) {

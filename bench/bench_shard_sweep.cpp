@@ -214,8 +214,9 @@ int main(int argc, char** argv) {
     const auto extra = [&requests_flag, &json_path,
                         &drill_only](std::string_view flag,
                                      std::string_view value) {
-        if (flag == "--requests" &&
-            wavehpc::bench::detail::parse_u64(value, requests_flag)) {
+        const auto n = wavehpc::core::parse_unsigned(value);
+        if (flag == "--requests" && n) {
+            requests_flag = *n;
             return Consume::kFlagAndValue;
         }
         if (flag == "--json") {

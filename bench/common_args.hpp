@@ -7,15 +7,18 @@
 //   --seed N     deterministic input seed (0 / unset = the bench default)
 //   --size N     square scene edge length (0 / unset = the bench default)
 //
-// Both `--flag value` and `--flag=value` spellings are accepted. Benches
+// Both `--flag value` and `--flag=value` spellings are accepted, and every
+// number is read by the program's one number rule (core::parse_unsigned:
+// plain decimal, no space, sign or hex, below 2^64). Benches
 // with extra knobs pass an ExtraFlag hook; anything neither side claims is
 // an error (exit non-zero) so typos never silently run the full sweep.
 
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <iostream>
 #include <string_view>
+
+#include "core/knobs.hpp"
 
 namespace wavehpc::bench {
 
@@ -35,25 +38,6 @@ enum class Consume {
 /// Hook for bench-specific flags. `flag` includes the leading dashes;
 /// `value` is the text after '=' or the next argv element ("" if absent).
 using ExtraFlag = std::function<Consume(std::string_view flag, std::string_view value)>;
-
-namespace detail {
-
-inline bool parse_u64(std::string_view text, std::uint64_t& out) {
-    if (text.empty()) return false;
-    constexpr std::uint64_t kMax = ~std::uint64_t{0};
-    std::uint64_t v = 0;
-    for (const char c : text) {
-        if (c < '0' || c > '9') return false;
-        const auto d = static_cast<std::uint64_t>(c - '0');
-        // Reject instead of silently wrapping: v*10 + d must fit.
-        if (v > (kMax - d) / 10) return false;
-        v = v * 10 + d;
-    }
-    out = v;
-    return true;
-}
-
-}  // namespace detail
 
 /// Parse argv into `args`, offering unrecognized flags to `extra`.
 /// Returns false (after printing to stderr) on any malformed or unknown
@@ -83,17 +67,17 @@ inline bool parse_bench_args(int argc, char** argv, CommonArgs& args,
             }
             args.smoke = true;
         } else if (flag == "--seed" || flag == "--size") {
-            std::uint64_t v = 0;
-            if (!detail::parse_u64(next_value, v)) {
+            const auto v = core::parse_unsigned(next_value);
+            if (!v) {
                 std::cerr << argv[0] << ": " << flag
                           << " needs an unsigned integer value\n";
                 return false;
             }
             if (!has_inline) ++i;
             if (flag == "--seed") {
-                args.seed = v;
+                args.seed = *v;
             } else {
-                args.size = static_cast<std::size_t>(v);
+                args.size = static_cast<std::size_t>(*v);
             }
         } else if (extra) {
             switch (extra(flag, next_value)) {

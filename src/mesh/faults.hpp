@@ -16,8 +16,6 @@
 #include <limits>
 #include <optional>
 #include <span>
-#include <string>
-#include <string_view>
 #include <vector>
 
 namespace wavehpc::mesh {
@@ -114,21 +112,6 @@ struct FaultPlan {
 
     /// Fail-stop time of `rank`, if scheduled.
     [[nodiscard]] std::optional<double> fail_time(int rank) const noexcept;
-
-    /// Parse a comma-separated spec into a plan, e.g.
-    ///   "drop=0.01,corrupt=0.001,link=0>1:100:180:1.0;*>2:0:50:0.5:0.1:2,
-    ///    fail=3:250,degrade=100:200:4,drop_exact=7:19"
-    /// Keys: drop, corrupt (probabilities); drop_exact (':'-separated
-    /// indices); fail (';'-separated RANK:AT_MS); degrade (';'-separated
-    /// T0_MS:T1_MS:FACTOR); link (';'-separated
-    /// SRC>DST:T0_MS:T1_MS:DROP[:CORRUPT[:DELAY_MS]], '*' wildcards, and
-    /// an optional '@TAG' suffix on the SRC>DST pair scopes the rule to one
-    /// message tag). Malformed input, and a value the plan cannot honour
-    /// (a NaN probability, a factor that is not finite, an integer past
-    /// 2^64, a rank or tag past INT_MAX), throws std::invalid_argument
-    /// naming the offending token and its byte offset within `spec`.
-    [[nodiscard]] static FaultPlan parse(std::string_view spec,
-                                         std::uint64_t seed);
 };
 
 }  // namespace wavehpc::mesh

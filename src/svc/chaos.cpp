@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <new>
 #include <thread>
 
@@ -35,114 +33,79 @@ enum Lane : std::uint64_t {
     return mix64(seed ^ (index * 8 + lane));
 }
 
-/// Parse errors name the offending token AND its byte offset in the spec
-/// string, mirroring mesh::FaultPlan::parse — a fat chaos spec in an env
-/// var is unreadable without a position to jump to.
-[[noreturn]] void parse_fail(std::string_view key, const std::string& what,
-                             std::string_view token, std::size_t offset) {
-    throw std::invalid_argument("ChaosPlan: '" + std::string(key) + "' " +
-                                what + ", got '" + std::string(token) +
-                                "' (byte " + std::to_string(offset) + ")");
+/// A piece of the spec and its byte offset in the whole spec string: a fat
+/// chaos spec in an env var is unreadable without a position to jump to.
+struct Piece {
+    std::string_view text;
+    std::size_t off = 0;
+};
+
+/// `whole` split on `sep`, empty pieces included, each with its offset.
+[[nodiscard]] std::vector<Piece> split(Piece whole, char sep) {
+    std::vector<Piece> out;
+    for (std::size_t p = 0;;) {
+        const std::size_t end = std::min(whole.text.find(sep, p), whole.text.size());
+        out.push_back({whole.text.substr(p, end - p), whole.off + p});
+        if (end == whole.text.size()) return out;
+        p = end + 1;
+    }
 }
 
-[[nodiscard]] double parse_probability(std::string_view key, std::string_view text,
-                                       std::size_t off) {
-    char* end = nullptr;
-    const std::string owned(text);
-    const double v = std::strtod(owned.c_str(), &end);
-    if (end != owned.c_str() + owned.size() || !(v >= 0.0) || v > 1.0) {
-        parse_fail(key, "needs a probability in [0, 1]", text, off);
-    }
-    return v;
+[[noreturn]] void parse_fail(std::string_view key, std::string_view what, Piece token) {
+    throw std::invalid_argument("ChaosPlan: '" + std::string(key) + "' " + std::string(what) +
+                                ", got '" + std::string(token.text) + "' (byte " +
+                                std::to_string(token.off) + ")");
 }
 
-/// Upper bound of every millisecond field: one hour. A longer stall or
-/// window outlasts any run, and sleep_for's integer cast overflows on the
-/// largest doubles.
-constexpr double kMaxMillis = 3'600'000.0;
+// The three field kinds, each read by the one number rule (core/knobs.hpp).
 
-[[nodiscard]] double parse_millis(std::string_view key, std::string_view text,
-                                  std::size_t off) {
-    char* end = nullptr;
-    const std::string owned(text);
-    const double v = std::strtod(owned.c_str(), &end);
-    if (end != owned.c_str() + owned.size() || !(v >= 0.0 && v <= kMaxMillis)) {
-        parse_fail(key, "needs a millisecond value in [0, 3600000] (one hour)", text, off);
-    }
-    return v * 1e-3;
+[[nodiscard]] double probability(std::string_view key, Piece v) {
+    const auto p = core::parse_real(v.text, 0.0, 1.0);
+    if (!p) parse_fail(key, "needs a probability in [0, 1]", v);
+    return *p;
 }
 
-[[nodiscard]] std::uint64_t parse_uint(std::string_view key, std::string_view num,
-                                       std::size_t off) {
-    if (num.empty()) {
-        parse_fail(key, "has an empty numeric field", num, off);
-    }
-    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-    std::uint64_t v = 0;
-    for (const char c : num) {
-        if (c < '0' || c > '9') {
-            parse_fail(key, "needs unsigned integers", num, off);
-        }
-        const auto digit = static_cast<std::uint64_t>(c - '0');
-        if (v > (kMax - digit) / 10) {
-            parse_fail(key, "needs integers below 2^64", num, off);
-        }
-        v = v * 10 + digit;
-    }
-    return v;
+/// A millisecond value in [0, one hour], in seconds.
+[[nodiscard]] double millis(std::string_view key, Piece v) {
+    const auto ms = core::parse_real(v.text, 0.0, core::knob_row::kMaxMillis);
+    if (!ms) parse_fail(key, "needs a millisecond value in [0, 3600000] (one hour)", v);
+    return *ms * 1e-3;
 }
 
-/// One SHARD:START_MS:DURATION_MS[:STALL_MS] entry of a shard-event list.
-/// `off` is the entry's byte offset in the full spec string.
-[[nodiscard]] ShardEvent parse_shard_event(std::string_view key,
-                                           std::string_view text, std::size_t off,
-                                           ShardEventKind kind) {
-    std::vector<std::string_view> fields;
-    std::vector<std::size_t> offsets;
-    std::size_t p = 0;
-    while (p <= text.size()) {
-        std::size_t colon = text.find(':', p);
-        if (colon == std::string_view::npos) colon = text.size();
-        fields.push_back(text.substr(p, colon - p));
-        offsets.push_back(off + p);
-        p = colon + 1;
-    }
-    const std::size_t want_max = kind == ShardEventKind::Slow ? 4 : 3;
-    if (fields.size() < 3 || fields.size() > want_max) {
+[[nodiscard]] std::uint64_t index(std::string_view key, Piece v) {
+    const auto i = core::parse_unsigned(v.text);
+    if (!i) parse_fail(key, "needs an unsigned integer below 2^64", v);
+    return *i;
+}
+
+/// The entries of a `sep`-separated list, empty ones skipped. A list that
+/// names nothing would inject nothing and silently test nothing.
+[[nodiscard]] std::vector<Piece> entries(std::string_view key, Piece list, char sep,
+                                         std::string_view entry) {
+    std::vector<Piece> out = split(list, sep);
+    std::erase_if(out, [](const Piece& e) { return e.text.empty(); });
+    if (out.empty()) parse_fail(key, "needs at least one " + std::string(entry), list);
+    return out;
+}
+
+/// One SHARD:START_MS:DURATION_MS[:STALL_MS] entry (STALL_MS is
+/// shard_slow-only).
+[[nodiscard]] ShardEvent shard_event(std::string_view key, Piece entry, ShardEventKind kind) {
+    const std::vector<Piece> f = split(entry, ':');
+    const bool slow = kind == ShardEventKind::Slow;
+    if (f.size() < 3 || f.size() > (slow ? 4U : 3U)) {
         parse_fail(key,
-                   std::string("entries are SHARD:START_MS:DURATION_MS") +
-                       (kind == ShardEventKind::Slow ? "[:STALL_MS]" : ""),
-                   text, off);
+                   slow ? "entries are SHARD:START_MS:DURATION_MS[:STALL_MS]"
+                        : "entries are SHARD:START_MS:DURATION_MS",
+                   entry);
     }
     ShardEvent ev;
     ev.kind = kind;
-    ev.shard = static_cast<std::size_t>(parse_uint(key, fields[0], offsets[0]));
-    ev.start_seconds = parse_millis(key, fields[1], offsets[1]);
-    ev.duration_seconds = parse_millis(key, fields[2], offsets[2]);
-    if (fields.size() == 4) ev.stall_seconds = parse_millis(key, fields[3], offsets[3]);
+    ev.shard = static_cast<std::size_t>(index(key, f[0]));
+    ev.start_seconds = millis(key, f[1]);
+    ev.duration_seconds = millis(key, f[2]);
+    if (f.size() == 4) ev.stall_seconds = millis(key, f[3]);
     return ev;
-}
-
-void parse_shard_events(std::string_view key, std::string_view value,
-                        std::size_t off, ShardEventKind kind,
-                        std::vector<ShardEvent>& out) {
-    bool any = false;
-    std::size_t p = 0;
-    while (p <= value.size()) {
-        std::size_t semi = value.find(';', p);
-        if (semi == std::string_view::npos) semi = value.size();
-        const std::string_view item = value.substr(p, semi - p);
-        if (!item.empty()) {
-            out.push_back(parse_shard_event(key, item, off + p, kind));
-            any = true;
-        }
-        p = semi + 1;
-    }
-    if (!any) {
-        // A key that injects nothing would silently test nothing.
-        parse_fail(key, "needs at least one SHARD:START_MS:DURATION_MS entry",
-                   value, off);
-    }
 }
 
 }  // namespace
@@ -203,62 +166,48 @@ double ChaosPlan::pool_stall(std::uint64_t index) const {
 ChaosPlan ChaosPlan::parse(std::string_view spec, std::uint64_t seed) {
     ChaosPlan plan;
     plan.seed = seed;
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-        std::size_t comma = spec.find(',', pos);
-        if (comma == std::string_view::npos) comma = spec.size();
-        const std::string_view item = spec.substr(pos, comma - pos);
-        const std::size_t item_off = pos;
-        pos = comma + 1;
-        if (item.empty()) continue;
-        const std::size_t eq = item.find('=');
+    const auto shard_events = [&plan](std::string_view key, Piece value, ShardEventKind kind) {
+        for (const Piece& e : entries(key, value, ';', "SHARD:START_MS:DURATION_MS entry")) {
+            plan.shard_events.push_back(shard_event(key, e, kind));
+        }
+    };
+    for (const Piece& item : split({spec, 0}, ',')) {
+        if (item.text.empty()) continue;
+        const std::size_t eq = item.text.find('=');
         if (eq == std::string_view::npos) {
             throw std::invalid_argument("ChaosPlan: expected key=value, got '" +
-                                        std::string(item) + "' (byte " +
-                                        std::to_string(item_off) + ")");
+                                        std::string(item.text) + "' (byte " +
+                                        std::to_string(item.off) + ")");
         }
-        const std::string_view key = item.substr(0, eq);
-        const std::string_view value = item.substr(eq + 1);
-        const std::size_t value_off = item_off + eq + 1;
+        const std::string_view key = item.text.substr(0, eq);
+        const Piece value{item.text.substr(eq + 1), item.off + eq + 1};
         if (key == "compute") {
-            plan.compute_error_probability = parse_probability(key, value, value_off);
+            plan.compute_error_probability = probability(key, value);
         } else if (key == "alloc") {
-            plan.alloc_failure_probability = parse_probability(key, value, value_off);
+            plan.alloc_failure_probability = probability(key, value);
         } else if (key == "stall") {
-            plan.stall_probability = parse_probability(key, value, value_off);
+            plan.stall_probability = probability(key, value);
         } else if (key == "stall_ms") {
-            plan.stall_seconds = parse_millis(key, value, value_off);
+            plan.stall_seconds = millis(key, value);
         } else if (key == "corrupt") {
-            plan.corrupt_probability = parse_probability(key, value, value_off);
+            plan.corrupt_probability = probability(key, value);
         } else if (key == "pool_stall") {
-            plan.pool_stall_probability = parse_probability(key, value, value_off);
+            plan.pool_stall_probability = probability(key, value);
         } else if (key == "pool_stall_ms") {
-            plan.pool_stall_seconds = parse_millis(key, value, value_off);
+            plan.pool_stall_seconds = millis(key, value);
         } else if (key == "shard_kill") {
-            parse_shard_events(key, value, value_off, ShardEventKind::Kill,
-                               plan.shard_events);
+            shard_events(key, value, ShardEventKind::Kill);
         } else if (key == "shard_partition") {
-            parse_shard_events(key, value, value_off, ShardEventKind::Partition,
-                               plan.shard_events);
+            shard_events(key, value, ShardEventKind::Partition);
         } else if (key == "shard_slow") {
-            parse_shard_events(key, value, value_off, ShardEventKind::Slow,
-                               plan.shard_events);
+            shard_events(key, value, ShardEventKind::Slow);
         } else if (key == "compute_exact") {
-            std::size_t p = 0;
-            while (p <= value.size()) {
-                std::size_t colon = value.find(':', p);
-                if (colon == std::string_view::npos) colon = value.size();
-                const std::string_view num = value.substr(p, colon - p);
-                if (!num.empty()) {
-                    plan.compute_error_exact.push_back(
-                        parse_uint(key, num, value_off + p));
-                }
-                p = colon + 1;
+            for (const Piece& e : entries(key, value, ':', "attempt index")) {
+                plan.compute_error_exact.push_back(index(key, e));
             }
         } else {
-            throw std::invalid_argument("ChaosPlan: unknown key '" +
-                                        std::string(key) + "' (byte " +
-                                        std::to_string(item_off) + ")");
+            throw std::invalid_argument("ChaosPlan: unknown key '" + std::string(key) +
+                                        "' (byte " + std::to_string(item.off) + ")");
         }
     }
     std::stable_sort(plan.shard_events.begin(), plan.shard_events.end(),

@@ -100,10 +100,13 @@ struct ChaosPlan {
     /// indices), and the shard-tier events shard_kill / shard_partition /
     /// shard_slow, each a ';'-separated list of
     /// SHARD:START_MS:DURATION_MS[:STALL_MS] entries (STALL_MS is
-    /// shard_slow-only). Every millisecond value lies in [0, 3600000]
-    /// (one hour). Throws std::invalid_argument, naming the token, on
-    /// malformed input and on values it cannot honour (a NaN probability,
-    /// a duration past one hour, an integer past 2^64).
+    /// shard_slow-only). Lists skip empty entries but need at least one.
+    /// Every number follows the one number rule (core/knobs.hpp: plain
+    /// decimal, no space, '+' or hex), and every millisecond value lies in
+    /// [0, 3600000] (one hour). Throws std::invalid_argument, naming the
+    /// token and its byte offset, on malformed input and on values it
+    /// cannot honour (a NaN probability, a duration past one hour, an
+    /// integer past 2^64).
     [[nodiscard]] static ChaosPlan parse(std::string_view spec, std::uint64_t seed);
 
     /// WAVEHPC_CHAOS_PLAN under WAVEHPC_CHAOS_SEED (default 1); a disabled

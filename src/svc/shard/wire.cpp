@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -354,10 +353,22 @@ TransformRequest decode_request_payload(std::span<const std::byte> payload,
     req.priority = r.enum_u8(Priority::Interactive, "priority");
     req.allow_degraded = r.u8("allow_degraded") != 0;
     req.progressive = r.u8("progressive") != 0;
+    // +inf means no deadline. Anything else must land on the clock: NaN,
+    // -inf and sums past the clock's ticks are defects, not deadlines.
     const double deadline_rel = r.f64("deadline");
-    if (std::isfinite(deadline_rel)) {
-        req.deadline = now + std::chrono::duration_cast<Clock::duration>(
-                                 std::chrono::duration<double>(deadline_rel));
+    if (deadline_rel != std::numeric_limits<double>::infinity()) {
+        using Ticks = std::numeric_limits<Clock::rep>;
+        const double ticks = std::chrono::duration<double, Clock::period>(
+                                 std::chrono::duration<double>(deadline_rel))
+                                 .count();
+        const double bound = static_cast<double>(Ticks::max());  // 2^63, exclusive
+        if (!(ticks > -bound && ticks < bound)) throw WireError("wire: bad deadline");
+        const auto d = static_cast<Clock::rep>(ticks);
+        const Clock::rep base = now.time_since_epoch().count();
+        if (d > 0 ? base > Ticks::max() - d : base < Ticks::min() - d) {
+            throw WireError("wire: bad deadline");
+        }
+        req.deadline = now + Clock::duration(d);
     }
     req.image = std::make_shared<const core::ImageF>(read_image(r));
     if (r.remaining() != 0) throw WireError("wire: trailing request bytes");

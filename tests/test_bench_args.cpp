@@ -1,7 +1,8 @@
 // Shared bench flag parsing (bench/common_args.hpp). The overflow cases
-// are the regression net for the parse_u64 silent-wrap bug: a --seed past
-// 2^64 used to wrap modulo 2^64 and run the bench with a garbage seed
-// instead of failing the flag parse.
+// are the regression net for the silent-wrap bug: a --seed past 2^64 used
+// to wrap modulo 2^64 and run the bench with a garbage seed instead of
+// failing the flag parse. Flag numbers follow the one number rule, whose
+// row-by-row table lives in test_knobs (NumberRule).
 
 #include "common_args.hpp"
 
@@ -15,7 +16,6 @@ namespace {
 
 using wavehpc::bench::CommonArgs;
 using wavehpc::bench::Consume;
-using wavehpc::bench::detail::parse_u64;
 
 bool parse(std::vector<std::string> argv_strings, CommonArgs& args,
            const wavehpc::bench::ExtraFlag& extra = {}) {
@@ -26,38 +26,6 @@ bool parse(std::vector<std::string> argv_strings, CommonArgs& args,
     for (auto& s : storage) argv.push_back(s.data());
     return wavehpc::bench::parse_bench_args(static_cast<int>(argv.size()),
                                             argv.data(), args, extra);
-}
-
-TEST(ParseU64, AcceptsPlainDecimalAndMax) {
-    std::uint64_t v = 0;
-    EXPECT_TRUE(parse_u64("0", v));
-    EXPECT_EQ(v, 0U);
-    EXPECT_TRUE(parse_u64("1996", v));
-    EXPECT_EQ(v, 1996U);
-    // Exactly UINT64_MAX is representable and must parse.
-    EXPECT_TRUE(parse_u64("18446744073709551615", v));
-    EXPECT_EQ(v, ~std::uint64_t{0});
-}
-
-TEST(ParseU64, RejectsOverflowInsteadOfWrapping) {
-    std::uint64_t v = 123;
-    // UINT64_MAX + 1: used to wrap to 0 and "succeed".
-    EXPECT_FALSE(parse_u64("18446744073709551616", v));
-    // A wildly long digit string.
-    EXPECT_FALSE(parse_u64("99999999999999999999999999", v));
-    // The boundary of the last-digit check: UINT64_MAX ends in 5; ...16
-    // through ...19 overflow only in the final digit addition.
-    EXPECT_FALSE(parse_u64("18446744073709551619", v));
-    EXPECT_EQ(v, 123U);  // out untouched on every failure
-}
-
-TEST(ParseU64, RejectsNonDigitsAndEmpty) {
-    std::uint64_t v = 7;
-    EXPECT_FALSE(parse_u64("", v));
-    EXPECT_FALSE(parse_u64("-1", v));
-    EXPECT_FALSE(parse_u64("12x", v));
-    EXPECT_FALSE(parse_u64("0x10", v));
-    EXPECT_EQ(v, 7U);
 }
 
 TEST(ParseBenchArgs, OverflowingSeedFailsTheParse) {

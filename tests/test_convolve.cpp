@@ -10,6 +10,7 @@
 
 #include "core/filters.hpp"
 #include "core/kernels.hpp"
+#include "param_print.hpp"
 
 namespace {
 

@@ -66,6 +66,8 @@ struct PrCase {
     int levels;
 };
 
+void PrintTo(const PrCase& c, std::ostream* os) { *os << 'F' << c.taps << 'L' << c.levels; }
+
 class PerfectReconstruction : public ::testing::TestWithParam<PrCase> {};
 
 TEST_P(PerfectReconstruction, DecomposeThenReconstructIsIdentity) {
@@ -98,11 +100,7 @@ TEST_P(PerfectReconstruction, OrthonormalTransformConservesEnergy) {
 
 INSTANTIATE_TEST_SUITE_P(PaperConfigs, PerfectReconstruction,
                          ::testing::Values(PrCase{8, 1}, PrCase{4, 2}, PrCase{2, 4},
-                                           PrCase{6, 3}, PrCase{8, 4}, PrCase{2, 1}),
-                         [](const auto& info) {
-                             return "F" + std::to_string(info.param.taps) + "L" +
-                                    std::to_string(info.param.levels);
-                         });
+                                           PrCase{6, 3}, PrCase{8, 4}, PrCase{2, 1}));
 
 TEST(Reconstruct, EmptyPyramidThrows) {
     Pyramid pyr;

@@ -2,8 +2,10 @@
 // value — unset or empty keeps the caller's default, an in-domain value
 // applies, and a malformed, half-parsed or out-of-domain value throws
 // std::invalid_argument naming the variable — checked through the core
-// readers and through every consumer. The lint half keeps the module the
-// only environment reader and README's knob table in step with kKnobs.
+// readers and through every consumer. The one number rule under it is
+// checked row by row against a knob, a ChaosPlan field and a bench flag.
+// The lint half keeps the module the only environment reader and README's
+// knob table in step with kKnobs.
 
 #include "core/knobs.hpp"
 
@@ -23,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common_args.hpp"
 #include "svc/chaos.hpp"
 #include "svc/service.hpp"
 #include "testing/golden.hpp"
@@ -136,10 +139,96 @@ TEST(KnobRule, RealKind) {
     for (const char* bad : {"abc", "0.5ms", "7", "-0.1", "nan"}) {
         expect_rejected("WAVEHPC_SVC_RETRY_JITTER", bad, read);
     }
+    // The millisecond knobs stop at one hour. This case used to accept
+    // "inf", and a service under an infinite watchdog failed every compute.
+    expect_rejected("WAVEHPC_SVC_WATCHDOG_MS", "inf",
+                    [] { return core::env_real("WAVEHPC_SVC_WATCHDOG_MS"); });
     {
-        const ScopedEnv env("WAVEHPC_SVC_WATCHDOG_MS", "inf");  // unbounded above
-        EXPECT_EQ(core::env_real("WAVEHPC_SVC_WATCHDOG_MS"),
+        const ScopedEnv env("WAVEHPC_SVC_BREAKER_THRESHOLD", "inf");  // unbounded above
+        EXPECT_EQ(core::env_real("WAVEHPC_SVC_BREAKER_THRESHOLD"),
                   std::numeric_limits<double>::infinity());
+    }
+}
+
+// ------------------------------------------------------ the number rule
+
+/// What a reader made of a value: the number, or nullopt if it threw.
+template <class Read>
+auto value_or_rejected(Read read) -> decltype(read()) {
+    try {
+        return read();
+    } catch (const std::invalid_argument&) {
+        return std::nullopt;
+    }
+}
+
+// One table, four readers: the core rule, an env knob, a ChaosPlan field
+// and a bench flag agree on every row. The unsigned readers take all of
+// [0, 2^64); the real readers take milliseconds in [0, one hour].
+TEST(NumberRule, EveryReaderAgreesRowByRow) {
+    struct Row {
+        const char* text;
+        std::optional<std::uint64_t> as_unsigned;
+        std::optional<double> as_millis;
+    };
+    constexpr std::uint64_t kMax = core::knob_row::kU64;
+    const Row rows[] = {
+        {"0", 0, 0.0},
+        {"1996", 1996, 1996.0},
+        {"3600000", 3600000, 3600000.0},
+        {"3600001", 3600001, std::nullopt},  // past one hour
+        {"18446744073709551615", kMax, std::nullopt},
+        {"18446744073709551616", std::nullopt, std::nullopt},  // 2^64 does not wrap
+        {"18446744073709551619", std::nullopt, std::nullopt},  // overflows in the last digit
+        {"99999999999999999999999999", std::nullopt, std::nullopt},
+        {"1e3", std::nullopt, 1000.0},
+        {".5", std::nullopt, 0.5},
+        {"-0", std::nullopt, -0.0},
+        {" 5", std::nullopt, std::nullopt},
+        {"+5", std::nullopt, std::nullopt},
+        {"5 ", std::nullopt, std::nullopt},
+        {"0x10", std::nullopt, std::nullopt},
+        {"0x1p-1", std::nullopt, std::nullopt},
+        {"inf", std::nullopt, std::nullopt},
+        {"nan", std::nullopt, std::nullopt},
+        {"-1", std::nullopt, std::nullopt},
+        {"12x", std::nullopt, std::nullopt},
+        // An empty knob reads as unset (nullopt, the default stays); the
+        // other readers reject it.
+        {"", std::nullopt, std::nullopt},
+    };
+    for (const Row& row : rows) {
+        SCOPED_TRACE(std::string("text '") + row.text + "'");
+        const std::string text = row.text;
+        EXPECT_EQ(core::parse_unsigned(text), row.as_unsigned);
+        EXPECT_EQ(core::parse_real(text, 0.0, core::knob_row::kMaxMillis), row.as_millis);
+        {
+            const ScopedEnv seed("WAVEHPC_CHAOS_SEED", row.text);
+            EXPECT_EQ(value_or_rejected([] { return core::env_unsigned("WAVEHPC_CHAOS_SEED"); }),
+                      row.as_unsigned);
+        }
+        {
+            const ScopedEnv watchdog("WAVEHPC_SVC_WATCHDOG_MS", row.text);
+            EXPECT_EQ(value_or_rejected([] { return core::env_real("WAVEHPC_SVC_WATCHDOG_MS"); }),
+                      row.as_millis);
+        }
+        const auto chaos_index = value_or_rejected([&]() -> std::optional<std::uint64_t> {
+            return wavehpc::svc::ChaosPlan::parse("compute_exact=" + text, 1)
+                .compute_error_exact.at(0);
+        });
+        EXPECT_EQ(chaos_index, row.as_unsigned);
+        const auto chaos_stall = value_or_rejected([&]() -> std::optional<double> {
+            return wavehpc::svc::ChaosPlan::parse("stall_ms=" + text, 1).stall_seconds;
+        });
+        EXPECT_EQ(chaos_stall, row.as_millis ? std::optional(*row.as_millis * 1e-3) : std::nullopt);
+        wavehpc::bench::CommonArgs args;
+        std::string program = "bench";
+        std::string flag = "--seed=" + text;
+        char* argv[] = {program.data(), flag.data()};
+        EXPECT_EQ(wavehpc::bench::parse_bench_args(2, argv, args)
+                      ? std::optional(args.seed)
+                      : std::nullopt,
+                  row.as_unsigned);
     }
 }
 
@@ -202,6 +291,17 @@ TEST(KnobConsumers, ServiceConfigFromEnvEndToEnd) {
     EXPECT_EQ(cfg.resilience.retry.cap_seconds, defaults.resilience.retry.cap_seconds);
     EXPECT_EQ(cfg.resilience.breaker.ewma_alpha, defaults.resilience.breaker.ewma_alpha);
     EXPECT_EQ(cfg.arena.arena_bytes, defaults.arena.arena_bytes);
+}
+
+// WAVEHPC_SVC_WATCHDOG_MS=inf (or 1e300) used to be accepted, and a service
+// built from it failed every computed request: the watchdog's clock
+// conversion overflowed. "No watchdog" is spelled 0.
+TEST(KnobConsumers, WatchdogPastOneHourThrows) {
+    for (const char* bad : {"inf", "1e300", "3600001"}) {
+        expect_rejected("WAVEHPC_SVC_WATCHDOG_MS", bad, [] { return ServiceConfig::from_env(); });
+    }
+    const ScopedEnv watchdog("WAVEHPC_SVC_WATCHDOG_MS", "3600000");
+    EXPECT_DOUBLE_EQ(ServiceConfig::from_env().resilience.watchdog_seconds, 3600.0);
 }
 
 TEST(KnobConsumers, ChaosPlanFromEnvAppliesItsSeed) {

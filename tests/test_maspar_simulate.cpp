@@ -90,6 +90,12 @@ struct SimCase {
     Virtualization virt;
 };
 
+void PrintTo(const SimCase& c, std::ostream* os) {
+    *os << 'F' << c.taps << 'L' << c.levels << '_'
+        << (c.alg == Algorithm::Systolic ? "Systolic" : "SystolicDilution") << '_'
+        << (c.virt == Virtualization::CutAndStack ? "CutAndStack" : "Hierarchical");
+}
+
 class SimulatedDecompose : public ::testing::TestWithParam<SimCase> {};
 
 TEST_P(SimulatedDecompose, MatchesSequentialReferenceExactly) {

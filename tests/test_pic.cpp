@@ -279,6 +279,10 @@ struct PicCase {
     wavehpc::pic::GsumKind gsum;
 };
 
+void PrintTo(const PicCase& c, std::ostream* os) {
+    *os << 'P' << c.nprocs << '_' << (c.gsum == wavehpc::pic::GsumKind::Prefix ? "Prefix" : "Gssum");
+}
+
 class ParallelPic : public ::testing::TestWithParam<PicCase> {};
 
 TEST_P(ParallelPic, MatchesSerialWithinReductionTolerance) {

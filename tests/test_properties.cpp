@@ -32,6 +32,10 @@ struct ShapeCase {
     int levels;
 };
 
+void PrintTo(const ShapeCase& c, std::ostream* os) {
+    *os << c.rows << 'x' << c.cols << "_F" << c.taps << 'L' << c.levels;
+}
+
 class DwtShapeSweep : public ::testing::TestWithParam<ShapeCase> {};
 
 TEST_P(DwtShapeSweep, PerfectReconstructionAndEnergyOnOddShapes) {

@@ -5,7 +5,7 @@
 // (retransmits, duplicate suppression, give-up, per-channel draw
 // independence, NIC rejection of every drawn corruption), one CRC pass
 // per frame per side, handlers running concurrently across and within
-// channels, and the token+byte-offset contract of both fault-spec parsers.
+// channels, and the token+byte-offset contract of the chaos-spec parser.
 
 #include "svc/shard/wire.hpp"
 
@@ -14,7 +14,9 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -317,6 +319,37 @@ TEST(WireCodec, RequestPayloadRejectsOutOfRangeEnumsByField) {
     }
 }
 
+// The deadline travels as f64 seconds from `now`, and +inf means none.
+// NaN, -inf and values whose clock ticks overflow (1e10 s is past 292
+// years) used to decode to a deadline centuries in the past.
+TEST(WireCodec, RequestPayloadRejectsDeadlinesTheClockCannotHold) {
+    TransformRequest req;
+    req.image = tiny_image();
+    const auto now = wavehpc::svc::Clock::now();
+    const auto decode_with = [&](double seconds) {
+        auto payload = wire::encode_request_payload(req, now);
+        const auto bits = std::bit_cast<std::uint64_t>(seconds);
+        for (std::size_t i = 0; i < 8; ++i) {
+            payload[8 + i] = static_cast<std::byte>(bits >> (8 * i));  // after 8 u8 fields
+        }
+        return wire::decode_request_payload(payload, now);
+    };
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -kInf, 1e10, -1e10,
+                             1e300, -1e300}) {
+        try {
+            (void)decode_with(bad);
+            ADD_FAILURE() << "deadline " << bad << " s: decoded";
+        } catch (const wire::WireError& e) {
+            EXPECT_NE(std::string(e.what()).find("deadline"), std::string::npos) << e.what();
+        }
+    }
+    EXPECT_EQ(decode_with(kInf).deadline, wavehpc::svc::Clock::time_point::max());
+    EXPECT_EQ(decode_with(0.25).deadline, now + std::chrono::milliseconds(250));
+    EXPECT_EQ(decode_with(-0.25).deadline, now - std::chrono::milliseconds(250));
+    EXPECT_EQ(decode_with(1e9).deadline, now + std::chrono::seconds(1'000'000'000));
+}
+
 TEST(WireCodec, AdmitPayloadRoundTripsAndValidatesEnums) {
     wire::AdmitWire a;
     a.status = wire::AdmitStatus::Rejected;
@@ -613,33 +646,6 @@ TEST(ShardTransportTest, PerChannelDrawsIsolateChannelsFromEachOther) {
 
 // ----------------------------------------------------- parse diagnostics
 
-TEST(FaultSpecErrors, FaultPlanParseNamesTheTokenAndByteOffset) {
-    try {
-        (void)FaultPlan::parse("drop=0.1,corrupt=nope", 1);
-        FAIL() << "expected a throw";
-    } catch (const std::invalid_argument& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("'nope'"), std::string::npos) << what;
-        EXPECT_NE(what.find("(byte 17)"), std::string::npos) << what;
-    }
-    try {
-        (void)FaultPlan::parse("link=0>1:10:5:1.0", 1);  // window ends early
-        FAIL() << "expected a throw";
-    } catch (const std::invalid_argument& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("'0>1:10:5:1.0'"), std::string::npos) << what;
-        EXPECT_NE(what.find("(byte 5)"), std::string::npos) << what;
-    }
-    try {
-        (void)FaultPlan::parse("link=0>1:0:50:1.0;2>x:0:50:1.0", 1);
-        FAIL() << "expected a throw";
-    } catch (const std::invalid_argument& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("'x'"), std::string::npos) << what;
-        EXPECT_NE(what.find("(byte 20)"), std::string::npos) << what;
-    }
-}
-
 TEST(FaultSpecErrors, ChaosPlanParseNamesTheTokenAndByteOffset) {
     try {
         (void)ChaosPlan::parse("compute=0.1,stall=wat", 1);
@@ -668,44 +674,27 @@ TEST(FaultSpecErrors, ChaosPlanParseNamesTheTokenAndByteOffset) {
     }
 }
 
-// Values the grammars parse but cannot honour: NaN probabilities, a NaN or
-// infinite slowdown factor, infinite stalls and stalls past one hour
-// (1e300 ms overflows sleep_for), integers past 2^64 (which used to wrap)
-// and ranks past INT_MAX (which used to truncate, 2^32-1 into the '*'
-// wildcard). Each must throw and name its token.
+// Values the chaos grammar reads but cannot honour: infinite stalls and
+// stalls past one hour (1e300 ms overflows sleep_for) and integers past
+// 2^64 (which used to wrap). Each must throw and name its token.
 TEST(FaultSpecErrors, UnhonourableValuesAreRejectedByToken) {
     struct Case {
-        bool chaos;  ///< ChaosPlan grammar, else FaultPlan
         const char* spec;
         const char* token;  ///< quoted, as the error names it
     };
     const Case cases[] = {
-        {false, "drop=nan", "'nan'"},
-        {false, "corrupt=nan", "'nan'"},
-        {false, "link=0>1:0:10:nan", "'nan'"},
-        {false, "link=0>1:0:10:0.5:nan", "'nan'"},
-        {false, "degrade=0:10:nan", "'nan'"},
-        {false, "degrade=0:10:inf", "'inf'"},
-        {false, "drop_exact=18446744073709551616", "'18446744073709551616'"},
-        {false, "fail=0:99999999999999999999999", "'99999999999999999999999'"},
-        {false, "fail=4294967296:10", "'4294967296'"},
-        {false, "link=4294967295>1:0:10:1.0", "'4294967295'"},
-        {true, "compute_exact=18446744073709551617", "'18446744073709551617'"},
-        {true, "shard_kill=18446744073709551616:0:10", "'18446744073709551616'"},
-        {true, "stall_ms=inf", "'inf'"},
-        {true, "pool_stall_ms=inf", "'inf'"},
-        {true, "stall_ms=1e18", "'1e18'"},
-        {true, "stall_ms=1e300", "'1e300'"},
-        {true, "pool_stall_ms=1e300", "'1e300'"},
-        {true, "shard_slow=0:0:10:1e300", "'1e300'"},
+        {"compute_exact=18446744073709551617", "'18446744073709551617'"},
+        {"shard_kill=18446744073709551616:0:10", "'18446744073709551616'"},
+        {"stall_ms=inf", "'inf'"},
+        {"pool_stall_ms=inf", "'inf'"},
+        {"stall_ms=1e18", "'1e18'"},
+        {"stall_ms=1e300", "'1e300'"},
+        {"pool_stall_ms=1e300", "'1e300'"},
+        {"shard_slow=0:0:10:1e300", "'1e300'"},
     };
     for (const Case& c : cases) {
         try {
-            if (c.chaos) {
-                (void)ChaosPlan::parse(c.spec, 1);
-            } else {
-                (void)FaultPlan::parse(c.spec, 1);
-            }
+            (void)ChaosPlan::parse(c.spec, 1);
             ADD_FAILURE() << c.spec << ": accepted";
         } catch (const std::invalid_argument& e) {
             const std::string what = e.what();

@@ -116,6 +116,14 @@ TEST(ChaosPlan, MalformedSpecThrows) {
     EXPECT_THROW((void)ChaosPlan::parse("compute", 1), std::invalid_argument);
     EXPECT_THROW((void)ChaosPlan::parse("compute_exact=1:x", 1),
                  std::invalid_argument);
+    // A list that names nothing injects nothing; shard_kill= already threw.
+    EXPECT_THROW((void)ChaosPlan::parse("compute_exact=", 1), std::invalid_argument);
+    EXPECT_THROW((void)ChaosPlan::parse("compute_exact=::", 1), std::invalid_argument);
+    // The one number rule: no leading space, '+' or hex in any field.
+    for (const char* spec : {"compute= 0.5", "compute=+0.5", "stall_ms=0x10",
+                             "compute_exact= 1", "shard_kill= 1:0:10", "shard_kill=0: 0:10"}) {
+        EXPECT_THROW((void)ChaosPlan::parse(spec, 1), std::invalid_argument) << spec;
+    }
 }
 
 TEST(ChaosPlan, ParsesShardEventsSortedByStartTime) {
@@ -449,6 +457,24 @@ TEST(ChaosService, WatchdogFailsAStalledComputeAndFreesTheSlot) {
     // (and the salvaged clean result may land in the cache afterwards).
     service.shutdown();
     EXPECT_GE(service.chaos_stats().stalls, 1U);
+}
+
+// The longest watchdog the knob accepts (WAVEHPC_SVC_WATCHDOG_MS=3600000)
+// still arms on the clock: every request is computed and served.
+TEST(ChaosService, OneHourWatchdogServesEveryRequest) {
+    ThreadPool pool(2);
+    ServiceConfig cfg;
+    cfg.resilience.watchdog_seconds = 3600.0;
+    PyramidService service(pool, cfg);
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        auto sub = service.submit(request_for(scene(32, seed)));
+        ASSERT_TRUE(sub.accepted);
+        EXPECT_NO_THROW((void)sub.future.get()) << seed;
+    }
+    const auto m = service.metrics();
+    EXPECT_EQ(m.counters.computes, 8U);
+    EXPECT_EQ(m.counters.watchdog_timeouts, 0U);
+    service.shutdown();
 }
 
 TEST(ChaosService, ShutdownDuringRetryBackoffFailsCleanly) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/synthetic.hpp"
+#include "param_print.hpp"
 #include "wavelet/mesh_dwt.hpp"
 #include "wavelet/mesh_dwt_block.hpp"
 
@@ -36,6 +37,11 @@ struct BlockCase {
     std::size_t grid_cols;
     BoundaryMode mode;
 };
+
+void PrintTo(const BlockCase& c, std::ostream* os) {
+    *os << 'F' << c.taps << 'L' << c.levels << '_' << c.grid_rows << 'x' << c.grid_cols << '_';
+    PrintTo(c.mode, os);
+}
 
 class BlockDwtMatchesSequential : public ::testing::TestWithParam<BlockCase> {};
 

@@ -9,6 +9,7 @@
 #include "core/metrics.hpp"
 #include "core/synthetic.hpp"
 #include "mesh/machine.hpp"
+#include "param_print.hpp"
 #include "wavelet/mesh_dwt.hpp"
 #include "wavelet/threads_dwt.hpp"
 
@@ -40,6 +41,11 @@ struct MeshCase {
     std::size_t nprocs;
     BoundaryMode mode;
 };
+
+void PrintTo(const MeshCase& c, std::ostream* os) {
+    *os << 'F' << c.taps << 'L' << c.levels << "_P" << c.nprocs << '_';
+    PrintTo(c.mode, os);
+}
 
 class MeshDwtMatchesSequential : public ::testing::TestWithParam<MeshCase> {};
 

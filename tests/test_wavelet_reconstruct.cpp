@@ -12,6 +12,7 @@
 
 #include "core/metrics.hpp"
 #include "core/synthetic.hpp"
+#include "param_print.hpp"
 #include "wavelet/mesh_dwt.hpp"
 #include "wavelet/mesh_idwt.hpp"
 #include "wavelet/threads_dwt.hpp"
@@ -71,6 +72,10 @@ struct IdwtCase {
     std::size_t rows = 64;
     std::size_t cols = 64;
 };
+
+void PrintTo(const IdwtCase& c, std::ostream* os) {
+    *os << 'F' << c.taps << 'L' << c.levels << "_P" << c.nprocs << '_' << c.rows << 'x' << c.cols;
+}
 
 class MeshReconstruct
     : public ::testing::TestWithParam<std::tuple<IdwtCase, BoundaryMode>> {};
