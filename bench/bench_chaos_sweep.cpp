@@ -160,11 +160,7 @@ int main(int argc, char** argv) {
     std::uint64_t requests_flag = 0;
     const auto extra = [&requests_flag](std::string_view flag,
                                         std::string_view value) {
-        const auto n = wavehpc::core::parse_unsigned(value);
-        if (flag == "--requests" && n) {
-            requests_flag = *n;
-            return Consume::kFlagAndValue;
-        }
+        if (flag == "--requests") return wavehpc::bench::take_unsigned(value, requests_flag);
         return Consume::kNo;
     };
     if (!wavehpc::bench::parse_bench_args(argc, argv, args, extra)) return 2;

@@ -393,18 +393,13 @@ int main(int argc, char** argv) {
     bool soak = false;
     std::string json_path;
     const auto extra = [&](std::string_view flag, std::string_view value) {
-        const auto n = wavehpc::core::parse_unsigned(value);
-        if (flag == "--requests" && n) {
-            requests_flag = *n;
-            return Consume::kFlagAndValue;
-        }
+        if (flag == "--requests") return wavehpc::bench::take_unsigned(value, requests_flag);
         if (flag == "--soak") {
             soak = true;
             return Consume::kFlag;
         }
-        if (flag == "--soak-requests" && n) {
-            soak_requests_flag = *n;
-            return Consume::kFlagAndValue;
+        if (flag == "--soak-requests") {
+            return wavehpc::bench::take_unsigned(value, soak_requests_flag);
         }
         if (flag == "--json" && !value.empty()) {
             json_path = std::string(value);

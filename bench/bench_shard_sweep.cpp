@@ -214,11 +214,7 @@ int main(int argc, char** argv) {
     const auto extra = [&requests_flag, &json_path,
                         &drill_only](std::string_view flag,
                                      std::string_view value) {
-        const auto n = wavehpc::core::parse_unsigned(value);
-        if (flag == "--requests" && n) {
-            requests_flag = *n;
-            return Consume::kFlagAndValue;
-        }
+        if (flag == "--requests") return wavehpc::bench::take_unsigned(value, requests_flag);
         if (flag == "--json") {
             if (value.empty() || value.starts_with("--")) {
                 json_path = "BENCH_shard.json";

@@ -3,7 +3,7 @@
 // tile driver and report ingest bytes/s, peak driver-resident bytes
 // against the plan bound, the zero-warm-allocation arena contract, and
 // the progressive split — time-to-first-band (approximation sealed +
-// delivered on the simulated WAVEHPC_TILE_PREVIEW_BPS link) vs
+// delivered on a simulated 8 MiB/s link) vs
 // time-to-full-pyramid. The delivery sink assembles ONLY the
 // approximation plane and prices detail tiles as they fly by, so the
 // bench itself stays height-independent like the driver.
@@ -57,6 +57,9 @@ using wavehpc::tile::TilePlan;
 
 int g_failures = 0;
 
+/// Bytes per second of the simulated delivery link.
+constexpr double kLinkBytesPerSecond = 8.0 * (1 << 20);
+
 void check(bool ok, const std::string& what) {
     if (!ok) {
         std::cerr << "FAIL: " << what << "\n";
@@ -108,7 +111,6 @@ struct RunReport {
     wavehpc::tile::TileStreamStats stats;
     std::uint64_t resident_bound = 0;
     double bytes_per_sec = 0.0;
-    double preview_bps = 0.0;
     double time_to_first_band = 0.0;
     double time_to_full = 0.0;
     wavehpc::svc::ArenaStats arena;
@@ -165,13 +167,12 @@ RunReport run_stream(std::size_t rows, std::size_t cols, int levels, int taps,
         rep.stats.seconds > 0.0
             ? static_cast<double>(rep.stats.bytes_in) / rep.stats.seconds
             : 0.0;
-    rep.preview_bps = wavehpc::tile::preview_bytes_per_second();
-    // The progressive split: the preview link opens when its band seals.
+    // The progressive split: the link opens when the approximation seals.
     rep.time_to_first_band =
-        rep.stats.approx_seal_seconds + sink.approx_coded_bytes() / rep.preview_bps;
+        rep.stats.approx_seal_seconds + sink.approx_coded_bytes() / kLinkBytesPerSecond;
     rep.time_to_full =
         rep.stats.seconds +
-        (sink.approx_coded_bytes() + sink.detail_coded_bytes()) / rep.preview_bps;
+        (sink.approx_coded_bytes() + sink.detail_coded_bytes()) / kLinkBytesPerSecond;
     rep.arena = arena.stats();
     rep.pooled_per_class = arena.pooled_per_class();
     rep.slice_rows = std::min<std::size_t>(rows, 1024);
@@ -220,7 +221,7 @@ void write_json(const std::string& path, const RunReport& r) {
         << "  \"bytes_per_sec\": " << r.bytes_per_sec << ",\n"
         << "  \"driver_slice_rows\": " << r.slice_rows << ",\n"
         << "  \"driver_ns_per_px\": " << r.driver_ns_per_px << ",\n"
-        << "  \"preview_bytes_per_sec\": " << r.preview_bps << ",\n"
+        << "  \"preview_bytes_per_sec\": " << kLinkBytesPerSecond << ",\n"
         << "  \"approx_seal_seconds\": " << r.stats.approx_seal_seconds << ",\n"
         << "  \"time_to_first_band_seconds\": " << r.time_to_first_band << ",\n"
         << "  \"time_to_full_seconds\": " << r.time_to_full << ",\n"

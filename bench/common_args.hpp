@@ -11,7 +11,8 @@
 // number is read by the program's one number rule (core::parse_unsigned:
 // plain decimal, no space, sign or hex, below 2^64). Benches
 // with extra knobs pass an ExtraFlag hook; anything neither side claims is
-// an error (exit non-zero) so typos never silently run the full sweep.
+// an error (exit non-zero) so typos never silently run the full sweep, and
+// so is a claimed flag whose number breaks the rule.
 
 #include <cstdint>
 #include <functional>
@@ -25,7 +26,7 @@ namespace wavehpc::bench {
 struct CommonArgs {
     bool smoke = false;
     std::uint64_t seed = 0;  ///< 0 = bench default
-    std::size_t size = 0;    ///< 0 = bench default
+    std::uint64_t size = 0;  ///< 0 = bench default
 };
 
 /// What an ExtraFlag hook did with a flag it was offered.
@@ -33,11 +34,21 @@ enum class Consume {
     kNo,            ///< not mine — parser reports an unknown-flag error
     kFlag,          ///< took the flag; the offered value was not used
     kFlagAndValue,  ///< took the flag and its (possibly space-separated) value
+    kBadValue,      ///< took the flag, but its value is not an unsigned integer
 };
 
 /// Hook for bench-specific flags. `flag` includes the leading dashes;
 /// `value` is the text after '=' or the next argv element ("" if absent).
 using ExtraFlag = std::function<Consume(std::string_view flag, std::string_view value)>;
+
+/// Read an unsigned flag value into `out` by the number rule: kFlagAndValue,
+/// or kBadValue (leaving `out` as it was).
+[[nodiscard]] inline Consume take_unsigned(std::string_view value, std::uint64_t& out) {
+    const auto v = core::parse_unsigned(value);
+    if (!v) return Consume::kBadValue;
+    out = *v;
+    return Consume::kFlagAndValue;
+}
 
 /// Parse argv into `args`, offering unrecognized flags to `extra`.
 /// Returns false (after printing to stderr) on any malformed or unknown
@@ -66,31 +77,22 @@ inline bool parse_bench_args(int argc, char** argv, CommonArgs& args,
                 return false;
             }
             args.smoke = true;
-        } else if (flag == "--seed" || flag == "--size") {
-            const auto v = core::parse_unsigned(next_value);
-            if (!v) {
-                std::cerr << argv[0] << ": " << flag
-                          << " needs an unsigned integer value\n";
-                return false;
-            }
+            continue;
+        }
+        const Consume took = flag == "--seed"   ? take_unsigned(next_value, args.seed)
+                             : flag == "--size" ? take_unsigned(next_value, args.size)
+                             : extra            ? extra(flag, next_value)
+                                                : Consume::kNo;
+        switch (took) {
+        case Consume::kFlag:
+            break;
+        case Consume::kFlagAndValue:
             if (!has_inline) ++i;
-            if (flag == "--seed") {
-                args.seed = *v;
-            } else {
-                args.size = static_cast<std::size_t>(*v);
-            }
-        } else if (extra) {
-            switch (extra(flag, next_value)) {
-            case Consume::kFlag:
-                break;
-            case Consume::kFlagAndValue:
-                if (!has_inline) ++i;
-                break;
-            case Consume::kNo:
-                std::cerr << argv[0] << ": unknown flag '" << flag << "'\n";
-                return false;
-            }
-        } else {
+            break;
+        case Consume::kBadValue:
+            std::cerr << argv[0] << ": " << flag << " needs an unsigned integer value\n";
+            return false;
+        case Consume::kNo:
             std::cerr << argv[0] << ": unknown flag '" << flag << "'\n";
             return false;
         }

@@ -29,9 +29,9 @@ void quantize_details(Pyramid& pyr, float step);
 /// spend. Returns 0 for an all-zero detail set.
 [[nodiscard]] double detail_entropy_bits(const Pyramid& pyr, float step);
 
-/// Same estimate for ONE band (its own histogram): the progressive
-/// delivery planner (src/tile) prices each subband individually to place
-/// it on the rate-limited preview link. Returns 0 for an empty band.
+/// Same estimate for ONE band (its own histogram): bench_tiled_stream
+/// prices each subband individually to place it on its simulated
+/// delivery link. Returns 0 for an empty band.
 [[nodiscard]] double band_entropy_bits(const ImageF& band, float step);
 
 struct CompressionReport {

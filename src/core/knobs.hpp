@@ -93,10 +93,9 @@ inline constexpr std::array kKnobs{
     // svc::ChaosPlan::from_env
     knob_row::text("WAVEHPC_CHAOS_PLAN"),
     knob_row::integer("WAVEHPC_CHAOS_SEED", 0, knob_row::kU64),
-    // tile::TileConfig::from_env, tile::preview_bytes_per_second
+    // tile::TileConfig::from_env
     knob_row::integer("WAVEHPC_TILE_ROWS", 1, 65536),
     knob_row::integer("WAVEHPC_TILE_COLS", 1, 65536),
-    knob_row::real("WAVEHPC_TILE_PREVIEW_BPS", 1.0, knob_row::kInf),
     // testing:: harness (seeds, case counts, golden files)
     knob_row::integer("WAVEHPC_FAULT_SEED", 0, knob_row::kU64),
     knob_row::integer("WAVEHPC_FUZZ_SEED", 0, knob_row::kU64),

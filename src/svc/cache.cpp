@@ -65,9 +65,6 @@ std::shared_ptr<const TransformResult> ResultCache::lookup_variant(
             k.rows != key.rows || k.cols != key.cols) {
             continue;
         }
-        // Previews (band != 0) are served only through an explicit
-        // preview_key lookup; the variant scan offers full pyramids.
-        if (k.band != 0) continue;
         if (audit_lookups_ && !audit_result(*it->result)) {
             ++stats_.audit_failures;
             ++stats_.misses;  // the caller recomputes; hit-rate must see it

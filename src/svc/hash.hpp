@@ -8,8 +8,8 @@
 // (tested in test_wavelet_parallel), so requests that differ only in
 // backend may — must, for single-flight to pay off — share one cached
 // result. The key keeps a kernel byte, always core::DwtKernel::Convolve
-// (the one analysis kernel), so keys and the wire frames that carry them
-// keep their historical layout and values.
+// (the one analysis kernel), so keys keep their historical values; the
+// wire frames carry it too (DESIGN.md §16).
 //
 // The digest is two independent splitmix64-finalizer lanes over the pixel
 // words. Not cryptographic: an adversary could forge a collision, but the
@@ -39,22 +39,9 @@ struct CacheKey {
     std::uint8_t levels = 0;
     std::uint8_t boundary = 0;
     std::uint8_t kernel = 0;  ///< core::DwtKernel::Convolve (see above)
-    /// Band selector: 0 = the full pyramid, 1 = approximation-only preview
-    /// (the progressive pipeline's first deliverable). Previews live in
-    /// the same cache under their own key so a degraded client can be
-    /// served the coarse scene while the full answer is still in flight —
-    /// without ever aliasing the full result.
-    std::uint8_t band = 0;
 
     friend bool operator==(const CacheKey&, const CacheKey&) = default;
 };
-
-/// The approximation-preview variant of `k` (band field set; everything
-/// else identical).
-[[nodiscard]] inline CacheKey preview_key(CacheKey k) noexcept {
-    k.band = 1;
-    return k;
-}
 
 struct CacheKeyHash {
     [[nodiscard]] std::size_t operator()(const CacheKey& k) const noexcept {
@@ -63,7 +50,6 @@ struct CacheKeyHash {
         h ^= (std::uint64_t{k.rows} << 32) | k.cols;
         h ^= (std::uint64_t{k.kernel} << 24) | (std::uint64_t{k.taps} << 16) |
              (std::uint64_t{k.levels} << 8) | k.boundary;
-        h ^= std::uint64_t{k.band} << 56;
         return static_cast<std::size_t>(h);
     }
 };

@@ -29,8 +29,6 @@ void ServiceCounters::merge(const ServiceCounters& o) noexcept {
     arena_hits += o.arena_hits;
     arena_misses += o.arena_misses;
     heap_fallbacks += o.heap_fallbacks;
-    progressive += o.progressive;
-    preview_hits += o.preview_hits;
 }
 
 void MetricsSnapshot::merge(const MetricsSnapshot& o) {
@@ -78,10 +76,6 @@ void print_service_metrics(std::ostream& os, const std::string& label,
            << " avg_batch=" << avg << " arena(hits/misses/heap_fallbacks)="
            << c.arena_hits << "/" << c.arena_misses << "/" << c.heap_fallbacks
            << "\n";
-    }
-    if (c.progressive + c.preview_hits > 0) {
-        os << label << " progressive: computes=" << c.progressive
-           << " preview_hits=" << c.preview_hits << "\n";
     }
     if (c.retries + c.quarantined + c.quarantine_rejects + c.breaker_rejects +
             c.degraded_replies + c.crc_audit_failures >

@@ -45,9 +45,6 @@ struct ServiceCounters {
     std::uint64_t arena_hits = 0;         ///< slab checkouts served from the pool
     std::uint64_t arena_misses = 0;       ///< slab checkouts that allocated
     std::uint64_t heap_fallbacks = 0;     ///< oversize checkouts bypassing the pool
-    // --- tiled progressive pipeline (ISSUE 9) ---
-    std::uint64_t progressive = 0;        ///< flights computed via the tile stream
-    std::uint64_t preview_hits = 0;       ///< degraded replies served a cached preview
 
     /// Fold another service's counters into this one; the accounting
     /// identities above hold for the sum iff they hold per shard.

@@ -56,12 +56,6 @@ struct TransformRequest {
     /// The reply is flagged `degraded`; exact-parameter clients leave
     /// this false and get the ordinary reject + retry-after.
     bool allow_degraded = false;
-    /// Route the compute through the tiled streaming pipeline
-    /// (tile::tiled_decompose — bit-identical to the monolithic path) and
-    /// additionally cache an approximation-only preview pyramid under the
-    /// request's preview_key. Progressive flights report the stream's
-    /// time-to-first-band and are never batch-fused.
-    bool progressive = false;
 };
 
 /// The immutable computed artifact, shared (never copied) between the
@@ -77,10 +71,6 @@ struct TransformResult {
     /// corruption is caught before any waiter sees the bytes. 0 = the
     /// producer did not checksum (audit skipped).
     std::uint32_t crc32 = 0;
-    /// Progressive computes only: wall seconds (within the stream) until
-    /// the approximation band sealed — the earliest moment a preview
-    /// client could have been answered. 0 for monolithic computes.
-    double first_band_seconds = 0.0;
 };
 
 /// Per-request outcome delivered through the future. `result` is shared:
@@ -93,9 +83,6 @@ struct TransformReply {
     /// different taps/levels) because the exact answer was unavailable —
     /// only possible when the request set `allow_degraded`.
     bool degraded = false;
-    /// The degraded answer is an approximation-only preview pyramid cached
-    /// by a progressive flight of the same scene (implies `degraded`).
-    bool preview = false;
     std::uint32_t attempts = 1;   ///< compute attempts the flight needed (1 = no retry)
     /// Flights fused into the sweep that computed this reply (1 = solo or
     /// no compute happened — cache hit / degraded / joined flight shares

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <utility>
 
 #include "core/knobs.hpp"
-#include "tile/progressive.hpp"
 #include "wavelet/threads_dwt.hpp"
 
 namespace wavehpc::svc {
@@ -26,6 +26,26 @@ std::function<void()> bind_completion(PyramidService::Completion& on_done,
                                       const TransformFuture& future) {
     if (!on_done) return {};
     return [cb = std::exchange(on_done, {}), future] { cb(future); };
+}
+
+/// `cfg`, once every duration a WAVEHPC_SVC_*_MS knob bounds lies in that
+/// knob's domain. A config built in code never passes the knob read, and
+/// past one hour the watchdog's clock conversion overflows.
+const ServiceConfig& checked(const ServiceConfig& cfg) {
+    const auto bound = [](double seconds, const char* field) {
+        constexpr double kMaxSeconds = core::knob_row::kMaxMillis / 1e3;
+        if (seconds >= 0.0 && seconds <= kMaxSeconds) return;  // NaN fails both
+        std::ostringstream os;
+        os << "ServiceConfig: " << field << " = " << seconds << " lies outside [0, "
+           << kMaxSeconds << "] seconds";
+        throw std::invalid_argument(os.str());
+    };
+    const ResilienceConfig& r = cfg.resilience;
+    bound(r.retry.base_seconds, "resilience.retry.base_seconds");
+    bound(r.retry.cap_seconds, "resilience.retry.cap_seconds");
+    bound(r.breaker.open_seconds, "resilience.breaker.open_seconds");
+    bound(r.watchdog_seconds, "resilience.watchdog_seconds");
+    return cfg;
 }
 
 }  // namespace
@@ -77,11 +97,10 @@ ServiceConfig ServiceConfig::from_env() {
 
 PyramidService::PyramidService(runtime::ThreadPool& pool, ServiceConfig cfg)
     : pool_(pool),
-      cfg_(cfg),
+      cfg_(checked(cfg)),
       arena_(cfg.arena),
       cache_(cfg.cache_bytes),
       chaos_(ChaosPlan::from_env()),
-      tile_cfg_(tile::TileConfig::from_env()),
       breakers_{CircuitBreaker(cfg.resilience.breaker),
                 CircuitBreaker(cfg.resilience.breaker)} {
     cache_.set_audit_lookups(chaos_.enabled());
@@ -287,13 +306,6 @@ SubmitResult PyramidService::try_degraded_locked(const CacheKey& key,
                                                  bool& served) {
     SubmitResult out;
     auto variant = cache_.lookup_variant(key);
-    bool is_preview = false;
-    if (!variant) {
-        // No full-pyramid variant of the scene: fall back to the
-        // approximation-only preview a progressive flight may have cached.
-        variant = cache_.lookup(preview_key(key));
-        is_preview = variant != nullptr;
-    }
     if (!variant) {
         served = false;
         return out;
@@ -302,11 +314,9 @@ SubmitResult PyramidService::try_degraded_locked(const CacheKey& key,
     ++counters_.accepted;
     ++counters_.completed;
     ++counters_.degraded_replies;
-    if (is_preview) ++counters_.preview_hits;
     TransformReply reply;
     reply.result = std::move(variant);
     reply.degraded = true;
-    reply.preview = is_preview;
     reply.total_seconds = seconds_between(submitted_at, Clock::now());
     total_hist_.record(reply.total_seconds);
     record_outcome_locked(Outcome::Degraded, reply.total_seconds);
@@ -353,10 +363,6 @@ void PyramidService::fail_flight_locked(Flight& flight,
 }
 
 bool PyramidService::batch_compatible(const Flight& a, const Flight& b) noexcept {
-    // Progressive flights run the tile stream solo: fusing them into a
-    // sweep would serialize the stream behind the batch anyway, and the
-    // preview side-product is per-flight.
-    if (a.request.progressive || b.request.progressive) return false;
     return a.priority == b.priority && a.deadline == b.deadline &&
            a.request.backend == b.request.backend &&
            a.request.taps == b.request.taps &&
@@ -447,7 +453,6 @@ void PyramidService::run_batch(const std::vector<std::shared_ptr<Flight>>& batch
         std::shared_ptr<Flight> flight;
         ChaosDecision decision{};
         std::shared_ptr<const TransformResult> result;
-        std::shared_ptr<const TransformResult> preview;  ///< progressive only
         std::exception_ptr error;
         bool crc_failed = false;
     };
@@ -488,7 +493,7 @@ void PyramidService::run_batch(const std::vector<std::shared_ptr<Flight>>& batch
             } else {
                 flight->watch_deadline = Clock::time_point::max();
             }
-            live.push_back(Cell{flight, {}, nullptr, nullptr, nullptr, false});
+            live.push_back(Cell{flight, {}, nullptr, nullptr, false});
         }
         if (live.empty()) {
             release_slot_locked(*slot);
@@ -532,24 +537,11 @@ void PyramidService::run_batch(const std::vector<std::shared_ptr<Flight>>& batch
     }
     if (!images.empty()) {
         std::vector<core::Pyramid> pyrs;
-        double first_band_seconds = 0.0;
         std::exception_ptr sweep_error;
         try {
             const auto fp = core::FilterPair::daubechies(req0.taps);
-            if (req0.progressive) {
-                // batch_compatible never fuses progressive flights, so the
-                // tile stream computes exactly one member; its output is
-                // bit-identical to the fused sweep's.
-                tile::TileStreamStats tstats;
-                pyrs.push_back(tile::tiled_decompose(
-                    *images.front(), fp, req0.levels, req0.boundary, tile_cfg_, &arena_,
-                    &tstats));
-                first_band_seconds = tstats.approx_seal_seconds;
-            } else {
-                pyrs = wavelet::decompose_batch(images, fp, req0.levels,
-                                                req0.boundary, pool, req0.kernel,
-                                                &arena_);
-            }
+            pyrs = wavelet::decompose_batch(images, fp, req0.levels, req0.boundary, pool,
+                                            req0.kernel, &arena_);
         } catch (...) {
             sweep_error = std::current_exception();
         }
@@ -566,7 +558,6 @@ void PyramidService::run_batch(const std::vector<std::shared_ptr<Flight>>& batch
             owned->key = cell.flight->key;
             owned->result_bytes = pyramid_bytes(owned->pyramid);
             owned->compute_seconds = sweep_seconds;
-            owned->first_band_seconds = first_band_seconds;
             // CRC point of truth, then the chaos corruption hook: an
             // injected bit flip lands *after* the checksum, so the audit
             // must catch it.
@@ -583,25 +574,10 @@ void PyramidService::run_batch(const std::vector<std::shared_ptr<Flight>>& batch
             // The lease: cache + waiters share it; the last release
             // (typically cache eviction) recycles the slabs.
             cell.result = arena_.adopt(std::move(owned));
-            if (req0.progressive) {
-                // Approximation-only preview for allow_degraded clients,
-                // cached under the flight's preview key below. Plain
-                // heap-owned result: its one band is a copy, not arena
-                // slabs, so no adopt lease.
-                auto pv = std::make_shared<TransformResult>();
-                pv->pyramid.approx = cell.result->pyramid.approx;
-                pv->key = preview_key(cell.flight->key);
-                pv->result_bytes = pyramid_bytes(pv->pyramid);
-                pv->compute_seconds = sweep_seconds;
-                pv->first_band_seconds = first_band_seconds;
-                pv->crc32 = pyramid_crc32(pv->pyramid);
-                cell.preview = std::move(pv);
-            }
             // Cached before phase 3 removes the flight, so a submit in
             // between hits the cache instead of starting a new flight. A
             // watchdog-abandoned member is cached too: salvage.
             cache_.insert(cell.flight->key, cell.result);
-            if (cell.preview) cache_.insert(cell.preview->key, cell.preview);
         };
         const auto settle_range = [&](std::size_t i0, std::size_t i1) {
             for (std::size_t i = i0; i < i1; ++i) settle(i);
@@ -639,7 +615,6 @@ void PyramidService::run_batch(const std::vector<std::shared_ptr<Flight>>& batch
                 // once every member was abandoned); the settle already
                 // cached a clean result as salvage, so the work is not
                 // wasted.
-                if (cell.preview) ++counters_.progressive;
                 continue;
             }
 
@@ -654,7 +629,6 @@ void PyramidService::run_batch(const std::vector<std::shared_ptr<Flight>>& batch
                 d.result = cell.result;
                 d.attempts = flight.attempts;
                 remove_flight_locked(flight);
-                if (cell.preview) ++counters_.progressive;
                 const double compute_seconds = cell.result->compute_seconds;
                 queue_wait_hist_.record(seconds_between(flight.admitted_at, start));
                 compute_hist_.record(compute_seconds);

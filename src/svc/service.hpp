@@ -75,7 +75,6 @@
 #include "svc/metrics.hpp"
 #include "svc/request.hpp"
 #include "svc/resilience.hpp"
-#include "tile/plan.hpp"
 
 namespace wavehpc::svc {
 
@@ -107,8 +106,10 @@ class PyramidService {
 public:
     /// The chaos plan defaults to ChaosPlan::from_env() (WAVEHPC_CHAOS_*);
     /// tests and the chaos bench swap it via set_chaos_plan() before
-    /// offering traffic. Progressive computes tile with
-    /// tile::TileConfig::from_env(), read here once.
+    /// offering traffic. Throws std::invalid_argument, naming the field,
+    /// when a duration a WAVEHPC_SVC_*_MS knob bounds (retry base and cap,
+    /// breaker open window, watchdog) lies outside that knob's domain:
+    /// NaN, negative or past one hour.
     explicit PyramidService(runtime::ThreadPool& pool, ServiceConfig cfg = {});
 
     /// Drains via shutdown() if the caller has not already.
@@ -259,7 +260,6 @@ private:
     BufferArena arena_;  ///< before cache_: evicted leases recycle into it
     ResultCache cache_;
     ChaosEngine chaos_;
-    const tile::TileConfig tile_cfg_;  ///< progressive computes' tile grid
     DigestMemo digest_memo_;  ///< resubmitted scenes skip the pixel hash
 
     mutable std::mutex mu_;

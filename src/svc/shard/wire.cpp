@@ -130,7 +130,6 @@ void write_cache_key(ByteWriter& w, const CacheKey& k) {
     w.u8(k.levels);
     w.u8(k.boundary);
     w.u8(k.kernel);
-    w.u8(k.band);
 }
 
 [[nodiscard]] CacheKey read_cache_key(ByteReader& r) {
@@ -143,7 +142,6 @@ void write_cache_key(ByteWriter& w, const CacheKey& k) {
     k.levels = r.u8("key levels");
     k.boundary = r.u8("key boundary");
     k.kernel = r.u8("key kernel");
-    k.band = r.u8("key band");
     return k;
 }
 
@@ -190,7 +188,6 @@ void write_request(ByteWriter& w, const TransformRequest& req, Clock::time_point
     w.u8(static_cast<std::uint8_t>(req.backend));
     w.u8(static_cast<std::uint8_t>(req.priority));
     w.u8(req.allow_degraded ? 1 : 0);
-    w.u8(req.progressive ? 1 : 0);
     double deadline_rel = std::numeric_limits<double>::infinity();
     if (req.deadline != Clock::time_point::max()) {
         deadline_rel = std::chrono::duration<double>(req.deadline - now).count();
@@ -212,7 +209,6 @@ void write_reply(ByteWriter& w, const TransformReply& reply) {
     if (reply.cache_hit) flags |= 1U;
     if (reply.shared_flight) flags |= 2U;
     if (reply.degraded) flags |= 4U;
-    if (reply.preview) flags |= 8U;
     w.u8(flags);
     w.u32(reply.attempts);
     w.u32(reply.batch_size);
@@ -223,7 +219,6 @@ void write_reply(ByteWriter& w, const TransformReply& reply) {
     w.u64(res.result_bytes);
     w.f64(res.compute_seconds);
     w.u32(res.crc32);
-    w.f64(res.first_band_seconds);
     w.u32(static_cast<std::uint32_t>(res.pyramid.levels.size()));
     for (const core::DetailBands& lv : res.pyramid.levels) {
         write_image(w, lv.lh);
@@ -352,7 +347,6 @@ TransformRequest decode_request_payload(std::span<const std::byte> payload,
     req.backend = r.enum_u8(Backend::Threads, "backend");
     req.priority = r.enum_u8(Priority::Interactive, "priority");
     req.allow_degraded = r.u8("allow_degraded") != 0;
-    req.progressive = r.u8("progressive") != 0;
     // +inf means no deadline. Anything else must land on the clock: NaN,
     // -inf and sums past the clock's ticks are defects, not deadlines.
     const double deadline_rel = r.f64("deadline");
@@ -414,7 +408,6 @@ ReplyWire decode_reply_payload(std::span<const std::byte> payload) {
     rw.reply.cache_hit = (flags & 1U) != 0;
     rw.reply.shared_flight = (flags & 2U) != 0;
     rw.reply.degraded = (flags & 4U) != 0;
-    rw.reply.preview = (flags & 8U) != 0;
     rw.reply.attempts = r.u32("attempts");
     rw.reply.batch_size = r.u32("batch size");
     rw.reply.queue_seconds = r.f64("queue seconds");
@@ -425,7 +418,6 @@ ReplyWire decode_reply_payload(std::span<const std::byte> payload) {
     res.result_bytes = r.u64("result bytes");
     res.compute_seconds = r.f64("result compute seconds");
     res.crc32 = r.u32("result crc");
-    res.first_band_seconds = r.f64("first band seconds");
     const std::uint32_t n_levels = r.u32("pyramid depth");
     res.pyramid.levels.reserve(n_levels);
     for (std::uint32_t i = 0; i < n_levels; ++i) {

@@ -6,7 +6,7 @@
 //
 //   header (48 bytes, little-endian):
 //     magic   u32  'WSRD'
-//     version u16  (currently 1; decoders reject anything else)
+//     version u16  (currently 2; decoders reject anything else)
 //     kind    u8   MsgKind
 //     flags   u8   reserved, 0
 //     src     u32  sender node id (shards 0..N-1, router = N)
@@ -40,7 +40,7 @@
 namespace wavehpc::svc::shard::wire {
 
 constexpr std::uint32_t kMagic = 0x57535244U;  // "WSRD"
-constexpr std::uint16_t kVersion = 1;
+constexpr std::uint16_t kVersion = 2;
 constexpr std::size_t kHeaderBytes = 48;
 
 /// Transport tags, one per traffic class, so fault plans can target

@@ -13,8 +13,9 @@
 //     tiled-vs-monolithic bit-identity tests rely on.
 //   * PgmTileSource — windowed reads over a PGM file via read_pgm_rows;
 //     only the header is touched at construction.
-//   * InMemoryTileSource — adapter over an existing ImageF (the service's
-//     progressive path); no copy, the image must outlive the source.
+//   * InMemoryTileSource — adapter over an existing ImageF (tiled_decompose,
+//     bench_tiled_stream's in-memory pass); no copy, the image must outlive
+//     the source.
 
 #include <cstddef>
 #include <cstdint>

@@ -227,13 +227,7 @@ private:
             sink_.on_detail(TileCoord{static_cast<int>(l), k0, c0},
                             std::exchange(tile_, core::DetailBands{}));
         }
-        if (last_level && k1 == g.out_rows) {
-            approx_seal_seconds_ = elapsed();
-            sink_.on_approx_complete();
-        }
-        if (k1 == g.out_rows) {
-            sink_.on_level_complete(static_cast<int>(l));
-        }
+        if (last_level && k1 == g.out_rows) approx_seal_seconds_ = elapsed();
         if (!last_level) {
             for (std::size_t j = 0; j < th; ++j) {
                 push_row(l + 1, st.ll_band.row(j).data());

@@ -50,7 +50,7 @@ struct TileCoord {
     std::size_t col0 = 0;
 };
 
-/// Consumer of the progressive tile stream. Tiles arrive coarse-to-fine
+/// Consumer of the tile stream. Tiles arrive coarse-to-fine
 /// in scan order within a level; ownership of the band buffers transfers
 /// with the call (recycle them into your buffer source when done).
 class TileSink {
@@ -59,12 +59,6 @@ public:
 
     virtual void on_detail(const TileCoord& coord, core::DetailBands&& bands) = 0;
     virtual void on_approx(const TileCoord& coord, core::ImageF&& ll) = 0;
-
-    /// All detail tiles of pyramid level `level` have been delivered.
-    virtual void on_level_complete(int level) { (void)level; }
-    /// All approximation tiles have been delivered (the stream's
-    /// "first-band sealed" moment for progressive preview clients).
-    virtual void on_approx_complete() {}
 };
 
 struct TileStreamStats {

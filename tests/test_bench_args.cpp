@@ -65,4 +65,30 @@ TEST(ParseBenchArgs, UnknownFlagFailsUnlessExtraHookClaimsIt) {
     EXPECT_TRUE(args.smoke);  // parsing continued past the consumed value
 }
 
+// A bench flag the hook claims but whose number breaks the rule is a bad
+// value, reported like --seed's, never an unknown flag.
+TEST(ParseBenchArgs, HookRejectingItsValueFailsAsABadValue) {
+    std::uint64_t requests = 7;
+    const auto extra = [&](std::string_view flag, std::string_view value) {
+        if (flag == "--requests") return wavehpc::bench::take_unsigned(value, requests);
+        return Consume::kNo;
+    };
+    const std::vector<std::vector<std::string>> bad{
+        {"--requests=+5"}, {"--requests", "0x10"}, {"--requests"}};
+    for (const auto& argv : bad) {
+        CommonArgs args;
+        testing::internal::CaptureStderr();
+        EXPECT_FALSE(parse(argv, args, extra)) << argv[0];
+        const std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find("--requests needs an unsigned integer value"), std::string::npos)
+            << err;
+        EXPECT_EQ(err.find("unknown flag"), std::string::npos) << err;
+    }
+    EXPECT_EQ(requests, 7U);  // never clobbered by a rejected value
+
+    CommonArgs args;
+    ASSERT_TRUE(parse({"--requests=12", "--smoke"}, args, extra));
+    EXPECT_EQ(requests, 12U);
+}
+
 }  // namespace

@@ -31,7 +31,6 @@
 #include "testing/golden.hpp"
 #include "testing/seeds.hpp"
 #include "tile/plan.hpp"
-#include "tile/progressive.hpp"
 
 namespace {
 
@@ -256,8 +255,6 @@ TEST(KnobConsumers, FormerlySilentValuesNowThrow) {
                     [] { return wavehpc::tile::TileConfig::from_env(); });
     expect_rejected("WAVEHPC_FUZZ_SEED", "12abc",
                     [] { return wavehpc::testing::env_seed("WAVEHPC_FUZZ_SEED", 1); });
-    expect_rejected("WAVEHPC_TILE_PREVIEW_BPS", "0.5",
-                    [] { return wavehpc::tile::preview_bytes_per_second(); });
     expect_rejected("WAVEHPC_SCHED_CASES", "0",
                     [] { return wavehpc::testing::env_cases("WAVEHPC_SCHED_CASES", 12); });
 }

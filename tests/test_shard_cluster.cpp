@@ -16,6 +16,7 @@
 #include <future>
 #include <initializer_list>
 #include <latch>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -365,6 +366,15 @@ TEST(ShardCluster, ChaosPlanReplaysKillAndReviveAgainstTheManualClock) {
     auto sub = cluster.submit_to_shard(0, request_for(scene(3)));
     ASSERT_TRUE(sub.accepted);
     (void)sub.future.get();
+}
+
+// Every shard's service checks its config: a watchdog past the knob's
+// one-hour domain fails the cluster's construction.
+TEST(ShardCluster, ServiceConfigOutsideTheKnobDomainThrows) {
+    ThreadPool pool(2);
+    ShardClusterConfig cfg = manual_cfg(2);
+    cfg.service.resilience.watchdog_seconds = std::numeric_limits<double>::infinity();
+    EXPECT_THROW({ ShardCluster cluster(pool, cfg); }, std::invalid_argument);
 }
 
 TEST(ShardCluster, ChaosPlanRejectsEventsNamingAbsentShards) {

@@ -104,7 +104,6 @@ TEST(WireCodec, RequestPayloadRoundTripsParamsPixelsAndDeadline) {
     req.taps = 6;
     req.levels = 2;
     req.allow_degraded = true;
-    req.progressive = true;
     const auto now = wavehpc::svc::Clock::now();
     req.deadline = now + std::chrono::milliseconds(250);
 
@@ -113,7 +112,6 @@ TEST(WireCodec, RequestPayloadRoundTripsParamsPixelsAndDeadline) {
     EXPECT_EQ(back.taps, 6);
     EXPECT_EQ(back.levels, 2);
     EXPECT_TRUE(back.allow_degraded);
-    EXPECT_TRUE(back.progressive);
     const double dl =
         std::chrono::duration<double>(back.deadline - now).count();
     EXPECT_NEAR(dl, 0.25, 1e-6);
@@ -142,7 +140,6 @@ TEST(WireCodec, ReplyPayloadRoundTripsTheFullPyramidAndFlags) {
     res.result_bytes = 1234;
     res.compute_seconds = 0.5;
     res.crc32 = 0xABCD1234U;
-    res.first_band_seconds = 0.125;
     wavehpc::core::DetailBands lv;
     lv.lh = ImageF(2, 2, {1.f, 2.f, 3.f, 4.f});
     lv.hl = ImageF(2, 2, {5.f, 6.f, 7.f, 8.f});
@@ -330,7 +327,7 @@ TEST(WireCodec, RequestPayloadRejectsDeadlinesTheClockCannotHold) {
         auto payload = wire::encode_request_payload(req, now);
         const auto bits = std::bit_cast<std::uint64_t>(seconds);
         for (std::size_t i = 0; i < 8; ++i) {
-            payload[8 + i] = static_cast<std::byte>(bits >> (8 * i));  // after 8 u8 fields
+            payload[7 + i] = static_cast<std::byte>(bits >> (8 * i));  // after 7 u8 fields
         }
         return wire::decode_request_payload(payload, now);
     };

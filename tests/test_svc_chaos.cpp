@@ -13,9 +13,12 @@
 #include <cstring>
 #include <functional>
 #include <future>
+#include <limits>
 #include <memory>
 #include <new>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/dwt.hpp"
@@ -43,6 +46,7 @@ using wavehpc::svc::ResilienceConfig;
 using wavehpc::svc::RetryPolicy;
 using wavehpc::svc::ServiceConfig;
 using wavehpc::svc::ServiceShutdownError;
+using wavehpc::svc::TransformReply;
 using wavehpc::svc::TransformRequest;
 using wavehpc::svc::TransformResult;
 using wavehpc::svc::WatchdogTimeoutError;
@@ -69,6 +73,14 @@ ResilienceConfig fast_resilience(std::uint32_t max_attempts = 4) {
     r.retry.base_seconds = 0.001;
     r.retry.cap_seconds = 0.004;
     return r;
+}
+
+/// A degraded reply is still a whole pyramid: it validates, and its depth is
+/// the level count its key names.
+void expect_whole_pyramid(const TransformReply& reply) {
+    ASSERT_NE(reply.result, nullptr);
+    EXPECT_NO_THROW(wavehpc::core::validate_pyramid(reply.result->pyramid));
+    EXPECT_EQ(reply.result->pyramid.depth(), reply.result->key.levels);
 }
 
 std::size_t outcome_count(const wavehpc::svc::MetricsSnapshot& m, Outcome o) {
@@ -477,6 +489,43 @@ TEST(ChaosService, OneHourWatchdogServesEveryRequest) {
     service.shutdown();
 }
 
+// A config built in code meets the domain of the WAVEHPC_SVC_*_MS knob that
+// bounds each duration, [0, 3600] s: past an hour the watchdog's clock
+// conversion can overflow and fail computed requests.
+TEST(ResilienceConfigBounds, DurationsOutsideTheKnobDomainThrowNamingTheField) {
+    ThreadPool pool(1);
+    using Field = double& (*)(ServiceConfig&);
+    const std::vector<std::pair<std::string, Field>> fields{
+        {"resilience.retry.base_seconds",
+         [](ServiceConfig& c) -> double& { return c.resilience.retry.base_seconds; }},
+        {"resilience.retry.cap_seconds",
+         [](ServiceConfig& c) -> double& { return c.resilience.retry.cap_seconds; }},
+        {"resilience.breaker.open_seconds",
+         [](ServiceConfig& c) -> double& { return c.resilience.breaker.open_seconds; }},
+        {"resilience.watchdog_seconds",
+         [](ServiceConfig& c) -> double& { return c.resilience.watchdog_seconds; }},
+    };
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (const auto& [name, field] : fields) {
+        for (const double bad :
+             {kInf, 1e300, std::numeric_limits<double>::quiet_NaN(), -1.0, 3600.001}) {
+            ServiceConfig cfg;
+            field(cfg) = bad;
+            try {
+                PyramidService service(pool, cfg);
+                ADD_FAILURE() << name << " = " << bad << ": constructed";
+            } catch (const std::invalid_argument& e) {
+                EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+            }
+        }
+        for (const double good : {0.0, 3600.0}) {
+            ServiceConfig cfg;
+            field(cfg) = good;
+            EXPECT_NO_THROW({ PyramidService service(pool, cfg); }) << name << " = " << good;
+        }
+    }
+}
+
 TEST(ChaosService, ShutdownDuringRetryBackoffFailsCleanly) {
     ThreadPool pool(2);
     ServiceConfig cfg;
@@ -563,6 +612,7 @@ TEST(ChaosService, DegradedVariantServedWhileBreakerOpen) {
     EXPECT_TRUE(reply.degraded);
     ASSERT_NE(reply.result, nullptr);
     EXPECT_EQ(reply.result->key.levels, 2U);
+    expect_whole_pyramid(reply);
 
     // An exact-parameter client is still fast-rejected.
     const auto strict = service.submit(request_for(img, 4, 4));
@@ -609,6 +659,15 @@ TEST(ChaosService, DegradedVariantServedWhenSaturated) {
     const auto reply = degraded.future.get();
     EXPECT_TRUE(reply.degraded);
     EXPECT_EQ(reply.result->key.levels, 2U);
+    expect_whole_pyramid(reply);
+
+    // A tolerant client whose scene has nothing cached is rejected too:
+    // there is no partial answer to degrade to.
+    auto uncached = request_for(scene(32, 12), 4, 2);
+    uncached.allow_degraded = true;
+    const auto nothing = service.submit(uncached);
+    EXPECT_FALSE(nothing.accepted);
+    EXPECT_EQ(nothing.reject_reason, RejectReason::Saturated);
 
     gate.set_value();
     service.shutdown();

@@ -3,8 +3,8 @@
 // and edge, equals the monolithic core::decompose output exactly, for
 // every tile size x taps x levels x boundary mode combination —
 // plus the constant-memory claims (zero warm allocations after
-// TilePlan::reservations(), height-independent peak residency), the
-// windowed PGM reader, and the service's progressive/preview path.
+// TilePlan::reservations(), height-independent peak residency) and the
+// windowed PGM reader.
 
 #include "tile/tiled_dwt.hpp"
 
@@ -15,9 +15,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <limits>
-#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -28,7 +26,6 @@
 #include "core/synthetic.hpp"
 #include "nan_arena.hpp"
 #include "svc/arena.hpp"
-#include "svc/service.hpp"
 #include "tile/plan.hpp"
 #include "tile/progressive.hpp"
 #include "tile/source.hpp"
@@ -456,124 +453,6 @@ TEST_F(PgmWindow, SourceStreamsWindowsIdenticalToFullDecode) {
         src.read_rows(y0, n, assembled.flat().subspan(y0 * 12, n * 12));
     }
     EXPECT_EQ(assembled, wavehpc::core::read_pgm(path_));
-}
-
-// ---------------------------------------------------------------------------
-// Progressive delivery
-// ---------------------------------------------------------------------------
-
-TEST(Progressive, ApproxIsScheduledFirstAndStrictlyBeforeFull) {
-    const ImageF img = scene(64, 64, 21);
-    const auto fp = FilterPair::daubechies(4);
-    wavehpc::core::HeapBufferSource buffers;
-    wavehpc::tile::ProgressiveStore store(64, 64, 2, buffers);
-    wavehpc::tile::InMemoryTileSource src(img);
-    TileConfig cfg;
-    cfg.tile_rows = 16;
-    cfg.tile_cols = 32;
-    (void)wavehpc::tile::stream_decompose(src, fp, 2, BoundaryMode::Periodic,
-                                          DwtKernel::Convolve, cfg, store,
-                                          &buffers);
-    EXPECT_GT(store.approx_seal_seconds(), 0.0);
-    EXPECT_GE(store.level_seal_seconds(0), 0.0);
-
-    const wavehpc::tile::ProgressiveDelivery plan(
-        store.pyramid(), 1 << 20, store.approx_seal_seconds());
-    const auto& items = plan.schedule();
-    ASSERT_EQ(items.size(), 1U + 3U * 2U);
-    EXPECT_EQ(items.front().kind, wavehpc::tile::BandKind::Approx);
-    // Coarsest detail level right after the approximation band.
-    EXPECT_EQ(items[1].level, 1);
-    for (std::size_t i = 1; i < items.size(); ++i) {
-        EXPECT_GT(items[i].deliver_seconds, items[i - 1].deliver_seconds);
-    }
-    EXPECT_LT(plan.time_to_first_band(), plan.time_to_full());
-    EXPECT_GE(plan.time_to_first_band(), store.approx_seal_seconds());
-}
-
-TEST(Progressive, PreviewBpsEnvKnob) {
-    EXPECT_DOUBLE_EQ(wavehpc::tile::preview_bytes_per_second(), 8.0 * (1 << 20));
-}
-
-// ---------------------------------------------------------------------------
-// Service integration: progressive flights + cached previews
-// ---------------------------------------------------------------------------
-
-TEST(ServiceProgressive, ProgressiveFlightIsBitIdenticalAndCachesPreview) {
-    using wavehpc::svc::PyramidService;
-    using wavehpc::svc::ServiceConfig;
-    using wavehpc::svc::TransformRequest;
-
-    auto img = std::make_shared<const ImageF>(scene(64, 64, 33));
-    const auto fp = FilterPair::daubechies(4);
-    const Pyramid want = wavehpc::core::decompose(
-        *img, fp, 2, BoundaryMode::Periodic, DwtKernel::Convolve);
-
-    wavehpc::runtime::ThreadPool pool(1);
-    ServiceConfig cfg;
-    cfg.max_queue_depth = 1;
-    cfg.max_concurrency = 1;
-    // Budget fits the (tiny) preview but rejects the full pyramid as
-    // oversize, so the degraded fallback below must come from the preview.
-    cfg.cache_bytes = 2048;
-    PyramidService service(pool, cfg);
-
-    TransformRequest req;
-    req.image = img;
-    req.taps = 4;
-    req.levels = 2;
-    req.kernel = DwtKernel::Convolve;
-    req.progressive = true;
-    auto sub = service.submit(req);
-    ASSERT_TRUE(sub.accepted);
-    const auto reply = sub.future.get();
-    expect_bands_eq(reply.result->pyramid, want, "service progressive");
-    EXPECT_GT(reply.result->first_band_seconds, 0.0);
-    EXPECT_LE(reply.result->first_band_seconds, reply.result->compute_seconds);
-
-    // Saturate: park the only worker, occupy the compute slot and the
-    // one queue seat with fresh scenes.
-    std::promise<void> gate;
-    std::shared_future<void> opened(gate.get_future());
-    pool.submit([opened] { opened.wait(); });
-    auto blocker = service.submit(
-        [&] {
-            TransformRequest r;
-            r.image = std::make_shared<const ImageF>(scene(64, 64, 34));
-            r.taps = 4;
-            r.levels = 2;
-            return r;
-        }());
-    ASSERT_TRUE(blocker.accepted);
-    auto queued = service.submit(
-        [&] {
-            TransformRequest r;
-            r.image = std::make_shared<const ImageF>(scene(64, 64, 35));
-            r.taps = 4;
-            r.levels = 2;
-            return r;
-        }());
-    ASSERT_TRUE(queued.accepted);
-
-    TransformRequest degraded = req;
-    degraded.progressive = false;
-    degraded.allow_degraded = true;
-    auto preview = service.submit(degraded);
-    ASSERT_TRUE(preview.accepted);
-    const auto preview_reply = preview.future.get();
-    EXPECT_TRUE(preview_reply.degraded);
-    EXPECT_TRUE(preview_reply.preview);
-    EXPECT_EQ(preview_reply.result->pyramid.depth(), 0U);
-    EXPECT_EQ(preview_reply.result->pyramid.approx, want.approx);
-
-    gate.set_value();
-    (void)blocker.future.get();
-    (void)queued.future.get();
-
-    const auto metrics = service.metrics();
-    EXPECT_EQ(metrics.counters.progressive, 1U);
-    EXPECT_EQ(metrics.counters.preview_hits, 1U);
-    EXPECT_GE(metrics.counters.degraded_replies, 1U);
 }
 
 }  // namespace
