@@ -22,7 +22,7 @@ int main() {
 
     const auto img = core::landsat_tm_like(512, 512, 1996);
 
-    for (const auto cfg : {std::pair{8, 1}, std::pair{4, 2}, std::pair{2, 4}}) {
+    for (const auto& cfg : {std::pair{8, 1}, std::pair{4, 2}, std::pair{2, 4}}) {
         const auto [taps, levels] = cfg;
         const auto fp = core::FilterPair::daubechies(taps);
         std::cout << "F" << taps << "/L" << levels << ":\n";

@@ -31,7 +31,7 @@ int main() {
 
     const auto img = wavehpc::core::landsat_tm_like(512, 512, 1996);
 
-    for (const auto cfg : {std::pair{8, 1}, std::pair{4, 2}, std::pair{2, 4}}) {
+    for (const auto& cfg : {std::pair{8, 1}, std::pair{4, 2}, std::pair{2, 4}}) {
         const auto [taps, levels] = cfg;
         std::cout << "F" << taps << "/L" << levels << ":\n";
         TableWriter tw({"algorithm", "virtualization", "seconds", "mac kcyc",

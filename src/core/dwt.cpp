@@ -23,6 +23,11 @@ void validate_pyramid(const Pyramid& pyr) {
     if (pyr.depth() == 0) {
         throw std::invalid_argument("validate_pyramid: empty pyramid");
     }
+    // No decomposition yields an empty approximation: validate_decomposition_request
+    // rejects a zero side.
+    if (pyr.approx.rows() == 0 || pyr.approx.cols() == 0) {
+        throw std::invalid_argument("validate_pyramid: empty approximation");
+    }
     // Walk coarse to fine: each level pairs with an approximation of the
     // shape its bands must have, twice the shape of the level below it.
     std::size_t rows = pyr.approx.rows();
@@ -41,24 +46,18 @@ void validate_pyramid(const Pyramid& pyr) {
     }
 }
 
-Subbands decompose_level(const ImageF& in, const FilterPair& fp, BoundaryMode mode) {
-    validate_decomposition_request(in.rows(), in.cols(), 1);
-    // Steps 1-4 run through the shared kernel layer: one fused row pass
-    // (I -> L, H) and one fused column pass (L, H -> LL, LH, HL, HH).
-    Subbands sb;
-    analyze_level(in, fp, sb.ll, sb.detail.lh, sb.detail.hl, sb.detail.hh, mode);
-    return sb;
-}
-
 Pyramid decompose(const ImageF& img, const FilterPair& fp, int levels, BoundaryMode mode,
                   DwtKernel /*kernel*/) {
     validate_decomposition_request(img.rows(), img.cols(), levels);
     Pyramid pyr;
     pyr.levels.reserve(static_cast<std::size_t>(levels));
     for (int k = 0; k < levels; ++k) {
-        Subbands sb = decompose_level(k == 0 ? img : pyr.approx, fp, mode);
-        pyr.levels.push_back(std::move(sb.detail));
-        pyr.approx = std::move(sb.ll);
+        // Steps 1-4 run through the shared kernel layer: one fused row pass
+        // (I -> L, H) and one fused column pass (L, H -> LL, LH, HL, HH).
+        ImageF ll;
+        DetailBands& d = pyr.levels.emplace_back();
+        analyze_level(k == 0 ? img : pyr.approx, fp, ll, d.lh, d.hl, d.hh, mode);
+        pyr.approx = std::move(ll);
     }
     return pyr;
 }

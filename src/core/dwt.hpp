@@ -21,12 +21,6 @@ struct DetailBands {
     ImageF hh;  ///< high-pass rows, high-pass columns
 };
 
-/// Result of one full decomposition level (figure 1 of the paper).
-struct Subbands {
-    ImageF ll;
-    DetailBands detail;
-};
-
 /// Multi-resolution pyramid: detail bands per level (finest first) plus the
 /// final coarse approximation I_L.
 struct Pyramid {
@@ -36,15 +30,12 @@ struct Pyramid {
     [[nodiscard]] std::size_t depth() const noexcept { return levels.size(); }
 };
 
-/// Steps (1)-(4) of the paper's algorithm: decompose one level through the
-/// kernel layer (core/kernels.hpp).
-[[nodiscard]] Subbands decompose_level(const ImageF& in, const FilterPair& fp,
-                                       BoundaryMode mode = BoundaryMode::Periodic);
-
-/// Full multi-resolution decomposition to `levels` levels. The image
-/// dimensions must be divisible by 2^levels. Reads `img` in place at
-/// level 0 (no working copy). `kernel` is unused (Convolve is the one
-/// kernel); it stays because the benchmark package passes it.
+/// Full multi-resolution decomposition to `levels` levels: steps (1)-(4)
+/// of the paper's algorithm per level, through the kernel layer
+/// (core/kernels.hpp). The image dimensions must be divisible by 2^levels.
+/// Reads `img` in place at level 0 (no working copy). `kernel` is unused
+/// (Convolve is the one kernel); it stays because the benchmark package
+/// passes it.
 [[nodiscard]] Pyramid decompose(const ImageF& img, const FilterPair& fp, int levels,
                                 BoundaryMode mode = BoundaryMode::Periodic,
                                 DwtKernel kernel = DwtKernel::Auto);
@@ -58,10 +49,10 @@ struct Pyramid {
 [[nodiscard]] ImageF reconstruct(const Pyramid& pyr, const FilterPair& fp,
                                  BoundaryMode mode = BoundaryMode::Periodic);
 
-/// Throws std::invalid_argument unless `pyr` has at least one level and
-/// every level's lh, hl and hh bands have the shape of the approximation
-/// they pair with: pyr.approx for the coarsest level, twice the next
-/// coarser level's shape for the others.
+/// Throws std::invalid_argument unless `pyr` has at least one level, a
+/// non-empty approximation, and every level's lh, hl and hh bands have the
+/// shape of the approximation they pair with: pyr.approx for the coarsest
+/// level, twice the next coarser level's shape for the others.
 void validate_pyramid(const Pyramid& pyr);
 
 /// Throws std::invalid_argument unless rows and cols are divisible by

@@ -250,56 +250,6 @@ void ThreadPool::parallel_for(std::size_t first, std::size_t last,
     release_group(group);
 }
 
-void ThreadPool::parallel_for_2d(
-    std::size_t row_first, std::size_t row_last, std::size_t col_first,
-    std::size_t col_last,
-    const std::function<void(std::size_t, std::size_t, std::size_t, std::size_t)>& fn) {
-    if (row_first >= row_last || col_first >= col_last) return;
-    const std::size_t nr = row_last - row_first;
-    const std::size_t nc = col_last - col_first;
-    const std::size_t row_parts = std::min(nr, workers());
-    const std::size_t col_parts =
-        std::min(nc, std::max<std::size_t>(1, workers() / row_parts));
-    if (row_parts * col_parts <= 1) {
-        tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-        groups_completed_.fetch_add(1, std::memory_order_relaxed);
-        fn(row_first, row_last, col_first, col_last);
-        return;
-    }
-
-    TaskGroup& group = acquire_group();
-    group.add(row_parts * col_parts);
-    std::vector<Task> tiles;
-    tiles.reserve(row_parts * col_parts);
-    for (std::size_t i = 0; i < row_parts; ++i) {
-        const std::size_t rb = row_first + nr * i / row_parts;
-        const std::size_t re = row_first + nr * (i + 1) / row_parts;
-        for (std::size_t j = 0; j < col_parts; ++j) {
-            const std::size_t cb = col_first + nc * j / col_parts;
-            const std::size_t ce = col_first + nc * (j + 1) / col_parts;
-            tiles.push_back(Task{[&fn, rb, re, cb, ce] { fn(rb, re, cb, ce); }, &group});
-        }
-    }
-    try {
-        enqueue_bulk(tiles);
-    } catch (...) {
-        // Refused (pool stopping): nothing was enqueued — balance the whole
-        // latch and hand the group back.
-        for (std::size_t p = 0; p < row_parts * col_parts; ++p) {
-            group.complete(nullptr);
-        }
-        release_group(group);
-        throw;
-    }
-    try {
-        wait(group);
-    } catch (...) {
-        release_group(group);
-        throw;
-    }
-    release_group(group);
-}
-
 PoolMetrics ThreadPool::metrics() const {
     PoolMetrics m;
     m.tasks_executed = tasks_executed_.load(std::memory_order_relaxed);

@@ -27,9 +27,9 @@
 namespace wavehpc::runtime {
 
 /// Counters the pool keeps about its own overhead, for the Appendix-B-style
-/// "performance budget" reporting in bench output (see perf/pool_stats.hpp).
-/// Snapshot with ThreadPool::metrics(); subtract two snapshots to meter a
-/// region.
+/// "performance budget" reporting in bench output (bench_kernels_micro
+/// prints their per-level deltas). Snapshot with ThreadPool::metrics();
+/// subtract two snapshots to meter a region.
 struct PoolMetrics {
     std::uint64_t tasks_executed = 0;    ///< tasks run, by workers or helpers
     std::uint64_t helper_tasks = 0;      ///< subset run by waiters helping
@@ -66,15 +66,6 @@ public:
     /// many caller threads concurrently.
     void parallel_for(std::size_t first, std::size_t last,
                       const std::function<void(std::size_t, std::size_t)>& fn);
-
-    /// 2-D variant: run fn(rb, re, cb, ce) over the rectangle
-    /// [row_first, row_last) x [col_first, col_last) split into tiles
-    /// (rows split first; columns split when there are fewer rows than
-    /// workers). Same blocking/exception semantics as parallel_for.
-    void parallel_for_2d(std::size_t row_first, std::size_t row_last,
-                         std::size_t col_first, std::size_t col_last,
-                         const std::function<void(std::size_t, std::size_t,
-                                                  std::size_t, std::size_t)>& fn);
 
     /// Enqueue an arbitrary task; used by tests and by callers composing
     /// their own joins. The task must not throw (a throwing group-less task

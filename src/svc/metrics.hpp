@@ -1,7 +1,7 @@
 #pragma once
-// Observable state of the pyramid service, in the style of perf/pool_stats:
-// monotonic counters + latency histograms snapshotted on demand, printed as
-// the same fixed-width tables the bench binaries use.
+// Observable state of the pyramid service, in the style of
+// runtime::PoolMetrics: monotonic counters + latency histograms snapshotted
+// on demand, printed as the same fixed-width tables the bench binaries use.
 
 #include <array>
 #include <cstdint>

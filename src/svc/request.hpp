@@ -149,6 +149,14 @@ struct SubmitResult {
     TransformFuture future;
 };
 
+/// The one request check, run by PyramidService::submit and by
+/// ShardCluster::submit and placement before anything is counted or sent:
+/// a non-null image; boundary, kernel, backend and priority in range (any
+/// byte casts into an enum); taps FilterPair::daubechies knows; and a shape
+/// core::validate_decomposition_request accepts. Throws
+/// std::invalid_argument naming the field; returns the request's filters.
+[[nodiscard]] core::FilterPair validate_request(const TransformRequest& request);
+
 /// Pyramid payload size in bytes, the unit of the cache byte budget.
 [[nodiscard]] std::uint64_t pyramid_bytes(const core::Pyramid& pyr) noexcept;
 

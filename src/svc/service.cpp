@@ -139,15 +139,15 @@ SubmitResult PyramidService::submit(TransformRequest request, Completion on_done
     return out;
 }
 
-SubmitResult PyramidService::admit(TransformRequest request, Completion& on_done) {
+core::FilterPair validate_request(const TransformRequest& request) {
     if (!request.image) {
-        throw std::invalid_argument("PyramidService::submit: null image");
+        throw std::invalid_argument("TransformRequest: null image");
     }
     // Any byte casts into an enum; one past its last value would reach the
     // kernels and the cache key raw.
     const auto in_range = [](bool ok, const char* field) {
         if (!ok) {
-            throw std::invalid_argument(std::string("PyramidService::submit: bad ") + field);
+            throw std::invalid_argument(std::string("TransformRequest: bad ") + field);
         }
     };
     in_range(request.boundary <= core::BoundaryMode::ZeroPad, "boundary");
@@ -156,7 +156,11 @@ SubmitResult PyramidService::admit(TransformRequest request, Completion& on_done
     in_range(request.priority <= Priority::Interactive, "priority");
     core::validate_decomposition_request(request.image->rows(),
                                          request.image->cols(), request.levels);
-    const auto fp = core::FilterPair::daubechies(request.taps);  // eager taps validation
+    return core::FilterPair::daubechies(request.taps);
+}
+
+SubmitResult PyramidService::admit(TransformRequest request, Completion& on_done) {
+    const auto fp = validate_request(request);
     // Auto becomes Convolve here, the kernel byte every cache key and shard
     // frame carries.
     request.kernel = core::resolve_dwt_kernel(request.kernel, fp);

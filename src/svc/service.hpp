@@ -83,7 +83,7 @@ struct ServiceConfig {
     std::uint64_t max_queued_bytes = 256u << 20;  ///< image bytes, pending + running
     std::size_t max_concurrency = 2;            ///< flights computing at once
     std::uint64_t cache_bytes = 64u << 20;      ///< result cache budget
-    ResilienceConfig resilience;                ///< retry/breaker/watchdog posture
+    ResilienceConfig resilience{};              ///< retry/breaker/watchdog posture
     /// Batch planner (ISSUE 8): up to this many *schedule-equivalent*
     /// pending flights — same dims/taps/levels/boundary/backend AND
     /// same priority + deadline, so coalescing can never reorder work the
@@ -94,7 +94,7 @@ struct ServiceConfig {
     /// to this long after admission (never past its deadline) so compatible
     /// traffic can coalesce. 0 = dispatch immediately (default).
     std::uint64_t batch_window_us = 0;
-    ArenaConfig arena;                          ///< slab pool posture
+    ArenaConfig arena{};                        ///< slab pool posture
 
     /// Defaults overridden by the WAVEHPC_SVC_* knobs, arena, retry,
     /// breaker and watchdog included (core/knobs.hpp: unset or empty keeps

@@ -474,10 +474,7 @@ ShardCluster::Ticket ShardCluster::grab_ticket(ShardId shard) {
 }
 
 std::vector<ShardId> ShardCluster::placement(const TransformRequest& request) const {
-    if (!request.image) {
-        throw std::invalid_argument("ShardCluster::placement: null image");
-    }
-    (void)core::FilterPair::daubechies(request.taps);  // eager taps validation, as submit
+    (void)validate_request(request);
     const CacheKey key = make_cache_key(*request.image, request.taps, request.levels,
                                         request.boundary);
     return ring_.replicas(key, cfg_.replicas);
@@ -550,15 +547,13 @@ std::optional<ShardCluster::InFlight> ShardCluster::claim(std::uint64_t request_
 }
 
 ClusterSubmitResult ShardCluster::submit(TransformRequest request) {
-    if (!request.image) {
-        throw std::invalid_argument("ShardCluster::submit: null image");
-    }
-    // Resolve + hash once here, exactly as the shard's own submit would, so
-    // routing, the epoch fence, and the degraded scan all talk about the
-    // same key (the shard re-hashes on delivery; placement uses only the
-    // digest + dims half of the key, which no shard ever recomputes
-    // differently).
-    const auto fp = core::FilterPair::daubechies(request.taps);
+    // The shard's own check, before anything is counted or sealed: a
+    // request no shard would admit never crosses the wire. Then resolve +
+    // hash once here, exactly as the shard's own submit would, so routing,
+    // the epoch fence, and the degraded scan all talk about the same key
+    // (the shard re-hashes on delivery; placement uses only the digest +
+    // dims half of the key, which no shard ever recomputes differently).
+    const auto fp = validate_request(request);
     request.kernel = core::resolve_dwt_kernel(request.kernel, fp);
     std::uint64_t digest_lo = 0;
     std::uint64_t digest_hi = 0;

@@ -174,7 +174,9 @@ public:
     /// over past dead/refusing shards, degrade cross-shard as a last
     /// resort. Synchronous like PyramidService::submit; never blocks on
     /// compute (a Slow shard's injected stall does block the caller — by
-    /// design, that is what a slow shard does to its clients).
+    /// design, that is what a slow shard does to its clients). A request
+    /// validate_request refuses throws std::invalid_argument before it is
+    /// counted or sent.
     [[nodiscard]] ClusterSubmitResult submit(TransformRequest request);
 
     /// Drain every live shard, stop the monitor thread, and wait until
@@ -237,6 +239,7 @@ public:
     [[nodiscard]] ArenaStats fleet_arena_stats() const;
 
     /// Replica chain the router would walk for this request's scene.
+    /// Throws std::invalid_argument as submit does.
     [[nodiscard]] std::vector<ShardId> placement(const TransformRequest& request) const;
 
     // --- test hooks ---

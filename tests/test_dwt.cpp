@@ -11,32 +11,30 @@ using wavehpc::core::BoundaryMode;
 using wavehpc::core::FilterPair;
 using wavehpc::core::ImageF;
 using wavehpc::core::Pyramid;
-using wavehpc::core::Subbands;
 
 ImageF test_scene(std::size_t rows, std::size_t cols) {
     return wavehpc::core::landsat_tm_like(rows, cols, 42);
 }
 
+// One level is decompose(img, fp, 1): its approximation is the LL band.
 TEST(DecomposeLevel, OutputShapesAreHalved) {
     const ImageF img = test_scene(32, 64);
-    const Subbands sb =
-        wavehpc::core::decompose_level(img, FilterPair::daubechies(4));
-    EXPECT_EQ(sb.ll.rows(), 16U);
-    EXPECT_EQ(sb.ll.cols(), 32U);
-    EXPECT_EQ(sb.detail.lh.rows(), 16U);
-    EXPECT_EQ(sb.detail.hl.cols(), 32U);
-    EXPECT_EQ(sb.detail.hh.rows(), 16U);
+    const Pyramid pyr = wavehpc::core::decompose(img, FilterPair::daubechies(4), 1);
+    EXPECT_EQ(pyr.approx.rows(), 16U);
+    EXPECT_EQ(pyr.approx.cols(), 32U);
+    EXPECT_EQ(pyr.levels[0].lh.rows(), 16U);
+    EXPECT_EQ(pyr.levels[0].hl.cols(), 32U);
+    EXPECT_EQ(pyr.levels[0].hh.rows(), 16U);
 }
 
 TEST(DecomposeLevel, HaarOnConstantImageConcentratesInLL) {
     const ImageF img(8, 8, 3.0F);
-    const Subbands sb =
-        wavehpc::core::decompose_level(img, FilterPair::daubechies(2));
+    const Pyramid pyr = wavehpc::core::decompose(img, FilterPair::daubechies(2), 1);
     // Each Haar LL coefficient of a constant image is 2 * value.
-    for (float v : sb.ll.flat()) EXPECT_NEAR(v, 6.0F, 1e-5);
-    for (float v : sb.detail.lh.flat()) EXPECT_NEAR(v, 0.0F, 1e-5);
-    for (float v : sb.detail.hl.flat()) EXPECT_NEAR(v, 0.0F, 1e-5);
-    for (float v : sb.detail.hh.flat()) EXPECT_NEAR(v, 0.0F, 1e-5);
+    for (float v : pyr.approx.flat()) EXPECT_NEAR(v, 6.0F, 1e-5);
+    for (float v : pyr.levels[0].lh.flat()) EXPECT_NEAR(v, 0.0F, 1e-5);
+    for (float v : pyr.levels[0].hl.flat()) EXPECT_NEAR(v, 0.0F, 1e-5);
+    for (float v : pyr.levels[0].hh.flat()) EXPECT_NEAR(v, 0.0F, 1e-5);
 }
 
 TEST(Decompose, ValidatesRequest) {

@@ -181,7 +181,8 @@ TEST(EngineStress, ManyProcessesManyEventsStayDeterministic) {
         wavehpc::sim::Engine engine;
         std::vector<double> finish(40);
         for (std::size_t i = 0; i < 40; ++i) {
-            engine.add_process("p" + std::to_string(i), [&finish, i](wavehpc::sim::Proc& p) {
+            const auto name = std::string("p").append(std::to_string(i));
+            engine.add_process(name, [&finish, i](wavehpc::sim::Proc& p) {
                 std::uint64_t state = i + 1;
                 for (int k = 0; k < 200; ++k) {
                     state = state * 6364136223846793005ULL + 1442695040888963407ULL;

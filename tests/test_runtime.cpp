@@ -156,37 +156,6 @@ TEST(ThreadPool, NestedParallelForPropagatesInnerException) {
         std::runtime_error);
 }
 
-TEST(ThreadPool, ParallelFor2dCoversEveryCellExactlyOnce) {
-    ThreadPool pool(4);
-    constexpr std::size_t kRows = 37;
-    constexpr std::size_t kCols = 23;
-    std::vector<std::atomic<int>> hits(kRows * kCols);
-    pool.parallel_for_2d(0, kRows, 0, kCols,
-                         [&](std::size_t rb, std::size_t re, std::size_t cb,
-                             std::size_t ce) {
-                             for (std::size_t r = rb; r < re; ++r) {
-                                 for (std::size_t c = cb; c < ce; ++c) {
-                                     hits[r * kCols + c].fetch_add(1);
-                                 }
-                             }
-                         });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelFor2dEmptyRangeIsNoop) {
-    ThreadPool pool(2);
-    bool called = false;
-    pool.parallel_for_2d(3, 3, 0, 10,
-                         [&](std::size_t, std::size_t, std::size_t, std::size_t) {
-                             called = true;
-                         });
-    pool.parallel_for_2d(0, 10, 5, 5,
-                         [&](std::size_t, std::size_t, std::size_t, std::size_t) {
-                             called = true;
-                         });
-    EXPECT_FALSE(called);
-}
-
 TEST(ThreadPool, ScopedTaskGroupJoinsAndRethrows) {
     ThreadPool pool(3);
     std::atomic<int> count{0};

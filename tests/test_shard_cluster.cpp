@@ -21,6 +21,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/knobs.hpp"
@@ -107,6 +108,34 @@ TEST(ShardCluster, DeliversToThePrimaryAndCompletes) {
     EXPECT_FALSE(reply.degraded);
     EXPECT_TRUE(wavehpc::svc::audit_result(*reply.result));
     EXPECT_EQ(cluster.counters().accepted, 1U);
+}
+
+// The router runs the shard's request check before it counts or seals
+// anything, so a request no shard would admit never crosses the wire and
+// routed = accepted + rejected still holds.
+TEST(ShardCluster, MalformedRequestsAreRejectedBeforeRouting) {
+    ThreadPool pool(2);
+    ShardCluster cluster(pool, manual_cfg(3));
+    const ClusterCounters before = cluster.counters();
+    const std::uint64_t frames_before = cluster.wire_stats().frames_sent;
+    // 3x4 and 0x8 at one level, 6x4 at two.
+    for (const auto& [rows, cols, levels] : {std::tuple{3U, 4U, 1}, {6U, 4U, 2}, {0U, 8U, 1}}) {
+        const auto req = request_for(
+            std::make_shared<const ImageF>(wavehpc::core::landsat_tm_like(rows, cols, 5)), 4,
+            levels);
+        EXPECT_THROW((void)cluster.submit(req), std::invalid_argument) << rows << "x" << cols;
+        EXPECT_THROW((void)cluster.placement(req), std::invalid_argument);
+    }
+    EXPECT_EQ(cluster.counters().routed, before.routed);
+    EXPECT_EQ(cluster.wire_stats().frames_sent, frames_before);
+
+    const auto img = scene(7);
+    const ClusterSubmitResult r = cluster.submit(request_for(img));
+    ASSERT_TRUE(r.result.accepted);
+    EXPECT_EQ(r.shard, cluster.placement(request_for(img)).front());
+    const ClusterCounters after = cluster.counters();
+    EXPECT_EQ(after.routed, before.routed + 1);
+    EXPECT_EQ(after.accepted + after.rejected, after.routed);
 }
 
 TEST(ShardCluster, KillFailsOverToTheNextReplicaBeforeAnyHeartbeat) {

@@ -416,7 +416,8 @@ TEST(ShardTransportTest, RpcDeliversAndRetransmitsThroughALossyLink) {
         return std::vector<std::byte>(req.begin(), req.end());
     });
     for (int i = 0; i < 20; ++i) {
-        const auto resp = lossy.rpc(0, 1, 9, bytes_of("m" + std::to_string(i)));
+        const auto resp =
+            lossy.rpc(0, 1, 9, bytes_of(std::string("m").append(std::to_string(i))));
         ASSERT_TRUE(resp) << "transfer " << i;
     }
     EXPECT_EQ(lossy_handled, 20);
@@ -594,12 +595,15 @@ TEST(ShardTransportTest, ArqExactlyOnceUnderLossFromFourThreadsOnOneChannel) {
     });
     constexpr int kThreads = 4;
     constexpr int kPerThread = 20;
+    const auto text = [](int c, int i) {
+        return std::string("t").append(std::to_string(c)).append("m").append(std::to_string(i));
+    };
     std::atomic<int> failures{0};
     std::vector<std::thread> threads;
     for (int c = 0; c < kThreads; ++c) {
         threads.emplace_back([&, c] {
             for (int i = 0; i < kPerThread; ++i) {
-                const auto msg = bytes_of("t" + std::to_string(c) + "m" + std::to_string(i));
+                const auto msg = bytes_of(text(c, i));
                 const auto resp = lossy.rpc(0, 1, 9, msg);
                 if (!resp || *resp != msg) ++failures;
             }
@@ -610,7 +614,7 @@ TEST(ShardTransportTest, ArqExactlyOnceUnderLossFromFourThreadsOnOneChannel) {
     ASSERT_EQ(handled.size(), static_cast<std::size_t>(kThreads * kPerThread));
     for (int c = 0; c < kThreads; ++c) {
         for (int i = 0; i < kPerThread; ++i) {
-            EXPECT_EQ(handled.count("t" + std::to_string(c) + "m" + std::to_string(i)), 1U);
+            EXPECT_EQ(handled.count(text(c, i)), 1U);
         }
     }
     const auto st = lossy.stats();

@@ -71,7 +71,7 @@ TEST(Engine, DeterministicAcrossRuns) {
         Engine e;
         std::vector<std::size_t> order;
         for (std::size_t i = 0; i < 5; ++i) {
-            e.add_process("p" + std::to_string(i), [&order, i](Proc& p) {
+            e.add_process(std::string("p").append(std::to_string(i)), [&order, i](Proc& p) {
                 for (int k = 0; k < 3; ++k) {
                     p.advance(0.1 * static_cast<double>(i + 1));
                     order.push_back(i);
@@ -299,7 +299,7 @@ std::vector<std::size_t> tied_execution_order(std::optional<std::uint64_t> seed)
     std::vector<std::size_t> order;
     constexpr std::size_t kN = 8;
     for (std::size_t i = 0; i < kN; ++i) {
-        e.add_process("p" + std::to_string(i), [&order, i](Proc& p) {
+        e.add_process(std::string("p").append(std::to_string(i)), [&order, i](Proc& p) {
             order.push_back(i);
             p.advance(1.0);
             order.push_back(i);
@@ -354,7 +354,7 @@ TEST(Engine, SeededTieBreakNeverReordersDistinctClocks) {
         }
         std::vector<std::string> events;
         for (std::size_t i = 0; i < 4; ++i) {
-            e.add_process("p" + std::to_string(i), [&events, i](Proc& p) {
+            e.add_process(std::string("p").append(std::to_string(i)), [&events, i](Proc& p) {
                 p.advance(0.1 * static_cast<double>(i + 1));
                 events.push_back("a" + std::to_string(i));
                 p.advance(1.0);

@@ -1,5 +1,6 @@
-// Resilient mesh decomposition: bit-identical coefficients fault-free,
-// under message drops, and across fail-stop recovery with re-striping.
+// Resilient mesh decomposition: bit-identical coefficients under message
+// drops and across fail-stop recovery with re-striping (the fault-free runs
+// are cells of test_conformance).
 
 #include <gtest/gtest.h>
 
@@ -8,12 +9,12 @@
 #include "core/synthetic.hpp"
 #include "mesh/machine.hpp"
 #include "perf/budget.hpp"
+#include "testing/invariants.hpp"
 #include "wavelet/mesh_dwt.hpp"
 #include "wavelet/mesh_dwt_resilient.hpp"
 
 namespace {
 
-using wavehpc::core::BoundaryMode;
 using wavehpc::core::FilterPair;
 using wavehpc::core::ImageF;
 using wavehpc::core::Pyramid;
@@ -23,16 +24,6 @@ using wavehpc::mesh::Machine;
 using wavehpc::mesh::MachineProfile;
 using wavehpc::wavelet::ResilientDwtConfig;
 
-void expect_pyramids_identical(const Pyramid& a, const Pyramid& b) {
-    ASSERT_EQ(a.depth(), b.depth());
-    for (std::size_t k = 0; k < a.depth(); ++k) {
-        EXPECT_EQ(a.levels[k].lh, b.levels[k].lh) << "lh level " << k;
-        EXPECT_EQ(a.levels[k].hl, b.levels[k].hl) << "hl level " << k;
-        EXPECT_EQ(a.levels[k].hh, b.levels[k].hh) << "hh level " << k;
-    }
-    EXPECT_EQ(a.approx, b.approx);
-}
-
 Pyramid plain_reference(const ImageF& img, const FilterPair& fp, int levels) {
     Machine machine(MachineProfile::paragon_pvm());
     wavehpc::wavelet::MeshDwtConfig cfg;
@@ -40,23 +31,6 @@ Pyramid plain_reference(const ImageF& img, const FilterPair& fp, int levels) {
     const auto res = wavehpc::wavelet::mesh_decompose(
         machine, img, fp, cfg, 4, SequentialCostModel::paragon_node());
     return res.pyramid;
-}
-
-TEST(ResilientDwt, FaultFreeRunMatchesPlainDecomposition) {
-    const ImageF img = wavehpc::core::landsat_tm_like(64, 64, 17);
-    const FilterPair fp = FilterPair::daubechies(4);
-    const Pyramid reference = plain_reference(img, fp, 2);
-
-    for (std::size_t p : {1U, 2U, 4U, 8U}) {
-        Machine machine(MachineProfile::paragon_pvm());
-        ResilientDwtConfig cfg;
-        cfg.levels = 2;
-        const auto res = wavehpc::wavelet::mesh_decompose_resilient(
-            machine, img, fp, cfg, p, SequentialCostModel::paragon_node());
-        expect_pyramids_identical(res.pyramid, reference);
-        EXPECT_EQ(res.level_retries, 0U);
-        EXPECT_TRUE(res.failed_ranks.empty());
-    }
 }
 
 TEST(ResilientDwt, BitIdenticalUnderMessageDrops) {
@@ -81,8 +55,8 @@ TEST(ResilientDwt, BitIdenticalUnderMessageDrops) {
 
     const auto res = wavehpc::wavelet::mesh_decompose_resilient(
         machine, img, fp, cfg, 4, SequentialCostModel::paragon_node());
-    expect_pyramids_identical(res.pyramid, reference);
-    expect_pyramids_identical(res.pyramid, clean.pyramid);
+    EXPECT_TRUE(wavehpc::testing::pyramids_bit_identical(res.pyramid, reference));
+    EXPECT_TRUE(wavehpc::testing::pyramids_bit_identical(res.pyramid, clean.pyramid));
     std::size_t retransmits = 0;
     for (const auto& st : res.run.stats) retransmits += st.retransmits;
     EXPECT_GT(res.run.injected_drops, 0U);
@@ -109,7 +83,7 @@ TEST(ResilientDwt, RecoversFromFailStopWithBitIdenticalOutput) {
     const auto res = wavehpc::wavelet::mesh_decompose_resilient(
         machine, img, fp, cfg, 4, SequentialCostModel::paragon_node());
 
-    expect_pyramids_identical(res.pyramid, reference);
+    EXPECT_TRUE(wavehpc::testing::pyramids_bit_identical(res.pyramid, reference));
     EXPECT_TRUE(res.run.stats[2].fail_stopped);
     EXPECT_NE(std::find(res.failed_ranks.begin(), res.failed_ranks.end(), 2),
               res.failed_ranks.end());
@@ -139,7 +113,7 @@ TEST(ResilientDwt, RecoversFromDeathBeforeFirstScatter) {
     cfg.detect_timeout = 2.0;
     const auto res = wavehpc::wavelet::mesh_decompose_resilient(
         machine, img, fp, cfg, 3, SequentialCostModel::paragon_node());
-    expect_pyramids_identical(res.pyramid, reference);
+    EXPECT_TRUE(wavehpc::testing::pyramids_bit_identical(res.pyramid, reference));
     EXPECT_EQ(res.failed_ranks, std::vector<int>{1});
 }
 
@@ -171,7 +145,7 @@ TEST(ResilientDwt, FalseSuspicionOfRankZeroRetriesInsteadOfCommitting) {
     const auto res = wavehpc::wavelet::mesh_decompose_resilient(
         machine, img, fp, cfg, 2, SequentialCostModel::paragon_node());
 
-    expect_pyramids_identical(res.pyramid, reference);
+    EXPECT_TRUE(wavehpc::testing::pyramids_bit_identical(res.pyramid, reference));
     // The false positive costs a redo, never a rank: nobody actually died.
     EXPECT_GE(res.level_retries, 1U);
     EXPECT_TRUE(res.failed_ranks.empty());
