@@ -73,7 +73,7 @@ bool defined(const Cell& c) {
 
 std::vector<Cell> cells(bool periodic_only) {
     constexpr std::pair<std::size_t, std::size_t> kShapes[] = {
-        {64, 64}, {64, 96}, {128, 96}, {32, 96}, {8, 8},  // the folded tests' planes
+        {64, 64}, {64, 96}, {128, 96}, {32, 96}, {8, 8},  // the per-suite tests' planes
         {2, 2},   {4, 4},                                 // sides under 6 and 8 taps
         {2, 512}, {512, 2}, {2, 16},   {16, 2},           // extreme aspect
         {24, 8},  {12, 20}, {96, 80},                     // non-square

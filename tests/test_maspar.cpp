@@ -90,6 +90,23 @@ TEST(CycleModelTest, BreakdownComponentsSumToTotal) {
                  std::invalid_argument);
 }
 
+TEST(MasparDwt, MatchesSequentialReferenceExactly) {
+    const ImageF img = wavehpc::core::landsat_tm_like(64, 64, 51);
+    const FilterPair fp = FilterPair::daubechies(4);
+    const auto reference =
+        wavehpc::core::decompose(img, fp, 2, wavehpc::core::BoundaryMode::Periodic);
+    for (auto alg : {Algorithm::Systolic, Algorithm::SystolicDilution}) {
+        for (auto virt : {Virtualization::CutAndStack, Virtualization::Hierarchical}) {
+            const auto res =
+                wavehpc::maspar::maspar_decompose(MasParProfile::mp2_16k(), img, fp, 2,
+                                                  alg, virt);
+            EXPECT_EQ(res.pyramid.approx, reference.approx);
+            EXPECT_EQ(res.pyramid.levels[1].hh, reference.levels[1].hh);
+            EXPECT_GT(res.seconds, 0.0);
+        }
+    }
+}
+
 TEST(MasparDwt, Mp2ReproducesTable1RowWithin25Percent) {
     // Paper Table 1, MasPar MP-2 (16K): F8/L1 0.0169 s, F4/L2 0.0138 s,
     // F2/L4 0.0123 s. We require the right magnitude and the right ordering.

@@ -1,6 +1,7 @@
 // The functional PE-array simulator: instruction semantics, cycle charging,
-// and end-to-end agreement with the analytic schedule (its coefficients are
-// checked by the conformance matrix, test_conformance).
+// and end-to-end agreement with both the analytic schedule and the
+// sequential reference (the conformance matrix, test_conformance, widens
+// the latter to every shape class).
 
 #include <gtest/gtest.h>
 
@@ -97,6 +98,24 @@ void PrintTo(const SimCase& c, std::ostream* os) {
 }
 
 class SimulatedDecompose : public ::testing::TestWithParam<SimCase> {};
+
+TEST_P(SimulatedDecompose, MatchesSequentialReferenceExactly) {
+    const auto [taps, levels, alg, virt] = GetParam();
+    const ImageF img = wavehpc::core::landsat_tm_like(64, 64, 81);
+    const FilterPair fp = FilterPair::daubechies(taps);
+    const auto reference =
+        wavehpc::core::decompose(img, fp, levels, wavehpc::core::BoundaryMode::Periodic);
+
+    const auto res = wavehpc::maspar::simulate_decompose(MasParProfile::mp2_16k(), img,
+                                                         fp, levels, alg, virt);
+    ASSERT_EQ(res.pyramid.depth(), reference.depth());
+    EXPECT_EQ(res.pyramid.approx, reference.approx);
+    for (std::size_t k = 0; k < reference.depth(); ++k) {
+        EXPECT_EQ(res.pyramid.levels[k].lh, reference.levels[k].lh) << k;
+        EXPECT_EQ(res.pyramid.levels[k].hl, reference.levels[k].hl) << k;
+        EXPECT_EQ(res.pyramid.levels[k].hh, reference.levels[k].hh) << k;
+    }
+}
 
 TEST_P(SimulatedDecompose, CycleLedgerMatchesTheAnalyticSchedule) {
     const auto [taps, levels, alg, virt] = GetParam();

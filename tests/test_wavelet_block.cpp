@@ -1,15 +1,19 @@
-// The block (2-D) domain decomposition must cost two guard exchanges per
-// level where the stripe decomposition costs one (the paper's figure 3
-// rationale). The conformance matrix (test_conformance) checks its bits.
+// The block (2-D) domain decomposition must also reproduce the sequential
+// pyramid exactly (the conformance matrix, test_conformance, widens this to
+// every shape class), and must cost two guard exchanges per level where the
+// stripe decomposition costs one (the paper's figure 3 rationale).
 
 #include <gtest/gtest.h>
 
 #include "core/synthetic.hpp"
+#include "param_print.hpp"
+#include "testing/invariants.hpp"
 #include "wavelet/mesh_dwt.hpp"
 #include "wavelet/mesh_dwt_block.hpp"
 
 namespace {
 
+using wavehpc::core::BoundaryMode;
 using wavehpc::core::FilterPair;
 using wavehpc::core::ImageF;
 using wavehpc::core::Pyramid;
@@ -17,6 +21,50 @@ using wavehpc::core::SequentialCostModel;
 using wavehpc::mesh::Machine;
 using wavehpc::mesh::MachineProfile;
 using wavehpc::wavelet::BlockDwtConfig;
+
+struct BlockCase {
+    int taps;
+    int levels;
+    std::size_t grid_rows;
+    std::size_t grid_cols;
+    BoundaryMode mode;
+};
+
+void PrintTo(const BlockCase& c, std::ostream* os) {
+    *os << 'F' << c.taps << 'L' << c.levels << '_' << c.grid_rows << 'x' << c.grid_cols << '_';
+    PrintTo(c.mode, os);
+}
+
+class BlockDwtMatchesSequential : public ::testing::TestWithParam<BlockCase> {};
+
+TEST_P(BlockDwtMatchesSequential, BitIdenticalCoefficients) {
+    const auto [taps, levels, gr, gc, mode] = GetParam();
+    const ImageF img = wavehpc::core::landsat_tm_like(64, 64, 61);
+    const FilterPair fp = FilterPair::daubechies(taps);
+    const Pyramid reference = wavehpc::core::decompose(img, fp, levels, mode);
+
+    Machine machine(MachineProfile::paragon_pvm());
+    BlockDwtConfig cfg;
+    cfg.levels = levels;
+    cfg.mode = mode;
+    cfg.grid_rows = gr;
+    cfg.grid_cols = gc;
+    const auto res = wavehpc::wavelet::block_decompose(
+        machine, img, fp, cfg, SequentialCostModel::paragon_node());
+    EXPECT_TRUE(wavehpc::testing::pyramids_bit_identical(res.pyramid, reference));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GridSweep, BlockDwtMatchesSequential,
+    ::testing::Values(BlockCase{8, 1, 2, 2, BoundaryMode::Symmetric},
+                      BlockCase{8, 1, 4, 4, BoundaryMode::Symmetric},
+                      BlockCase{4, 2, 2, 4, BoundaryMode::Symmetric},
+                      BlockCase{4, 2, 4, 2, BoundaryMode::Periodic},
+                      BlockCase{2, 4, 2, 2, BoundaryMode::Periodic},
+                      BlockCase{8, 1, 1, 4, BoundaryMode::ZeroPad},
+                      BlockCase{8, 1, 4, 1, BoundaryMode::Symmetric},
+                      BlockCase{4, 1, 3, 2, BoundaryMode::Periodic},
+                      BlockCase{8, 2, 1, 1, BoundaryMode::Symmetric}));
 
 TEST(BlockDwt, UsesMoreGuardMessagesThanStripes) {
     const ImageF img = wavehpc::core::landsat_tm_like(128, 128, 67);

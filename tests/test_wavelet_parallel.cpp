@@ -1,13 +1,19 @@
-// Mesh and thread-pool decompositions beyond bit identity (which the
-// conformance matrix, test_conformance, checks for every backend): partial
-// assembly, rank limits, placement contention, speedup, guard rows, and a
-// decomposition driven from inside a pool worker.
+// Mesh and thread-pool decompositions: the paper's configurations must
+// produce exactly the coefficients of the sequential reference (the
+// conformance matrix, test_conformance, widens this to every backend and
+// shape class), plus partial assembly, rank limits, placement contention,
+// speedup, guard rows, and a decomposition driven from inside a pool
+// worker.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <thread>
 
 #include "core/metrics.hpp"
 #include "core/synthetic.hpp"
 #include "mesh/machine.hpp"
+#include "param_print.hpp"
 #include "testing/invariants.hpp"
 #include "wavelet/mesh_dwt.hpp"
 #include "wavelet/threads_dwt.hpp"
@@ -22,7 +28,79 @@ using wavehpc::core::Pyramid;
 using wavehpc::core::SequentialCostModel;
 using wavehpc::mesh::Machine;
 using wavehpc::mesh::MachineProfile;
+using wavehpc::testing::pyramids_bit_identical;
 using wavehpc::wavelet::MeshDwtConfig;
+
+struct MeshCase {
+    int taps;
+    int levels;
+    std::size_t nprocs;
+    BoundaryMode mode;
+};
+
+void PrintTo(const MeshCase& c, std::ostream* os) {
+    *os << 'F' << c.taps << 'L' << c.levels << "_P" << c.nprocs << '_';
+    PrintTo(c.mode, os);
+}
+
+class MeshDwtMatchesSequential : public ::testing::TestWithParam<MeshCase> {};
+
+TEST_P(MeshDwtMatchesSequential, BitIdenticalCoefficients) {
+    const auto [taps, levels, nprocs, mode] = GetParam();
+    const ImageF img = wavehpc::core::landsat_tm_like(64, 64, 17);
+    const FilterPair fp = FilterPair::daubechies(taps);
+
+    const Pyramid reference = wavehpc::core::decompose(img, fp, levels, mode);
+
+    Machine machine(MachineProfile::paragon_pvm());
+    MeshDwtConfig cfg;
+    cfg.levels = levels;
+    cfg.mode = mode;
+    cfg.mapping = MappingPolicy::Snake;
+    const auto res = wavehpc::wavelet::mesh_decompose(
+        machine, img, fp, cfg, nprocs, SequentialCostModel::paragon_node());
+    EXPECT_TRUE(pyramids_bit_identical(res.pyramid, reference));
+    EXPECT_GT(res.seconds, 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ConfigSweep, MeshDwtMatchesSequential,
+    ::testing::Values(
+        // The paper's three configurations at several machine sizes.
+        MeshCase{8, 1, 1, BoundaryMode::Symmetric},
+        MeshCase{8, 1, 2, BoundaryMode::Symmetric},
+        MeshCase{8, 1, 4, BoundaryMode::Symmetric},
+        MeshCase{8, 1, 8, BoundaryMode::Symmetric},
+        MeshCase{4, 2, 4, BoundaryMode::Symmetric},
+        MeshCase{4, 2, 8, BoundaryMode::Symmetric},
+        MeshCase{2, 4, 4, BoundaryMode::Symmetric},
+        // Periodic adds the wrap-around guard message (last rank -> rank 0).
+        MeshCase{8, 1, 4, BoundaryMode::Periodic},
+        MeshCase{4, 2, 8, BoundaryMode::Periodic},
+        MeshCase{2, 4, 4, BoundaryMode::Periodic},
+        // ZeroPad exercises the "missing row" guard path.
+        MeshCase{8, 1, 4, BoundaryMode::ZeroPad},
+        MeshCase{4, 2, 3, BoundaryMode::ZeroPad},
+        // Uneven stripe heights.
+        MeshCase{4, 2, 5, BoundaryMode::Symmetric},
+        MeshCase{8, 1, 7, BoundaryMode::Periodic}));
+
+TEST(MeshDwt, GuardZoneSpansMultipleNorthStripes) {
+    // 8 taps -> 6 guard rows; at the deepest level stripes are 2 rows tall,
+    // so the guard zone must be assembled from three different owners.
+    const ImageF img = wavehpc::core::landsat_tm_like(64, 64, 23);
+    const FilterPair fp = FilterPair::daubechies(8);
+    const Pyramid reference =
+        wavehpc::core::decompose(img, fp, 2, BoundaryMode::Periodic);
+
+    Machine machine(MachineProfile::paragon_pvm());
+    MeshDwtConfig cfg;
+    cfg.levels = 2;
+    cfg.mode = BoundaryMode::Periodic;
+    const auto res = wavehpc::wavelet::mesh_decompose(
+        machine, img, fp, cfg, 8, SequentialCostModel::paragon_node());
+    EXPECT_TRUE(pyramids_bit_identical(res.pyramid, reference));
+}
 
 TEST(MeshDwt, WithoutScatterGatherStillDecomposesRankZeroStripe) {
     const ImageF img = wavehpc::core::landsat_tm_like(32, 32, 3);
@@ -117,6 +195,21 @@ TEST(MeshDwt, StatsShowRedundancyOnlyWhenGuardZonesExist) {
     }
 }
 
+TEST(ThreadsDwt, BitIdenticalToSequentialReference) {
+    const ImageF img = wavehpc::core::landsat_tm_like(128, 96, 41);
+    wavehpc::runtime::ThreadPool pool(3);
+    for (int taps : {2, 4, 8}) {
+        const FilterPair fp = FilterPair::daubechies(taps);
+        for (auto mode : {BoundaryMode::Periodic, BoundaryMode::Symmetric,
+                          BoundaryMode::ZeroPad}) {
+            const Pyramid seq = wavehpc::core::decompose(img, fp, 2, mode);
+            const Pyramid par =
+                wavehpc::wavelet::decompose_parallel(img, fp, 2, mode, pool);
+            EXPECT_TRUE(pyramids_bit_identical(par, seq)) << taps << " mode " << int(mode);
+        }
+    }
+}
+
 TEST(ThreadsDwt, ReconstructionRoundTripsThroughParallelAnalysis) {
     const ImageF img = wavehpc::core::landsat_tm_like(64, 64, 43);
     const FilterPair fp = FilterPair::daubechies(4);
@@ -126,6 +219,79 @@ TEST(ThreadsDwt, ReconstructionRoundTripsThroughParallelAnalysis) {
     const ImageF back = wavehpc::core::reconstruct(pyr, fp);
     EXPECT_LT(wavehpc::core::max_abs_diff(img, back), 2e-3);
 }
+
+// Pool-size sweep: the fused threaded kernels must stay bit-identical to
+// the serial decompose/reconstruct references for every boundary mode at
+// pool sizes 1, 2 and hardware_concurrency. The 8-tap filter on a 64-row
+// image drives extend_index past the edge at every level, so ZeroPad
+// exercises the "missing row" sentinel in the fused column sweep.
+class ThreadsDwtPoolSweep : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ThreadsDwtPoolSweep, DecomposeMatchesSerialForAllModes) {
+    wavehpc::runtime::ThreadPool pool(GetParam());
+    const ImageF img = wavehpc::core::landsat_tm_like(64, 96, 47);
+    for (int taps : {2, 4, 8}) {
+        const FilterPair fp = FilterPair::daubechies(taps);
+        for (auto mode : {BoundaryMode::Periodic, BoundaryMode::Symmetric,
+                          BoundaryMode::ZeroPad}) {
+            const Pyramid seq = wavehpc::core::decompose(img, fp, 3, mode);
+            const Pyramid par =
+                wavehpc::wavelet::decompose_parallel(img, fp, 3, mode, pool);
+            EXPECT_TRUE(pyramids_bit_identical(par, seq)) << taps << " mode " << int(mode);
+        }
+    }
+}
+
+// One level on its own: the four bands of the serial one-level
+// decomposition (paper steps 1-4).
+TEST_P(ThreadsDwtPoolSweep, SingleLevelMatchesDecomposeLevel) {
+    wavehpc::runtime::ThreadPool pool(GetParam());
+    const ImageF img = wavehpc::core::landsat_tm_like(64, 64, 51);
+    const FilterPair fp = FilterPair::daubechies(8);
+    for (auto mode : {BoundaryMode::Periodic, BoundaryMode::Symmetric,
+                      BoundaryMode::ZeroPad}) {
+        const Pyramid one = wavehpc::core::decompose(img, fp, 1, mode);
+        const Pyramid par =
+            wavehpc::wavelet::decompose_parallel(img, fp, 1, mode, pool);
+        ASSERT_EQ(par.depth(), 1U);
+        EXPECT_EQ(par.approx, one.approx);
+        EXPECT_EQ(par.levels[0].lh, one.levels[0].lh);
+        EXPECT_EQ(par.levels[0].hl, one.levels[0].hl);
+        EXPECT_EQ(par.levels[0].hh, one.levels[0].hh);
+    }
+}
+
+// Every boundary mode, on a square plane, a non-square one, and an 8x8
+// plane at 3 levels whose 1x1 coarsest band is far smaller than the 8-tap
+// filter.
+TEST_P(ThreadsDwtPoolSweep, ReconstructMatchesSerialGatherReference) {
+    wavehpc::runtime::ThreadPool pool(GetParam());
+    struct Shape {
+        std::size_t rows;
+        std::size_t cols;
+        int levels;
+    };
+    for (const Shape s : {Shape{64, 64, 2}, Shape{32, 96, 2}, Shape{8, 8, 3}}) {
+        const ImageF img = wavehpc::core::landsat_tm_like(s.rows, s.cols, 53);
+        for (int taps : {2, 4, 8}) {
+            const FilterPair fp = FilterPair::daubechies(taps);
+            for (auto mode : {BoundaryMode::Periodic, BoundaryMode::Symmetric,
+                              BoundaryMode::ZeroPad}) {
+                const Pyramid pyr = wavehpc::core::decompose(img, fp, s.levels, mode);
+                const ImageF serial = wavehpc::core::reconstruct(pyr, fp, mode);
+                const ImageF par =
+                    wavehpc::wavelet::reconstruct_parallel(pyr, fp, pool, mode);
+                EXPECT_EQ(par, serial) << s.rows << "x" << s.cols << " taps " << taps
+                                       << " mode " << int(mode);
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoolSizes, ThreadsDwtPoolSweep,
+    ::testing::Values(std::size_t{1}, std::size_t{2},
+                      std::max<std::size_t>(1, std::thread::hardware_concurrency())));
 
 // Regression for the seed deadlock: decompositions driven from inside a
 // worker of the same pool (nested parallel_for) must complete and match.

@@ -1,6 +1,7 @@
-// Resilient mesh decomposition: bit-identical coefficients under message
-// drops and across fail-stop recovery with re-striping (the fault-free runs
-// are cells of test_conformance).
+// Resilient mesh decomposition: bit-identical coefficients fault-free,
+// under message drops, and across fail-stop recovery with re-striping (the
+// conformance matrix, test_conformance, widens the fault-free runs to every
+// shape class).
 
 #include <gtest/gtest.h>
 
@@ -31,6 +32,23 @@ Pyramid plain_reference(const ImageF& img, const FilterPair& fp, int levels) {
     const auto res = wavehpc::wavelet::mesh_decompose(
         machine, img, fp, cfg, 4, SequentialCostModel::paragon_node());
     return res.pyramid;
+}
+
+TEST(ResilientDwt, FaultFreeRunMatchesPlainDecomposition) {
+    const ImageF img = wavehpc::core::landsat_tm_like(64, 64, 17);
+    const FilterPair fp = FilterPair::daubechies(4);
+    const Pyramid reference = plain_reference(img, fp, 2);
+
+    for (std::size_t p : {1U, 2U, 4U, 8U}) {
+        Machine machine(MachineProfile::paragon_pvm());
+        ResilientDwtConfig cfg;
+        cfg.levels = 2;
+        const auto res = wavehpc::wavelet::mesh_decompose_resilient(
+            machine, img, fp, cfg, p, SequentialCostModel::paragon_node());
+        EXPECT_TRUE(wavehpc::testing::pyramids_bit_identical(res.pyramid, reference)) << p;
+        EXPECT_EQ(res.level_retries, 0U);
+        EXPECT_TRUE(res.failed_ranks.empty());
+    }
 }
 
 TEST(ResilientDwt, BitIdenticalUnderMessageDrops) {
