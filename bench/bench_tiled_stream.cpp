@@ -305,8 +305,9 @@ void smoke_height_invariance(const TileConfig& cfg) {
                                                DwtKernel::Convolve, cfg, sink,
                                                &buffers);
     };
-    // Past ~8 tile_rows of height every level's ring hits its 2*tile_rows
-    // + taps cap, so peaks must be byte-identical from there on up.
+    // Once every level's plane is taps rows tall its ring is at its cap,
+    // and each level holds one band of tiles whatever the height, so peaks
+    // must be byte-identical from there on up.
     const auto short_run = run(2048);
     const auto tall_run = run(8192);
     check(short_run.peak_resident_bytes == tall_run.peak_resident_bytes,

@@ -17,8 +17,10 @@ namespace wavehpc::core {
 //     lo[k-k0]. Boundary extension applies at the true signal edges only.
 //   * Column pass: output rows [k0, k1) of a plane of `plane_rows` row-band
 //     rows and `width` columns. Rows come from a row source (PlaneRows for a
-//     whole ImageF, a RowAccessor for a tile or a mesh stripe); output row
-//     k lands at row k-out0, and its LL at column ll_col0 of that row.
+//     whole ImageF, a RowAccessor for a mesh stripe, a RingRows store for
+//     the tile stream); output row k lands at row k-out0, and its LL at
+//     column ll_col0 of that row (the tile stream writes one output row
+//     into four destination rows of its own).
 //
 // Every output element is a fixed function of its own input window, so any
 // range, segment or tile split evaluates the whole-plane expression tree,
@@ -465,6 +467,53 @@ void synthesize_cols_tile(const RowAccessor& low_row, const RowAccessor& high_ro
         throw std::invalid_argument("synthesize_cols_tile: bad output shape");
     }
     synthesis_col_pass(low_row, high_row, half_rows, width, fp, out, mode, m0, m1, m0);
+}
+
+namespace {
+
+[[noreturn]] void throw_row_not_resident() {
+    throw std::logic_error("RingRows: row not resident");
+}
+
+}  // namespace
+
+const float* RingRows::operator()(std::size_t r) const {
+    if (r < produced && produced - r <= ring.rows()) {
+        return ring.row(r % ring.rows()).data() + col0;
+    }
+    if (r < std::min(head.rows(), produced)) return head.row(r).data() + col0;
+    throw_row_not_resident();
+}
+
+// The tap lookup of convolve_cols_range for one output row, then the same
+// row body. Kept apart from that template, so the code the whole-plane
+// sweeps run stays as it is.
+void analyze_cols_row(const RingRows& low_row, const RingRows& high_row,
+                      std::size_t plane_rows, std::size_t width, const FilterPair& fp,
+                      BoundaryMode mode, std::size_t k, std::span<float> ll,
+                      std::span<float> lh, std::span<float> hl, std::span<float> hh) {
+    require_even(plane_rows, "row count");
+    if (k >= plane_rows / 2) {
+        throw std::invalid_argument("analyze_cols_row: bad output row");
+    }
+    for (const std::span<float>* out : {&ll, &lh, &hl, &hh}) {
+        if (out->size() != width) {
+            throw std::invalid_argument("analyze_cols_row: bad output size");
+        }
+    }
+    const auto fl = fp.low();
+    const auto fh = fp.high();
+    thread_local std::vector<ColTap> taps;
+    taps.resize(fl.size());
+    std::size_t count = 0;
+    for (std::size_t n = 0; n < fl.size(); ++n) {
+        const std::size_t idx =
+            extend_index(static_cast<std::ptrdiff_t>(2 * k + n), plane_rows, mode);
+        if (idx >= plane_rows) continue;
+        taps[count++] = ColTap{low_row(idx), high_row(idx), fl[n], fh[n]};
+    }
+    convolve_col_row(taps.data(), count, width, ll.data(), lh.data(), hl.data(),
+                     hh.data());
 }
 
 }  // namespace wavehpc::core

@@ -83,15 +83,14 @@ void analyze_1d_range(std::span<const float> x, const FilterPair& fp,
 
 /// Maps an in-range global row-band row index (boundary mapping has
 /// already been applied, so the argument is always < plane_rows) to the
-/// storage of that row's column segment. The tile driver backs this with
-/// its ring buffer; the mesh backends and tests back it with a plain ImageF.
+/// storage of that row's column segment. The mesh backends and tests back
+/// it with a plain ImageF.
 using RowAccessor = std::function<const float*(std::size_t)>;
 
 /// Fused column analysis of one tile: output rows [k0, k1) of a plane
 /// with `plane_rows` global row-band rows, over a `width`-column segment.
 /// lh/hl/hh are (k1-k0, width); LL lands in columns [ll_col0,
-/// ll_col0+width) of `ll`, which must have at least k1-k0 rows (the tile
-/// driver writes each tile straight into its level's cascade band). Output
+/// ll_col0+width) of `ll`, which must have at least k1-k0 rows. Output
 /// row k is written at LOCAL row k-k0, every element in place, so no
 /// destination needs clearing. Row k touches global rows 2k .. 2k+taps-1
 /// mapped through `mode`, so the accessors are only asked for rows the
@@ -101,6 +100,33 @@ void analyze_cols_tile(const RowAccessor& low_row, const RowAccessor& high_row,
                        const FilterPair& fp, ImageF& ll, ImageF& lh, ImageF& hl,
                        ImageF& hh, BoundaryMode mode, std::size_t k0, std::size_t k1,
                        std::size_t ll_col0);
+
+/// The tile stream's store of one row band (low or high) of a plane whose
+/// rows arrive in order: the newest ring.rows() rows in a ring (row r at
+/// ring row r % ring.rows()) and the first head.rows() rows in a head, the
+/// rows the Periodic bottom edge wraps back onto. A lookup returns the
+/// row's segment from column col0; a row the store does not hold (not yet
+/// produced, or gone from the ring and not in the head) throws
+/// std::logic_error. A concrete row source, so the column body inlines it.
+struct RingRows {
+    const ImageF& ring;
+    const ImageF& head;
+    std::size_t produced = 0;  ///< rows stored so far, oldest first
+    std::size_t col0 = 0;
+
+    [[nodiscard]] const float* operator()(std::size_t r) const;
+};
+
+/// Fused column analysis of ONE output row k of a plane with `plane_rows`
+/// global row-band rows, over a `width`-column segment read through ring
+/// stores: ll/lh/hl/hh each receive `width` values, every one written.
+/// Row k reads the rows the boundary maps 2k .. 2k+taps-1 onto, so the
+/// stores must hold those (the tile stream calls this as soon as the last
+/// of them has been stored).
+void analyze_cols_row(const RingRows& low_row, const RingRows& high_row,
+                      std::size_t plane_rows, std::size_t width, const FilterPair& fp,
+                      BoundaryMode mode, std::size_t k, std::span<float> ll,
+                      std::span<float> lh, std::span<float> hl, std::span<float> hh);
 
 /// Whole-level fused analysis (serial convenience): rows then columns.
 /// Allocates/reshapes the outputs as needed.

@@ -41,8 +41,7 @@ TilePlan TilePlan::build(std::size_t rows, std::size_t cols, int levels,
         g.out_cols = g.in_cols / 2;
         g.tiles_down = (g.out_rows + cfg.tile_rows - 1) / cfg.tile_rows;
         g.tiles_across = (g.out_cols + cfg.tile_cols - 1) / cfg.tile_cols;
-        const std::size_t band = std::min(cfg.tile_rows, g.out_rows);
-        g.ring_rows = std::min(g.in_rows, 2 * band + taps);
+        g.ring_rows = std::min(g.in_rows, taps);
         g.head_rows = std::min(g.in_rows, taps - 2);
         plan.level.push_back(g);
     }
@@ -61,32 +60,38 @@ std::vector<Reservation> TilePlan::reservations() const {
             res.push_back({g.head_rows * g.out_cols, 2});  // lo + hi heads
         }
         const bool last = l + 1 == levels;
-        if (!last) {
-            // LL cascade band feeding the next level's ingest; the column
-            // pass writes each tile's LL straight into it.
-            res.push_back({std::min(tile_rows, g.out_rows) * g.out_cols, 1});
-        }
-        // Tile shapes: interior plus (possibly equal) bottom/right edge
-        // remainders. Only one tile's subband buffers are ever live in the
-        // driver at once: three detail bands, plus the LL tile at the last
-        // level, whose LL is the approximation output. So three (four at
-        // the last level) slabs per DISTINCT size suffice; duplicates (an
-        // evenly dividing grid, or coincidentally equal areas) are
-        // collapsed rather than double-provisioned.
-        const std::size_t th_i = std::min(tile_rows, g.out_rows);
-        const std::size_t th_e = g.out_rows - (g.tiles_down - 1) * tile_rows;
+        if (!last) res.push_back({g.out_cols, 1});  // LL row into the next level
+        // One band's tiles per level are live at once, from the band's first
+        // output row until the sink takes them after its last. A band holds
+        // tiles_across - 1 tiles of the interior width and one of the edge
+        // width (the same width when the grid divides evenly), and only the
+        // bottom band may be shorter. Each tile takes three slabs (LH, HL,
+        // HH), four at the last level, whose LL tiles are the approximation
+        // output. Per area, reserve the most slabs either band height needs.
+        const std::size_t per_tile = last ? 4 : 3;
         const std::size_t tw_i = std::min(tile_cols, g.out_cols);
         const std::size_t tw_e = g.out_cols - (g.tiles_across - 1) * tile_cols;
-        std::vector<std::size_t> shapes;
-        for (const std::size_t th : {th_i, th_e}) {
-            for (const std::size_t tw : {tw_i, tw_e}) {
-                const std::size_t floats = th * tw;
-                if (std::find(shapes.begin(), shapes.end(), floats) == shapes.end()) {
-                    shapes.push_back(floats);
+        std::vector<Reservation> tiles;
+        for (const std::size_t th : {std::min(tile_rows, g.out_rows),
+                                     g.out_rows - (g.tiles_down - 1) * tile_rows}) {
+            std::vector<Reservation> band{{th * tw_e, per_tile}};
+            if (tw_i == tw_e) {
+                band[0].count *= g.tiles_across;
+            } else {
+                band.push_back({th * tw_i, (g.tiles_across - 1) * per_tile});
+            }
+            for (const Reservation& r : band) {
+                const auto same =
+                    std::find_if(tiles.begin(), tiles.end(),
+                                 [&](const Reservation& t) { return t.floats == r.floats; });
+                if (same == tiles.end()) {
+                    tiles.push_back(r);
+                } else {
+                    same->count = std::max(same->count, r.count);
                 }
             }
         }
-        for (const std::size_t floats : shapes) res.push_back({floats, last ? 4U : 3U});
+        res.insert(res.end(), tiles.begin(), tiles.end());
     }
     return res;
 }

@@ -5,21 +5,22 @@
 // output rows advance in bands of `tile_rows`, output columns split into
 // `tile_cols`-wide segments. Neighbouring tiles exchange a halo of
 // taps-1 input samples — vertically the driver realizes the exchange by
-// retaining guard rows in a per-level ring buffer, horizontally by
-// letting each tile's row transform read its neighbours' pixels from the
-// shared full-width scanline. (The exact vertical overhang of an output
-// band is taps-2 source rows past its nominal edge — output k reads
-// inputs 2k .. 2k+taps-1 — so taps-1 is the safe guard width the plan
-// provisions.) True image edges are handled by the boundary mode, never
-// by the tile seams, which is what keeps every interior AND edge
-// coefficient bit-identical to the monolithic decompose.
+// retaining the last taps row-pass rows in a per-level ring buffer,
+// horizontally by letting each tile's row transform read its neighbours'
+// pixels from the shared full-width scanline. (Output k reads inputs 2k ..
+// 2k+taps-1, so its vertical overhang past its own rows is taps-2, and
+// taps-1 is the safe guard width the plan provisions.) True image edges
+// are handled by the boundary mode, never by the tile seams, which is what
+// keeps every interior AND edge coefficient bit-identical to the
+// monolithic decompose.
 //
 // The plan is pure arithmetic: level geometry, ring capacities, and the
 // exact buffer reservation list the streaming driver will obtain, so a
 // caller can pre-provision a BufferArena (BufferArena::reserve) and then
 // assert the stream ran with zero warm allocations. Every quantity is
-// independent of the image HEIGHT (rings are capped at 2*tile_rows+taps
-// rows), which is the constant-memory claim bench_tiled_stream gates on.
+// independent of the image HEIGHT (rings are capped at taps rows, and
+// each level holds one band of tiles across its width), which is the
+// constant-memory claim bench_tiled_stream gates on.
 
 #include <cstddef>
 #include <cstdint>
@@ -44,13 +45,13 @@ struct LevelGeometry {
     std::size_t out_cols = 0;
     std::size_t tiles_down = 0;    ///< ceil(out_rows / tile_rows)
     std::size_t tiles_across = 0;  ///< ceil(out_cols / tile_cols)
-    /// Row-band ring capacity: min(in_rows, 2*tile_rows + taps) rows of
-    /// row-pass output retained per band (lo and hi). Emitting output
-    /// band [k0, k1) needs rows 2*k0 .. 2*k1+taps-3 — span 2*(k1-k0) +
-    /// taps - 2 — so this capacity always covers the oldest pending band.
+    /// Row-band ring capacity: min(in_rows, taps) rows of row-pass output
+    /// retained (lo and hi). Output row k reads rows 2k .. 2k+taps-1 and
+    /// is computed once the last of them lands, so the ring still holds
+    /// all of them.
     std::size_t ring_rows = 0;
     /// First taps-2 row-pass rows retained for the Periodic bottom wrap
-    /// (Symmetric reflects into recent ring rows; ZeroPad reads nothing).
+    /// (Symmetric reflects into the last taps rows; ZeroPad reads nothing).
     std::size_t head_rows = 0;
 };
 
@@ -77,8 +78,9 @@ struct TilePlan {
 
     /// Exactly the buffers stream_decompose obtains, as (floats, count)
     /// pairs: the level-0 ingest staging band, each level's lo/hi rings
-    /// and head rows, the LL cascade band, and every distinct tile shape
-    /// (interior and edge) times its three detail buffers, four at the
+    /// and head rows, one LL row per non-final level, and one band's tiles
+    /// per level (interior and edge widths, the taller of the interior and
+    /// bottom band heights per area), three buffers per tile, four at the
     /// last level where the LL tile is the output. Replaying this list
     /// through BufferArena::reserve makes the stream allocation-free.
     [[nodiscard]] std::vector<Reservation> reservations() const;

@@ -35,11 +35,16 @@ struct LevelState {
     ImageF hi_ring;
     ImageF lo_head;  // head_rows x out_cols: the Periodic wrap target
     ImageF hi_head;
-    // Cascade band toward the next level (absent at the last): each tile's
-    // column pass writes its LL here, at the tile's column offset.
-    ImageF ll_band;
+    // One output row of LL toward the next level (absent at the last): the
+    // column pass writes each tile's segment at its column offset.
+    ImageF ll_row;
+    // The current band's tiles, left to right, from the band's first output
+    // row until the sink takes them after its last; ll_tiles only at the
+    // last level, whose LL tiles are the approximation output.
+    std::vector<core::DetailBands> tiles;
+    std::vector<ImageF> ll_tiles;
     std::size_t ingested = 0;  // input rows pushed through the row pass
-    std::size_t next_out = 0;  // first output row not yet emitted
+    std::size_t next_out = 0;  // first output row not yet computed
 };
 
 class StreamContext {
@@ -63,8 +68,11 @@ public:
                 st.lo_head = obtain(g.head_rows, g.out_cols);
                 st.hi_head = obtain(g.head_rows, g.out_cols);
             }
-            if (l + 1 < states_.size()) {
-                st.ll_band = obtain(std::min(plan_.tile_rows, g.out_rows), g.out_cols);
+            st.tiles.resize(g.tiles_across);
+            if (last_level(l)) {
+                st.ll_tiles.resize(g.tiles_across);
+            } else {
+                st.ll_row = obtain(1, g.out_cols);
             }
         }
     }
@@ -73,22 +81,26 @@ public:
     /// when an exception (a failing TileSource read, say) ends the stream.
     ~StreamContext() {
         recycle(std::move(staging_));
-        recycle(std::move(tile_ll_));
-        recycle(std::move(tile_.lh));
-        recycle(std::move(tile_.hl));
-        recycle(std::move(tile_.hh));
         for (LevelState& st : states_) {
             recycle(std::move(st.lo_ring));
             recycle(std::move(st.hi_ring));
             recycle(std::move(st.lo_head));
             recycle(std::move(st.hi_head));
-            recycle(std::move(st.ll_band));
+            recycle(std::move(st.ll_row));
+            for (core::DetailBands& t : st.tiles) {
+                recycle(std::move(t.lh));
+                recycle(std::move(t.hl));
+                recycle(std::move(t.hh));
+            }
+            for (ImageF& ll : st.ll_tiles) recycle(std::move(ll));
         }
     }
 
     /// Level-0 ingest: read the source in bands of `band` full-width rows
     /// into the staging band, the only part of the source ever
-    /// materialized, and push each row through the row pass.
+    /// materialized, and push each row through the row pass. The last row
+    /// makes every remaining output row of every level due, so the whole
+    /// pyramid has reached the sink when this returns.
     void ingest(TileSource& src, std::size_t band) {
         staging_ = obtain(band, src.cols());
         for (std::size_t y0 = 0; y0 < src.rows(); y0 += band) {
@@ -99,46 +111,6 @@ public:
             }
         }
         recycle(std::move(staging_));
-    }
-
-    /// Row pass: one full-width input row of level `l` lands in the ring
-    /// (the horizontal halo is the shared scanline itself).
-    void push_row(std::size_t l, const float* row) {
-        LevelState& st = states_[l];
-        const LevelGeometry& g = plan_.level[l];
-        const auto lo = st.lo_ring.row(st.ingested % g.ring_rows);
-        const auto hi = st.hi_ring.row(st.ingested % g.ring_rows);
-        core::analyze_1d_range(std::span<const float>(row, g.in_cols), fp_, lo, hi, mode_,
-                               0, g.out_cols);
-        if (st.ingested < g.head_rows) {
-            std::copy(lo.begin(), lo.end(), st.lo_head.row(st.ingested).begin());
-            std::copy(hi.begin(), hi.end(), st.hi_head.row(st.ingested).begin());
-        }
-        ++st.ingested;
-        drain(l, false);
-    }
-
-    /// Emit every output band whose source window is fully ingested (all
-    /// of them once `final` — the boundary supplies the rest).
-    void drain(std::size_t l, bool final) {
-        LevelState& st = states_[l];
-        const LevelGeometry& g = plan_.level[l];
-        while (st.next_out < g.out_rows) {
-            const std::size_t k0 = st.next_out;
-            const std::size_t k1 = std::min(g.out_rows, k0 + plan_.tile_rows);
-            // Band [k0, k1) reads source rows through 2*k1 + taps - 3.
-            if (!final && st.ingested < 2 * k1 + plan_.taps - 2) break;
-            emit_band(l, k0, k1);
-            st.next_out = k1;
-        }
-    }
-
-    /// Stream end: flush levels in cascade order — level l's final drain
-    /// pushes its remaining LL rows into level l+1 before l+1 flushes.
-    void finalize() {
-        for (std::size_t l = 0; l < states_.size(); ++l) {
-            drain(l, true);
-        }
         seconds_ = elapsed();
     }
 
@@ -167,72 +139,94 @@ private:
         buffers_.recycle(img.release_data());
     }
 
+    [[nodiscard]] bool last_level(std::size_t l) const noexcept {
+        return l + 1 == states_.size();
+    }
+
     [[nodiscard]] double elapsed() const {
         return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              start_)
             .count();
     }
 
-    /// Resolve a global row-band row against ring/head storage. The
-    /// emission gate and the head retention together guarantee every row
-    /// the boundary maps a band onto is still resident (see plan.hpp).
-    [[nodiscard]] const float* ring_row(const LevelState& st, const LevelGeometry& g,
-                                        bool low, std::size_t r) const {
-        if (r >= st.ingested) {
-            throw std::logic_error("tile stream: row not yet produced");
-        }
-        if (st.ingested > g.ring_rows && r + g.ring_rows < st.ingested) {
-            // Evicted from the ring: only the head retains it (Periodic
-            // bottom wrap).
-            if (r < g.head_rows) {
-                return (low ? st.lo_head : st.hi_head).row(r).data();
-            }
-            throw std::logic_error("tile stream: row evicted from ring");
-        }
-        return (low ? st.lo_ring : st.hi_ring).row(r % g.ring_rows).data();
-    }
-
-    void emit_band(std::size_t l, std::size_t k0, std::size_t k1) {
+    /// Row pass: one full-width input row of level `l` lands in the ring
+    /// (the horizontal halo is the shared scanline itself), then every
+    /// output row it completes is computed. Output row k reads the rows
+    /// the boundary maps 2k .. 2k+taps-1 onto: the ring's last taps rows
+    /// and, for Periodic, the head, so it is due once row 2k+taps-1 (or the
+    /// plane's last row) has landed.
+    void push_row(std::size_t l, const float* row) {
         LevelState& st = states_[l];
         const LevelGeometry& g = plan_.level[l];
-        const std::size_t th = k1 - k0;
-        const bool last_level = l + 1 == states_.size();
+        const auto lo = st.lo_ring.row(st.ingested % g.ring_rows);
+        const auto hi = st.hi_ring.row(st.ingested % g.ring_rows);
+        core::analyze_1d_range(std::span<const float>(row, g.in_cols), fp_, lo, hi, mode_,
+                               0, g.out_cols);
+        if (st.ingested < g.head_rows) {
+            std::copy(lo.begin(), lo.end(), st.lo_head.row(st.ingested).begin());
+            std::copy(hi.begin(), hi.end(), st.hi_head.row(st.ingested).begin());
+        }
+        ++st.ingested;
+        while (st.next_out < g.out_rows &&
+               st.ingested >= std::min(2 * st.next_out + plan_.taps, g.in_rows)) {
+            emit_row(l, st.next_out++);
+        }
+    }
+
+    /// Column pass of output row k across the full width: row k-k0 of each
+    /// of the band's tiles, and at a non-final level the LL row, which then
+    /// cascades into level l+1's row pass.
+    void emit_row(std::size_t l, std::size_t k) {
+        LevelState& st = states_[l];
+        const LevelGeometry& g = plan_.level[l];
+        const std::size_t k0 = k - k % plan_.tile_rows;
+        const std::size_t k1 = std::min(g.out_rows, k0 + plan_.tile_rows);
+        if (k == k0) obtain_band(l, k1 - k0);
+        for (std::size_t tj = 0; tj < g.tiles_across; ++tj) {
+            const std::size_t c0 = tj * plan_.tile_cols;
+            core::DetailBands& t = st.tiles[tj];
+            const std::size_t tw = t.lh.cols();
+            const std::span<float> ll = last_level(l) ? st.ll_tiles[tj].row(k - k0)
+                                                      : st.ll_row.row(0).subspan(c0, tw);
+            core::analyze_cols_row(core::RingRows{st.lo_ring, st.lo_head, st.ingested, c0},
+                                   core::RingRows{st.hi_ring, st.hi_head, st.ingested, c0},
+                                   g.in_rows, tw, fp_, mode_, k, ll, t.lh.row(k - k0),
+                                   t.hl.row(k - k0), t.hh.row(k - k0));
+        }
+        if (k + 1 == k1) hand_off_band(l, k0, k1);
+        if (!last_level(l)) push_row(l + 1, st.ll_row.row(0).data());
+    }
+
+    void obtain_band(std::size_t l, std::size_t th) {
+        LevelState& st = states_[l];
+        const LevelGeometry& g = plan_.level[l];
         for (std::size_t tj = 0; tj < g.tiles_across; ++tj) {
             const std::size_t c0 = tj * plan_.tile_cols;
             const std::size_t tw = std::min(g.out_cols, c0 + plan_.tile_cols) - c0;
-            // The last level's LL tiles are the approximation output; every
-            // other level's LL goes straight into its cascade band.
-            if (last_level) tile_ll_ = obtain(th, tw);
-            tile_.lh = obtain(th, tw);
-            tile_.hl = obtain(th, tw);
-            tile_.hh = obtain(th, tw);
-            const core::RowAccessor lo_at = [this, &st, &g, c0](std::size_t r) {
-                return ring_row(st, g, true, r) + c0;
-            };
-            const core::RowAccessor hi_at = [this, &st, &g, c0](std::size_t r) {
-                return ring_row(st, g, false, r) + c0;
-            };
-            core::analyze_cols_tile(lo_at, hi_at, g.in_rows, tw, fp_,
-                                    last_level ? tile_ll_ : st.ll_band, tile_.lh,
-                                    tile_.hl, tile_.hh, mode_, k0, k1,
-                                    last_level ? 0 : c0);
-            // Hand-offs move the tile out of the driver before the call, so
-            // the sink owns it even if the sink throws.
-            if (last_level) {
-                meter_.sub(tile_ll_.size());
+            st.tiles[tj] = {obtain(th, tw), obtain(th, tw), obtain(th, tw)};
+            if (last_level(l)) st.ll_tiles[tj] = obtain(th, tw);
+        }
+    }
+
+    /// The band's tiles go to the sink left to right, on_approx before
+    /// on_detail at the last level. Each hand-off moves the tile out of the
+    /// driver before the call, so the sink owns it even if the sink
+    /// throws; the tiles to its right stay the driver's.
+    void hand_off_band(std::size_t l, std::size_t k0, std::size_t k1) {
+        LevelState& st = states_[l];
+        const LevelGeometry& g = plan_.level[l];
+        for (std::size_t tj = 0; tj < g.tiles_across; ++tj) {
+            const std::size_t c0 = tj * plan_.tile_cols;
+            if (last_level(l)) {
+                meter_.sub(st.ll_tiles[tj].size());
                 sink_.on_approx(TileCoord{plan_.levels, k0, c0},
-                                std::exchange(tile_ll_, ImageF{}));
+                                std::exchange(st.ll_tiles[tj], ImageF{}));
             }
-            meter_.sub(3 * th * tw);
+            meter_.sub(3 * st.tiles[tj].lh.size());
             sink_.on_detail(TileCoord{static_cast<int>(l), k0, c0},
-                            std::exchange(tile_, core::DetailBands{}));
+                            std::exchange(st.tiles[tj], core::DetailBands{}));
         }
-        if (last_level && k1 == g.out_rows) approx_seal_seconds_ = elapsed();
-        if (!last_level) {
-            for (std::size_t j = 0; j < th; ++j) {
-                push_row(l + 1, st.ll_band.row(j).data());
-            }
-        }
+        if (last_level(l) && k1 == g.out_rows) approx_seal_seconds_ = elapsed();
     }
 
     const TilePlan& plan_;
@@ -242,9 +236,7 @@ private:
     core::FloatBufferSource& buffers_;
     const std::chrono::steady_clock::time_point start_;
     std::vector<LevelState> states_;
-    ImageF staging_;          // level-0 ingest band, held while reading
-    ImageF tile_ll_;          // last level's LL tile until its hand-off
-    core::DetailBands tile_;  // a tile's detail bands until their hand-off
+    ImageF staging_;  // level-0 ingest band, held while reading
     ResidentMeter meter_;
     double approx_seal_seconds_ = 0.0;
     double seconds_ = 0.0;
@@ -263,7 +255,6 @@ TileStreamStats stream_decompose(TileSource& src, const core::FilterPair& fp,
     core::FloatBufferSource& buf = buffers != nullptr ? *buffers : fallback;
     StreamContext ctx(plan, fp, mode, sink, buf);
     ctx.ingest(src, std::min(cfg.tile_rows, src.rows()));
-    ctx.finalize();
     return ctx.stats(src);
 }
 

@@ -2,28 +2,33 @@
 // Constant-memory streaming tile DWT driver (ISSUE 9).
 //
 // stream_decompose ingests a scene row-band by row-band from a TileSource
-// and pushes it through a cascade of per-level states. Each level keeps:
+// and pushes each row through a cascade of per-level states in one loop.
+// Each level keeps:
 //
 //   * a full-width RING of row-pass output rows (lo and hi), capacity
-//     min(in_rows, 2*tile_rows + taps) — enough that when the emission
-//     gate for output band [k0, k1) opens (input row 2*k1+taps-3
-//     ingested), rows 2*k0 .. 2*k1+taps-3 are all still resident;
+//     min(in_rows, taps): output row k reads row-pass rows 2k .. 2k+taps-1,
+//     so the moment row 2k+taps-1 (or the plane's last row) lands, every
+//     row output k needs is still resident, and the driver computes it;
 //   * the first taps-2 row-pass rows (HEAD), which the Periodic bottom
-//     edge wraps back onto (Symmetric reflects into recent ring rows and
-//     ZeroPad reads nothing, so the head is only read by Periodic);
-//   * an LL cascade band that forwards finished approximation rows to the
-//     next level's ingest (absent at the last level, whose LL tiles ARE
-//     the approximation output). Each tile's column pass writes its LL
-//     straight into this band, at the tile's column offset.
+//     edge wraps back onto (Symmetric reflects only into the last taps
+//     rows and ZeroPad reads nothing past the edge, so only Periodic reads
+//     the head);
+//   * the current band's tiles across the full width: each output row k
+//     lands in row k-k0 of every tile of its band, and the band goes to
+//     the sink after its last row;
+//   * one LL row toward the next level (absent at the last level, whose
+//     LL tiles ARE the approximation output): each tile's column pass
+//     writes its segment, and the finished row is the next level's input
+//     row, pushed into its row pass at once.
 //
 // The row transform runs once per ingested row over the full width through
 // core::analyze_1d_range (the horizontal halo is the shared scanline
-// itself); column transforms run per tile through core::analyze_cols_tile
-// with a RowAccessor that resolves global row indices against ring/head
-// storage (the vertical halo). Both entry points run the kernel layer's one
-// row and one column body — the code core::decompose runs over whole
-// planes — so the whole pyramid, interior AND edges, is bit-identical to
-// core::decompose for every boundary mode.
+// itself); the column transform runs per output row and tile through
+// core::analyze_cols_row, reading the ring and head through a RingRows
+// store (the vertical halo). Both run the kernel layer's one row and one
+// column body, the code core::decompose runs over whole planes, so the
+// whole pyramid, interior AND edges, is bit-identical to core::decompose
+// for every boundary mode.
 //
 // Resident memory is the TilePlan reservation set: independent of the
 // image height, which is what makes images >> RAM streamable.
@@ -50,9 +55,12 @@ struct TileCoord {
     std::size_t col0 = 0;
 };
 
-/// Consumer of the tile stream. Tiles arrive coarse-to-fine
-/// in scan order within a level; ownership of the band buffers transfers
-/// with the call (recycle them into your buffer source when done).
+/// Consumer of the tile stream. Tiles arrive in scan order within a level,
+/// with levels interleaved as rows cascade: a band of level l leaves as
+/// soon as its last output row is computed, so the finest level's first
+/// band leaves first and the approximation's last band leaves last.
+/// Ownership of the band buffers transfers with the call (recycle them
+/// into your buffer source when done).
 class TileSink {
 public:
     virtual ~TileSink() = default;
@@ -69,9 +77,10 @@ struct TileStreamStats {
     double seconds = 0.0;        ///< wall time of the whole stream
     /// Wall time at which the last approximation tile left the driver.
     double approx_seal_seconds = 0.0;
-    /// High-water mark of driver-held buffer bytes (rings, heads, staging,
-    /// cascade bands, tiles until handed to the sink). Bounded by
-    /// TilePlan::resident_bytes_bound() and independent of image height.
+    /// High-water mark of driver-held buffer bytes (staging, rings, heads,
+    /// LL rows, each level's current band of tiles until handed to the
+    /// sink). Bounded by TilePlan::resident_bytes_bound() and independent
+    /// of image height.
     std::uint64_t peak_resident_bytes = 0;
 };
 

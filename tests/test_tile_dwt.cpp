@@ -72,13 +72,24 @@ TEST(TilePlan, GeometryAndRingCaps) {
     EXPECT_EQ(plan.level[0].out_cols, 256U);
     EXPECT_EQ(plan.level[0].tiles_down, 2U);   // 128 output rows / 64
     EXPECT_EQ(plan.level[0].tiles_across, 2U); // 256 output cols / 128
-    // Ring capped at 2*tile_rows + taps, never past the plane height.
-    EXPECT_EQ(plan.level[0].ring_rows, std::min<std::size_t>(256, 2 * 64 + 8));
-    EXPECT_EQ(plan.level[2].ring_rows,
-              std::min<std::size_t>(64, 2 * std::min<std::size_t>(64, 32) + 8));
+    // Ring capped at taps rows, never past the plane height.
+    EXPECT_EQ(plan.level[0].ring_rows, std::min<std::size_t>(256, 8));
+    EXPECT_EQ(plan.level[2].ring_rows, std::min<std::size_t>(64, 8));
+    EXPECT_EQ(TilePlan::build(8, 512, 2, 8, cfg).level[1].ring_rows, 4U);  // in_rows
     EXPECT_EQ(plan.level[0].head_rows, 6U);  // taps - 2
     EXPECT_FALSE(plan.reservations().empty());
     EXPECT_GT(plan.resident_bytes_bound(), 0U);
+}
+
+TEST(TilePlan, GigapixelStreamBoundHoldsOneBandOfTilesPerLevel) {
+    // 16384^2, 8 taps, 4 levels, 128x256 tiles: 8 MiB of staging, taps-row
+    // rings and heads, one LL row per non-final level, and one band of
+    // tiles across each level (12 + 6 + 3 + 2 MiB).
+    TileConfig cfg;
+    cfg.tile_rows = 128;
+    cfg.tile_cols = 256;
+    const TilePlan plan = TilePlan::build(16384, 16384, 4, 8, cfg);
+    EXPECT_LT(plan.resident_bytes_bound(), 36000000U);
 }
 
 TEST(TilePlan, BoundIsIndependentOfImageHeight) {
@@ -136,10 +147,9 @@ TEST(AnalyzeRange, SegmentsMatchFullSignalBitExact) {
 }
 
 TEST(AnalyzeColsTile, WritesLLAtItsColumnOffsetOnly) {
-    // A column segment's LL lands at ll_col0 of a wider destination (the
-    // tile driver's cascade band) with the whole-plane bits; the rest of
-    // the destination is not touched, and one too short or too narrow is
-    // rejected.
+    // A column segment's LL lands at ll_col0 of a wider destination with
+    // the whole-plane bits; the rest of the destination is not touched, and
+    // one too short or too narrow is rejected.
     const ImageF img = scene(16, 48, 3);
     const std::size_t c0 = 5, width = 11;  // crosses a column block edge
     for (const int taps : {4, 2}) {
@@ -181,6 +191,70 @@ TEST(AnalyzeColsTile, WritesLLAtItsColumnOffsetOnly) {
     }
 }
 
+TEST(AnalyzeColsRow, ComputesEachRowFromTheRingOnceItIsDue) {
+    // Row-pass rows arrive one at a time into a taps-row ring and a
+    // (taps-2)-row head; output row k, computed as soon as row 2k+taps-1
+    // (or the last row) has arrived, has the whole-plane bits, and asking
+    // for it one row early throws because a tap row is not resident.
+    const ImageF img = scene(16, 48, 5);
+    const std::size_t rows = 16, c0 = 5, width = 11;
+    for (const int taps : {2, 4, 8}) {
+        const auto fp = FilterPair::daubechies(taps);
+        const auto t = static_cast<std::size_t>(taps);
+        for (const BoundaryMode mode : kModes) {
+            const std::string tag = "taps " + std::to_string(taps) + " mode " +
+                                    std::to_string(static_cast<int>(mode));
+            ImageF lo(rows, 24), hi(rows, 24);
+            wavehpc::core::analyze_rows_range(img, fp, lo, hi, mode, DwtKernel::Convolve, 0,
+                                              rows);
+            ImageF ll(8, 24), lh(8, 24), hl(8, 24), hh(8, 24);
+            wavehpc::core::analyze_cols_range(lo, hi, fp, ll, lh, hl, hh, mode,
+                                              DwtKernel::Convolve, 0, 8);
+            ImageF lo_ring(t, 24), hi_ring(t, 24), lo_head(t - 2, 24), hi_head(t - 2, 24);
+            std::vector<float> row_ll(width), row_lh(width), row_hl(width), row_hh(width);
+            std::size_t next = 0;
+            for (std::size_t produced = 1; produced <= rows; ++produced) {
+                const std::size_t r = produced - 1;
+                lo_ring.paste(lo.sub(r, 0, 1, 24), r % t, 0);
+                hi_ring.paste(hi.sub(r, 0, 1, 24), r % t, 0);
+                if (r < t - 2) {
+                    lo_head.paste(lo.sub(r, 0, 1, 24), r, 0);
+                    hi_head.paste(hi.sub(r, 0, 1, 24), r, 0);
+                }
+                const wavehpc::core::RingRows lo_rows{lo_ring, lo_head, produced, c0};
+                const wavehpc::core::RingRows hi_rows{hi_ring, hi_head, produced, c0};
+                const auto compute = [&](std::size_t k) {
+                    wavehpc::core::analyze_cols_row(lo_rows, hi_rows, rows, width, fp, mode,
+                                                    k, row_ll, row_lh, row_hl, row_hh);
+                };
+                for (; next < 8 && produced >= std::min(2 * next + t, rows); ++next) {
+                    compute(next);
+                    const auto segment = [&](const ImageF& band) {
+                        const auto full = band.row(next).subspan(c0, width);
+                        return std::vector<float>(full.begin(), full.end());
+                    };
+                    EXPECT_EQ(row_ll, segment(ll)) << tag << " row " << next;
+                    EXPECT_EQ(row_lh, segment(lh)) << tag << " row " << next;
+                    EXPECT_EQ(row_hl, segment(hl)) << tag << " row " << next;
+                    EXPECT_EQ(row_hh, segment(hh)) << tag << " row " << next;
+                }
+                if (next < 8 && produced + 1 == std::min(2 * next + t, rows)) {
+                    EXPECT_THROW(compute(next), std::logic_error) << tag << " row " << next;
+                }
+            }
+            EXPECT_EQ(next, 8U) << tag;
+            const wavehpc::core::RingRows lo_all{lo_ring, lo_head, rows, c0};
+            const wavehpc::core::RingRows hi_all{hi_ring, hi_head, rows, c0};
+            std::vector<float> narrow(width - 1);
+            EXPECT_THROW(wavehpc::core::analyze_cols_row(lo_all, hi_all, rows, width, fp,
+                                                         mode, 7, narrow, row_lh, row_hl,
+                                                         row_hh),
+                         std::invalid_argument)
+                << tag;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Tentpole: tiled pyramid == monolithic pyramid, bit for bit
 // ---------------------------------------------------------------------------
@@ -193,7 +267,6 @@ TEST(TiledBitIdentity, FullMatrixAgainstMonolithicDecompose) {
     // so a driver buffer read before it is written fails the comparison.
     const ImageF img = scene(96, 80, 11);
     const TileConfig tiles[] = {{16, 16}, {8, 24}, {64, 64}, {1, 8}};
-    wavehpc::svc::BufferArena arena;
     for (const int taps : {2, 4, 8}) {
         const auto fp = FilterPair::daubechies(taps);
         for (const int levels : {1, 3}) {
@@ -209,11 +282,17 @@ TEST(TiledBitIdentity, FullMatrixAgainstMonolithicDecompose) {
                     expect_bands_eq(
                         wavehpc::tile::tiled_decompose(img, fp, levels, mode, cfg, nullptr),
                         want, tag);
-                    // No stream holds more than 32 buffers at once.
-                    wavehpc::testing::prime_with_nan(arena, img.size(), 32);
+                    // A fresh arena holding only NaN slabs: a stream that
+                    // needed more buffers than it holds would take a fresh
+                    // one (a miss). The 16x16 grid at 3 levels peaks at 44
+                    // buffers of one class, its assembler's 10 included.
+                    wavehpc::svc::BufferArena arena;
+                    wavehpc::testing::prime_with_nan(arena, img.size(), 64);
+                    const auto misses = arena.stats().misses;
                     expect_bands_eq(
                         wavehpc::tile::tiled_decompose(img, fp, levels, mode, cfg, &arena),
                         want, tag + " arena");
+                    EXPECT_EQ(arena.stats().misses, misses) << tag << " took a fresh slab";
                 }
             }
         }
@@ -279,32 +358,38 @@ TEST(TiledStreaming, PeakResidencyIsHeightIndependentAndBounded) {
 }
 
 TEST(TiledStreaming, ReservedArenaRunsWithZeroWarmAllocations) {
+    // 320 columns give level 0 a short edge tile; 512 give it four tiles of
+    // one width, all of them held until the band's last row.
     const auto fp = FilterPair::daubechies(8);
     TileConfig cfg;
     cfg.tile_rows = 32;
     cfg.tile_cols = 64;
-    const TilePlan plan = TilePlan::build(256, 320, 3, 8, cfg);
-    wavehpc::svc::BufferArena arena;
-    for (const auto& r : plan.reservations()) arena.reserve(r.floats, r.count);
-    const auto before = arena.stats();
-    EXPECT_EQ(before.misses, 0U);
-    EXPECT_GT(before.reserved_slabs, 0U);
+    for (const std::size_t cols : {320, 512}) {
+        const TilePlan plan = TilePlan::build(256, cols, 3, 8, cfg);
+        wavehpc::svc::BufferArena arena;
+        for (const auto& r : plan.reservations()) arena.reserve(r.floats, r.count);
+        const auto before = arena.stats();
+        EXPECT_EQ(before.misses, 0U);
+        EXPECT_GT(before.reserved_slabs, 0U);
 
-    wavehpc::tile::SyntheticTileSource src(256, 320, 9);
-    wavehpc::tile::DiscardSink sink(arena);
-    (void)wavehpc::tile::stream_decompose(src, fp, 3, BoundaryMode::Periodic,
-                                          DwtKernel::Convolve, cfg, sink, &arena);
-    const auto after = arena.stats();
-    EXPECT_EQ(after.misses, 0U) << "stream allocated outside the reservation set";
-    EXPECT_EQ(after.heap_fallbacks, 0U);
-    EXPECT_GT(after.hits, 0U);
+        wavehpc::tile::SyntheticTileSource src(256, cols, 9);
+        wavehpc::tile::DiscardSink sink(arena);
+        (void)wavehpc::tile::stream_decompose(src, fp, 3, BoundaryMode::Periodic,
+                                              DwtKernel::Convolve, cfg, sink, &arena);
+        const auto after = arena.stats();
+        EXPECT_EQ(after.misses, 0U) << cols << " cols: stream allocated outside the "
+                                       "reservation set";
+        EXPECT_EQ(after.heap_fallbacks, 0U);
+        EXPECT_GT(after.hits, 0U);
+    }
 }
 
 TEST(TiledStreaming, AFailedStreamReturnsEveryDriverBuffer) {
     // A stream that ends in an exception (a truncated PGM, a sink that
     // gives up) hands every buffer the driver holds back to the arena:
-    // the staging band and rings when the source fails, and the tile in
-    // flight when the sink does.
+    // the staging band and rings when the source fails, and the tiles of
+    // every band in progress when the sink does, also those of the band
+    // the sink gave up in that it has not yet been handed.
     class FailingSource final : public wavehpc::tile::TileSource {
     public:
         [[nodiscard]] std::size_t rows() const override { return inner_.rows(); }
@@ -335,6 +420,25 @@ TEST(TiledStreaming, AFailedStreamReturnsEveryDriverBuffer) {
         wavehpc::tile::DiscardSink discard_;
         wavehpc::core::FloatBufferSource& buffers_;
     };
+    class MidBandSink final : public wavehpc::tile::TileSink {
+    public:
+        explicit MidBandSink(wavehpc::core::FloatBufferSource& buffers)
+            : discard_(buffers) {}
+        void on_detail(const wavehpc::tile::TileCoord& coord,
+                       wavehpc::core::DetailBands&& bands) override {
+            discard_.on_detail(coord, std::move(bands));
+            if (coord.level == 0 && ++level0_tiles_ == 2) {
+                throw std::runtime_error("sink gave up mid-band");
+            }
+        }
+        void on_approx(const wavehpc::tile::TileCoord& coord, ImageF&& ll) override {
+            discard_.on_approx(coord, std::move(ll));
+        }
+
+    private:
+        wavehpc::tile::DiscardSink discard_;
+        int level0_tiles_ = 0;
+    };
     const auto fp = FilterPair::daubechies(4);
     TileConfig cfg;
     cfg.tile_rows = 32;
@@ -358,6 +462,19 @@ TEST(TiledStreaming, AFailedStreamReturnsEveryDriverBuffer) {
                          sink, &arena),
                      std::runtime_error);
         EXPECT_EQ(arena.stats().bytes_outstanding, 0U) << "sink failure";
+    }
+    {
+        // Four tiles across level 0: the sink throws on the second, so the
+        // third and fourth are still the driver's.
+        ASSERT_EQ(TilePlan::build(256, 512, 2, 4, cfg).level[0].tiles_across, 4U);
+        wavehpc::svc::BufferArena arena;
+        wavehpc::tile::SyntheticTileSource src(256, 512, 4);
+        MidBandSink sink(arena);
+        EXPECT_THROW((void)wavehpc::tile::stream_decompose(
+                         src, fp, 2, BoundaryMode::Periodic, DwtKernel::Convolve, cfg,
+                         sink, &arena),
+                     std::runtime_error);
+        EXPECT_EQ(arena.stats().bytes_outstanding, 0U) << "sink failure mid-band";
     }
 }
 
