@@ -8,11 +8,11 @@
 // approximation plane and prices detail tiles as they fly by, so the
 // bench itself stays height-independent like the driver.
 //
-// The ingest rate includes the synthetic source's generation time. One
-// more timed pass, after a warm-up pass, streams a materialized slice of
-// the scene (at most 1024 rows at full width) from an InMemoryTileSource
-// into a discarding sink: its ns per input pixel (driver_ns_per_px) is the
-// driver alone, and does not depend on the image height.
+// The ingest rate includes the synthetic source's generation time. The
+// stream's source and sink are timed call by call, so driver_ns_per_px is
+// the driver alone on the same streamed pass: its seconds minus those
+// spent inside read_rows and inside the sink, per input pixel (the
+// definition wavebench's tile.driver_ns_px uses).
 //
 // --smoke: a 512 x 512 scene plus the acceptance gates as hard asserts:
 //   * full-scene tiled pyramid bit-identical to the monolithic
@@ -27,6 +27,7 @@
 // Extra flags: --json PATH (full mode defaults to BENCH_tiled.json).
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -67,9 +68,35 @@ void check(bool ok, const std::string& what) {
     }
 }
 
+using Clock = std::chrono::steady_clock;
+
+[[nodiscard]] double seconds_since(Clock::time_point t0) {
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/// Times every read_rows call of the source it wraps.
+class TimedSource final : public wavehpc::tile::TileSource {
+public:
+    explicit TimedSource(wavehpc::tile::TileSource& inner) : inner_(inner) {}
+
+    [[nodiscard]] std::size_t rows() const override { return inner_.rows(); }
+    [[nodiscard]] std::size_t cols() const override { return inner_.cols(); }
+    void read_rows(std::size_t y0, std::size_t n, std::span<float> dst) override {
+        const auto t0 = Clock::now();
+        inner_.read_rows(y0, n, dst);
+        seconds += seconds_since(t0);
+    }
+
+    double seconds = 0.0;  ///< inside read_rows
+
+private:
+    wavehpc::tile::TileSource& inner_;
+};
+
 /// Assembles the approximation plane and prices every band on the fly
 /// (first-order entropy at quant step 1 + a 64-byte frame per tile), so a
 /// gigapixel run can report delivery times without holding its pyramid.
+/// Times its own calls.
 class DeliveryMeter final : public wavehpc::tile::TileSink {
 public:
     DeliveryMeter(std::size_t rows, std::size_t cols, int levels,
@@ -79,18 +106,24 @@ public:
     void on_detail(const wavehpc::tile::TileCoord& coord,
                    wavehpc::core::DetailBands&& bands) override {
         (void)coord;
+        const auto t0 = Clock::now();
         for (ImageF* band : {&bands.lh, &bands.hl, &bands.hh}) {
             detail_bytes_ += 64.0 + static_cast<double>(band->size()) *
                                         wavehpc::core::band_entropy_bits(*band, 1.0F) /
                                         8.0;
             buffers_.recycle(band->release_data());
         }
+        seconds += seconds_since(t0);
     }
 
     void on_approx(const wavehpc::tile::TileCoord& coord, ImageF&& ll) override {
+        const auto t0 = Clock::now();
         approx_.paste(ll, coord.row0, coord.col0);
         buffers_.recycle(ll.release_data());
+        seconds += seconds_since(t0);
     }
+
+    double seconds = 0.0;  ///< inside on_detail and on_approx
 
     [[nodiscard]] double approx_coded_bytes() const {
         return 64.0 + static_cast<double>(approx_.size()) *
@@ -115,31 +148,12 @@ struct RunReport {
     double time_to_full = 0.0;
     wavehpc::svc::ArenaStats arena;
     std::vector<std::size_t> pooled_per_class;
-    std::size_t slice_rows = 0;     ///< height of the in-memory driver pass
-    double driver_ns_per_px = 0.0;  ///< that pass's seconds per input pixel, in ns
+    double source_seconds = 0.0;  ///< inside the source's read_rows
+    double sink_seconds = 0.0;    ///< inside the delivery sink
+    /// The stream's seconds less its source's and sink's, per input pixel,
+    /// in ns: the driver alone.
+    double driver_ns_per_px = 0.0;
 };
-
-/// One stream of a materialized rows x cols slice from memory into a
-/// discarding sink through a reserved arena: the driver's cost alone, in
-/// ns per input pixel. An untimed first stream touches the arena's slabs,
-/// so the timed one pays no first-touch page faults.
-double time_driver(std::size_t rows, std::size_t cols, int levels, int taps,
-                   std::uint64_t seed, const TileConfig& cfg) {
-    const ImageF slice = wavehpc::tile::SyntheticTileSource(rows, cols, seed).materialize();
-    const TilePlan plan =
-        TilePlan::build(rows, cols, levels, static_cast<std::size_t>(taps), cfg);
-    wavehpc::svc::BufferArena arena;
-    for (const auto& r : plan.reservations()) arena.reserve(r.floats, r.count);
-    const auto stream = [&] {
-        wavehpc::tile::InMemoryTileSource src(slice);
-        wavehpc::tile::DiscardSink sink(arena);
-        return wavehpc::tile::stream_decompose(src, FilterPair::daubechies(taps), levels,
-                                               BoundaryMode::Periodic, DwtKernel::Convolve,
-                                               cfg, sink, &arena);
-    };
-    (void)stream();
-    return stream().seconds * 1e9 / static_cast<double>(slice.size());
-}
 
 RunReport run_stream(std::size_t rows, std::size_t cols, int levels, int taps,
                      std::uint64_t seed, const TileConfig& cfg) {
@@ -156,12 +170,18 @@ RunReport run_stream(std::size_t rows, std::size_t cols, int levels, int taps,
     wavehpc::svc::BufferArena arena;
     for (const auto& r : plan.reservations()) arena.reserve(r.floats, r.count);
 
-    wavehpc::tile::SyntheticTileSource src(rows, cols, seed);
+    wavehpc::tile::SyntheticTileSource synth(rows, cols, seed);
+    TimedSource src(synth);
     DeliveryMeter sink(rows, cols, levels, arena);
     const auto fp = FilterPair::daubechies(taps);
     rep.stats = wavehpc::tile::stream_decompose(
         src, fp, levels, BoundaryMode::Periodic, DwtKernel::Convolve, cfg, sink,
         &arena);
+    rep.source_seconds = src.seconds;
+    rep.sink_seconds = sink.seconds;
+    rep.driver_ns_per_px =
+        std::max(0.0, rep.stats.seconds - src.seconds - sink.seconds) * 1e9 /
+        (static_cast<double>(rows) * static_cast<double>(cols));
 
     rep.bytes_per_sec =
         rep.stats.seconds > 0.0
@@ -175,8 +195,6 @@ RunReport run_stream(std::size_t rows, std::size_t cols, int levels, int taps,
         (sink.approx_coded_bytes() + sink.detail_coded_bytes()) / kLinkBytesPerSecond;
     rep.arena = arena.stats();
     rep.pooled_per_class = arena.pooled_per_class();
-    rep.slice_rows = std::min<std::size_t>(rows, 1024);
-    rep.driver_ns_per_px = time_driver(rep.slice_rows, cols, levels, taps, seed, cfg);
     return rep;
 }
 
@@ -202,8 +220,9 @@ void print_report(const RunReport& r) {
         std::cout << (i > 0 ? " " : "") << r.pooled_per_class[i];
     }
     std::cout << "]\n";
-    std::cout << "driver alone: " << r.driver_ns_per_px << " ns/px (in-memory "
-              << r.slice_rows << "x" << r.cols << " slice)\n";
+    std::cout << "driver alone: " << r.driver_ns_per_px << " ns/px (stream "
+              << r.stats.seconds << " s less source " << r.source_seconds << " s and sink "
+              << r.sink_seconds << " s)\n";
 }
 
 void write_json(const std::string& path, const RunReport& r) {
@@ -219,7 +238,8 @@ void write_json(const std::string& path, const RunReport& r) {
         << "  \"bytes_in\": " << r.stats.bytes_in << ",\n"
         << "  \"seconds\": " << r.stats.seconds << ",\n"
         << "  \"bytes_per_sec\": " << r.bytes_per_sec << ",\n"
-        << "  \"driver_slice_rows\": " << r.slice_rows << ",\n"
+        << "  \"source_seconds\": " << r.source_seconds << ",\n"
+        << "  \"sink_seconds\": " << r.sink_seconds << ",\n"
         << "  \"driver_ns_per_px\": " << r.driver_ns_per_px << ",\n"
         << "  \"preview_bytes_per_sec\": " << kLinkBytesPerSecond << ",\n"
         << "  \"approx_seal_seconds\": " << r.stats.approx_seal_seconds << ",\n"

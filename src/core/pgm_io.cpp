@@ -4,8 +4,8 @@
 #include <cstdint>
 #include <fstream>
 #include <span>
-#include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace wavehpc::core {
 
@@ -44,140 +44,121 @@ std::size_t read_header_value(std::istream& in, const char* what) {
     return static_cast<std::size_t>(v);
 }
 
-struct PgmHeader {
-    bool binary = false;  // P5 (vs P2 ASCII)
-    std::size_t cols = 0;
-    std::size_t rows = 0;
-    std::size_t maxval = 0;
-};
-
-// Parse magic, dims, and maxval; on return the stream sits at the first
-// raster byte (P5: the single post-maxval separator consumed and
-// verified) or the first sample token (P2). Per-dimension caps apply
-// here; total-pixel caps are the caller's, because the windowed reader
-// only bounds the window it materializes.
-PgmHeader parse_pgm_header(std::istream& in, const std::string& path) {
-    std::string magic;
-    in >> magic;
-    if (magic != "P5" && magic != "P2") {
-        throw std::runtime_error("read_pgm: not a PGM file: " + path);
+// A window inside the image that the pixel cap allows, checked before
+// anything it sizes is allocated. Widened to 64-bit before multiplying: on
+// a 32-bit size_t the in-cap 65536 x 65536 header would wrap cols*rows to
+// 0 and dodge the guard entirely.
+void check_window(const PgmInfo& info, std::size_t y0, std::size_t n,
+                  const std::string& path) {
+    if (n == 0 || y0 > info.rows || n > info.rows - y0) {
+        throw std::runtime_error("read_pgm: window outside image in " + path);
     }
-    PgmHeader h;
-    h.binary = magic == "P5";
-    h.cols = read_header_value(in, "width");
-    h.rows = read_header_value(in, "height");
-    if (h.cols > kMaxDim || h.rows > kMaxDim) {
+    if (static_cast<std::uint64_t>(info.cols) * n > kMaxPixels) {
         throw std::runtime_error("read_pgm: implausible image dimensions in " + path);
     }
-    h.maxval = read_header_value(in, "maxval");
-    if (h.maxval > 65535) throw std::runtime_error("read_pgm: maxval out of range");
-    if (h.binary) {
-        // Exactly one whitespace byte separates maxval from the raster.
-        // Anything else (junk after maxval) would silently shift every
-        // pixel by a byte.
-        const int sep = in.get();
-        if (sep == std::char_traits<char>::eof() ||
-            std::isspace(static_cast<unsigned char>(sep)) == 0) {
-            throw std::runtime_error("read_pgm: junk after maxval in " + path);
-        }
-    }
-    return h;
 }
 
-// Decode `count` raster samples that are already in `raw` into `dst`.
-void decode_samples(const std::vector<unsigned char>& raw, bool two_bytes,
-                    std::span<float> dst) {
-    for (std::size_t i = 0; i < dst.size(); ++i) {
-        dst[i] = two_bytes
-                     ? static_cast<float>((raw[2 * i] << 8) | raw[2 * i + 1])  // big-endian
-                     : static_cast<float>(raw[i]);
-    }
+// Rows [y0, y0+rows) of the reader's file as a new image.
+ImageF read_window(PgmReader& reader, const std::string& path, std::size_t y0,
+                   std::size_t rows) {
+    check_window(reader.info(), y0, rows, path);
+    ImageF img(rows, reader.info().cols);
+    reader.read_rows(y0, rows, img.flat());
+    return img;
 }
+
+// next_row_ while a window is being read: a window that fails part-way
+// leaves the stream at no known row, so the next one repositions.
+constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
 
 }  // namespace
 
-ImageF read_pgm(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw std::runtime_error("read_pgm: cannot open " + path);
-    const PgmHeader h = parse_pgm_header(in, path);
-    // Widened to 64-bit before multiplying: on a 32-bit size_t the
-    // in-cap 65536 x 65536 header would wrap cols*rows to 0 and dodge
-    // the guard entirely.
-    if (static_cast<std::uint64_t>(h.cols) * h.rows > kMaxPixels) {
-        throw std::runtime_error("read_pgm: implausible image dimensions in " + path);
+PgmReader::PgmReader(std::string path)
+    : path_(std::move(path)), in_(path_, std::ios::binary) {
+    if (!in_) throw std::runtime_error("read_pgm: cannot open " + path_);
+    std::string magic;
+    in_ >> magic;
+    if (magic != "P5" && magic != "P2") {
+        throw std::runtime_error("read_pgm: not a PGM file: " + path_);
     }
-
-    ImageF img(h.rows, h.cols);
-    if (!h.binary) {
-        for (float& px : img.flat()) {
-            long long v = 0;
-            in >> v;
-            if (!in) throw std::runtime_error("read_pgm: truncated ASCII data");
-            px = static_cast<float>(v);
+    binary_ = magic == "P5";
+    info_.cols = read_header_value(in_, "width");
+    info_.rows = read_header_value(in_, "height");
+    if (info_.cols > kMaxDim || info_.rows > kMaxDim) {
+        throw std::runtime_error("read_pgm: implausible image dimensions in " + path_);
+    }
+    info_.maxval = read_header_value(in_, "maxval");
+    if (info_.maxval > 65535) throw std::runtime_error("read_pgm: maxval out of range");
+    if (binary_) {
+        // Exactly one whitespace byte separates maxval from the raster.
+        // Anything else (junk after maxval) would silently shift every
+        // pixel by a byte.
+        const int sep = in_.get();
+        if (sep == std::char_traits<char>::eof() ||
+            std::isspace(static_cast<unsigned char>(sep)) == 0) {
+            throw std::runtime_error("read_pgm: junk after maxval in " + path_);
         }
-        return img;
     }
-
-    const bool two_bytes = h.maxval > 255;
-    std::vector<unsigned char> raw(h.rows * h.cols * (two_bytes ? 2 : 1));
-    in.read(reinterpret_cast<char*>(raw.data()), static_cast<std::streamsize>(raw.size()));
-    if (static_cast<std::size_t>(in.gcount()) != raw.size()) {
-        throw std::runtime_error("read_pgm: truncated binary data");
-    }
-    decode_samples(raw, two_bytes, img.flat());
-    return img;
+    raster_ = in_.tellg();
 }
 
-PgmInfo read_pgm_header(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw std::runtime_error("read_pgm_header: cannot open " + path);
-    const PgmHeader h = parse_pgm_header(in, path);
-    return PgmInfo{h.rows, h.cols, h.maxval};
+void PgmReader::read_rows(std::size_t y0, std::size_t n, std::span<float> dst) {
+    check_window(info_, y0, n, path_);
+    if (dst.size() != n * info_.cols) {
+        throw std::invalid_argument("PgmReader: bad destination size");
+    }
+    const std::size_t bpp = info_.maxval > 255 ? 2 : 1;
+    const bool resume = std::exchange(next_row_, kNoRow) == y0;
+    if (!resume) {
+        in_.clear();
+        in_.seekg(raster_);
+        if (binary_) {
+            // The raster is fixed-pitch: the window is one seek away.
+            in_.seekg(static_cast<std::streamoff>(static_cast<std::uint64_t>(y0) *
+                                                  info_.cols * bpp),
+                      std::ios::cur);
+        } else {
+            const std::uint64_t skip = static_cast<std::uint64_t>(y0) * info_.cols;
+            for (std::uint64_t i = 0; i < skip && in_; ++i) {
+                long long v = 0;
+                in_ >> v;
+            }
+        }
+        if (!in_) throw std::runtime_error("read_pgm: truncated raster in " + path_);
+    }
+    if (binary_) {
+        raw_.resize(dst.size() * bpp);
+        in_.read(reinterpret_cast<char*>(raw_.data()),
+                 static_cast<std::streamsize>(raw_.size()));
+        if (static_cast<std::size_t>(in_.gcount()) != raw_.size()) {
+            throw std::runtime_error("read_pgm: truncated binary data in " + path_);
+        }
+        if (bpp == 2) {
+            for (std::size_t i = 0; i < dst.size(); ++i) {  // big-endian samples
+                dst[i] = static_cast<float>((raw_[2 * i] << 8) | raw_[2 * i + 1]);
+            }
+        } else {
+            for (std::size_t i = 0; i < dst.size(); ++i) dst[i] = static_cast<float>(raw_[i]);
+        }
+    } else {
+        for (float& px : dst) {
+            long long v = 0;
+            in_ >> v;
+            if (!in_) throw std::runtime_error("read_pgm: truncated ASCII data in " + path_);
+            px = static_cast<float>(v);
+        }
+    }
+    next_row_ = y0 + n;
+}
+
+ImageF read_pgm(const std::string& path) {
+    PgmReader reader(path);
+    return read_window(reader, path, 0, reader.info().rows);
 }
 
 ImageF read_pgm_rows(const std::string& path, std::size_t y0, std::size_t rows) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw std::runtime_error("read_pgm_rows: cannot open " + path);
-    const PgmHeader h = parse_pgm_header(in, path);
-    if (rows == 0 || y0 > h.rows || rows > h.rows - y0) {
-        throw std::runtime_error("read_pgm_rows: window outside image in " + path);
-    }
-    if (static_cast<std::uint64_t>(h.cols) * rows > kMaxPixels) {
-        throw std::runtime_error("read_pgm_rows: window too large in " + path);
-    }
-
-    ImageF img(rows, h.cols);
-    if (!h.binary) {
-        // P2: the samples before the window must be tokenized past.
-        const std::uint64_t skip = static_cast<std::uint64_t>(y0) * h.cols;
-        for (std::uint64_t i = 0; i < skip; ++i) {
-            long long v = 0;
-            in >> v;
-            if (!in) throw std::runtime_error("read_pgm_rows: truncated ASCII data");
-        }
-        for (float& px : img.flat()) {
-            long long v = 0;
-            in >> v;
-            if (!in) throw std::runtime_error("read_pgm_rows: truncated ASCII data");
-            px = static_cast<float>(v);
-        }
-        return img;
-    }
-
-    const bool two_bytes = h.maxval > 255;
-    const std::uint64_t bpp = two_bytes ? 2 : 1;
-    // P5: the raster is fixed-pitch, so the window start is one seek away
-    // and nothing before (or after) it is ever read.
-    in.seekg(static_cast<std::streamoff>(static_cast<std::uint64_t>(y0) * h.cols * bpp),
-             std::ios::cur);
-    if (!in) throw std::runtime_error("read_pgm_rows: seek failed in " + path);
-    std::vector<unsigned char> raw(rows * h.cols * bpp);
-    in.read(reinterpret_cast<char*>(raw.data()), static_cast<std::streamsize>(raw.size()));
-    if (static_cast<std::size_t>(in.gcount()) != raw.size()) {
-        throw std::runtime_error("read_pgm_rows: truncated binary data");
-    }
-    decode_samples(raw, two_bytes, img.flat());
-    return img;
+    PgmReader reader(path);
+    return read_window(reader, path, y0, rows);
 }
 
 void write_pgm(const ImageF& img, const std::string& path) {

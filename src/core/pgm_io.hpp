@@ -1,9 +1,18 @@
 #pragma once
 // Minimal PGM (P5 binary / P2 ASCII) reader and writer so real remotely
 // sensed scenes can be fed to the pipeline in place of the synthetic one.
+//
+// One raster reader, PgmReader, serves every read: read_pgm and
+// read_pgm_rows open one per call, and tile::PgmTileSource keeps one open
+// for a whole stream, so the driver's row-by-row ingest parses the header
+// once and reads the raster front to back.
 
 #include <cstddef>
+#include <fstream>
+#include <ios>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/image.hpp"
 
@@ -13,23 +22,50 @@ namespace wavehpc::core {
 /// std::runtime_error on malformed input or I/O failure.
 [[nodiscard]] ImageF read_pgm(const std::string& path);
 
-/// Dimensions from a PGM header without touching the raster.
+/// Dimensions from a PGM header.
 struct PgmInfo {
     std::size_t rows = 0;
     std::size_t cols = 0;
     std::size_t maxval = 0;
 };
 
-/// Parse just the header (magic, dims, maxval) of `path`.
-[[nodiscard]] PgmInfo read_pgm_header(const std::string& path);
+/// One open PGM file, read window by window. The constructor parses the
+/// header (magic, dims, maxval; per-dimension caps and the junk-after-
+/// maxval check) and leaves the stream at the raster's first sample.
+/// A window that starts at the row the previous one ended on continues
+/// from there: P5 reads n*cols*bpp bytes, P2 reads n*cols tokens. Any
+/// other window repositions: P5 seeks from the raster's start, P2 rewinds
+/// to it and skips y0*cols tokens. Samples decode straight into the
+/// caller's span through one reused byte buffer. Only the window is
+/// bounded by the pixel cap, so a 16k x 16k scene that read_pgm would
+/// refuse streams fine.
+class PgmReader {
+public:
+    /// Throws std::runtime_error if the file cannot be opened or its
+    /// header is malformed.
+    explicit PgmReader(std::string path);
 
-/// Windowed read: rows [y0, y0+rows) of the PGM at `path`, full width.
-/// The streaming tile driver calls this band by band, so only the
-/// *window* is bounded by the whole-file pixel cap — a 16k x 16k scene
-/// that read_pgm would refuse streams fine. P5 seeks straight to the
-/// window; P2 skips tokens. Same header caps and junk-after-maxval
-/// handling as read_pgm. Throws std::runtime_error on malformed input,
-/// I/O failure, or a window outside the image.
+    [[nodiscard]] const PgmInfo& info() const noexcept { return info_; }
+
+    /// Rows [y0, y0+n) into `dst` (n * cols floats, row-major). Throws
+    /// std::invalid_argument on a wrong-sized `dst`, and std::runtime_error
+    /// on an empty window, one outside the image or over the pixel cap,
+    /// truncated or malformed samples, or an I/O failure; a failed read
+    /// leaves the reader usable, and the next window repositions.
+    void read_rows(std::size_t y0, std::size_t n, std::span<float> dst);
+
+private:
+    std::string path_;
+    std::ifstream in_;
+    PgmInfo info_;
+    bool binary_ = false;  // P5 (vs P2 ASCII)
+    std::streampos raster_;
+    std::size_t next_row_ = 0;  // the row the stream sits at
+    std::vector<unsigned char> raw_;
+};
+
+/// Windowed read: rows [y0, y0+rows) of the PGM at `path`, full width,
+/// through one PgmReader. Throws like PgmReader::read_rows.
 [[nodiscard]] ImageF read_pgm_rows(const std::string& path, std::size_t y0,
                                    std::size_t rows);
 

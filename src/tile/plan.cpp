@@ -50,9 +50,9 @@ TilePlan TilePlan::build(std::size_t rows, std::size_t cols, int levels,
 
 std::vector<Reservation> TilePlan::reservations() const {
     std::vector<Reservation> res;
-    // Level-0 ingest staging: the driver reads the source in bands of
-    // min(tile_rows, rows) full-width rows.
-    res.push_back({std::min(tile_rows, rows) * cols, 1});
+    // Level-0 ingest staging: the driver reads the source one full-width
+    // row at a time.
+    res.push_back({cols, 1});
     for (int l = 0; l < levels; ++l) {
         const LevelGeometry& g = level[static_cast<std::size_t>(l)];
         res.push_back({g.ring_rows * g.out_cols, 2});  // lo + hi rings

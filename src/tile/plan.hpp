@@ -18,9 +18,10 @@
 // exact buffer reservation list the streaming driver will obtain, so a
 // caller can pre-provision a BufferArena (BufferArena::reserve) and then
 // assert the stream ran with zero warm allocations. Every quantity is
-// independent of the image HEIGHT (rings are capped at taps rows, and
-// each level holds one band of tiles across its width), which is the
-// constant-memory claim bench_tiled_stream gates on.
+// independent of the image HEIGHT (the ingest stages one input row at a
+// time, rings are capped at taps rows, and each level holds one band of
+// tiles across its width), which is the constant-memory claim
+// bench_tiled_stream gates on.
 
 #include <cstddef>
 #include <cstdint>
@@ -77,7 +78,7 @@ struct TilePlan {
                                         std::size_t taps, const TileConfig& cfg);
 
     /// Exactly the buffers stream_decompose obtains, as (floats, count)
-    /// pairs: the level-0 ingest staging band, each level's lo/hi rings
+    /// pairs: the level-0 ingest staging row, each level's lo/hi rings
     /// and head rows, one LL row per non-final level, and one band's tiles
     /// per level (interior and edge widths, the taller of the interior and
     /// bottom band heights per area), three buffers per tile, four at the

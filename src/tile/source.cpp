@@ -1,6 +1,7 @@
 #include "tile/source.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <stdexcept>
 
@@ -19,15 +20,31 @@ namespace {
 
 [[nodiscard]] float smoothstep(float t) noexcept { return t * t * (3.0F - 2.0F * t); }
 
+// smoothstep(i / Cell) for i in [0, Cell): the interpolation weight of the
+// i-th pixel of a lattice cell, the same in every cell, row and scene, so
+// each octave computes it once instead of once per pixel.
+template <std::size_t Cell>
+[[nodiscard]] const std::array<float, Cell>& cell_weights() {
+    static const std::array<float, Cell> weights = [] {
+        std::array<float, Cell> w{};
+        for (std::size_t i = 0; i < Cell; ++i) {
+            w[i] = smoothstep(static_cast<float>(i) / static_cast<float>(Cell));
+        }
+        return w;
+    }();
+    return weights;
+}
+
 // Add one octave of bilinear value noise to a row: the two lattice rows
 // bracketing `r` are hashed once per lattice COLUMN and interpolated
-// across the cell, so cost is ~2 hashes per `cell` pixels instead of 4
-// per pixel — this is what keeps a 16k x 16k synthetic scene cheap.
+// across the cell, so cost is ~2 hashes per cell instead of 4 per pixel —
+// this is what keeps a 16k x 16k synthetic scene cheap. `w` holds the cell's
+// weights (its size is the cell); the loop over a cell is a vector loop.
 void add_octave_row(std::uint64_t seed, std::size_t r, std::size_t cols,
-                    std::size_t cell, float amp, float* dst) {
+                    std::span<const float> w, float amp, float* dst) {
+    const std::size_t cell = w.size();
     const std::uint64_t gy = r / cell;
-    const float ty = smoothstep(static_cast<float>(r % cell) /
-                                static_cast<float>(cell));
+    const float ty = w[r % cell];
     std::size_t c = 0;
     std::uint64_t gx = 0;
     float left = (1.0F - ty) * hash01(seed, gx, gy) + ty * hash01(seed, gx, gy + 1);
@@ -36,9 +53,7 @@ void add_octave_row(std::uint64_t seed, std::size_t r, std::size_t cols,
                             ty * hash01(seed, gx + 1, gy + 1);
         const std::size_t span = std::min(cell, cols - c);
         for (std::size_t i = 0; i < span; ++i) {
-            const float tx = smoothstep(static_cast<float>(i) /
-                                        static_cast<float>(cell));
-            dst[c + i] += amp * ((1.0F - tx) * left + tx * right);
+            dst[c + i] += amp * ((1.0F - w[i]) * left + w[i] * right);
         }
         c += span;
         ++gx;
@@ -49,8 +64,8 @@ void add_octave_row(std::uint64_t seed, std::size_t r, std::size_t cols,
 }  // namespace
 
 SyntheticTileSource::SyntheticTileSource(std::size_t rows, std::size_t cols,
-                                         std::uint64_t seed, int octaves)
-    : rows_(rows), cols_(cols), seed_(seed), octaves_(std::clamp(octaves, 1, 8)) {
+                                         std::uint64_t seed)
+    : rows_(rows), cols_(cols), seed_(seed) {
     if (rows == 0 || cols == 0) {
         throw std::invalid_argument("SyntheticTileSource: dimensions must be non-zero");
     }
@@ -64,20 +79,17 @@ void SyntheticTileSource::read_rows(std::size_t y0, std::size_t n,
     if (dst.size() != n * cols_) {
         throw std::invalid_argument("SyntheticTileSource: bad destination size");
     }
+    // Two octaves: a coarse relief on a 64-pixel lattice at amplitude 160
+    // and a finer grain on a 32-pixel lattice at 80, a radiometrically
+    // plausible [0, 255]-ish range.
+    const auto& coarse = cell_weights<64>();
+    const auto& fine = cell_weights<32>();
     for (std::size_t j = 0; j < n; ++j) {
         const std::size_t r = y0 + j;
         float* row = dst.data() + j * cols_;
         std::fill(row, row + cols_, 0.0F);
-        // Octave o: lattice cell 64 >> o (floor 4), halving amplitude —
-        // a coarse relief with progressively finer grain, scaled to a
-        // radiometrically plausible [0, 255]-ish range.
-        float amp = 160.0F;
-        for (int o = 0; o < octaves_; ++o) {
-            const std::size_t cell = std::max<std::size_t>(4, 64 >> o);
-            add_octave_row(seed_ + static_cast<std::uint64_t>(o) * 0x51ed270b9ULL, r,
-                           cols_, cell, amp, row);
-            amp *= 0.5F;
-        }
+        add_octave_row(seed_, r, cols_, coarse, 160.0F, row);
+        add_octave_row(seed_ + 0x51ed270b9ULL, r, cols_, fine, 80.0F, row);
     }
 }
 
@@ -85,17 +97,6 @@ core::ImageF SyntheticTileSource::materialize() {
     core::ImageF img(rows_, cols_);
     read_rows(0, rows_, img.flat());
     return img;
-}
-
-PgmTileSource::PgmTileSource(std::string path)
-    : path_(std::move(path)), info_(core::read_pgm_header(path_)) {}
-
-void PgmTileSource::read_rows(std::size_t y0, std::size_t n, std::span<float> dst) {
-    if (dst.size() != n * info_.cols) {
-        throw std::invalid_argument("PgmTileSource: bad destination size");
-    }
-    const core::ImageF band = core::read_pgm_rows(path_, y0, n);
-    std::copy(band.flat().begin(), band.flat().end(), dst.begin());
 }
 
 void InMemoryTileSource::read_rows(std::size_t y0, std::size_t n,

@@ -1,26 +1,29 @@
 #pragma once
-// Row-band scene sources for the streaming tile driver (ISSUE 9).
+// Scene sources for the streaming tile driver.
 //
-// A TileSource hands out horizontal bands of a W x H scene on demand, so
-// the driver's resident footprint is the band it asked for — never the
-// scene. Three backends:
+// A TileSource hands out full-width rows of a W x H scene on demand; the
+// driver asks for one row per call, so its resident footprint is one row
+// of the source, never the scene. Three backends:
 //
-//   * SyntheticTileSource — deterministic multi-octave value noise,
-//     computed row by row with per-row lattice interpolation (a handful
-//     of hashes per lattice cell, not per pixel), cheap enough to feed a
-//     16k x 16k bench scene. Any (rows, cols, seed) always generates the
-//     identical pixels regardless of the band split, which is what the
-//     tiled-vs-monolithic bit-identity tests rely on.
-//   * PgmTileSource — windowed reads over a PGM file via read_pgm_rows;
-//     only the header is touched at construction.
-//   * InMemoryTileSource — adapter over an existing ImageF (tiled_decompose,
-//     bench_tiled_stream's in-memory pass); no copy, the image must outlive
-//     the source.
+//   * SyntheticTileSource — deterministic two-octave value noise, computed
+//     row by row with per-row lattice interpolation (a handful of hashes
+//     per lattice cell, not per pixel, and one table of interpolation
+//     weights per cell size), cheap enough to feed a 16k x 16k bench
+//     scene. Any (rows, cols, seed) always generates the identical pixels
+//     regardless of the window split, which is what the tiled-vs-monolithic
+//     bit-identity tests rely on.
+//   * PgmTileSource — windowed reads through one open core::PgmReader: the
+//     header is parsed once, and a window that starts where the last one
+//     ended continues from there, so a row-by-row stream reads the file
+//     front to back once.
+//   * InMemoryTileSource — adapter over an existing ImageF (tiled_decompose);
+//     one memcpy per window, the image must outlive the source.
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "core/image.hpp"
 #include "core/pgm_io.hpp"
@@ -41,8 +44,7 @@ public:
 
 class SyntheticTileSource final : public TileSource {
 public:
-    SyntheticTileSource(std::size_t rows, std::size_t cols, std::uint64_t seed,
-                        int octaves = 2);
+    SyntheticTileSource(std::size_t rows, std::size_t cols, std::uint64_t seed);
 
     [[nodiscard]] std::size_t rows() const override { return rows_; }
     [[nodiscard]] std::size_t cols() const override { return cols_; }
@@ -56,20 +58,20 @@ private:
     std::size_t rows_;
     std::size_t cols_;
     std::uint64_t seed_;
-    int octaves_;
 };
 
 class PgmTileSource final : public TileSource {
 public:
-    explicit PgmTileSource(std::string path);
+    explicit PgmTileSource(std::string path) : reader_(std::move(path)) {}
 
-    [[nodiscard]] std::size_t rows() const override { return info_.rows; }
-    [[nodiscard]] std::size_t cols() const override { return info_.cols; }
-    void read_rows(std::size_t y0, std::size_t n, std::span<float> dst) override;
+    [[nodiscard]] std::size_t rows() const override { return reader_.info().rows; }
+    [[nodiscard]] std::size_t cols() const override { return reader_.info().cols; }
+    void read_rows(std::size_t y0, std::size_t n, std::span<float> dst) override {
+        reader_.read_rows(y0, n, dst);
+    }
 
 private:
-    std::string path_;
-    core::PgmInfo info_;
+    core::PgmReader reader_;
 };
 
 class InMemoryTileSource final : public TileSource {

@@ -96,19 +96,17 @@ public:
         }
     }
 
-    /// Level-0 ingest: read the source in bands of `band` full-width rows
-    /// into the staging band, the only part of the source ever
-    /// materialized, and push each row through the row pass. The last row
-    /// makes every remaining output row of every level due, so the whole
-    /// pyramid has reached the sink when this returns.
-    void ingest(TileSource& src, std::size_t band) {
-        staging_ = obtain(band, src.cols());
-        for (std::size_t y0 = 0; y0 < src.rows(); y0 += band) {
-            const std::size_t n = std::min(band, src.rows() - y0);
-            src.read_rows(y0, n, staging_.flat().first(n * src.cols()));
-            for (std::size_t j = 0; j < n; ++j) {
-                push_row(0, staging_.row(j).data());
-            }
+    /// Level-0 ingest: read the source one full-width row per call into
+    /// the one-row staging buffer, the only part of the source ever
+    /// materialized, and push it through the row pass at once, while it is
+    /// still in cache. The last row makes every remaining output row of
+    /// every level due, so the whole pyramid has reached the sink when this
+    /// returns.
+    void ingest(TileSource& src) {
+        staging_ = obtain(1, src.cols());
+        for (std::size_t y = 0; y < src.rows(); ++y) {
+            src.read_rows(y, 1, staging_.flat());
+            push_row(0, staging_.row(0).data());
         }
         recycle(std::move(staging_));
         seconds_ = elapsed();
@@ -236,7 +234,7 @@ private:
     core::FloatBufferSource& buffers_;
     const std::chrono::steady_clock::time_point start_;
     std::vector<LevelState> states_;
-    ImageF staging_;  // level-0 ingest band, held while reading
+    ImageF staging_;  // level-0 ingest row, held while reading
     ResidentMeter meter_;
     double approx_seal_seconds_ = 0.0;
     double seconds_ = 0.0;
@@ -254,7 +252,7 @@ TileStreamStats stream_decompose(TileSource& src, const core::FilterPair& fp,
     core::HeapBufferSource fallback;
     core::FloatBufferSource& buf = buffers != nullptr ? *buffers : fallback;
     StreamContext ctx(plan, fp, mode, sink, buf);
-    ctx.ingest(src, std::min(cfg.tile_rows, src.rows()));
+    ctx.ingest(src);
     return ctx.stats(src);
 }
 

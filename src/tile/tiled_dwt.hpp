@@ -1,9 +1,9 @@
 #pragma once
 // Constant-memory streaming tile DWT driver (ISSUE 9).
 //
-// stream_decompose ingests a scene row-band by row-band from a TileSource
-// and pushes each row through a cascade of per-level states in one loop.
-// Each level keeps:
+// stream_decompose reads a scene from a TileSource one full-width row per
+// call and pushes each row, while it is still in cache, through a cascade
+// of per-level states in one loop. Each level keeps:
 //
 //   * a full-width RING of row-pass output rows (lo and hi), capacity
 //     min(in_rows, taps): output row k reads row-pass rows 2k .. 2k+taps-1,
@@ -77,7 +77,7 @@ struct TileStreamStats {
     double seconds = 0.0;        ///< wall time of the whole stream
     /// Wall time at which the last approximation tile left the driver.
     double approx_seal_seconds = 0.0;
-    /// High-water mark of driver-held buffer bytes (staging, rings, heads,
+    /// High-water mark of driver-held buffer bytes (staging row, rings, heads,
     /// LL rows, each level's current band of tiles until handed to the
     /// sink). Bounded by TilePlan::resident_bytes_bound() and independent
     /// of image height.

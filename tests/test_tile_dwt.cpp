@@ -24,6 +24,7 @@
 
 #include "core/pgm_io.hpp"
 #include "core/synthetic.hpp"
+#include "mesh/faults.hpp"
 #include "nan_arena.hpp"
 #include "svc/arena.hpp"
 #include "tile/plan.hpp"
@@ -82,14 +83,20 @@ TEST(TilePlan, GeometryAndRingCaps) {
 }
 
 TEST(TilePlan, GigapixelStreamBoundHoldsOneBandOfTilesPerLevel) {
-    // 16384^2, 8 taps, 4 levels, 128x256 tiles: 8 MiB of staging, taps-row
-    // rings and heads, one LL row per non-final level, and one band of
-    // tiles across each level (12 + 6 + 3 + 2 MiB).
+    // 16384^2, 8 taps, 4 levels, 128x256 tiles, in bytes; the four levels'
+    // output widths are 8192, 4096, 2048 and 1024 floats:
+    //   staging, one 16384-float input row                      65,536
+    //   rings, 8 rows x width x lo/hi per level                983,040
+    //   heads, 6 rows x width x lo/hi per level                737,280
+    //   LL rows, levels 0-2: 8192 + 4096 + 2048 floats          57,344
+    //   one band of tiles per level, 32 + 16 + 8 + 4 across,
+    //   3 slabs each (4 at the last): 184 slabs of 128x256  24,117,248
+    //   total                                               25,960,448
     TileConfig cfg;
     cfg.tile_rows = 128;
     cfg.tile_cols = 256;
     const TilePlan plan = TilePlan::build(16384, 16384, 4, 8, cfg);
-    EXPECT_LT(plan.resident_bytes_bound(), 36000000U);
+    EXPECT_EQ(plan.resident_bytes_bound(), 25960448U);
 }
 
 TEST(TilePlan, BoundIsIndependentOfImageHeight) {
@@ -256,6 +263,54 @@ TEST(AnalyzeColsRow, ComputesEachRowFromTheRingOnceItIsDue) {
 }
 
 // ---------------------------------------------------------------------------
+// Synthetic scene generator
+// ---------------------------------------------------------------------------
+
+TEST(SyntheticScene, PixelsMatchTheirPinnedCrcs) {
+    // CRC-32 of materialize()'s bytes, which a change to the generator must
+    // keep: shapes narrower than one lattice cell, one column either side
+    // of the 64-pixel cell, and a 16384-wide row pair, under three seeds.
+    struct Case {
+        std::size_t rows, cols;
+        std::uint64_t seed;
+        std::uint32_t crc;
+    };
+    const Case cases[] = {
+        {1, 1, 1, 0x56206bd5U},       {1, 1, 42, 0x3cf5ac7fU},       {1, 1, 1996, 0xd184dae0U},
+        {3, 5, 1, 0x1ec8391dU},       {3, 5, 42, 0x4ef143ccU},       {3, 5, 1996, 0x93e8c03eU},
+        {64, 63, 1, 0xf2afe033U},     {64, 63, 42, 0x3d50b22dU},     {64, 63, 1996, 0xea5077ecU},
+        {65, 65, 1, 0x7793e613U},     {65, 65, 42, 0xd77f8fecU},     {65, 65, 1996, 0xdb2d2905U},
+        {192, 192, 1, 0x5cfa1e73U},   {192, 192, 42, 0x71c73c1dU},   {192, 192, 1996, 0x6a8c687dU},
+        {7, 257, 1, 0x8f3c31aeU},     {7, 257, 42, 0x77ec3e6bU},     {7, 257, 1996, 0xf3e206e8U},
+        {2, 16384, 1, 0x787ba346U},   {2, 16384, 42, 0xc83e26f2U},   {2, 16384, 1996, 0xb1d9f06fU},
+    };
+    for (const Case& c : cases) {
+        const ImageF img =
+            wavehpc::tile::SyntheticTileSource(c.rows, c.cols, c.seed).materialize();
+        EXPECT_EQ(wavehpc::mesh::crc32(std::as_bytes(img.flat())), c.crc)
+            << c.rows << "x" << c.cols << " seed " << c.seed;
+    }
+}
+
+TEST(SyntheticScene, BandSplitDoesNotChangeThePixels) {
+    // Any window split of the same scene yields the same bytes: one row at a
+    // time, seven at a time (a short last window), and all at once.
+    for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{65, 65},
+                                    {100, 257}, {7, 33}}) {
+        wavehpc::tile::SyntheticTileSource src(rows, cols, 7);
+        const ImageF whole = src.materialize();
+        for (const std::size_t step : {std::size_t{1}, std::size_t{7}, rows}) {
+            ImageF split(rows, cols);
+            for (std::size_t y0 = 0; y0 < rows; y0 += step) {
+                const std::size_t n = std::min(step, rows - y0);
+                src.read_rows(y0, n, split.flat().subspan(y0 * cols, n * cols));
+            }
+            EXPECT_EQ(split, whole) << rows << "x" << cols << " in windows of " << step;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Tentpole: tiled pyramid == monolithic pyramid, bit for bit
 // ---------------------------------------------------------------------------
 
@@ -384,22 +439,80 @@ TEST(TiledStreaming, ReservedArenaRunsWithZeroWarmAllocations) {
     }
 }
 
-TEST(TiledStreaming, AFailedStreamReturnsEveryDriverBuffer) {
-    // A stream that ends in an exception (a truncated PGM, a sink that
-    // gives up) hands every buffer the driver holds back to the arena:
-    // the staging band and rings when the source fails, and the tiles of
-    // every band in progress when the sink does, also those of the band
-    // the sink gave up in that it has not yet been handed.
-    class FailingSource final : public wavehpc::tile::TileSource {
+TEST(TiledStreaming, IngestReadsEachRowOnceInOrderOneAtATime) {
+    // The driver reads its source one full-width row per call, front to
+    // back, each row exactly once, whatever the tile height, also when the
+    // plane is shorter than one band (96 rows: 48 output rows of a
+    // 128-row band).
+    class CountingSource final : public wavehpc::tile::TileSource {
     public:
+        CountingSource(std::size_t rows, std::size_t cols) : inner_(rows, cols, 5) {}
         [[nodiscard]] std::size_t rows() const override { return inner_.rows(); }
         [[nodiscard]] std::size_t cols() const override { return inner_.cols(); }
         void read_rows(std::size_t y0, std::size_t n, std::span<float> dst) override {
-            if (++reads_ == 3) throw std::runtime_error("truncated scene");
+            calls.emplace_back(y0, n);
             inner_.read_rows(y0, n, dst);
         }
 
+        std::vector<std::pair<std::size_t, std::size_t>> calls;
+
     private:
+        wavehpc::tile::SyntheticTileSource inner_;
+    };
+    const auto fp = FilterPair::daubechies(4);
+    for (const auto& [rows, tile_rows] : {std::pair<std::size_t, std::size_t>{512, 1},
+                                          {512, 32},
+                                          {512, 128},
+                                          {96, 128}}) {
+        const std::string tag =
+            std::to_string(rows) + " rows, tile_rows " + std::to_string(tile_rows);
+        TileConfig cfg;
+        cfg.tile_rows = tile_rows;
+        cfg.tile_cols = 48;
+        CountingSource src(rows, 80);
+        wavehpc::core::HeapBufferSource buffers;
+        wavehpc::tile::PyramidAssembler sink(rows, 80, 2, buffers);
+        (void)wavehpc::tile::stream_decompose(src, fp, 2, BoundaryMode::Symmetric,
+                                              DwtKernel::Convolve, cfg, sink, &buffers);
+        ASSERT_EQ(src.calls.size(), rows) << tag;
+        for (std::size_t y = 0; y < rows; ++y) {
+            ASSERT_EQ(src.calls[y], std::make_pair(y, std::size_t{1})) << tag << " read " << y;
+        }
+        expect_bands_eq(sink.pyramid(),
+                        wavehpc::core::decompose(
+                            wavehpc::tile::SyntheticTileSource(rows, 80, 5).materialize(),
+                            fp, 2, BoundaryMode::Symmetric),
+                        tag);
+    }
+}
+
+TEST(TiledStreaming, AFailedStreamReturnsEveryDriverBuffer) {
+    // A stream that ends in an exception (a truncated PGM, a sink that
+    // gives up) hands every buffer the driver holds back to the arena:
+    // the staging row, rings and the tiles of every band in progress when
+    // the source fails, and those tiles when the sink does, also those of
+    // the band the sink gave up in that it has not yet been handed.
+    class FailingSource final : public wavehpc::tile::TileSource {
+    public:
+        explicit FailingSource(const wavehpc::svc::BufferArena& arena) : arena_(arena) {}
+        [[nodiscard]] std::size_t rows() const override { return inner_.rows(); }
+        [[nodiscard]] std::size_t cols() const override { return inner_.cols(); }
+        void read_rows(std::size_t y0, std::size_t n, std::span<float> dst) override {
+            if (++reads_ == 1) first_read_outstanding = arena_.stats().bytes_outstanding;
+            // Row 99: level 0 has computed 48 output rows, so its second
+            // 32-row band is half done, and level 1 its first.
+            if (reads_ == 100) {
+                failure_outstanding = arena_.stats().bytes_outstanding;
+                throw std::runtime_error("truncated scene");
+            }
+            inner_.read_rows(y0, n, dst);
+        }
+
+        std::uint64_t first_read_outstanding = 0;
+        std::uint64_t failure_outstanding = 0;
+
+    private:
+        const wavehpc::svc::BufferArena& arena_;
         wavehpc::tile::SyntheticTileSource inner_{256, 256, 4};
         int reads_ = 0;
     };
@@ -445,12 +558,15 @@ TEST(TiledStreaming, AFailedStreamReturnsEveryDriverBuffer) {
     cfg.tile_cols = 64;
     {
         wavehpc::svc::BufferArena arena;
-        FailingSource src;
+        FailingSource src(arena);
         wavehpc::tile::DiscardSink sink(arena);
         EXPECT_THROW((void)wavehpc::tile::stream_decompose(
                          src, fp, 2, BoundaryMode::Periodic, DwtKernel::Convolve, cfg,
                          sink, &arena),
                      std::runtime_error);
+        // At the first read the driver held only its staging row, rings,
+        // heads and LL row; at the failure it also held tiles.
+        EXPECT_GT(src.failure_outstanding, src.first_read_outstanding);
         EXPECT_EQ(arena.stats().bytes_outstanding, 0U) << "source failure";
     }
     {
@@ -503,6 +619,9 @@ TEST(ArenaReserve, IsAdditiveAndCountsSeparatelyFromMisses) {
 
 class PgmWindow : public ::testing::Test {
 protected:
+    enum class Format { kP5_8bit, kP5_16bit, kP2 };
+    static constexpr Format kFormats[] = {Format::kP5_8bit, Format::kP5_16bit, Format::kP2};
+
     // One file per process and case: ctest runs every case as its own
     // process, concurrently.
     void SetUp() override {
@@ -513,6 +632,40 @@ protected:
                     .string();
     }
     void TearDown() override { std::remove(path_.c_str()); }
+
+    [[nodiscard]] static std::size_t maxval(Format format) {
+        return format == Format::kP5_16bit ? 65535 : 255;
+    }
+
+    /// Sample (r, c) of write_raster's raster: scattered over the format's
+    /// whole range.
+    [[nodiscard]] static std::size_t sample(Format format, std::size_t r, std::size_t c) {
+        return (r * 7919 + c * 104729 + r * c * 31) % (maxval(format) + 1);
+    }
+
+    /// A rows x cols raster of sample(), with a comment line in the header.
+    void write_raster(Format format, std::size_t rows, std::size_t cols) const {
+        std::ofstream out(path_, std::ios::binary);
+        out << (format == Format::kP2 ? "P2" : "P5") << "\n# test raster\n"
+            << cols << ' ' << rows << '\n' << maxval(format) << '\n';
+        for (std::size_t r = 0; r < rows; ++r) {
+            for (std::size_t c = 0; c < cols; ++c) {
+                const std::size_t v = sample(format, r, c);
+                if (format == Format::kP2) {
+                    out << v << (c + 1 == cols ? '\n' : ' ');
+                } else {
+                    if (format == Format::kP5_16bit) out.put(static_cast<char>(v >> 8));
+                    out.put(static_cast<char>(v & 0xFF));
+                }
+            }
+        }
+    }
+
+    [[nodiscard]] static std::string name(Format format) {
+        return format == Format::kP2 ? "P2" : format == Format::kP5_8bit ? "P5 8-bit"
+                                                                         : "P5 16-bit";
+    }
+
     std::string path_;
 };
 
@@ -520,7 +673,7 @@ TEST_F(PgmWindow, BinaryWindowsMatchFullRead) {
     const ImageF img = scene(24, 17, 5);
     wavehpc::core::write_pgm(img, path_);
     const ImageF full = wavehpc::core::read_pgm(path_);
-    const auto info = wavehpc::core::read_pgm_header(path_);
+    const auto info = wavehpc::core::PgmReader(path_).info();
     EXPECT_EQ(info.rows, 24U);
     EXPECT_EQ(info.cols, 17U);
     EXPECT_EQ(info.maxval, 255U);
@@ -570,6 +723,76 @@ TEST_F(PgmWindow, SourceStreamsWindowsIdenticalToFullDecode) {
         src.read_rows(y0, n, assembled.flat().subspan(y0 * 12, n * 12));
     }
     EXPECT_EQ(assembled, wavehpc::core::read_pgm(path_));
+}
+
+TEST_F(PgmWindow, StreamedFilesMatchTheMonolithicDecompose) {
+    // Each format streams row by row through one open source into the
+    // pyramid core::decompose makes of the decoded file, in every mode.
+    const auto fp = FilterPair::daubechies(8);
+    TileConfig cfg;
+    cfg.tile_rows = 8;
+    cfg.tile_cols = 16;
+    for (const Format format : kFormats) {
+        write_raster(format, 48, 40);
+        const ImageF img = wavehpc::core::read_pgm(path_);
+        for (const BoundaryMode mode : kModes) {
+            wavehpc::tile::PgmTileSource src(path_);
+            wavehpc::core::HeapBufferSource buffers;
+            wavehpc::tile::PyramidAssembler sink(48, 40, 3, buffers);
+            (void)wavehpc::tile::stream_decompose(src, fp, 3, mode, DwtKernel::Convolve, cfg,
+                                                  sink, &buffers);
+            expect_bands_eq(sink.pyramid(), wavehpc::core::decompose(img, fp, 3, mode),
+                            name(format) + " mode " + std::to_string(static_cast<int>(mode)));
+        }
+    }
+}
+
+TEST_F(PgmWindow, WindowsOutOfOrderReadTheRightRows) {
+    // Forward seeks, continued windows, rewinds, a repeated window, the last
+    // row and the whole raster, all from one open source, against the
+    // samples written (16-bit ones big-endian).
+    const std::pair<std::size_t, std::size_t> windows[] = {
+        {5, 3}, {8, 2}, {0, 1}, {23, 1}, {1, 4}, {1, 4}, {5, 19}, {0, 24}, {12, 6}};
+    for (const Format format : kFormats) {
+        write_raster(format, 24, 17);
+        ImageF full(24, 17);
+        for (std::size_t r = 0; r < 24; ++r) {
+            for (std::size_t c = 0; c < 17; ++c) {
+                full(r, c) = static_cast<float>(sample(format, r, c));
+            }
+        }
+        EXPECT_EQ(wavehpc::core::read_pgm(path_), full) << name(format);
+        wavehpc::tile::PgmTileSource src(path_);
+        for (const auto& [y0, n] : windows) {
+            ImageF got(n, 17);
+            src.read_rows(y0, n, got.flat());
+            EXPECT_EQ(got, full.sub(y0, 0, n, 17))
+                << name(format) << " y0=" << y0 << " n=" << n;
+        }
+    }
+}
+
+TEST_F(PgmWindow, TruncatedRasterFailsTheStreamAndReturnsEveryBuffer) {
+    // The header is whole, so the source opens; the raster ends about 60 %
+    // of the way down, so the stream throws part-way, and the driver hands
+    // back every buffer it held.
+    const auto fp = FilterPair::daubechies(4);
+    TileConfig cfg;
+    cfg.tile_rows = 8;
+    cfg.tile_cols = 16;
+    for (const Format format : kFormats) {
+        write_raster(format, 64, 32);
+        std::filesystem::resize_file(path_, std::filesystem::file_size(path_) * 3 / 5);
+        wavehpc::tile::PgmTileSource src(path_);
+        wavehpc::svc::BufferArena arena;
+        wavehpc::tile::DiscardSink sink(arena);
+        EXPECT_THROW((void)wavehpc::tile::stream_decompose(src, fp, 2, BoundaryMode::Periodic,
+                                                           DwtKernel::Convolve, cfg, sink,
+                                                           &arena),
+                     std::runtime_error)
+            << name(format);
+        EXPECT_EQ(arena.stats().bytes_outstanding, 0U) << name(format);
+    }
 }
 
 }  // namespace
