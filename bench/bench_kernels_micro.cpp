@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks of the host wavelet kernels: sequential
-// vs thread-pool decomposition, per filter size, plus one fused analysis
-// level and the Convolve row and column passes on their own.
+// vs thread-pool decomposition, per filter size, plus one level through the
+// level sweep and the Convolve row and column passes on their own.
 //
 // Takes the shared bench knobs (--seed / --size / --smoke, common_args.hpp)
 // ahead of the usual --benchmark_* flags; --smoke shrinks min_time so CI
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common_args.hpp"
+#include "core/dwt.hpp"
 #include "core/kernels.hpp"
 #include "core/synthetic.hpp"
 #include "wavelet/threads_dwt.hpp"
@@ -83,15 +84,14 @@ void BM_ColPass(benchmark::State& state) {
 }
 BENCHMARK(BM_ColPass)->Arg(2)->Arg(4)->Arg(8);
 
-// One fused level through the kernel layer (row pass + column pass, all
-// four subbands).
+// One level through the level sweep (row pass + column pass, all four
+// subbands, which it allocates).
 void BM_AnalyzeLevel(benchmark::State& state) {
     const FilterPair fp = FilterPair::daubechies(static_cast<int>(state.range(0)));
     const ImageF& img = scene512();
-    ImageF ll, lh, hl, hh;
     for (auto _ : state) {
-        wavehpc::core::analyze_level(img, fp, ll, lh, hl, hh, BoundaryMode::Periodic);
-        benchmark::DoNotOptimize(ll);
+        auto pyr = wavehpc::core::decompose(img, fp, 1);
+        benchmark::DoNotOptimize(pyr);
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                             static_cast<int64_t>(img.size()));
@@ -171,7 +171,7 @@ BENCHMARK(BM_Reconstruct);
 // ------------------------------------------------------------------ report
 //
 // Own-timed report, independent of google-benchmark so CI can gate on it
-// and commit the numbers: best-of-R wall time of one fused analysis level
+// and commit the numbers: best-of-R wall time of one level through the sweep
 // per filter size, and of the Convolve row and column passes on their own,
 // all in ns per input pixel of the level.
 
@@ -208,9 +208,8 @@ std::vector<KernelRow> run_kernel_report(int reps) {
         const FilterPair fp = FilterPair::daubechies(taps);
         KernelRow row;
         row.taps = taps;
-        ImageF ll, lh, hl, hh;
         row.convolve_ns = best_ns_per_pixel(img.size(), reps, [&] {
-            wavehpc::core::analyze_level(img, fp, ll, lh, hl, hh, BoundaryMode::Periodic);
+            benchmark::DoNotOptimize(wavehpc::core::decompose(img, fp, 1));
         });
 
         ImageF lo(img.rows(), half_c), hi(img.rows(), half_c);
@@ -218,7 +217,8 @@ std::vector<KernelRow> run_kernel_report(int reps) {
             wavehpc::core::analyze_rows_range(img, fp, lo, hi, BoundaryMode::Periodic,
                                               DwtKernel::Convolve, 0, img.rows());
         });
-        // analyze_level above left the four bands allocated at their shape.
+        ImageF ll(half_r, half_c), lh(half_r, half_c), hl(half_r, half_c),
+            hh(half_r, half_c);
         row.convolve_col_ns = best_ns_per_pixel(img.size(), reps, [&] {
             wavehpc::core::analyze_cols_range(lo, hi, fp, ll, lh, hl, hh,
                                               BoundaryMode::Periodic, DwtKernel::Convolve,

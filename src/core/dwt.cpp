@@ -49,14 +49,20 @@ void validate_pyramid(const Pyramid& pyr) {
 Pyramid decompose(const ImageF& img, const FilterPair& fp, int levels, BoundaryMode mode,
                   DwtKernel /*kernel*/) {
     validate_decomposition_request(img.rows(), img.cols(), levels);
+    // The pyramid's detail bands, then one stripe of the level sweep per
+    // level (core/kernels.hpp): each output row as soon as its rows are in.
     Pyramid pyr;
     pyr.levels.reserve(static_cast<std::size_t>(levels));
-    for (int k = 0; k < levels; ++k) {
-        // Steps 1-4 run through the shared kernel layer: one fused row pass
-        // (I -> L, H) and one fused column pass (L, H -> LL, LH, HL, HH).
-        ImageF ll;
-        DetailBands& d = pyr.levels.emplace_back();
-        analyze_level(k == 0 ? img : pyr.approx, fp, ll, d.lh, d.hl, d.hh, mode);
+    for (int k = 1; k <= levels; ++k) {
+        const ImageF band(img.rows() >> k, img.cols() >> k);
+        pyr.levels.push_back({band, band, band});
+    }
+    HeapBufferSource heap;
+    for (std::size_t k = 0; k < pyr.levels.size(); ++k) {
+        DetailBands& d = pyr.levels[k];
+        ImageF ll(d.lh.rows(), d.lh.cols());
+        analyze_stripe(k == 0 ? img : pyr.approx, fp, mode, 0, ll.rows(), heap, ll, d.lh,
+                       d.hl, d.hh);
         pyr.approx = std::move(ll);
     }
     return pyr;

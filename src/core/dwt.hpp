@@ -31,9 +31,11 @@ struct Pyramid {
 };
 
 /// Full multi-resolution decomposition to `levels` levels: steps (1)-(4)
-/// of the paper's algorithm per level, through the kernel layer
-/// (core/kernels.hpp). The image dimensions must be divisible by 2^levels.
-/// Reads `img` in place at level 0 (no working copy). `kernel` is unused
+/// of the paper's algorithm per level, as one whole-plane stripe of the
+/// kernel layer's level sweep (core/kernels.hpp), which holds a ring of
+/// row-pass rows instead of two row-band planes. The image dimensions must
+/// be divisible by 2^levels. Reads `img` in place at level 0 (no working
+/// copy). `kernel` is unused
 /// (Convolve is the one kernel); it stays because the benchmark package
 /// passes it.
 [[nodiscard]] Pyramid decompose(const ImageF& img, const FilterPair& fp, int levels,

@@ -7,25 +7,20 @@ namespace wavehpc::core {
 
 // ---------------------------------------------------------------------------
 // Analysis bodies: one Convolve loop body per pass, run by every caller —
-// the whole-plane sweeps (serial, threads, batched), the tile stream, and
-// the mesh backends over their pre-extended stripes — so a fix or a
-// vectorization of a pass lands once. Both are bit-identical to the unfused
-// convolve_decimate_* oracle in tests/convolve.hpp (same per-coefficient
-// accumulation order).
+// the level sweep, the whole-plane passes and the mesh backends over their
+// pre-extended stripes — so a fix or a vectorization of a pass lands once.
+// Both are bit-identical to the unfused convolve_decimate_* oracle in
+// tests/convolve.hpp (same per-coefficient accumulation order).
 //
 //   * Row pass: output range [k0, k1) of the FULL signal x, output k at
 //     lo[k-k0]. Boundary extension applies at the true signal edges only.
-//   * Column pass: output rows [k0, k1) of a plane of `plane_rows` row-band
-//     rows and `width` columns. Rows come from a row source (PlaneRows for a
-//     whole ImageF, a RowAccessor for a mesh stripe, a RingRows store for
-//     the tile stream); output row k lands at row k-out0, and its LL at
-//     column ll_col0 of that row (the tile stream writes one output row
-//     into four destination rows of its own).
+//   * Column pass: output row k over a `width`-column segment, its tap rows
+//     read from the one row store, RingRows.
 //
 // Every output element is a fixed function of its own input window, so any
-// range, segment or tile split evaluates the whole-plane expression tree,
-// and therefore the same bits. Every body writes every output it owns, so
-// no destination needs clearing first.
+// range, segment, stripe or tile split evaluates the whole-plane expression
+// tree, and therefore the same bits. Every body writes every output it
+// owns, so no destination needs clearing first.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -196,41 +191,6 @@ void convolve_col_row(const ColTap* taps, std::size_t count, std::size_t width,
     }
 }
 
-template <typename RowSource>
-void convolve_cols_range(const RowSource& low_row, const RowSource& high_row,
-                         std::size_t plane_rows, std::size_t width, const FilterPair& fp,
-                         ImageF& ll, ImageF& lh, ImageF& hl, ImageF& hh,
-                         BoundaryMode mode, std::size_t k0, std::size_t k1,
-                         std::size_t out0, std::size_t ll_col0) {
-    const auto fl = fp.low();
-    const auto fh = fp.high();
-    thread_local std::vector<ColTap> taps;
-    taps.resize(fl.size());
-    for (std::size_t k = k0; k < k1; ++k) {
-        // Each tap row is looked up once per output row; a ZeroPad tap
-        // outside the plane contributes nothing and is left out.
-        std::size_t count = 0;
-        for (std::size_t n = 0; n < fl.size(); ++n) {
-            const std::size_t idx =
-                extend_index(static_cast<std::ptrdiff_t>(2 * k + n), plane_rows, mode);
-            if (idx >= plane_rows) continue;
-            taps[count++] = ColTap{low_row(idx), high_row(idx), fl[n], fh[n]};
-        }
-        convolve_col_row(taps.data(), count, width, ll.row(k - out0).data() + ll_col0,
-                         lh.row(k - out0).data(), hl.row(k - out0).data(),
-                         hh.row(k - out0).data());
-    }
-}
-
-/// Row source over a whole plane: a direct row lookup the compiler inlines
-/// (the tile API's RowAccessor costs a std::function call per row).
-struct PlaneRows {
-    const ImageF& img;
-    [[nodiscard]] const float* operator()(std::size_t r) const noexcept {
-        return img.row(r).data();
-    }
-};
-
 // ---------------------------------------------------------------------------
 // Synthesis bodies, one per pass, under the contract of kernels.hpp
 // ("Synthesis entry points"):
@@ -239,6 +199,15 @@ struct PlaneRows {
 //     `half_rows` rows, read from a row source (PlaneRows or a
 //     RowAccessor); output row m lands at row m-out0.
 // ---------------------------------------------------------------------------
+
+/// Row source over a whole plane: a direct row lookup the compiler inlines
+/// (a RowAccessor costs a std::function call per row).
+struct PlaneRows {
+    const ImageF& img;
+    [[nodiscard]] const float* operator()(std::size_t r) const noexcept {
+        return img.row(r).data();
+    }
+};
 
 // One tap step of the interior row synthesis: even output i takes the
 // even tap pair (le, he) and odd output i the odd pair (lo_w, ho_w), both
@@ -359,8 +328,11 @@ void analyze_cols_range(const ImageF& low_rows, const ImageF& high_rows,
     if (k0 > k1 || k1 > half) {
         throw std::invalid_argument("analyze_cols_range: bad output range");
     }
-    convolve_cols_range(PlaneRows{low_rows}, PlaneRows{high_rows}, low_rows.rows(), cols,
-                        fp, ll, lh, hl, hh, mode, k0, k1, 0, 0);
+    for (std::size_t k = k0; k < k1; ++k) {
+        analyze_cols_row(RingRows::whole(low_rows), RingRows::whole(high_rows),
+                         low_rows.rows(), cols, fp, mode, k, ll.row(k), lh.row(k), hl.row(k),
+                         hh.row(k));
+    }
 }
 
 void analyze_1d_range(std::span<const float> x, const FilterPair& fp,
@@ -376,47 +348,6 @@ void analyze_1d_range(std::span<const float> x, const FilterPair& fp,
     }
     if (k0 == k1) return;
     convolve_row_range(x, fp, lo, hi, mode, k0, k1);
-}
-
-void analyze_cols_tile(const RowAccessor& low_row, const RowAccessor& high_row,
-                       std::size_t plane_rows, std::size_t width,
-                       const FilterPair& fp, ImageF& ll, ImageF& lh, ImageF& hl,
-                       ImageF& hh, BoundaryMode mode, std::size_t k0, std::size_t k1,
-                       std::size_t ll_col0) {
-    require_even(plane_rows, "row count");
-    const std::size_t half = plane_rows / 2;
-    if (k0 > k1 || k1 > half) {
-        throw std::invalid_argument("analyze_cols_tile: bad output range");
-    }
-    if (ll.rows() < k1 - k0 || ll.cols() < ll_col0 || ll.cols() - ll_col0 < width) {
-        throw std::invalid_argument("analyze_cols_tile: bad LL shape");
-    }
-    for (const ImageF* out : {&lh, &hl, &hh}) {
-        if (out->rows() != k1 - k0 || out->cols() != width) {
-            throw std::invalid_argument("analyze_cols_tile: bad output shape");
-        }
-    }
-    if (k0 == k1) return;
-    convolve_cols_range(low_row, high_row, plane_rows, width, fp, ll, lh, hl, hh, mode, k0,
-                        k1, k0, ll_col0);
-}
-
-void analyze_level(const ImageF& in, const FilterPair& fp, ImageF& ll, ImageF& lh,
-                   ImageF& hl, ImageF& hh, BoundaryMode mode) {
-    require_even(in.rows(), "row count");
-    require_even(in.cols(), "column count");
-    const std::size_t half_r = in.rows() / 2;
-    const std::size_t half_c = in.cols() / 2;
-    ImageF low_rows(in.rows(), half_c);
-    ImageF high_rows(in.rows(), half_c);
-    analyze_rows_range(in, fp, low_rows, high_rows, mode, DwtKernel::Convolve, 0,
-                       in.rows());
-    ll = ImageF(half_r, half_c);
-    lh = ImageF(half_r, half_c);
-    hl = ImageF(half_r, half_c);
-    hh = ImageF(half_r, half_c);
-    analyze_cols_range(low_rows, high_rows, fp, ll, lh, hl, hh, mode, DwtKernel::Convolve,
-                       0, half_r);
 }
 
 void synthesize_rows_range(const ImageF& low, const ImageF& high, const FilterPair& fp,
@@ -478,16 +409,13 @@ namespace {
 }  // namespace
 
 const float* RingRows::operator()(std::size_t r) const {
-    if (r < produced && produced - r <= ring.rows()) {
+    if (r >= first && r < produced && produced - r <= ring.rows()) {
         return ring.row(r % ring.rows()).data() + col0;
     }
-    if (r < std::min(head.rows(), produced)) return head.row(r).data() + col0;
+    if (r < headed) return head.row(r).data() + col0;
     throw_row_not_resident();
 }
 
-// The tap lookup of convolve_cols_range for one output row, then the same
-// row body. Kept apart from that template, so the code the whole-plane
-// sweeps run stays as it is.
 void analyze_cols_row(const RingRows& low_row, const RingRows& high_row,
                       std::size_t plane_rows, std::size_t width, const FilterPair& fp,
                       BoundaryMode mode, std::size_t k, std::span<float> ll,
@@ -501,6 +429,8 @@ void analyze_cols_row(const RingRows& low_row, const RingRows& high_row,
             throw std::invalid_argument("analyze_cols_row: bad output size");
         }
     }
+    // Each tap row is looked up once; a ZeroPad tap outside the plane
+    // contributes nothing and is left out.
     const auto fl = fp.low();
     const auto fh = fp.high();
     thread_local std::vector<ColTap> taps;
@@ -512,8 +442,103 @@ void analyze_cols_row(const RingRows& low_row, const RingRows& high_row,
         if (idx >= plane_rows) continue;
         taps[count++] = ColTap{low_row(idx), high_row(idx), fl[n], fh[n]};
     }
-    convolve_col_row(taps.data(), count, width, ll.data(), lh.data(), hl.data(),
-                     hh.data());
+    convolve_col_row(taps.data(), count, width, ll.data(), lh.data(), hl.data(), hh.data());
+}
+
+LevelSweep::LevelSweep(SweepRows& rows, const FilterPair& fp, BoundaryMode mode,
+                       std::size_t in_rows, std::size_t in_cols, std::size_t k0,
+                       std::size_t k1)
+    : rows_(rows), fp_(fp), mode_(mode), taps_(fp.low().size()), in_rows_(in_rows),
+      in_cols_(in_cols), k1_(k1), next_(k0) {
+    require_even(in_rows, "row count");
+    require_even(in_cols, "column count");
+    const auto holds = [&](const ImageF& lo, const ImageF& hi, std::size_t need) {
+        return lo.rows() == hi.rows() && lo.rows() >= need &&
+               (lo.rows() == 0 || (lo.cols() == in_cols / 2 && hi.cols() == in_cols / 2));
+    };
+    const std::size_t head = mode == BoundaryMode::Periodic ? head_rows(in_rows, taps_) : 0;
+    if (k0 > k1 || k1 > in_rows / 2 ||
+        !holds(rows.lo_ring, rows.hi_ring, ring_rows(in_rows, taps_)) ||
+        !holds(rows.lo_head, rows.hi_head, head)) {
+        throw std::invalid_argument("LevelSweep: bad output range or row store shape");
+    }
+    if (k0 == k1) return;
+    first_ = 2 * k0;
+    // Outputs whose window crosses the bottom edge may reflect below 2*k0.
+    const std::size_t edge = in_rows >= taps_ ? (in_rows - taps_) / 2 + 1 : 0;
+    for (std::size_t k = std::max(k0, edge); mode == BoundaryMode::Symmetric && k < k1; ++k) {
+        for (std::size_t n = 0; n < taps_; ++n) {
+            const auto i = static_cast<std::ptrdiff_t>(2 * k + n);
+            first_ = std::min(first_, extend_index(i, in_rows, mode));
+        }
+    }
+    const std::size_t reach = 2 * (k1 - 1) + taps_;  // one past the last window row
+    last_ = std::min(reach, in_rows);
+    produced_ = first_;
+    if (mode == BoundaryMode::Periodic && reach > in_rows) {
+        prefill_ = std::min(rows.lo_head.rows(), first_);
+    }
+}
+
+void LevelSweep::push(std::span<const float> row) {
+    if (row.size() != in_cols_ || wanted() == in_rows_) {
+        throw std::invalid_argument("LevelSweep: bad input row");
+    }
+    if (headed_ < prefill_) {
+        convolve_row_range(row, fp_, rows_.lo_head.row(headed_), rows_.hi_head.row(headed_),
+                           mode_, 0, in_cols_ / 2);
+        ++headed_;
+        return;
+    }
+    const auto lo = rows_.lo_ring.row(produced_ % rows_.lo_ring.rows());
+    const auto hi = rows_.hi_ring.row(produced_ % rows_.lo_ring.rows());
+    convolve_row_range(row, fp_, lo, hi, mode_, 0, in_cols_ / 2);
+    if (produced_ == headed_ && headed_ < rows_.lo_head.rows()) {
+        std::copy(lo.begin(), lo.end(), rows_.lo_head.row(headed_).begin());
+        std::copy(hi.begin(), hi.end(), rows_.hi_head.row(headed_).begin());
+        ++headed_;
+    }
+    ++produced_;
+}
+
+void LevelSweep::emit(std::size_t c0, std::span<float> ll, std::span<float> lh,
+                      std::span<float> hl, std::span<float> hh) const {
+    if (c0 + ll.size() > in_cols_ / 2 || next_ >= k1_) {
+        throw std::invalid_argument("LevelSweep: bad output row");
+    }
+    analyze_cols_row(RingRows{rows_.lo_ring, rows_.lo_head, first_, produced_, headed_, c0},
+                     RingRows{rows_.hi_ring, rows_.hi_head, first_, produced_, headed_, c0},
+                     in_rows_, ll.size(), fp_, mode_, next_, ll, lh, hl, hh);
+}
+
+void analyze_stripe(const ImageF& in, const FilterPair& fp, BoundaryMode mode,
+                    std::size_t k0, std::size_t k1, FloatBufferSource& buffers, ImageF& ll,
+                    ImageF& lh, ImageF& hl, ImageF& hh) {
+    for (const ImageF* out : {&ll, &lh, &hl, &hh}) {
+        if (2 * out->rows() != in.rows() || 2 * out->cols() != in.cols() || k0 > k1 ||
+            k1 > out->rows()) {
+            throw std::invalid_argument("analyze_stripe: bad output shape or range");
+        }
+    }
+    const std::size_t ring = LevelSweep::ring_rows(in.rows(), fp.low().size());
+    const std::size_t head = LevelSweep::head_rows(in.rows(), fp.low().size());
+    SweepRows rows{obtain_image(buffers, ring, ll.cols()),
+                   obtain_image(buffers, ring, ll.cols()), {}, {}};
+    if (mode == BoundaryMode::Periodic && head > 0) {
+        rows.lo_head = obtain_image(buffers, head, ll.cols());
+        rows.hi_head = obtain_image(buffers, head, ll.cols());
+    }
+    LevelSweep sweep(rows, fp, mode, in.rows(), in.cols(), k0, k1);
+    for (std::size_t r = sweep.wanted(); r < in.rows(); r = sweep.wanted()) {
+        sweep.push(in.row(r));
+        for (; sweep.due(); sweep.pop()) {
+            const std::size_t k = sweep.next();
+            sweep.emit(0, ll.row(k), lh.row(k), hl.row(k), hh.row(k));
+        }
+    }
+    for (ImageF* buf : {&rows.lo_ring, &rows.hi_ring, &rows.lo_head, &rows.hi_head}) {
+        if (buf->size() > 0) buffers.recycle(buf->release_data());
+    }
 }
 
 }  // namespace wavehpc::core

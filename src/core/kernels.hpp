@@ -6,16 +6,20 @@
 //
 // One kernel implements the per-level analysis: the paper's separable
 // filter+decimate sweeps (Convolve), fused so one row pass emits both row
-// bands and one register-blocked column pass emits all four subbands. It is
-// bit-identical to the unfused convolve_decimate_* oracle in the test tree
-// (tests/convolve.hpp; same per-coefficient accumulation order). DESIGN.md
-// section 12 says why there is one kernel.
+// bands and one register-blocked column pass emits all four subbands, run
+// as one level sweep that computes each output row as soon as the row-pass
+// rows it reads are in (LevelSweep). It is bit-identical to the unfused
+// convolve_decimate_* oracle in the test tree (tests/convolve.hpp; same
+// per-coefficient accumulation order). DESIGN.md section 12 says why there
+// is one kernel.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
 
 #include "core/boundary.hpp"
+#include "core/buffers.hpp"
 #include "core/filters.hpp"
 #include "core/image.hpp"
 
@@ -41,97 +45,134 @@ enum class DwtKernel : std::uint8_t {
 // ---------------------------------------------------------------------------
 // Analysis entry points. Each checks its shapes and range
 // (std::invalid_argument) and runs the layer's single loop body for its
-// pass, so the whole-plane sweeps and the tile-local calls below execute
-// the same code. The whole-plane passes keep an unused DwtKernel parameter
-// only because the benchmark package passes one.
+// pass: one row body, and one column body that reads its tap rows from one
+// row store, RingRows. The whole-plane passes keep an unused DwtKernel
+// parameter only because the benchmark package passes one.
 // ---------------------------------------------------------------------------
 
 /// Fused row analysis over rows [r0, r1), r0 <= r1 <= in.rows(): each input
 /// row is read once and produces its low- and high-pass decimated rows
-/// together. lo/hi must be (in.rows(), in.cols()/2). Threads backend
-/// parallelizes by row range; serial passes [0, rows).
+/// together. lo/hi must be (in.rows(), in.cols()/2).
 void analyze_rows_range(const ImageF& in, const FilterPair& fp, ImageF& lo, ImageF& hi,
                         BoundaryMode mode, DwtKernel kernel, std::size_t r0,
                         std::size_t r1);
 
 /// Fused column analysis over output rows [k0, k1), k0 <= k1 <= rows/2: one
-/// sweep over the two row-band intermediates produces all four subbands.
-/// Outputs must be (rows/2, cols); every output in the range is written, so
-/// their prior contents do not matter.
+/// analyze_cols_row per output row over the two row-band intermediates,
+/// which a store holds whole. Outputs must be (rows/2, cols); every output
+/// in the range is written, so their prior contents do not matter.
 void analyze_cols_range(const ImageF& low_rows, const ImageF& high_rows,
                         const FilterPair& fp, ImageF& ll, ImageF& lh, ImageF& hl,
                         ImageF& hh, BoundaryMode mode, DwtKernel kernel,
                         std::size_t k0, std::size_t k1);
 
-// ---------------------------------------------------------------------------
-// Tile-local analysis (the streaming tile driver, src/tile, and the mesh
-// backends' pre-extended stripes). These entry points address the *global*
-// signal/plane geometry while reading and writing local storage. They are
-// not twins of the whole-plane sweeps: they run the same bodies, a whole
-// plane being the range [0, rows/2). Each output is computed independently,
-// so a segment reproduces the whole-plane expression tree exactly.
-// ---------------------------------------------------------------------------
-
 /// Fused 1-D analysis restricted to output range [k0, k1) of the FULL
 /// signal `x`. lo/hi receive k1-k0 values (output k lands at lo[k-k0]);
-/// boundary extension is applied at the true signal edges, never at k0/k1.
-/// The whole signal is [0, x.size()/2), bit-identical to two calls of the
-/// test oracle convolve_decimate_1d.
+/// boundary extension is applied at the true signal edges, never at k0/k1,
+/// so a segment reproduces the whole-signal expression tree exactly. The
+/// whole signal is [0, x.size()/2), bit-identical to two calls of the test
+/// oracle convolve_decimate_1d.
 void analyze_1d_range(std::span<const float> x, const FilterPair& fp,
                       std::span<float> lo, std::span<float> hi, BoundaryMode mode,
                       std::size_t k0, std::size_t k1);
 
-/// Maps an in-range global row-band row index (boundary mapping has
-/// already been applied, so the argument is always < plane_rows) to the
-/// storage of that row's column segment. The mesh backends and tests back
-/// it with a plain ImageF.
-using RowAccessor = std::function<const float*(std::size_t)>;
-
-/// Fused column analysis of one tile: output rows [k0, k1) of a plane
-/// with `plane_rows` global row-band rows, over a `width`-column segment.
-/// lh/hl/hh are (k1-k0, width); LL lands in columns [ll_col0,
-/// ll_col0+width) of `ll`, which must have at least k1-k0 rows. Output
-/// row k is written at LOCAL row k-k0, every element in place, so no
-/// destination needs clearing. Row k touches global rows 2k .. 2k+taps-1
-/// mapped through `mode`, so the accessors are only asked for rows the
-/// boundary maps into [0, plane_rows).
-void analyze_cols_tile(const RowAccessor& low_row, const RowAccessor& high_row,
-                       std::size_t plane_rows, std::size_t width,
-                       const FilterPair& fp, ImageF& ll, ImageF& lh, ImageF& hl,
-                       ImageF& hh, BoundaryMode mode, std::size_t k0, std::size_t k1,
-                       std::size_t ll_col0);
-
-/// The tile stream's store of one row band (low or high) of a plane whose
-/// rows arrive in order: the newest ring.rows() rows in a ring (row r at
-/// ring row r % ring.rows()) and the first head.rows() rows in a head, the
-/// rows the Periodic bottom edge wraps back onto. A lookup returns the
-/// row's segment from column col0; a row the store does not hold (not yet
-/// produced, or gone from the ring and not in the head) throws
+/// The one row store the column body reads, of one row band (low or high):
+/// the ring holds the newest ring.rows() rows stored in order from row
+/// `first` (row r at ring row r % ring.rows()), the head rows [0, headed),
+/// which the Periodic bottom edge wraps back onto. A lookup returns the
+/// row's segment from column col0; a row the store does not hold throws
 /// std::logic_error. A concrete row source, so the column body inlines it.
 struct RingRows {
     const ImageF& ring;
     const ImageF& head;
-    std::size_t produced = 0;  ///< rows stored so far, oldest first
+    std::size_t first = 0;     ///< the first row stored in the ring
+    std::size_t produced = 0;  ///< one past the newest row stored in the ring
+    std::size_t headed = 0;    ///< rows [0, headed) are in the head
     std::size_t col0 = 0;
+
+    /// Every row of `plane`: a whole row band, or a mesh stripe with its
+    /// guard rows.
+    [[nodiscard]] static RingRows whole(const ImageF& plane) noexcept {
+        return {plane, plane, 0, plane.rows(), 0, 0};
+    }
 
     [[nodiscard]] const float* operator()(std::size_t r) const;
 };
 
 /// Fused column analysis of ONE output row k of a plane with `plane_rows`
-/// global row-band rows, over a `width`-column segment read through ring
-/// stores: ll/lh/hl/hh each receive `width` values, every one written.
-/// Row k reads the rows the boundary maps 2k .. 2k+taps-1 onto, so the
-/// stores must hold those (the tile stream calls this as soon as the last
-/// of them has been stored).
+/// global row-band rows, over a `width`-column segment: ll/lh/hl/hh each
+/// receive `width` values, every one written. Row k reads the rows the
+/// boundary maps 2k .. 2k+taps-1 onto, so the stores must hold those.
 void analyze_cols_row(const RingRows& low_row, const RingRows& high_row,
                       std::size_t plane_rows, std::size_t width, const FilterPair& fp,
                       BoundaryMode mode, std::size_t k, std::span<float> ll,
                       std::span<float> lh, std::span<float> hl, std::span<float> hh);
 
-/// Whole-level fused analysis (serial convenience): rows then columns.
-/// Allocates/reshapes the outputs as needed.
-void analyze_level(const ImageF& in, const FilterPair& fp, ImageF& ll, ImageF& lh,
-                   ImageF& hl, ImageF& hh, BoundaryMode mode);
+/// A level sweep's row store, owned by the caller: lo/hi rings of at least
+/// LevelSweep::ring_rows rows and, under Periodic, lo/hi heads of at least
+/// LevelSweep::head_rows rows, each in_cols/2 wide.
+struct SweepRows {
+    ImageF lo_ring, hi_ring, lo_head, hi_head;
+};
+
+/// The level sweep, Barina et al.'s single loop, which every host analysis
+/// path runs: core::decompose one stripe per level, decompose_batch one per
+/// (member, chunk) of one parallel_for per level, the tile stream one per
+/// level fed row by row. It computes output rows [k0, k1) of the four
+/// subbands of a level whose input plane is in_rows x in_cols. The caller
+/// pushes input row wanted() until it is in_rows; each is row-passed into
+/// the ring and, while it extends the head, the head. Output row k is due
+/// once row 2k+taps-1, or the plane's last row, is stored; the caller then
+/// emit()s it into destinations of its own and pop()s it. A stripe starts
+/// at the lowest row its outputs read (below 2*k0 where a Symmetric
+/// reflection reaches there), and a Periodic stripe that wraps but does not
+/// start at row 0 row-passes its head rows first. Each output sums the
+/// whole-plane taps in the same order, so every stripe split has the
+/// whole-plane bits.
+class LevelSweep {
+public:
+    LevelSweep(SweepRows& rows, const FilterPair& fp, BoundaryMode mode,
+               std::size_t in_rows, std::size_t in_cols, std::size_t k0, std::size_t k1);
+
+    static constexpr std::size_t ring_rows(std::size_t in_rows, std::size_t taps) {
+        return std::min(in_rows, taps);
+    }
+    static constexpr std::size_t head_rows(std::size_t in_rows, std::size_t taps) {
+        return std::min(in_rows, taps - 2);
+    }
+
+    [[nodiscard]] std::size_t wanted() const noexcept {
+        return headed_ < prefill_ ? headed_ : produced_ < last_ ? produced_ : in_rows_;
+    }
+    /// Row-pass input row wanted() (in_cols values).
+    void push(std::span<const float> row);
+    [[nodiscard]] bool due() const noexcept {
+        return next_ < k1_ && produced_ >= std::min(2 * next_ + taps_, in_rows_);
+    }
+    [[nodiscard]] std::size_t next() const noexcept { return next_; }
+    /// Output row next() over columns [c0, c0 + ll.size()).
+    void emit(std::size_t c0, std::span<float> ll, std::span<float> lh,
+              std::span<float> hl, std::span<float> hh) const;
+    void pop() noexcept { ++next_; }
+
+private:
+    SweepRows& rows_;
+    const FilterPair& fp_;
+    BoundaryMode mode_;
+    std::size_t taps_, in_rows_, in_cols_, k1_, next_;
+    std::size_t first_ = 0;     // first row the ring takes
+    std::size_t last_ = 0;      // one past the last
+    std::size_t prefill_ = 0;   // head rows row-passed before first_
+    std::size_t produced_ = 0;  // one past the newest ring row
+    std::size_t headed_ = 0;    // head rows stored
+};
+
+/// Output rows [k0, k1) of the level of `in` into the same rows of
+/// ll/lh/hl/hh, each (in.rows()/2, in.cols()/2): one LevelSweep that reads
+/// `in` in place, over a row store from `buffers` that goes back to it.
+void analyze_stripe(const ImageF& in, const FilterPair& fp, BoundaryMode mode,
+                    std::size_t k0, std::size_t k1, FloatBufferSource& buffers, ImageF& ll,
+                    ImageF& lh, ImageF& hl, ImageF& hh);
 
 // ---------------------------------------------------------------------------
 // Synthesis entry points (the paper's figure 2), the mirror of the analysis
@@ -157,6 +198,11 @@ void synthesize_rows_range(const ImageF& low, const ImageF& high, const FilterPa
 void synthesize_cols_range(const ImageF& low, const ImageF& high, const FilterPair& fp,
                            ImageF& out, BoundaryMode mode, std::size_t m0,
                            std::size_t m1);
+
+/// Maps an in-range global band row index to the storage of that row's
+/// column segment; the mesh reconstruction backs it with its stripe and
+/// guard rows.
+using RowAccessor = std::function<const float*(std::size_t)>;
 
 /// Column synthesis of one stripe: output rows [m0, m1) of a plane whose
 /// bands have `half_rows` global rows of `width` columns. Band rows are

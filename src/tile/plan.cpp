@@ -41,8 +41,8 @@ TilePlan TilePlan::build(std::size_t rows, std::size_t cols, int levels,
         g.out_cols = g.in_cols / 2;
         g.tiles_down = (g.out_rows + cfg.tile_rows - 1) / cfg.tile_rows;
         g.tiles_across = (g.out_cols + cfg.tile_cols - 1) / cfg.tile_cols;
-        g.ring_rows = std::min(g.in_rows, taps);
-        g.head_rows = std::min(g.in_rows, taps - 2);
+        g.ring_rows = core::LevelSweep::ring_rows(g.in_rows, taps);
+        g.head_rows = core::LevelSweep::head_rows(g.in_rows, taps);
         plan.level.push_back(g);
     }
     return plan;

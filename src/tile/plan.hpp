@@ -46,13 +46,10 @@ struct LevelGeometry {
     std::size_t out_cols = 0;
     std::size_t tiles_down = 0;    ///< ceil(out_rows / tile_rows)
     std::size_t tiles_across = 0;  ///< ceil(out_cols / tile_cols)
-    /// Row-band ring capacity: min(in_rows, taps) rows of row-pass output
-    /// retained (lo and hi). Output row k reads rows 2k .. 2k+taps-1 and
-    /// is computed once the last of them lands, so the ring still holds
-    /// all of them.
+    /// Rows of the level sweep's lo/hi ring, min(in_rows, taps), and head,
+    /// min(in_rows, taps-2) (core::LevelSweep). The head is reserved in
+    /// every mode; only the Periodic bottom wrap reads it.
     std::size_t ring_rows = 0;
-    /// First taps-2 row-pass rows retained for the Periodic bottom wrap
-    /// (Symmetric reflects into the last taps rows; ZeroPad reads nothing).
     std::size_t head_rows = 0;
 };
 

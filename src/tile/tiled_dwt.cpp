@@ -31,10 +31,7 @@ struct ResidentMeter {
 };
 
 struct LevelState {
-    ImageF lo_ring;  // ring_rows x out_cols of row-pass low rows
-    ImageF hi_ring;
-    ImageF lo_head;  // head_rows x out_cols: the Periodic wrap target
-    ImageF hi_head;
+    core::SweepRows store;  // the level sweep's rings and heads
     // One output row of LL toward the next level (absent at the last): the
     // column pass writes each tile's segment at its column offset.
     ImageF ll_row;
@@ -43,8 +40,6 @@ struct LevelState {
     // last level, whose LL tiles are the approximation output.
     std::vector<core::DetailBands> tiles;
     std::vector<ImageF> ll_tiles;
-    std::size_t ingested = 0;  // input rows pushed through the row pass
-    std::size_t next_out = 0;  // first output row not yet computed
 };
 
 class StreamContext {
@@ -58,16 +53,20 @@ public:
           sink_(sink),
           buffers_(buffers),
           start_(std::chrono::steady_clock::now()) {
+        // One whole-plane stripe per level over its store; states_ is never
+        // resized again, so each store stays where its sweep refers to it.
         states_.resize(plan_.level.size());
+        sweeps_.reserve(states_.size());
         for (std::size_t l = 0; l < states_.size(); ++l) {
             const LevelGeometry& g = plan_.level[l];
             LevelState& st = states_[l];
-            st.lo_ring = obtain(g.ring_rows, g.out_cols);
-            st.hi_ring = obtain(g.ring_rows, g.out_cols);
+            st.store.lo_ring = obtain(g.ring_rows, g.out_cols);
+            st.store.hi_ring = obtain(g.ring_rows, g.out_cols);
             if (g.head_rows > 0) {
-                st.lo_head = obtain(g.head_rows, g.out_cols);
-                st.hi_head = obtain(g.head_rows, g.out_cols);
+                st.store.lo_head = obtain(g.head_rows, g.out_cols);
+                st.store.hi_head = obtain(g.head_rows, g.out_cols);
             }
+            sweeps_.emplace_back(st.store, fp_, mode_, g.in_rows, g.in_cols, 0, g.out_rows);
             st.tiles.resize(g.tiles_across);
             if (last_level(l)) {
                 st.ll_tiles.resize(g.tiles_across);
@@ -82,10 +81,10 @@ public:
     ~StreamContext() {
         recycle(std::move(staging_));
         for (LevelState& st : states_) {
-            recycle(std::move(st.lo_ring));
-            recycle(std::move(st.hi_ring));
-            recycle(std::move(st.lo_head));
-            recycle(std::move(st.hi_head));
+            recycle(std::move(st.store.lo_ring));
+            recycle(std::move(st.store.hi_ring));
+            recycle(std::move(st.store.lo_head));
+            recycle(std::move(st.store.hi_head));
             recycle(std::move(st.ll_row));
             for (core::DetailBands& t : st.tiles) {
                 recycle(std::move(t.lh));
@@ -147,28 +146,13 @@ private:
             .count();
     }
 
-    /// Row pass: one full-width input row of level `l` lands in the ring
+    /// One full-width input row of level `l` goes into its sweep's row pass
     /// (the horizontal halo is the shared scanline itself), then every
-    /// output row it completes is computed. Output row k reads the rows
-    /// the boundary maps 2k .. 2k+taps-1 onto: the ring's last taps rows
-    /// and, for Periodic, the head, so it is due once row 2k+taps-1 (or the
-    /// plane's last row) has landed.
+    /// output row it makes due is computed.
     void push_row(std::size_t l, const float* row) {
-        LevelState& st = states_[l];
-        const LevelGeometry& g = plan_.level[l];
-        const auto lo = st.lo_ring.row(st.ingested % g.ring_rows);
-        const auto hi = st.hi_ring.row(st.ingested % g.ring_rows);
-        core::analyze_1d_range(std::span<const float>(row, g.in_cols), fp_, lo, hi, mode_,
-                               0, g.out_cols);
-        if (st.ingested < g.head_rows) {
-            std::copy(lo.begin(), lo.end(), st.lo_head.row(st.ingested).begin());
-            std::copy(hi.begin(), hi.end(), st.hi_head.row(st.ingested).begin());
-        }
-        ++st.ingested;
-        while (st.next_out < g.out_rows &&
-               st.ingested >= std::min(2 * st.next_out + plan_.taps, g.in_rows)) {
-            emit_row(l, st.next_out++);
-        }
+        core::LevelSweep& sweep = sweeps_[l];
+        sweep.push(std::span<const float>(row, plan_.level[l].in_cols));
+        for (; sweep.due(); sweep.pop()) emit_row(l, sweep.next());
     }
 
     /// Column pass of output row k across the full width: row k-k0 of each
@@ -186,10 +170,7 @@ private:
             const std::size_t tw = t.lh.cols();
             const std::span<float> ll = last_level(l) ? st.ll_tiles[tj].row(k - k0)
                                                       : st.ll_row.row(0).subspan(c0, tw);
-            core::analyze_cols_row(core::RingRows{st.lo_ring, st.lo_head, st.ingested, c0},
-                                   core::RingRows{st.hi_ring, st.hi_head, st.ingested, c0},
-                                   g.in_rows, tw, fp_, mode_, k, ll, t.lh.row(k - k0),
-                                   t.hl.row(k - k0), t.hh.row(k - k0));
+            sweeps_[l].emit(c0, ll, t.lh.row(k - k0), t.hl.row(k - k0), t.hh.row(k - k0));
         }
         if (k + 1 == k1) hand_off_band(l, k0, k1);
         if (!last_level(l)) push_row(l + 1, st.ll_row.row(0).data());
@@ -234,6 +215,7 @@ private:
     core::FloatBufferSource& buffers_;
     const std::chrono::steady_clock::time_point start_;
     std::vector<LevelState> states_;
+    std::vector<core::LevelSweep> sweeps_;  // one per level, over states_[l].store
     ImageF staging_;  // level-0 ingest row, held while reading
     ResidentMeter meter_;
     double approx_seal_seconds_ = 0.0;

@@ -2,33 +2,18 @@
 // Constant-memory streaming tile DWT driver (ISSUE 9).
 //
 // stream_decompose reads a scene from a TileSource one full-width row per
-// call and pushes each row, while it is still in cache, through a cascade
-// of per-level states in one loop. Each level keeps:
-//
-//   * a full-width RING of row-pass output rows (lo and hi), capacity
-//     min(in_rows, taps): output row k reads row-pass rows 2k .. 2k+taps-1,
-//     so the moment row 2k+taps-1 (or the plane's last row) lands, every
-//     row output k needs is still resident, and the driver computes it;
-//   * the first taps-2 row-pass rows (HEAD), which the Periodic bottom
-//     edge wraps back onto (Symmetric reflects only into the last taps
-//     rows and ZeroPad reads nothing past the edge, so only Periodic reads
-//     the head);
-//   * the current band's tiles across the full width: each output row k
-//     lands in row k-k0 of every tile of its band, and the band goes to
-//     the sink after its last row;
-//   * one LL row toward the next level (absent at the last level, whose
-//     LL tiles ARE the approximation output): each tile's column pass
-//     writes its segment, and the finished row is the next level's input
-//     row, pushed into its row pass at once.
-//
-// The row transform runs once per ingested row over the full width through
-// core::analyze_1d_range (the horizontal halo is the shared scanline
-// itself); the column transform runs per output row and tile through
-// core::analyze_cols_row, reading the ring and head through a RingRows
-// store (the vertical halo). Both run the kernel layer's one row and one
-// column body, the code core::decompose runs over whole planes, so the
-// whole pyramid, interior AND edges, is bit-identical to core::decompose
-// for every boundary mode.
+// call and pushes each row, while it is still in cache, into a cascade of
+// per-level sweeps in one loop: each level runs one whole-plane stripe of
+// the kernel layer's level sweep (core::LevelSweep), whose ring holds
+// min(in_rows, taps) row-pass rows and whose head the first taps-2. When
+// an output row is due, the driver computes it across the full width, one
+// segment per tile of the current band (the vertical halo is the ring, the
+// horizontal one the shared scanline), and, at a non-final level, into one
+// LL row that is pushed into the next level's sweep at once. A band's tiles
+// go to the sink after its last row; the last level's LL tiles are the
+// approximation output. The sweep runs the kernel layer's one row and one
+// column body, as core::decompose does, so the whole pyramid, interior AND
+// edges, is bit-identical to core::decompose for every boundary mode.
 //
 // Resident memory is the TilePlan reservation set: independent of the
 // image height, which is what makes images >> RAM streamable.

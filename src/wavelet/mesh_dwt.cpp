@@ -160,21 +160,18 @@ LevelBands col_pass(mesh::NodeCtx& ctx, const core::ImageF& low_ext,
                     const core::FilterPair& fp, const core::SequentialCostModel& model) {
     // Output row k (stripe-local) reads extended rows 2k .. 2k+taps-1, all
     // inside the stripe, so the boundary mapping is the identity and the mode
-    // passed is immaterial. Every output element is written, and LL fills
-    // its stripe from column 0.
+    // passed is immaterial. Every output element is written.
     const std::size_t cols = low_ext.cols();
     LevelBands out{core::ImageF(out_rows, cols),
                    {core::ImageF(out_rows, cols), core::ImageF(out_rows, cols),
                     core::ImageF(out_rows, cols)}};
-    const core::RowAccessor low = [&low_ext](std::size_t r) {
-        return low_ext.row(r).data();
-    };
-    const core::RowAccessor high = [&high_ext](std::size_t r) {
-        return high_ext.row(r).data();
-    };
-    core::analyze_cols_tile(low, high, low_ext.rows(), cols, fp, out.ll, out.bands.lh,
-                            out.bands.hl, out.bands.hh, core::BoundaryMode::ZeroPad, 0,
-                            out_rows, 0);
+    const auto low = core::RingRows::whole(low_ext);
+    const auto high = core::RingRows::whole(high_ext);
+    for (std::size_t k = 0; k < out_rows; ++k) {
+        core::analyze_cols_row(low, high, low_ext.rows(), cols, fp, core::BoundaryMode::ZeroPad,
+                               k, out.ll.row(k), out.bands.lh.row(k), out.bands.hl.row(k),
+                               out.bands.hh.row(k));
+    }
     const std::size_t col_outputs = 4 * out_rows * cols;
     ctx.compute(model.seconds(col_outputs,
                               col_outputs * static_cast<std::size_t>(fp.taps())));

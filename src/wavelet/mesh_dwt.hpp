@@ -114,7 +114,9 @@ struct LevelBands {
 };
 
 /// Column-pass the extended (stripe + guard rows) band images into
-/// `out_rows` rows of the four subbands, then charge the column outputs and
+/// `out_rows` rows of the four subbands, one core::analyze_cols_row per row
+/// over a store that holds every extended row, then charge the column
+/// outputs and
 /// the fixed per-level setup through `model`. Shared by the striped,
 /// resilient and block decompositions so their arithmetic — and thus their
 /// coefficients — are identical bit for bit.

@@ -33,9 +33,7 @@ core::ImageF reconstruct_parallel(const core::Pyramid& pyr, const core::FilterPa
 core::Pyramid decompose_parallel(const core::ImageF& img, const core::FilterPair& fp,
                                  int levels, core::BoundaryMode mode,
                                  runtime::ThreadPool& pool) {
-    // A batch of one: identical range splits (parallel_for over [0, rows)),
-    // identical kernel calls, hence bit-identical to the historical
-    // unbatched loop.
+    // A batch of one: one stripe per chunk of each level's output rows.
     auto pyrs = decompose_batch({&img}, fp, levels, mode, &pool, core::DwtKernel::Convolve,
                                 nullptr);
     return std::move(pyrs.front());
@@ -56,8 +54,9 @@ std::vector<core::Pyramid> decompose_batch(
             throw std::invalid_argument("decompose_batch: images differ in shape");
         }
     }
-    core::validate_decomposition_request(images.front()->rows(),
-                                         images.front()->cols(), levels);
+    const std::size_t rows = images.front()->rows();
+    const std::size_t cols = images.front()->cols();
+    core::validate_decomposition_request(rows, cols, levels);
     core::HeapBufferSource heap;
     // Every pass writes each element of its outputs, so buffers come from
     // the source as they are.
@@ -66,81 +65,40 @@ std::vector<core::Pyramid> decompose_batch(
     std::vector<core::Pyramid> out(batch);
     for (auto& p : out) p.levels.reserve(static_cast<std::size_t>(levels));
     std::vector<core::ImageF> current(batch);  // empty at level 0: inputs read in place
-    std::vector<core::ImageF> low_rows(batch);
-    std::vector<core::ImageF> high_rows(batch);
-
-    std::size_t rows = images.front()->rows();
-    std::size_t cols = images.front()->cols();
     for (int lvl = 0; lvl < levels; ++lvl) {
-        const std::size_t half_r = rows / 2;
-        const std::size_t half_c = cols / 2;
+        const std::size_t half_r = rows >> (lvl + 1);
+        const std::size_t half_c = cols >> (lvl + 1);
+        std::vector<core::ImageF> ll(batch);
         for (std::size_t b = 0; b < batch; ++b) {
-            low_rows[b] = core::obtain_image(src, rows, half_c);
-            high_rows[b] = core::obtain_image(src, rows, half_c);
+            ll[b] = core::obtain_image(src, half_r, half_c);
+            out[b].levels.push_back({core::obtain_image(src, half_r, half_c),
+                                     core::obtain_image(src, half_r, half_c),
+                                     core::obtain_image(src, half_r, half_c)});
         }
-        // One fused row sweep over the global index space [0, batch*rows):
-        // global index g addresses row g%rows of image g/rows. A chunk
-        // spanning an image seam simply issues one range call per image.
-        auto row_sweep = [&](std::size_t g0, std::size_t g1) {
-            std::size_t b = g0 / rows;
-            std::size_t r = g0 % rows;
-            while (g0 < g1) {
-                const std::size_t take = std::min(rows - r, g1 - g0);
-                const core::ImageF& in = lvl == 0 ? *images[b] : current[b];
-                core::analyze_rows_range(in, fp, low_rows[b], high_rows[b], mode,
-                                         core::DwtKernel::Convolve, r, r + take);
+        // One sweep over the (member, output row) cells [0, batch*half_r):
+        // cell g is output row g%half_r of member g/half_r. A chunk runs one
+        // stripe of the level sweep per member it spans, straight into that
+        // member's bands.
+        auto sweep = [&](std::size_t g0, std::size_t g1) {
+            for (std::size_t b = g0 / half_r, k = g0 % half_r; g0 < g1; ++b, k = 0) {
+                const std::size_t take = std::min(half_r - k, g1 - g0);
+                core::DetailBands& d = out[b].levels.back();
+                core::analyze_stripe(lvl == 0 ? *images[b] : current[b], fp, mode, k,
+                                     k + take, src, ll[b], d.lh, d.hl, d.hh);
                 g0 += take;
-                ++b;
-                r = 0;
             }
         };
         if (pool != nullptr) {
-            pool->parallel_for(0, batch * rows, row_sweep);
+            pool->parallel_for(0, batch * half_r, sweep);
         } else {
-            row_sweep(0, batch * rows);
+            sweep(0, batch * half_r);
         }
         if (lvl > 0) {
             for (std::size_t b = 0; b < batch; ++b) {
                 src.recycle(current[b].release_data());
             }
         }
-
-        std::vector<core::ImageF> ll(batch);
-        for (std::size_t b = 0; b < batch; ++b) {
-            ll[b] = core::obtain_image(src, half_r, half_c);
-            core::DetailBands d;
-            d.lh = core::obtain_image(src, half_r, half_c);
-            d.hl = core::obtain_image(src, half_r, half_c);
-            d.hh = core::obtain_image(src, half_r, half_c);
-            out[b].levels.push_back(std::move(d));
-        }
-        // One fused column sweep over [0, batch*half_r).
-        auto col_sweep = [&](std::size_t g0, std::size_t g1) {
-            std::size_t b = g0 / half_r;
-            std::size_t k = g0 % half_r;
-            while (g0 < g1) {
-                const std::size_t take = std::min(half_r - k, g1 - g0);
-                core::DetailBands& d = out[b].levels.back();
-                core::analyze_cols_range(low_rows[b], high_rows[b], fp, ll[b], d.lh,
-                                         d.hl, d.hh, mode, core::DwtKernel::Convolve, k,
-                                         k + take);
-                g0 += take;
-                ++b;
-                k = 0;
-            }
-        };
-        if (pool != nullptr) {
-            pool->parallel_for(0, batch * half_r, col_sweep);
-        } else {
-            col_sweep(0, batch * half_r);
-        }
-        for (std::size_t b = 0; b < batch; ++b) {
-            src.recycle(low_rows[b].release_data());
-            src.recycle(high_rows[b].release_data());
-        }
         current = std::move(ll);
-        rows = half_r;
-        cols = half_c;
     }
     for (std::size_t b = 0; b < batch; ++b) {
         out[b].approx = std::move(current[b]);

@@ -1,9 +1,11 @@
 #pragma once
 // Shared-memory parallel Mallat decomposition: the same arithmetic as
-// core::decompose, data-parallel over rows on the host thread pool. This is
-// the "modern node" backend — where the simulators model the 1996 machines,
-// this one actually runs in parallel. All arithmetic lives in the shared
-// kernel layer (core/kernels.hpp); this backend only owns the range splits.
+// core::decompose, data-parallel over output rows on the host thread pool.
+// This is the "modern node" backend — where the simulators model the 1996
+// machines, this one actually runs in parallel. All arithmetic lives in the
+// shared kernel layer (core/kernels.hpp): each chunk of a level runs the
+// level sweep over its stripe of output rows, so a level is one pool
+// dispatch; this backend only owns the splits.
 
 #include "core/buffers.hpp"
 #include "core/dwt.hpp"
@@ -11,29 +13,24 @@
 
 namespace wavehpc::wavelet {
 
-/// Bit-identical to core::decompose(img, fp, levels, mode): both run the
-/// shared fused kernels, and every output coefficient is a fixed function
-/// of its source rows, so splitting the row ranges across workers changes
-/// no accumulation order.
+/// Bit-identical to core::decompose(img, fp, levels, mode): a batch of one.
 [[nodiscard]] core::Pyramid decompose_parallel(const core::ImageF& img,
                                                const core::FilterPair& fp, int levels,
                                                core::BoundaryMode mode,
                                                runtime::ThreadPool& pool);
 
-/// Fused batched decomposition (ISSUE 8): N same-shaped images share ONE
-/// row sweep and ONE column sweep per level, parallelized over the global
-/// index space [0, N*rows) — one pool dispatch amortizes the fork/join and
-/// chunk-enqueue overhead across the whole batch instead of paying it per
-/// request. Result i is bit-identical to decompose_parallel(*images[i], ...)
-/// and therefore to core::decompose: the fused sweep calls the identical
-/// kernel ranges per (image, row-range) cell, and every output coefficient
-/// is a fixed function of its own image's rows, so neither the fusion nor
-/// the chunking changes any accumulation order.
+/// Batched decomposition: N same-shaped images share ONE parallel_for per
+/// level over the (member, output row) cells [0, N*rows/2), so one pool
+/// dispatch amortizes the fork/join across the whole batch. Each chunk runs
+/// one stripe of the level sweep (core::analyze_stripe) per member it
+/// spans, straight into that member's bands, and recomputes the row-pass
+/// rows it reads past its own (the paper's guard zone). Result i is
+/// bit-identical to core::decompose of *images[i], whatever the split.
 ///
 /// All images must be non-null with identical dimensions (throws
 /// std::invalid_argument otherwise). `pool` may be null for a serial batch.
-/// `buffers` (may be null = heap) supplies every scratch and subband
-/// buffer; transient intermediates are recycled back into it. `kernel` is
+/// `buffers` (may be null = heap) supplies every subband buffer and each
+/// chunk's row store, which goes back to it when the chunk ends. `kernel` is
 /// unused (Convolve is the one kernel); it stays because the benchmark
 /// package passes it.
 [[nodiscard]] std::vector<core::Pyramid> decompose_batch(

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -132,6 +134,102 @@ TEST(AnalysisRange, PlaneSweepsRejectRangesOutsideThePlane) {
                  std::invalid_argument);
     EXPECT_NO_THROW(wavehpc::core::analyze_cols_range(lo, hi, fp, ll, lh, hl, hh, mode,
                                                       DwtKernel::Convolve, 0, 4));
+}
+
+// ------------------------------------------------------------ level sweep
+
+// Every obtained buffer starts as quiet NaN, so a ring or head row the
+// sweep reads before it has written it shows in the output.
+class NanBuffers final : public wavehpc::core::FloatBufferSource {
+public:
+    [[nodiscard]] std::vector<float> obtain(std::size_t n) override {
+        return std::vector<float>(n, std::numeric_limits<float>::quiet_NaN());
+    }
+    void recycle(std::vector<float>&& buf) override { std::vector<float> drop(std::move(buf)); }
+};
+
+TEST(LevelSweep, EveryStripeOfSmallPlanesWritesExactlyItsRowsWithThePlaneBits) {
+    // Every stripe [k0, k1) of planes 2-24 rows tall, several shorter than
+    // the filter, in every mode, into NaN-filled bands: the stripe writes
+    // its output rows with the bits of the whole-plane row and column
+    // passes and leaves every other row NaN. Symmetric stripes that end
+    // near the bottom edge read rows below 2*k0, and Periodic stripes that
+    // wrap without starting at row 0 fill their head first.
+    constexpr std::size_t kCols = 20;
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    NanBuffers buffers;
+    std::size_t stripes = 0;
+    for (std::size_t rows = 2; rows <= 24; rows += 2) {
+        const ImageF img = scene(rows, kCols, rows);
+        const std::size_t half = rows / 2;
+        for (const int taps : kTaps) {
+            const FilterPair fp = FilterPair::daubechies(taps);
+            for (const auto mode : kModes) {
+                ImageF lo(rows, kCols / 2), hi(rows, kCols / 2);
+                wavehpc::core::analyze_rows_range(img, fp, lo, hi, mode, DwtKernel::Convolve,
+                                                  0, rows);
+                std::vector<ImageF> want(4, ImageF(half, kCols / 2));
+                wavehpc::core::analyze_cols_range(lo, hi, fp, want[0], want[1], want[2],
+                                                  want[3], mode, DwtKernel::Convolve, 0, half);
+                for (std::size_t k0 = 0; k0 < half; ++k0) {
+                    for (std::size_t k1 = k0 + 1; k1 <= half; ++k1) {
+                        std::vector<ImageF> got(4, ImageF(half, kCols / 2, nan));
+                        wavehpc::core::analyze_stripe(img, fp, mode, k0, k1, buffers, got[0],
+                                                      got[1], got[2], got[3]);
+                        ++stripes;
+                        for (std::size_t b = 0; b < 4; ++b) {
+                            for (std::size_t k = 0; k < half; ++k) {
+                                const ImageF row = got[b].sub(k, 0, 1, kCols / 2);
+                                const bool ok =
+                                    k >= k0 && k < k1
+                                        ? row == want[b].sub(k, 0, 1, kCols / 2)
+                                        : std::all_of(row.flat().begin(), row.flat().end(),
+                                                      [](float v) { return std::isnan(v); });
+                                ASSERT_TRUE(ok)
+                                    << rows << " rows, taps " << taps << ", mode "
+                                    << int(mode) << ", stripe [" << k0 << ", " << k1
+                                    << "): band " << b << " row " << k;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(stripes, 4368U);  // 364 stripes per (taps, mode)
+}
+
+TEST(LevelSweep, RejectsBadRangesAndRowStores) {
+    const FilterPair fp = FilterPair::daubechies(8);
+    const ImageF img = scene(16, 8, 4);
+    ImageF ll(8, 4), lh(8, 4), hl(8, 4), hh(8, 4);
+    NanBuffers buffers;
+    const auto mode = BoundaryMode::Periodic;
+    EXPECT_THROW(wavehpc::core::analyze_stripe(img, fp, mode, 3, 2, buffers, ll, lh, hl, hh),
+                 std::invalid_argument);
+    EXPECT_THROW(wavehpc::core::analyze_stripe(img, fp, mode, 0, 9, buffers, ll, lh, hl, hh),
+                 std::invalid_argument);
+    ImageF narrow(8, 3);
+    EXPECT_THROW(
+        wavehpc::core::analyze_stripe(img, fp, mode, 0, 8, buffers, ll, lh, hl, narrow),
+        std::invalid_argument);
+    // A ring one row short of the filter, or no head under Periodic.
+    wavehpc::core::SweepRows short_ring{ImageF(7, 4), ImageF(7, 4), ImageF(6, 4),
+                                        ImageF(6, 4)};
+    EXPECT_THROW(wavehpc::core::LevelSweep(short_ring, fp, mode, 16, 8, 0, 8),
+                 std::invalid_argument);
+    wavehpc::core::SweepRows no_head{ImageF(8, 4), ImageF(8, 4), {}, {}};
+    EXPECT_THROW(wavehpc::core::LevelSweep(no_head, fp, mode, 16, 8, 0, 8),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(
+        wavehpc::core::LevelSweep(no_head, fp, BoundaryMode::Symmetric, 16, 8, 0, 8));
+    // A row of the wrong width, and one past the rows the stripe reads.
+    wavehpc::core::SweepRows rows{ImageF(8, 4), ImageF(8, 4), {}, {}};
+    wavehpc::core::LevelSweep sweep(rows, fp, BoundaryMode::ZeroPad, 16, 8, 0, 1);
+    EXPECT_THROW(sweep.push(img.row(0).subspan(0, 6)), std::invalid_argument);
+    for (std::size_t r = 0; r < 8; ++r) sweep.push(img.row(sweep.wanted()));
+    EXPECT_EQ(sweep.wanted(), 16U);
+    EXPECT_THROW(sweep.push(img.row(8)), std::invalid_argument);
 }
 
 TEST(SynthesisRange, PassesRejectRangesAndShapesOutsideThePlane) {

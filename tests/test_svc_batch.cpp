@@ -98,11 +98,12 @@ TEST(DecomposeBatch, BitIdenticalToSoloAcrossRandomizedMixes) {
 
         const auto fp = FilterPair::daubechies(taps);
         if (pool_buffers) {
-            // Every buffer of a round fits the class of a level-0 row band,
-            // and a member obtains six per level (two row bands, four
-            // subbands).
+            // Every buffer of a round fits the class of a level-0 row band.
+            // Prime more slabs than a round obtains: a member four subbands
+            // per level, and each stripe, at most two at once on this pool,
+            // two ring and at most two head slabs.
             wavehpc::testing::prime_with_nan(
-                arena, n * n / 2, 6 * static_cast<std::size_t>(levels) * batch);
+                arena, n * n / 2, (6 * batch + 8) * static_cast<std::size_t>(levels));
         }
         const std::uint64_t hits_before = arena.stats().hits;
         const auto pyrs = wavehpc::wavelet::decompose_batch(

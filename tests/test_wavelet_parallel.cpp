@@ -293,6 +293,29 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::size_t{1}, std::size_t{2},
                       std::max<std::size_t>(1, std::thread::hardware_concurrency())));
 
+// Each level is one pool dispatch: one parallel_for over the level's
+// output rows, or over the (member, output row) cells of a batch, whatever
+// the filter and depth.
+TEST(ThreadsDwt, EachLevelIsOnePoolDispatch) {
+    wavehpc::runtime::ThreadPool pool(3);
+    const ImageF img = wavehpc::core::landsat_tm_like(64, 64, 61);
+    const std::vector<const ImageF*> batch = {&img, &img, &img};
+    for (const auto& [taps, levels] : {std::pair{8, 1}, {4, 2}, {2, 4}}) {
+        const FilterPair fp = FilterPair::daubechies(taps);
+        const auto groups = [&pool] { return pool.metrics().groups_completed; };
+        const auto before = groups();
+        (void)wavehpc::wavelet::decompose_parallel(img, fp, levels, BoundaryMode::Periodic,
+                                                   pool);
+        EXPECT_EQ(groups() - before, static_cast<std::uint64_t>(levels))
+            << "decompose_parallel F" << taps << "L" << levels;
+        const auto mid = groups();
+        (void)wavehpc::wavelet::decompose_batch(batch, fp, levels, BoundaryMode::Periodic,
+                                                &pool);
+        EXPECT_EQ(groups() - mid, static_cast<std::uint64_t>(levels))
+            << "decompose_batch F" << taps << "L" << levels;
+    }
+}
+
 // Regression for the seed deadlock: decompositions driven from inside a
 // worker of the same pool (nested parallel_for) must complete and match.
 TEST(ThreadsDwt, DecomposeFromInsideWorkerMatchesSerial) {
